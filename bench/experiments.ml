@@ -1050,6 +1050,29 @@ let micro _ctx =
   done;
   let counter = ref 0 in
   let lrec = Nvml_telemetry.Latency.create () in
+  (* A relaxed engine whose first epoch buffered 100k words (196 frames
+     of 512), then drained; each drain row re-dirties one line. *)
+  let module Physmem = Nvml_simmem.Physmem in
+  let module Persist = Nvml_runtime.Persist in
+  let relaxed () =
+    let ppm = Physmem.create () in
+    (ppm, Persist.create (Persist.Epoch { interval = 8 }) ppm)
+  in
+  let pcpu = Cpu.create ~timing:false Config.default mem in
+  let drain_pm, drain_p = relaxed () in
+  let drain_frames =
+    Array.init 196 (fun _ -> Physmem.alloc_frame drain_pm Nvml_simmem.Layout.Nvm)
+  in
+  Array.iter
+    (fun frame ->
+      for word_index = 0 to Nvml_simmem.Layout.words_per_page - 1 do
+        Physmem.write_word drain_pm ~frame ~word_index 1L
+      done)
+    drain_frames;
+  Persist.drain drain_p ~cpu:pcpu ~cfg:Config.default;
+  let note_pm, _note_p = relaxed () in
+  let note_frame = Physmem.alloc_frame note_pm Nvml_simmem.Layout.Nvm in
+  Physmem.write_word note_pm ~frame:note_frame ~word_index:0 1L;
   let tests =
     Test.make_grouped ~name:"core"
       [
@@ -1094,6 +1117,18 @@ let micro _ctx =
           (Staged.stage (fun () ->
                incr counter;
                Nvml_telemetry.Latency.record lrec !counter));
+        (* Persist-buffer guards: a drain costs its dirty lines and a
+           note one probe, whatever the buffer held before — a drain
+           that walks the epoch's history shows up as a ~1000x jump. *)
+        Test.make ~name:"persist drain (1 line, after a 100k-word epoch)"
+          (Staged.stage (fun () ->
+               incr counter;
+               Physmem.write_word drain_pm ~frame:drain_frames.(0)
+                 ~word_index:(!counter land 511) 2L;
+               Persist.drain drain_p ~cpu:pcpu ~cfg:Config.default));
+        Test.make ~name:"persist note (already-dirty word)"
+          (Staged.stage (fun () ->
+               Physmem.write_word note_pm ~frame:note_frame ~word_index:0 2L));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

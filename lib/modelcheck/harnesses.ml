@@ -283,6 +283,223 @@ module Storep_h = struct
       }
 end
 
+(* --- persist buffer ------------------------------------------------------ *)
+
+(* Model: a word-keyed map — packed word address [frame *
+   words_per_page + word_index] -> durable value, drained by sorting the
+   distinct [key lsr 3] line ids — plus the newest value of every word
+   stored.  The engine runs on a bare Physmem: three NVM
+   frames, six lines each, so stores collide within lines and lines are
+   dirtied in every order.  A cycle-mode core checks the drain stalls. *)
+module Persist_h = struct
+  module Persist = Nvml_runtime.Persist
+  module Physmem = Nvml_simmem.Physmem
+  module Fi = Nvml_simmem.Fi
+  module Layout = Nvml_simmem.Layout
+  module Cpu = Nvml_arch.Cpu
+  module Config = Nvml_arch.Config
+
+  type op =
+    | Store of int * int64 (* word slot, value *)
+    | Store_through of int * int64 (* under [with_eager] *)
+    | Drain of int option (* power cut at the k-th Flush_line *)
+    | Crash
+    | Durable of int
+    | Line of int (* line slot *)
+
+  let frames = 3
+  let lines = [| 0; 1; 2; 7; 32; 63 |] (* line indices used in a frame *)
+  let line_slots = frames * Array.length lines
+  let word_slots = line_slots * 8
+
+  let pp = function
+    | Store (w, v) -> Fmt.str "store word=%d value=%Ld" w v
+    | Store_through (w, v) -> Fmt.str "store-through word=%d value=%Ld" w v
+    | Drain None -> "drain"
+    | Drain (Some k) -> Fmt.str "drain, power cut at flush %d" k
+    | Crash -> "crash"
+    | Durable w -> Fmt.str "durable-value word=%d" w
+    | Line l -> Fmt.str "buffered-in-line line=%d" l
+
+  let gen rng =
+    let word () = Random.State.int rng word_slots in
+    let value () = Random.State.int64 rng Int64.max_int in
+    match Random.State.int rng 100 with
+    | n when n < 40 -> Store (word (), value ())
+    | n when n < 52 -> Store_through (word (), value ())
+    | n when n < 60 -> Drain None
+    | n when n < 66 -> Drain (Some (Random.State.int rng 6))
+    | n when n < 70 -> Crash
+    | n when n < 85 -> Durable (word ())
+    | _ -> Line (Random.State.int rng line_slots)
+
+  exception Power_cut
+
+  let harness () =
+    Engine.Packed
+      {
+        Engine.component = "persist";
+        gen;
+        pp;
+        init =
+          (fun ~seed:_ ->
+            let pm = Physmem.create () in
+            let frame = Array.init frames (fun _ -> Physmem.alloc_frame pm Layout.Nvm) in
+            let p = Persist.create (Persist.Epoch { interval = 8 }) pm in
+            let cfg = Config.default in
+            let cpu = Cpu.create cfg (Mem.create ()) in
+            let hook_runs = ref 0 in
+            let arm_hook () = Persist.set_drain_hook p (Some (fun () -> incr hook_runs)) in
+            arm_hook ();
+            (* the reference model *)
+            let pending : (int, int64) Hashtbl.t = Hashtbl.create 64 in
+            let newest : (int, int64) Hashtbl.t = Hashtbl.create 64 in
+            let buffered = ref 0 and flushes = ref 0 and fences = ref 0 in
+            let drains = ref 0 and dropped = ref 0 in
+            let key f word_index = (f * Layout.words_per_page) + word_index in
+            let locate slot =
+              let l = slot / 8 in
+              ( frame.(l / Array.length lines),
+                (lines.(l mod Array.length lines) * 8) + (slot mod 8) )
+            in
+            let media k = Option.value (Hashtbl.find_opt newest k) ~default:0L in
+            let store slot v =
+              let f, word_index = locate slot in
+              Physmem.write_word pm ~frame:f ~word_index v;
+              Hashtbl.replace newest (key f word_index) v
+            in
+            let check () =
+              let counts =
+                [
+                  ("stores_buffered", Persist.stores_buffered p, !buffered);
+                  ("flushes", Persist.flushes p, !flushes);
+                  ("fences", Persist.fences p, !fences);
+                  ("drains", Persist.drains p, !drains);
+                  ("crash_dropped", Persist.crash_dropped p, !dropped);
+                  ("pending_words", Persist.pending_words p, Hashtbl.length pending);
+                  ("drain hook runs", !hook_runs, !fences);
+                  ( "stall cycles",
+                    Cpu.cycles cpu,
+                    (!flushes * cfg.Config.flush_latency)
+                    + (!fences * cfg.Config.fence_latency) );
+                ]
+              in
+              List.iter
+                (fun (name, got, want) ->
+                  if got <> want then fail "%s %d, model %d" name got want)
+                counts
+            in
+            fun op ->
+              (match op with
+              | Store (slot, v) ->
+                  let f, word_index = locate slot in
+                  let k = key f word_index in
+                  if not (Hashtbl.mem pending k) then begin
+                    Hashtbl.add pending k (media k);
+                    incr buffered
+                  end;
+                  store slot v
+              | Store_through (slot, v) ->
+                  let f, word_index = locate slot in
+                  Hashtbl.remove pending (key f word_index);
+                  Persist.with_eager p (fun () -> store slot v)
+              | Drain cut ->
+                  let seen = ref [] and announced = ref 0 in
+                  Physmem.set_fi_hook pm
+                    (Some
+                       (function
+                       | Fi.Flush_line { frame; line } ->
+                           seen := `Flush (frame, line) :: !seen;
+                           if cut = Some !announced then raise Power_cut;
+                           incr announced
+                       | Fi.Fence -> seen := `Fence :: !seen
+                       | _ -> ()));
+                  let cut_off =
+                    match Persist.drain p ~cpu ~cfg with
+                    | () -> false
+                    | exception Power_cut -> true
+                  in
+                  Physmem.set_fi_hook pm None;
+                  let expected = ref [] and model_cut = ref false in
+                  if Hashtbl.length pending > 0 then begin
+                    incr drains;
+                    let line_ids =
+                      Hashtbl.fold (fun k _ acc -> (k lsr 3) :: acc) pending []
+                      |> List.sort_uniq compare
+                    in
+                    List.iteri
+                      (fun i id ->
+                        if not !model_cut then begin
+                          expected :=
+                            `Flush (id / (Layout.words_per_page / 8), id mod (Layout.words_per_page / 8))
+                            :: !expected;
+                          if cut = Some i then model_cut := true
+                          else begin
+                            for w = 0 to 7 do
+                              Hashtbl.remove pending ((id lsl 3) lor w)
+                            done;
+                            incr flushes
+                          end
+                        end)
+                      line_ids;
+                    if not !model_cut then begin
+                      expected := `Fence :: !expected;
+                      incr fences
+                    end
+                  end;
+                  if cut_off <> !model_cut then
+                    fail "drain %s, model %s"
+                      (if cut_off then "cut" else "completed")
+                      (if !model_cut then "cut" else "completed");
+                  if List.length !seen <> List.length !expected then
+                    fail "drain announced %d events, model %d"
+                      (List.length !seen) (List.length !expected);
+                  if !seen <> !expected then
+                    fail "drain flush order diverges from the model"
+              | Crash ->
+                  Persist.crash p;
+                  arm_hook ();
+                  Hashtbl.iter (fun k durable -> Hashtbl.replace newest k durable) pending;
+                  dropped := !dropped + Hashtbl.length pending;
+                  Hashtbl.reset pending;
+                  Array.iter
+                    (fun f ->
+                      for word_index = 0 to Layout.words_per_page - 1 do
+                        let got = Physmem.peek pm ~frame:f ~word_index in
+                        let want = media (key f word_index) in
+                        if got <> want then
+                          fail "after crash frame %d word %d holds %Ld, model %Ld" f
+                            word_index got want
+                      done)
+                    frame
+              | Durable slot ->
+                  let f, word_index = locate slot in
+                  let k = key f word_index in
+                  let want =
+                    match Hashtbl.find_opt pending k with
+                    | Some v -> v
+                    | None -> media k
+                  in
+                  let got = Persist.durable_value p ~frame:f ~word_index in
+                  if got <> want then
+                    fail "durable value of word %d: %Ld, model %Ld" slot got want
+              | Line l ->
+                  let f, first = locate (l * 8) in
+                  let line = first / 8 in
+                  let want =
+                    List.filter_map
+                      (fun w ->
+                        Option.map
+                          (fun v -> (first + w, v))
+                          (Hashtbl.find_opt pending (key f (first + w))))
+                      (List.init 8 Fun.id)
+                  in
+                  if Persist.buffered_in_line p ~frame:f ~line <> want then
+                    fail "buffered words of line %d diverge from the model" l);
+              check ());
+      }
+end
+
 (* --- VATB range B-tree ----------------------------------------------------- *)
 
 (* Model: a slot-indexed table of mapped sizes; slot [i] owns base

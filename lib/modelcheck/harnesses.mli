@@ -23,6 +23,15 @@ module Storep_h : sig
       the issued/stall/peak-occupancy statistics. *)
 end
 
+module Persist_h : sig
+  val harness : unit -> Engine.packed
+  (** Relaxed persist buffer on a bare machine vs the word -> durable
+      value map: buffered and write-through stores, drains (some cut by
+      a power failure at the k-th line flush), crashes compared over the
+      whole media image, and durable-value / buffered-line probes.
+      Flush order and every event counter are checked after each op. *)
+end
+
 module Vatb_h : sig
   val harness : unit -> Engine.packed
   (** VATB range B-tree vs a slot table: lookups, removals, rebalance

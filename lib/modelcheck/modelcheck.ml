@@ -41,6 +41,12 @@ let specs () =
       make = (fun ~break:_ -> Harnesses.Storep_h.harness ());
     };
     {
+      name = "persist";
+      breakable = false;
+      scale = 1;
+      make = (fun ~break:_ -> Harnesses.Persist_h.harness ());
+    };
+    {
       name = "vatb";
       breakable = false;
       scale = 1;

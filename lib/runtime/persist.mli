@@ -8,7 +8,13 @@
     explicitly modeled flush+fence µ-events ({!Fi.Flush_line},
     {!Fi.Fence}); {!crash} pokes every still-buffered word back to its
     durable value so the rebooted machine sees exactly what the media
-    retained. *)
+    retained.
+
+    Host cost: the dirty set is indexed by 64-byte line, so a buffered
+    store is one table probe, a drain is O(L log L) in its L dirty
+    lines and a crash is O(dirty words) — independent of how large
+    earlier epochs grew the buffer.  An eager engine allocates no
+    buffer storage. *)
 
 type model =
   | Eager  (** Every store persists in place — the historical behavior,
@@ -22,7 +28,10 @@ val model_name : model -> string
 (** ["eager"], ["epoch:N"], ["lazy"]. *)
 
 val model_of_string : string -> (model, string) result
-(** Inverse of {!model_name}; accepts [eager | epoch:N | lazy]. *)
+(** Inverse of {!model_name}, case-insensitive; accepts
+    [eager | epoch:N | lazy] where [N] is a decimal integer [>= 1].  An
+    empty, signed, hexadecimal, underscored or out-of-range interval is
+    an [Error] naming the problem. *)
 
 val is_eager : model -> bool
 
@@ -80,3 +89,6 @@ val flushes : t -> int
 val fences : t -> int
 val drains : t -> int
 val stores_buffered : t -> int
+
+val crash_dropped : t -> int
+(** Buffered words {!crash} has reverted, summed over power cycles. *)

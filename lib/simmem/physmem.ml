@@ -241,6 +241,7 @@ let set_media_read t hook = t.media_read <- hook
 let set_media_write_note t hook = t.media_write <- hook
 let media_armed t = t.media_read <> None || t.media_write <> None
 let set_persist_note t hook = t.persist_note <- hook
+let persist_armed t = t.persist_note <> None
 
 let peek t ~frame ~word_index =
   Bigarray.Array1.get (storage t frame) word_index

@@ -108,6 +108,8 @@ val set_persist_note :
     only a null test.  Survives {!crash} management by the caller: the
     hook itself is left untouched by {!crash}. *)
 
+val persist_armed : t -> bool
+
 val peek : t -> frame:int -> word_index:int -> int64
 (** Raw word read: no counters, no hook, no media model. *)
 
