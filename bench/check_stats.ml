@@ -1,45 +1,26 @@
-(* Schema check for the bench driver's telemetry outputs.
+(* Schema gate for the JSON documents the bench driver and the CLI write.
 
-     check_stats.exe STATS.json           assert the stats document
-                                          parses and carries the keys
-                                          the perf trajectory reads
-     check_stats.exe --same A B           assert byte equality (the
-                                          --jobs determinism check)
-     check_stats.exe --fuzz STATS.json    assert the fuzz.* counters a
-                                          `nvml fuzz --stats` run must
-                                          produce
-     check_stats.exe --media STATS.json   assert the media.* counters a
-                                          `nvml scrub --stats` run must
-                                          produce
-     check_stats.exe --latency M.json     assert a `--metrics-json`
-                                          document carries well-formed
-                                          <prefix>.latency.* percentile
-                                          ladders and tail attribution
-     check_stats.exe --serving M.json     assert a `--metrics-json`
-                                          document carries the
-                                          serving.<mix>.* throughput,
-                                          cache and percentile metrics
-                                          for all four serving mixes
-     check_stats.exe --persist M.json     assert a `--metrics-json`
-                                          document carries the
-                                          persist.<structure>.<model>.*
-                                          drain-traffic metrics for the
-                                          full model spectrum, and that
-                                          the contract oracle's loss
-                                          sweep saw zero mispredictions
-     check_stats.exe --bench BENCH.json   assert the perf-trajectory
-                                          document (BENCH_<n>.json) is
-                                          well-formed; with
-                                          --baseline BASE.json
-                                          [--max-regress F] additionally
-                                          fail if fast-mode wall-clock,
-                                          any per-experiment ops/sec,
-                                          any per-experiment latency
-                                          percentile (p50/p99/p999), or
-                                          any epoch-mode cycle-savings
-                                          fraction regressed by more
-                                          than F (default 1.2, i.e.
-                                          +20%) *)
+     check_stats.exe [--SCHEMA] DOC.json
+     check_stats.exe --bench DOC.json --baseline BASE.json [--max-regress F]
+
+   SCHEMA is fuzz, media, latency, serving, conc, persist or bench; without
+   one the document is a stats dump.  Each schema is a list of rules read
+   by one interpreter; the first broken rule is printed and exits 1.
+
+   A document is read as flat dotted keys: {"a": {"b": 1}} holds "a" and
+   "a.b", and a list of objects that all carry a string "name" (the bench
+   "experiments") flattens to experiments.<name>.<field>.  A rule is a
+   group pattern plus tests on fields of each group (the field "" is the
+   group's own key).  The pattern is a key, {a,b} alternatives, or holds
+   one "*" matching any non-empty string; a "*" group exists where the
+   rule's [by] field does, and at least one must unless the rule is
+   optional.
+
+   With --baseline, floors and ceilings compare each key with the same
+   key of the baseline and fail when it is more than F times worse
+   (default 1.2).  A key the baseline lacks or holds as <= 0 is not
+   compared, nor is a throughput whose run, or whose baseline when it
+   records one, took under the 50 ms noise floor. *)
 
 module Json = Nvml_telemetry.Json
 
@@ -50,662 +31,416 @@ let fail fmt =
       exit 1)
     fmt
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+type kind =
+  | Int
+  | Number
+  | Pos  (** > 0 *)
+  | Nonneg  (** >= 0 *)
+  | Zero
+  | Unit  (** in [0,1] *)
+  | One_of of string list
 
-let check_stats path =
-  let doc =
-    match Json.of_string (read_file path) with
-    | Ok doc -> doc
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-  in
-  List.iter
-    (fun key ->
-      match Json.path [ "derived"; key ] doc with
-      | Some (Json.Float _ | Json.Int _) -> ()
-      | Some _ -> fail "%s: derived.%s is not a number" path key
-      | None -> fail "%s: missing derived.%s" path key)
-    [ "valb.hit_rate"; "polb.hit_rate"; "check_sites.dynamic_fraction" ];
-  (match Json.member "counters" doc with
-  | Some (Json.Obj (_ :: _)) -> ()
-  | _ -> fail "%s: missing or empty counters object" path);
-  Printf.printf "%s: ok\n" path
+type test =
+  | Each of kind * string list
+  | Le of string * string  (** a <= b *)
+  | Ladder of string list  (** non-decreasing *)
+  | Unit_sum of string list  (** fractions summing to 1, or all 0 *)
+  | Wall_sum of string * string list  (** parts <= total * 1.05 + 50 ms *)
+  | Floor of string * string option
+      (** >= baseline / F, skipped when the wall field is noisy *)
+  | Ceiling of string  (** <= baseline * F *)
 
-let check_fuzz path =
-  let doc =
-    match Json.of_string (read_file path) with
-    | Ok doc -> doc
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-  in
-  let counter key =
-    match Json.path [ "counters"; key ] doc with
-    | Some (Json.Int n) -> n
-    | Some _ -> fail "%s: counters.%s is not an integer" path key
-    | None -> fail "%s: missing counters.%s" path key
-  in
-  let runs = counter "fuzz.runs" in
-  let ops = counter "fuzz.ops" in
-  if runs <= 0 then fail "%s: fuzz.runs is %d, expected > 0" path runs;
-  if ops <= 0 then fail "%s: fuzz.ops is %d, expected > 0" path ops;
-  let violations = counter "fuzz.violations" in
-  if violations < 0 then fail "%s: negative fuzz.violations" path;
-  ignore (counter "fuzz.shrink_replays");
-  Printf.printf "%s: ok (fuzz.runs=%d fuzz.ops=%d fuzz.violations=%d)\n" path
-    runs ops violations
+type rule = { pat : string; by : string; optional : bool; tests : test list }
 
-let check_media path =
-  let doc =
-    match Json.of_string (read_file path) with
-    | Ok doc -> doc
-    | Error msg -> fail "%s: invalid JSON: %s" path msg
-  in
-  let counter key =
-    match Json.path [ "counters"; key ] doc with
-    | Some (Json.Int n) -> n
-    | Some _ -> fail "%s: counters.%s is not an integer" path key
-    | None -> fail "%s: missing counters.%s" path key
-  in
-  let runs = counter "media.scrub.runs" in
-  let pools = counter "media.scrub.pools" in
-  if runs <= 0 then fail "%s: media.scrub.runs is %d, expected > 0" path runs;
-  if pools <= 0 then fail "%s: media.scrub.pools is %d, expected > 0" path pools;
-  let detected = counter "media.scrub.detected" in
-  let repaired = counter "media.scrub.repaired" in
-  if repaired > detected then
-    fail "%s: media.scrub.repaired (%d) exceeds detected (%d)" path repaired
-      detected;
-  List.iter
-    (fun key -> if counter key < 0 then fail "%s: negative %s" path key)
+let rule ?(by = "") ?(optional = false) pat tests = { pat; by; optional; tests }
+
+(* --- the schemas --------------------------------------------------------- *)
+
+let ladder = [ "p50"; "p90"; "p99"; "p999"; "max" ]
+
+let stats =
+  [
+    rule "derived"
+      [
+        Each
+          ( Number,
+            [ "valb.hit_rate"; "polb.hit_rate"; "check_sites.dynamic_fraction" ]
+          );
+      ];
+    rule "counters.*" [ Each (Int, [ "" ]) ];
+  ]
+
+let fuzz =
+  [
+    rule "counters.fuzz"
+      [
+        Each (Int, [ "runs"; "ops"; "violations"; "shrink_replays" ]);
+        Each (Pos, [ "runs"; "ops" ]);
+        Each (Nonneg, [ "violations" ]);
+      ];
+  ]
+
+let media =
+  let counts =
     [
-      "media.scrub.unrepairable"; "media.scrub.lost_objects";
-      "media.read.flips"; "media.read.poisons"; "media.read.transient_faults";
-      "media.read.retries"; "media.healed_words"; "media.seals";
-      "media.writes_refused"; "media.attach.verified"; "media.attach.dirty";
-      "media.attach.degraded";
-    ];
-  Printf.printf
-    "%s: ok (media.scrub.runs=%d pools=%d detected=%d repaired=%d)\n" path runs
-    pools detected repaired
+      "scrub.unrepairable"; "scrub.lost_objects"; "read.flips"; "read.poisons";
+      "read.transient_faults"; "read.retries"; "healed_words"; "seals";
+      "writes_refused"; "attach.verified"; "attach.dirty"; "attach.degraded";
+    ]
+  in
+  [
+    rule "counters.media"
+      [
+        Each
+          ( Int,
+            [ "scrub.runs"; "scrub.pools"; "scrub.detected"; "scrub.repaired" ]
+            @ counts );
+        Each (Pos, [ "scrub.runs"; "scrub.pools" ]);
+        Le ("scrub.repaired", "scrub.detected");
+        Each (Nonneg, counts);
+      ];
+  ]
 
-let parse_doc path =
-  match Json.of_string (read_file path) with
-  | Ok doc -> doc
-  | Error msg -> fail "%s: invalid JSON: %s" path msg
+(* Every <prefix>.latency.p50 opens a percentile group; fast functional
+   mode leaves the non-base tail fractions all zero. *)
+let latency =
+  let tail =
+    List.map (( ^ ) "tail.")
+      [ "base"; "check"; "translation"; "stall"; "media" ]
+  in
+  [
+    rule "metrics.*.latency" ~by:"p50"
+      [
+        Each (Nonneg, ladder); Ladder ladder; Each (Unit, tail); Unit_sum tail;
+      ];
+  ]
 
-let number = function
+let serving =
+  [
+    rule "metrics.serving.{read-latest,scan-heavy,rmw-heavy,hot-storm}"
+      [
+        Each (Pos, [ "ops"; "ops_per_s"; "shards" ]);
+        Each (Int, [ "shards" ]);
+        Each (Unit, [ "cache.hit_rate" ]);
+        Each (Nonneg, [ "cache.writebacks" ]);
+        Ladder [ "latency.p50"; "latency.p99"; "latency.p999" ];
+      ];
+  ]
+
+(* A contention group must actually have contended, and the durability
+   sweep must have crashed somewhere and found nothing. *)
+let conc =
+  [
+    rule "metrics.conc.c*" ~by:"coherence_invalidations"
+      [
+        Each
+          ( Pos,
+            [
+              "coherence_invalidations"; "steps"; "contended_steps"; "switches";
+              "flit.flushes_elided"; "flit.writer_flushes"; "cycles.core0";
+            ] );
+        Each (Nonneg, [ "flit.flushes_issued" ]);
+      ];
+    rule "metrics.conc.fi"
+      [ Each (Pos, [ "events"; "points" ]); Each (Zero, [ "violations" ]) ];
+  ]
+
+(* Eager persists in place (no drain traffic, never loses a committed
+   op); every relaxed model drains, the wider ones beat the per-op
+   flush+fence baseline (epoch:1) and expose a lost suffix; the contract
+   oracle never mispredicts. *)
+let persist =
+  let models = "{eager,epoch_1,epoch_8,epoch_64,lazy}" in
+  let traffic = [ "drains"; "flushes"; "fences"; "buffered" ] in
+  [
+    rule ("metrics.persist.{RB,Hash}." ^ models)
+      [ Each (Pos, [ "run_cycles" ]); Each (Nonneg, traffic) ];
+    rule "metrics.persist.{RB,Hash}.eager" [ Each (Zero, traffic) ];
+    rule "metrics.persist.{RB,Hash}.{epoch_1,epoch_8,epoch_64,lazy}"
+      [ Each (Pos, [ "drains"; "flushes" ]); Le ("drains", "fences") ];
+    rule "metrics.persist.{RB,Hash}.{epoch_8,epoch_64,lazy}"
+      [ Each (Pos, [ "savings_vs_epoch1" ]) ];
+    rule ("metrics.persist.fi." ^ models)
+      [
+        Each (Pos, [ "points" ]);
+        Each (Nonneg, [ "suffix_lost"; "max_ops_lost" ]);
+        Each (Zero, [ "violations" ]);
+      ];
+    rule "metrics.persist.fi.eager" [ Each (Zero, [ "suffix_lost" ]) ];
+    rule "metrics.persist.fi.{epoch_64,lazy}" [ Each (Pos, [ "suffix_lost" ]) ];
+    rule "metrics.persist" [ Each (Zero, [ "mispredictions" ]) ];
+  ]
+
+(* The perf-trajectory document (BENCH_<n>.json).  Against a baseline:
+   fast-mode wall and latency percentiles are ceilings, per-experiment
+   ops/s and epoch-mode cycle savings are floors. *)
+let bench =
+  let walls = [ "fast_wall_s"; "cycle_wall_s"; "other_wall_s" ] in
+  [
+    rule ""
+      [
+        Each (One_of [ "bench-trajectory" ], [ "kind" ]);
+        Each (Pos, [ "suite_wall_s" ]);
+        Wall_sum ("suite_wall_s", List.map (( ^ ) "mode_breakdown.") walls);
+      ];
+    rule "mode_breakdown" [ Each (Nonneg, walls); Ceiling "fast_wall_s" ];
+    rule "experiments.*" ~by:"name"
+      [
+        Each (One_of [ "fast"; "cycle"; "other" ], [ "mode" ]);
+        Each (Nonneg, [ "wall_s"; "ops"; "ops_per_s" ]);
+        Floor ("ops_per_s", Some "wall_s");
+      ];
+    rule "experiments.*.latency" ~optional:true
+      [
+        Each (Nonneg, ladder);
+        Each (Pos, [ "count" ]);
+        Ladder ladder;
+        Ceiling "p50";
+        Ceiling "p99";
+        Ceiling "p999";
+      ];
+    rule "metrics.persist.*" ~by:"savings_vs_epoch1" ~optional:true
+      [
+        Each (Pos, [ "savings_vs_epoch1" ]); Floor ("savings_vs_epoch1", None);
+      ];
+  ]
+
+let schemas =
+  [
+    ("--fuzz", fuzz); ("--media", media); ("--latency", latency);
+    ("--serving", serving); ("--conc", conc); ("--persist", persist);
+    ("--bench", bench);
+  ]
+
+(* --- documents as flat keys ---------------------------------------------- *)
+
+type doc = {
+  path : string;
+  keys : string list;  (** in document order *)
+  table : (string, Json.t) Hashtbl.t;
+}
+
+let join a b = if a = "" then b else if b = "" then a else a ^ "." ^ b
+
+let load path =
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error m -> fail "%s" m
+  in
+  let root =
+    match Json.of_string text with
+    | Ok v -> v
+    | Error m -> fail "%s: invalid JSON: %s" path m
+  in
+  let table = Hashtbl.create 256 and keys = ref [] in
+  let name item =
+    match Json.member "name" item with
+    | Some (Json.String n) -> Some n
+    | _ -> None
+  in
+  let rec walk key v =
+    if key <> "" then begin
+      Hashtbl.replace table key v;
+      keys := key :: !keys
+    end;
+    match v with
+    | Json.Obj kvs -> List.iter (fun (k, v) -> walk (join key k) v) kvs
+    | Json.List (_ :: _ as items)
+      when List.for_all (fun i -> name i <> None) items ->
+        List.iter (fun i -> walk (join key (Option.get (name i))) i) items
+    | _ -> ()
+  in
+  walk "" root;
+  { path; keys = List.rev !keys; table }
+
+let number doc key =
+  match Hashtbl.find_opt doc.table key with
   | Some (Json.Int n) -> Some (float_of_int n)
   | Some (Json.Float f) -> Some f
   | _ -> None
 
-(* Assert the latency-percentile groups a `--metrics-json` document from
-   a latency-instrumented run must carry: for every <prefix>.latency.p50
-   metric, the full percentile ladder exists and is monotone, and the
-   per-component tail-attribution fractions are sane (each in [0,1],
-   summing to ~1 — or all zero when the recorder saw no cycles, which
-   fast functional mode produces for the non-base components). *)
-let check_latency path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let lookup name =
-    match List.assoc_opt name metrics with
-    | Some j -> number (Some j)
-    | None -> None
-  in
-  let suffix = ".latency.p50" in
-  let prefixes =
-    List.filter_map
-      (fun (k, _) ->
-        let lk = String.length k and ls = String.length suffix in
-        if lk > ls && String.sub k (lk - ls) ls = suffix then
-          Some (String.sub k 0 (lk - ls))
-        else None)
-      metrics
-  in
-  if prefixes = [] then fail "%s: no <prefix>.latency.p50 metrics found" path;
-  List.iter
-    (fun prefix ->
-      let pct name =
-        match lookup (prefix ^ ".latency." ^ name) with
-        | Some f when f >= 0.0 -> f
-        | Some _ -> fail "%s: %s.latency.%s is negative" path prefix name
-        | None -> fail "%s: missing %s.latency.%s" path prefix name
-      in
-      let p50 = pct "p50" and p90 = pct "p90" and p99 = pct "p99" in
-      let p999 = pct "p999" and pmax = pct "max" in
-      if not (p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= pmax) then
-        fail "%s: %s percentiles not monotone (p50=%g p90=%g p99=%g p999=%g \
-              max=%g)"
-          path prefix p50 p90 p99 p999 pmax;
-      let tail_sum =
-        List.fold_left
-          (fun acc name ->
-            match lookup (prefix ^ ".latency.tail." ^ name) with
-            | Some f when f >= 0.0 && f <= 1.0 -> acc +. f
-            | Some f ->
-                fail "%s: %s.latency.tail.%s=%g outside [0,1]" path prefix
-                  name f
-            | None -> fail "%s: missing %s.latency.tail.%s" path prefix name)
-          0.0
-          [ "base"; "check"; "translation"; "stall"; "media" ]
-      in
-      if tail_sum > 0.0 && Float.abs (tail_sum -. 1.0) > 1e-3 then
-        fail "%s: %s tail fractions sum to %g, expected ~1" path prefix
-          tail_sum)
-    prefixes;
-  Printf.printf "%s: ok (%d latency groups: %s)\n" path (List.length prefixes)
-    (String.concat " " prefixes)
+let value doc key =
+  match Hashtbl.find_opt doc.table key with
+  | Some v -> v
+  | None -> fail "%s: missing %s" doc.path key
 
-(* Assert the serving.<mix>.* metric groups a `--metrics-json` document
-   from a serving run must carry: all four mixes present, each with a
-   positive request count and simulated throughput, a hit rate in
-   [0,1], and a monotone p50 <= p99 <= p999 percentile ladder. *)
-let check_serving path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let lookup name = number (List.assoc_opt name metrics) in
-  let mixes = [ "read-latest"; "scan-heavy"; "rmw-heavy"; "hot-storm" ] in
-  List.iter
-    (fun mix ->
-      let get key =
-        match lookup (Printf.sprintf "serving.%s.%s" mix key) with
-        | Some f -> f
-        | None -> fail "%s: missing serving.%s.%s" path mix key
-      in
-      if get "ops" <= 0.0 then fail "%s: serving.%s.ops not positive" path mix;
-      if get "ops_per_s" <= 0.0 then
-        fail "%s: serving.%s.ops_per_s not positive" path mix;
-      if get "shards" < 1.0 then fail "%s: serving.%s.shards < 1" path mix;
-      let hit = get "cache.hit_rate" in
-      if hit < 0.0 || hit > 1.0 then
-        fail "%s: serving.%s.cache.hit_rate=%g outside [0,1]" path mix hit;
-      if get "cache.writebacks" < 0.0 then
-        fail "%s: serving.%s.cache.writebacks negative" path mix;
-      let p50 = get "latency.p50" and p99 = get "latency.p99" in
-      let p999 = get "latency.p999" in
-      if not (p50 <= p99 && p99 <= p999) then
-        fail "%s: serving.%s percentiles not monotone (p50=%g p99=%g p999=%g)"
-          path mix p50 p99 p999)
-    mixes;
-  Printf.printf "%s: ok (%d serving mixes)\n" path (List.length mixes)
+let num doc key =
+  match (number doc key, value doc key) with
+  | Some f, _ -> f
+  | None, v ->
+      fail "%s: %s is %s, expected a number" doc.path key (Json.to_string v)
 
-(* Assert the conc.* metric groups a `--metrics-json` document from the
-   `concurrent` bench experiment must carry: at least one conc.c<N>
-   contention group whose contended run actually contended (coherence
-   invalidations and FliT flush elisions both observed), and a
-   durability sweep with crash points and zero violations. *)
-let check_conc path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let lookup name = number (List.assoc_opt name metrics) in
-  let suffix = ".coherence_invalidations" in
-  let prefixes =
-    List.filter_map
-      (fun (k, _) ->
-        let lk = String.length k and ls = String.length suffix in
-        if
-          lk > ls
-          && String.sub k (lk - ls) ls = suffix
-          && String.length k > 6
-          && String.sub k 0 6 = "conc.c"
-        then Some (String.sub k 0 (lk - ls))
-        else None)
-      metrics
-  in
-  if prefixes = [] then
-    fail "%s: no conc.c<N>.coherence_invalidations metrics found" path;
-  List.iter
-    (fun prefix ->
-      let get key =
-        match lookup (prefix ^ "." ^ key) with
-        | Some f when f >= 0.0 -> f
-        | Some _ -> fail "%s: %s.%s is negative" path prefix key
-        | None -> fail "%s: missing %s.%s" path prefix key
-      in
-      if get "steps" <= 0.0 then fail "%s: %s.steps not positive" path prefix;
-      if get "contended_steps" <= 0.0 then
-        fail "%s: %s.contended_steps not positive" path prefix;
-      if get "switches" <= 0.0 then
-        fail "%s: %s.switches not positive" path prefix;
-      if get "coherence_invalidations" <= 0.0 then
-        fail "%s: %s.coherence_invalidations not positive" path prefix;
-      if get "flit.flushes_elided" <= 0.0 then
-        fail "%s: %s.flit.flushes_elided not positive" path prefix;
-      ignore (get "flit.flushes_issued");
-      if get "flit.writer_flushes" <= 0.0 then
-        fail "%s: %s.flit.writer_flushes not positive" path prefix;
-      if get "cycles.core0" <= 0.0 then
-        fail "%s: %s.cycles.core0 not positive" path prefix)
-    prefixes;
-  let fi key =
-    match lookup ("conc.fi." ^ key) with
-    | Some f -> f
-    | None -> fail "%s: missing conc.fi.%s" path key
-  in
-  if fi "events" <= 0.0 then fail "%s: conc.fi.events not positive" path;
-  if fi "points" <= 0.0 then fail "%s: conc.fi.points not positive" path;
-  if fi "violations" <> 0.0 then
-    fail "%s: conc.fi.violations is %g, expected 0" path (fi "violations");
-  Printf.printf "%s: ok (%d contention groups: %s)\n" path
-    (List.length prefixes)
-    (String.concat " " prefixes)
+(* "{a,b}" alternatives expand to one pattern per combination. *)
+let rec expand pat =
+  match String.index_opt pat '{' with
+  | None -> [ pat ]
+  | Some i ->
+      let j = String.index_from pat i '}' in
+      let rest = expand (String.sub pat (j + 1) (String.length pat - j - 1)) in
+      List.concat_map
+        (fun alt -> List.map (fun r -> String.sub pat 0 i ^ alt ^ r) rest)
+        (String.split_on_char ',' (String.sub pat (i + 1) (j - i - 1)))
 
-(* Assert the persist.* metric groups a `--metrics-json` document from
-   the `persist` bench experiment must carry: every structure x model
-   cell of the retention spectrum, eager with zero drain traffic (it
-   persists in place), every relaxed model actually draining, wider
-   epochs saving cycles over the per-op flush+fence baseline (epoch:1),
-   a loss-exposure sweep per model, and — the contract gate — zero
-   oracle mispredictions across every sweep. *)
-let check_persist path =
-  let doc = parse_doc path in
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> fail "%s: missing metrics object" path
-  in
-  let get name =
-    match number (List.assoc_opt name metrics) with
-    | Some f -> f
-    | None -> fail "%s: missing persist metric %s" path name
-  in
-  let structures = [ "RB"; "Hash" ] in
-  let models = [ "eager"; "epoch_1"; "epoch_8"; "epoch_64"; "lazy" ] in
-  let relaxed = [ "epoch_8"; "epoch_64"; "lazy" ] in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun m ->
-          let prefix = Printf.sprintf "persist.%s.%s" s m in
-          let g key = get (prefix ^ "." ^ key) in
-          if g "run_cycles" <= 0.0 then
-            fail "%s: %s.run_cycles is not positive" path prefix;
-          List.iter
-            (fun key ->
-              if g key < 0.0 then fail "%s: negative %s.%s" path prefix key)
-            [ "drains"; "flushes"; "fences"; "buffered" ];
-          if m = "eager" then
-            List.iter
-              (fun key ->
-                if g key <> 0.0 then
-                  fail
-                    "%s: %s.%s is %g, expected 0 (eager persists in place, \
-                     no drain traffic)"
-                    path prefix key (g key))
-              [ "drains"; "flushes"; "fences"; "buffered" ]
-          else begin
-            if g "drains" <= 0.0 then
-              fail "%s: %s.drains is not positive" path prefix;
-            if g "flushes" <= 0.0 then
-              fail "%s: %s.flushes is not positive" path prefix;
-            if g "fences" < g "drains" then
-              fail "%s: %s.fences (%g) below drains (%g)" path prefix
-                (g "fences") (g "drains")
-          end;
-          if List.mem m relaxed then begin
-            let sv = g "savings_vs_epoch1" in
-            if sv <= 0.0 then
-              fail
-                "%s: %s.savings_vs_epoch1 is %g, expected > 0 (wider epochs \
-                 must beat the per-op flush+fence baseline)"
-                path prefix sv
-          end)
-        models)
-    structures;
-  List.iter
-    (fun m ->
-      let prefix = "persist.fi." ^ m in
-      let g key = get (prefix ^ "." ^ key) in
-      if g "points" <= 0.0 then
-        fail "%s: %s.points is not positive" path prefix;
-      if g "suffix_lost" < 0.0 || g "max_ops_lost" < 0.0 then
-        fail "%s: negative loss count under %s" path prefix;
-      if m = "eager" && g "suffix_lost" <> 0.0 then
-        fail
-          "%s: %s.suffix_lost is %g, but eager may never lose a committed op"
-          path prefix (g "suffix_lost");
-      if (m = "epoch_64" || m = "lazy") && g "suffix_lost" <= 0.0 then
-        fail
-          "%s: %s.suffix_lost is 0 — the exposure axis was not exercised"
-          path prefix;
-      if g "violations" <> 0.0 then
-        fail "%s: %s.violations is %g, expected 0" path prefix
-          (g "violations"))
-    models;
-  let mispredictions = get "persist.mispredictions" in
-  if mispredictions <> 0.0 then
-    fail "%s: persist.mispredictions is %g, expected 0" path mispredictions;
-  Printf.printf
-    "%s: ok (%d persist cells, %d loss sweeps, mispredictions=0)\n" path
-    (List.length structures * List.length models)
-    (List.length models)
+let groups doc r =
+  List.concat_map
+    (fun pat ->
+      match String.index_opt pat '*' with
+      | None -> [ pat ]
+      | Some i ->
+          let pre = String.sub pat 0 i in
+          let post = String.sub pat (i + 1) (String.length pat - i - 1) in
+          let suffix = if r.by = "" then post else post ^ "." ^ r.by in
+          let lp = String.length pre and ls = String.length suffix in
+          let found =
+            List.filter_map
+              (fun k ->
+                let lk = String.length k in
+                if
+                  lk > lp + ls
+                  && String.starts_with ~prefix:pre k
+                  && String.ends_with ~suffix k
+                then Some (pre ^ String.sub k lp (lk - lp - ls) ^ post)
+                else None)
+              doc.keys
+          in
+          if found = [] && not r.optional then
+            fail "%s: no key matches %s" doc.path (join pat r.by);
+          found)
+    (expand r.pat)
 
-(* The persist.*.savings_vs_epoch1 metrics inside a document's optional
-   "metrics" object — the epoch-mode cycle-savings fractions the
-   --baseline comparison floors. *)
-let persist_savings doc =
-  let metrics =
-    match Json.member "metrics" doc with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> []
-  in
-  let suffix = ".savings_vs_epoch1" in
-  List.filter_map
-    (fun (k, v) ->
-      let lk = String.length k and ls = String.length suffix in
-      if
-        lk > ls
-        && String.sub k (lk - ls) ls = suffix
-        && String.length k > 8
-        && String.sub k 0 8 = "persist."
-      then Option.map (fun f -> (k, f)) (number (Some v))
-      else None)
-    metrics
+(* --- the interpreter ----------------------------------------------------- *)
 
-(* The percentile ladder inside a BENCH experiment entry's "latency"
-   object, as written by the driver from the merged per-experiment
-   recorder. *)
-let latency_percentiles path name e =
-  match Json.member "latency" e with
-  | None -> None
-  | Some lat ->
-      let get key =
-        match number (Json.member key lat) with
-        | Some f when f >= 0.0 -> f
-        | Some _ -> fail "%s: %s: latency.%s is negative" path name key
-        | None -> fail "%s: %s: missing numeric latency.%s" path name key
-      in
-      let p50 = get "p50" and p90 = get "p90" and p99 = get "p99" in
-      let p999 = get "p999" and pmax = get "max" in
-      if get "count" <= 0.0 then
-        fail "%s: %s: latency.count is not positive" path name;
-      if not (p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= pmax) then
-        fail "%s: %s: latency percentiles not monotone" path name;
-      Some (p50, p99, p999)
+let noise_floor_s = 0.05
 
-(* Baseline-side variant: a baseline document may predate the latency
-   instrumentation or carry a partial ladder from an older driver — that
-   must soften the comparison (skip with a note), never fail it.  Only
-   the document under test is held to the full schema. *)
-let latency_percentiles_lenient e =
-  match Json.member "latency" e with
-  | None -> None
-  | Some lat -> (
-      let get key =
-        match number (Json.member key lat) with
-        | Some f when f >= 0.0 -> Some f
-        | _ -> None
-      in
-      match (get "p50", get "p99", get "p999", get "count") with
-      | Some p50, Some p99, Some p999, Some count when count > 0.0 ->
-          Some (p50, p99, p999)
-      | _ -> None)
+type run = {
+  doc : doc;
+  base : (doc * float) option;  (** baseline and regression factor *)
+  mutable ran : int;  (** tests run *)
+  mutable compared : int;
+  mutable noisy : int;
+}
 
-let check_bench ?baseline ?(max_regress = 1.2) path =
-  let doc = parse_doc path in
-  (match Json.member "kind" doc with
-  | Some (Json.String "bench-trajectory") -> ()
-  | _ -> fail "%s: kind is not \"bench-trajectory\"" path);
-  let num keys =
-    match number (Json.path keys doc) with
-    | Some f -> f
-    | None -> fail "%s: missing numeric %s" path (String.concat "." keys)
+let check_kind doc key kind =
+  let bad want =
+    fail "%s: %s is %s, expected %s" doc.path key
+      (Json.to_string (value doc key))
+      want
   in
-  let suite = num [ "suite_wall_s" ] in
-  if suite <= 0.0 then fail "%s: suite_wall_s is not positive" path;
-  let fast = num [ "mode_breakdown"; "fast_wall_s" ] in
-  let cycle = num [ "mode_breakdown"; "cycle_wall_s" ] in
-  let other = num [ "mode_breakdown"; "other_wall_s" ] in
-  if fast < 0.0 || cycle < 0.0 || other < 0.0 then
-    fail "%s: negative mode breakdown entry" path;
-  if fast +. cycle +. other > suite *. 1.05 +. 0.05 then
-    fail "%s: mode breakdown (%.3f) exceeds suite_wall_s (%.3f)" path
-      (fast +. cycle +. other) suite;
-  let experiments =
-    match Json.member "experiments" doc with
-    | Some (Json.List (_ :: _ as exps)) ->
-        List.map
-          (fun e ->
-            let name =
-              match Json.member "name" e with
-              | Some (Json.String s) -> s
-              | _ -> fail "%s: experiment entry without a name" path
-            in
-            (match Json.member "mode" e with
-            | Some (Json.String ("fast" | "cycle" | "other")) -> ()
-            | _ -> fail "%s: %s: bad mode (want fast|cycle|other)" path name);
-            List.iter
-              (fun key ->
-                match number (Json.member key e) with
-                | Some f when f >= 0.0 -> ()
-                | Some _ -> fail "%s: %s: negative %s" path name key
-                | None -> fail "%s: %s: missing numeric %s" path name key)
-              [ "wall_s"; "ops"; "ops_per_s" ];
-            let ops_per_s =
-              match number (Json.member "ops_per_s" e) with
-              | Some f -> f
-              | None -> 0.0
-            in
-            let wall =
-              match number (Json.member "wall_s" e) with
-              | Some f -> f
-              | None -> 0.0
-            in
-            (name, ops_per_s, wall, latency_percentiles path name e))
-          exps
-    | _ -> fail "%s: missing or empty experiments list" path
-  in
-  let latencies =
-    List.filter_map
-      (fun (name, _, _, lat) -> Option.map (fun p -> (name, p)) lat)
-      experiments
-  in
-  (* Epoch-mode cycle savings: when the document carries the persist
-     experiment's metrics, each savings fraction must be positive —
-     a relaxed model that stopped beating the per-op flush+fence
-     baseline is a drain-engine regression regardless of wall-clock. *)
-  let savings = persist_savings doc in
-  List.iter
-    (fun (key, f) ->
-      if f <= 0.0 then
-        fail "%s: %s is %g, expected > 0 (epoch-mode savings floor)" path key
-          f)
-    savings;
-  (match baseline with
+  match kind with
+  | Int -> ( match value doc key with Json.Int _ -> () | _ -> bad "an integer")
+  | Number -> ignore (num doc key)
+  | Pos -> if not (num doc key > 0.0) then bad "> 0"
+  | Nonneg -> if not (num doc key >= 0.0) then bad ">= 0"
+  | Zero -> if num doc key <> 0.0 then bad "0"
+  | Unit ->
+      let x = num doc key in
+      if not (x >= 0.0 && x <= 1.0) then bad "in [0,1]"
+  | One_of names -> (
+      match value doc key with
+      | Json.String s when List.mem s names -> ()
+      | _ -> bad ("one of " ^ String.concat "|" names))
+
+(* Compare [key] with the baseline's value: a floor fails below
+   base / factor, a ceiling above base * factor. *)
+let compare_base st ~floor ?wall key =
+  let doc = st.doc in
+  match st.base with
   | None -> ()
-  | Some base_path ->
-      let base = parse_doc base_path in
-      (* A baseline written by an older driver may predate whole
-         sections (BENCH_6/7 carry no serving or latency data, earlier
-         documents no mode breakdown).  Those comparisons are skipped
-         with a note — a stale baseline must never turn into a hard
-         schema error on the document under test. *)
-      (match number (Json.path [ "mode_breakdown"; "fast_wall_s" ] base) with
-      | None ->
-          Printf.printf
-            "%s: baseline predates mode_breakdown; fast-wall check skipped\n"
-            base_path
-      | Some base_fast ->
-          if base_fast > 0.0 && fast > base_fast *. max_regress then
-            fail
-              "%s: fast-mode wall-clock regressed: %.3fs > %.3fs (baseline \
-               %.3fs x %.2f)"
-              path fast (base_fast *. max_regress) base_fast max_regress;
-          Printf.printf
-            "%s: fast-mode wall %.3fs within %.2fx of baseline %.3fs\n" path
-            fast max_regress base_fast);
-      (* Per-experiment throughput floors: a serving-path regression in
-         one experiment must not hide inside an overall-faster suite,
-         so each experiment's ops/sec is checked against its own
-         baseline entry (ops/sec is higher-better, hence the division).
-         Skipped per-experiment when the baseline has no entry or a
-         zero rate. *)
-      let base_rates =
-        match Json.member "experiments" base with
-        | Some (Json.List exps) ->
-            List.filter_map
-              (fun e ->
-                match
-                  ( Json.member "name" e,
-                    number (Json.member "ops_per_s" e),
-                    number (Json.member "wall_s" e) )
-                with
-                | Some (Json.String name), Some rate, Some wall ->
-                    Some (name, (rate, wall))
-                | _ -> None)
-              exps
-        | _ -> []
+  | Some (base, factor) -> (
+      match number base key with
+      | Some b when b > 0.0 ->
+          let cur = num doc key in
+          let noisy w =
+            num doc w < noise_floor_s
+            || Option.fold ~none:false
+                 ~some:(fun bw -> bw < noise_floor_s)
+                 (number base w)
+          in
+          if floor && cur <= 0.0 then ()
+          else if Option.fold ~none:false ~some:noisy wall then
+            st.noisy <- st.noisy + 1
+          else begin
+            st.compared <- st.compared + 1;
+            if floor && cur < b /. factor then
+              fail "%s: %s regressed: %g < %g (baseline %g / %.2f)" doc.path
+                key cur (b /. factor) b factor;
+            if (not floor) && cur > b *. factor then
+              fail "%s: %s regressed: %g > %g (baseline %g x %.2f)" doc.path
+                key cur (b *. factor) b factor
+          end
+      | _ -> ())
+
+let run_test st g test =
+  let doc = st.doc in
+  let key = join g in
+  let nums fields = List.map (fun f -> num doc (key f)) fields in
+  let show fields =
+    String.concat " "
+      (List.map (fun f -> Printf.sprintf "%s=%g" f (num doc (key f))) fields)
+  in
+  st.ran <- st.ran + 1;
+  match test with
+  | Each (kind, fields) ->
+      List.iter (fun f -> check_kind doc (key f) kind) fields
+  | Le (a, b) ->
+      if num doc (key a) > num doc (key b) then
+        fail "%s: %s exceeds %s (%s)" doc.path (key a) (key b) (show [ a; b ])
+  | Ladder fields ->
+      let rec sorted = function
+        | a :: (b :: _ as tl) -> a <= b && sorted tl
+        | _ -> true
       in
-      (* An experiment that finishes in a few milliseconds has an
-         ops/sec dominated by timer resolution, not by the code under
-         test — a 1ms-vs-3ms flap reads as a 3x "regression".  Both
-         runs must clear the noise floor for the ratio to mean
-         anything. *)
-      let wall_noise_floor = 0.05 in
-      let rate_checked = ref 0 and rate_noisy = ref 0 in
-      List.iter
-        (fun (name, ops_per_s, wall, _) ->
-          match List.assoc_opt name base_rates with
-          | Some (base_rate, base_wall) when base_rate > 0.0 && ops_per_s > 0.0
-            ->
-              if wall < wall_noise_floor || base_wall < wall_noise_floor then
-                incr rate_noisy
-              else begin
-                incr rate_checked;
-                if ops_per_s < base_rate /. max_regress then
-                  fail
-                    "%s: %s: ops/sec regressed: %.0f < %.0f (baseline %.0f / \
-                     %.2f)"
-                    path name ops_per_s (base_rate /. max_regress) base_rate
-                    max_regress
-              end
-          | _ -> ())
-        experiments;
-      if !rate_checked > 0 then
-        Printf.printf
-          "%s: throughput floors ok (%d experiments within %.2fx of \
-           baseline%s)\n"
-          path !rate_checked max_regress
-          (if !rate_noisy > 0 then
-             Printf.sprintf "; %d below the %.0fms noise floor skipped"
-               !rate_noisy (wall_noise_floor *. 1000.)
-           else "");
-      (* Per-percentile latency budgets: cycle-domain percentiles are
-         deterministic, so any increase is a real per-op latency
-         regression, not measurement noise — the budget factor bounds
-         the worst acceptable drift.  Skipped per-experiment when the
-         baseline predates latency instrumentation. *)
-      let lat_skipped = ref 0 in
-      let base_lats =
-        match Json.member "experiments" base with
-        | Some (Json.List exps) ->
-            List.filter_map
-              (fun e ->
-                match Json.member "name" e with
-                | Some (Json.String name) -> (
-                    match latency_percentiles_lenient e with
-                    | Some p -> Some (name, p)
-                    | None ->
-                        if Json.member "latency" e <> None then
-                          incr lat_skipped;
-                        None)
-                | _ -> None)
-              exps
-        | _ -> []
-      in
-      if !lat_skipped > 0 then
-        Printf.printf
-          "%s: %d baseline latency entries predate the full percentile \
-           ladder; their budgets skipped\n"
-          base_path !lat_skipped;
-      let checked = ref 0 in
-      List.iter
-        (fun (name, (p50, p99, p999)) ->
-          match List.assoc_opt name base_lats with
-          | None -> ()
-          | Some (b50, b99, b999) ->
-              incr checked;
-              List.iter
-                (fun (pct, cur, base) ->
-                  if base > 0.0 && cur > base *. max_regress then
-                    fail
-                      "%s: %s: latency.%s regressed: %.0f > %.0f cycles \
-                       (baseline %.0f x %.2f)"
-                      path name pct cur (base *. max_regress) base max_regress)
-                [ ("p50", p50, b50); ("p99", p99, b99); ("p999", p999, b999) ])
-        latencies;
-      if !checked > 0 then
-        Printf.printf
-          "%s: latency budgets ok (%d experiments within %.2fx of baseline)\n"
-          path !checked max_regress
-      else if latencies <> [] && base_lats = [] then
-        Printf.printf
-          "%s: baseline carries no latency data; latency budgets skipped\n"
-          base_path;
-      (* Epoch-mode savings floors against the baseline: the fractions
-         are cycle-domain deterministic, so any drop beyond the budget
-         factor is a real coalescing regression.  Skipped (with a note)
-         when the baseline predates the persist experiment. *)
-      let base_savings = persist_savings base in
-      let sav_checked = ref 0 in
-      List.iter
-        (fun (key, f) ->
-          match List.assoc_opt key base_savings with
-          | Some base_f when base_f > 0.0 ->
-              incr sav_checked;
-              if f < base_f /. max_regress then
-                fail
-                  "%s: %s regressed: %.4f < %.4f (baseline %.4f / %.2f)" path
-                  key f (base_f /. max_regress) base_f max_regress
-          | _ -> ())
-        savings;
-      if !sav_checked > 0 then
-        Printf.printf
-          "%s: epoch-mode savings floors ok (%d cells within %.2fx of \
-           baseline)\n"
-          path !sav_checked max_regress
-      else if savings <> [] && base_savings = [] then
-        Printf.printf
-          "%s: baseline predates persist savings; savings floors skipped\n"
-          base_path);
-  Printf.printf "%s: ok (suite %.3fs; fast %.3fs, cycle %.3fs, other %.3fs)\n"
-    path suite fast cycle other
+      if not (sorted (nums fields)) then
+        fail "%s: %s not monotone (%s)" doc.path g (show fields)
+  | Unit_sum fields ->
+      let sum = List.fold_left ( +. ) 0.0 (nums fields) in
+      if sum > 0.0 && Float.abs (sum -. 1.0) > 1e-3 then
+        fail "%s: %s fractions sum to %g, expected 1 (or all 0)" doc.path g sum
+  | Wall_sum (total, parts) ->
+      let sum = List.fold_left ( +. ) 0.0 (nums parts) in
+      let t = num doc (key total) in
+      if sum > (t *. 1.05) +. 0.05 then
+        fail "%s: %s sum to %.3f, more than %s (%.3f)" doc.path
+          (String.concat "+" (List.map key parts))
+          sum (key total) t
+  | Floor (field, wall) ->
+      compare_base st ~floor:true ?wall:(Option.map key wall) (key field)
+  | Ceiling field -> compare_base st ~floor:false (key field)
+
+let check ?baseline schema path =
+  let base = Option.map (fun (b, factor) -> (load b, factor)) baseline in
+  let st = { doc = load path; base; ran = 0; compared = 0; noisy = 0 } in
+  List.iter
+    (fun r ->
+      List.iter (fun g -> List.iter (run_test st g) r.tests) (groups st.doc r))
+    schema;
+  Printf.printf "%s: ok (%d tests)\n" path st.ran;
+  Option.iter
+    (fun (_, factor) ->
+      Printf.printf
+        "%s: %d baseline comparisons within %.2fx (%d skipped under the %.0f \
+         ms noise floor)\n"
+        path st.compared factor st.noisy (noise_floor_s *. 1000.))
+    base
 
 let () =
-  match Array.to_list Sys.argv with
-  | [ _; "--same"; a; b ] ->
-      if read_file a <> read_file b then fail "%s and %s differ" a b
-  | [ _; "--fuzz"; path ] -> check_fuzz path
-  | [ _; "--media"; path ] -> check_media path
-  | [ _; "--latency"; path ] -> check_latency path
-  | [ _; "--serving"; path ] -> check_serving path
-  | [ _; "--conc"; path ] -> check_conc path
-  | [ _; "--persist"; path ] -> check_persist path
-  | [ _; "--bench"; path ] -> check_bench path
-  | [ _; "--bench"; path; "--baseline"; base ] -> check_bench ~baseline:base path
-  | [ _; "--bench"; path; "--baseline"; base; "--max-regress"; f ] -> (
+  let usage () =
+    fail
+      "usage: check_stats [--fuzz | --media | --latency | --serving | --conc \
+       | --persist] DOC.json | --bench DOC.json [--baseline BASE.json \
+       [--max-regress F]] | STATS.json"
+  in
+  match List.tl (Array.to_list Sys.argv) with
+  | [ path ] when not (String.starts_with ~prefix:"--" path) -> check stats path
+  | [ flag; path ] -> (
+      match List.assoc_opt flag schemas with
+      | Some schema -> check schema path
+      | None -> usage ())
+  | [ "--bench"; path; "--baseline"; base ] ->
+      check ~baseline:(base, 1.2) bench path
+  | [ "--bench"; path; "--baseline"; base; "--max-regress"; f ] -> (
       match float_of_string_opt f with
-      | Some max_regress when max_regress > 0.0 ->
-          check_bench ~baseline:base ~max_regress path
+      | Some factor when factor > 0.0 ->
+          check ~baseline:(base, factor) bench path
       | _ -> fail "--max-regress expects a positive float, got %S" f)
-  | [ _; path ] -> check_stats path
-  | _ ->
-      fail
-        "usage: check_stats [--same A B | --fuzz STATS.json | --media \
-         STATS.json | --latency METRICS.json | --serving METRICS.json | \
-         --conc METRICS.json | --persist METRICS.json | --bench BENCH.json \
-         [--baseline BASE.json [--max-regress F]] | STATS.json]"
+  | _ -> usage ()

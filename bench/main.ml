@@ -7,7 +7,6 @@
      dune exec bench/main.exe -- --quick      # 10x smaller workloads
      dune exec bench/main.exe -- fig11 table5 # selected experiments
      dune exec bench/main.exe -- --jobs 4     # parallel simulation cells
-     dune exec bench/main.exe -- --json out.json
      dune exec bench/main.exe -- --bench BENCH_6.json  # perf trajectory
      dune exec bench/main.exe -- --stats stats.json --trace trace.json
      dune exec bench/main.exe -- --metrics-json m.json  # metrics only
@@ -69,123 +68,67 @@ let mode_of_experiment = function
       "cycle"
   | _ -> "other"
 
-(* Minimal JSON emission — just what the report needs, no dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* A metric prints as a JSON integer when it is integral, so the
+   documents read back with the values the experiments recorded. *)
+let number v =
+  if Float.is_integer v && Float.abs v < 1e15 then Json.Int (Float.to_int v)
+  else Json.Float v
 
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
+(* Wall-clock seconds at millisecond resolution. *)
+let seconds s = Json.Float (Float.round (s *. 1000.) /. 1000.)
 
-let write_json oc ~spec ~quick ~jobs ~timings ~total =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"workload\": \"%s\",\n" (json_escape (Fmt.str "%a" Workload.pp_spec spec));
-  p "  \"quick\": %b,\n" quick;
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"total_wall_s\": %.3f,\n" total;
-  p "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, wall, _, _) ->
-      p "    {\"name\": \"%s\", \"wall_s\": %.3f}%s\n" (json_escape name) wall
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  p "  ],\n";
-  let metrics = Report.metrics_snapshot () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    \"%s\": %s%s\n" (json_escape name) (json_float v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  p "  }\n";
-  p "}\n";
-  close_out oc
+(* The deterministic metrics ride along in every document, so trajectory
+   baselines can floor more than wall-clocks (e.g. the persist
+   experiment's epoch-mode cycle-savings fractions). *)
+let metrics () =
+  let snapshot = Report.metrics_snapshot () in
+  ("metrics", Json.Obj (List.map (fun (name, v) -> (name, number v)) snapshot))
 
 (* The perf-trajectory document (BENCH_<n>.json): suite wall-clock, a
    wall-clock breakdown by execution mode, and per-experiment wall,
-   operation count and ops/sec.  Schema checked by
+   operation count, ops/sec and latency.  Schema checked by
    [check_stats --bench]. *)
-let write_bench_json oc ~quick ~jobs ~timings ~total =
-  let p fmt = Printf.fprintf oc fmt in
+let bench_json ~spec ~quick ~jobs ~timings ~total =
   let wall_of m =
     List.fold_left
       (fun acc (name, wall, _, _) ->
         if mode_of_experiment name = m then acc +. wall else acc)
       0.0 timings
   in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  p "  \"kind\": \"bench-trajectory\",\n";
-  p "  \"quick\": %b,\n" quick;
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"suite_wall_s\": %.3f,\n" total;
-  p "  \"mode_breakdown\": {\"fast_wall_s\": %.3f, \"cycle_wall_s\": %.3f, \
-     \"other_wall_s\": %.3f},\n"
-    (wall_of "fast") (wall_of "cycle") (wall_of "other");
-  p "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, wall, ops, lat) ->
-      let ops_per_s = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-      let latency =
-        match lat with
-        | None -> ""
-        | Some o ->
-            Printf.sprintf ", \"latency\": %s"
-              (Json.to_string (Nvml_runtime.Oplat.summary_json o))
-      in
-      p
-        "    {\"name\": \"%s\", \"mode\": \"%s\", \"wall_s\": %.3f, \
-         \"ops\": %d, \"ops_per_s\": %s%s}%s\n"
-        (json_escape name)
-        (mode_of_experiment name)
-        wall ops (json_float ops_per_s) latency
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  p "  ],\n";
-  (* The deterministic metrics ride along so trajectory baselines can
-     floor more than wall-clocks (e.g. the persist experiment's
-     epoch-mode cycle-savings fractions). *)
-  let metrics = Report.metrics_snapshot () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    \"%s\": %s%s\n" (json_escape name) (json_float v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  p "  }\n";
-  p "}\n";
-  close_out oc
+  let experiment (name, wall, ops, lat) =
+    Json.Obj
+      ([
+         ("name", Json.String name);
+         ("mode", Json.String (mode_of_experiment name));
+         ("wall_s", seconds wall);
+         ("ops", Json.Int ops);
+         ( "ops_per_s",
+           number (if wall > 0.0 then float_of_int ops /. wall else 0.0) );
+       ]
+      @ Option.fold ~none:[]
+          ~some:(fun o -> [ ("latency", Nvml_runtime.Oplat.summary_json o) ])
+          lat)
+  in
+  Json.Obj
+    [
+      ("schema", Json.Int 1);
+      ("kind", Json.String "bench-trajectory");
+      ("workload", Json.String (Fmt.str "%a" Workload.pp_spec spec));
+      ("quick", Json.Bool quick);
+      ("jobs", Json.Int jobs);
+      ("suite_wall_s", seconds total);
+      ( "mode_breakdown",
+        Json.Obj
+          (List.map
+             (fun m -> (m ^ "_wall_s", seconds (wall_of m)))
+             [ "fast"; "cycle"; "other" ]) );
+      ("experiments", Json.List (List.map experiment timings));
+      metrics ();
+    ]
 
 (* The metrics alone, without wall timings — byte-identical across
    [--jobs N] by construction, which the determinism test relies on. *)
-let write_metrics_json oc =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": 1,\n";
-  let metrics = Report.metrics_snapshot () in
-  p "  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      p "    \"%s\": %s%s\n" (json_escape name) (json_float v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  p "  }\n";
-  p "}\n";
-  close_out oc
+let metrics_json () = Json.Obj [ ("schema", Json.Int 1); metrics () ]
 
 (* Pull the value of [--flag V] out of the raw argument list. *)
 let extract_value_arg flag args =
@@ -206,7 +149,6 @@ let () =
     exit 0
   end;
   let jobs_arg, args = extract_value_arg "--jobs" args in
-  let json_path, args = extract_value_arg "--json" args in
   let bench_path, args = extract_value_arg "--bench" args in
   let stats_path, args = extract_value_arg "--stats" args in
   let trace_path, args = extract_value_arg "--trace" args in
@@ -234,7 +176,6 @@ let () =
           Printf.eprintf "%s: %s\n" flag msg;
           exit 1)
   in
-  let json_out = open_sink "--json" json_path in
   let bench_out = open_sink "--bench" bench_path in
   let stats_out = open_sink "--stats" stats_path in
   let trace_out = open_sink "--trace" trace_path in
@@ -286,28 +227,24 @@ let () =
   in
   let total = Unix.gettimeofday () -. t0 in
   Printf.printf "\nTotal wall time: %.1fs\n" total;
-  (match json_out with
-  | Some oc -> write_json oc ~spec ~quick ~jobs ~timings ~total
-  | None -> ());
-  (match bench_out with
-  | Some oc -> write_bench_json oc ~quick ~jobs ~timings ~total
-  | None -> ());
-  (match metrics_out with
-  | Some oc -> write_metrics_json oc
-  | None -> ());
-  (match stats_out with
-  | Some oc ->
-      (* The stats document from the profile run — produced on demand
-         when the [profile] experiment was not part of the selection. *)
+  let write doc oc =
+    Json.to_channel oc doc;
+    output_char oc '\n';
+    close_out oc
+  in
+  Option.iter (write (bench_json ~spec ~quick ~jobs ~timings ~total)) bench_out;
+  Option.iter (write (metrics_json ())) metrics_out;
+  (* The stats document from the profile run — produced on demand when
+     the [profile] experiment was not part of the selection. *)
+  Option.iter
+    (fun oc ->
       let p =
         match !Experiments.last_profile with
         | Some p -> p
         | None -> Profile.run ~par:(Pool.run pool) ~benchmark:"RB" spec
       in
-      Json.to_channel oc (Profile.stats_json p);
-      output_char oc '\n';
-      close_out oc
-  | None -> ());
+      write (Profile.stats_json p) oc)
+    stats_out;
   (match trace_out with
   | Some oc ->
       Telemetry.write_chrome_trace oc;

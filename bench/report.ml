@@ -52,12 +52,11 @@ let with_commas n =
   Buffer.contents buf
 
 (* Headline metrics, accumulated as experiments print and emitted as
-   machine-readable JSON by the driver's [--json FILE] — the hook future
-   PRs use to track the perf trajectory.  Experiments may record metrics
-   from worker-domain tasks, so the list is mutex-guarded; ordering is
-   whatever order [metric] is called in, which the driver keeps
-   deterministic by recording from result values after the parallel
-   joins. *)
+   machine-readable JSON in the driver's [--metrics-json] and [--bench]
+   documents.  Experiments may record metrics from worker-domain tasks,
+   so the list is mutex-guarded; ordering is whatever order [metric] is
+   called in, which the driver keeps deterministic by recording from
+   result values after the parallel joins. *)
 let metrics : (string * float) list ref = ref []
 let metrics_lock = Mutex.create ()
 
@@ -71,11 +70,6 @@ let metrics_snapshot () =
   let l = List.rev !metrics in
   Mutex.unlock metrics_lock;
   l
-
-let metrics_reset () =
-  Mutex.lock metrics_lock;
-  metrics := [];
-  Mutex.unlock metrics_lock
 
 (* Per-experiment operation tally for the --bench trajectory document
    (BENCH_<n>.json): experiments add the number of simulated operations

@@ -39,23 +39,66 @@ module Registry = Nvml_structures.Registry
 module Intf = Nvml_structures.Intf
 module Persist = Nvml_runtime.Persist
 
-(* --- shared argument converters ---------------------------------------- *)
+(* --- shared terms -------------------------------------------------------- *)
 
-let mode_conv =
+(* Bad input exits 124 with a message, like cmdliner's own parse errors. *)
+let bad_input fmt =
+  Fmt.kstr
+    (fun m ->
+      Fmt.epr "nvml: %s@." m;
+      exit Cmd.Exit.cli_error)
+    fmt
+
+(* A number converter that rejects values outside [ok] at parse time, so
+   the error names the flag. *)
+let checked base ok want =
   let parse s =
-    match String.lowercase_ascii s with
-    | "volatile" | "native" -> Ok Runtime.Volatile
-    | "sw" -> Ok Runtime.Sw
-    | "hw" -> Ok Runtime.Hw
-    | "explicit" -> Ok Runtime.Explicit
-    | _ -> Error (`Msg "expected volatile|sw|hw|explicit")
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Fmt.str "expected %s, got %s" want s))
+    | Error _ as e -> e
   in
-  Arg.conv (parse, Runtime.pp_mode)
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive = checked Arg.int (fun n -> n >= 1) "an integer >= 1"
+let non_negative = checked Arg.int (fun n -> n >= 0) "an integer >= 0"
+
+let probability =
+  checked Arg.float (fun p -> p >= 0.0 && p <= 1.0) "a probability in [0,1]"
+
+(* A case-insensitive choice among named values. *)
+let choice alts =
+  let parse s =
+    let lower = String.lowercase_ascii in
+    match List.find_opt (fun (n, _) -> lower n = lower s) alts with
+    | Some (_, v) -> Ok v
+    | None ->
+        Error
+          (`Msg
+             (Fmt.str "expected %s, got %S"
+                (String.concat "|" (List.map fst alts))
+                s))
+  in
+  let print ppf v =
+    Fmt.string ppf
+      (match List.find_opt (fun (_, v') -> v' = v) alts with
+      | Some (n, _) -> n
+      | None -> "?")
+  in
+  Arg.conv (parse, print)
+
+let names l = choice (List.map (fun n -> (n, n)) l)
 
 let mode_arg =
+  let modes =
+    [
+      ("volatile", Runtime.Volatile); ("native", Runtime.Volatile);
+      ("sw", Runtime.Sw); ("hw", Runtime.Hw); ("explicit", Runtime.Explicit);
+    ]
+  in
   Arg.(
     value
-    & opt mode_conv Runtime.Hw
+    & opt (choice modes) Runtime.Hw
     & info [ "mode"; "m" ] ~docv:"MODE"
         ~doc:"Execution mode: volatile, sw, hw or explicit.")
 
@@ -76,54 +119,119 @@ let persist_arg =
            detach / end of run).  Relaxed models trade a bounded window of \
            committed-but-lost operations after a crash for cheaper stores.")
 
-(* Case-insensitive membership for name-list validation. *)
-let known name names =
-  List.exists
-    (fun n -> String.lowercase_ascii n = String.lowercase_ascii name)
-    names
-
 let dist_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "uniform" -> Ok Workload.Uniform
-    | "zipfian" -> Ok Workload.Zipfian
-    | "scrambled" | "scrambled-zipfian" -> Ok Workload.Scrambled_zipfian
-    | "latest" -> Ok Workload.Latest
-    | "hotspot" -> Ok Workload.Hotspot
-    | _ -> Error (`Msg "expected uniform|zipfian|scrambled|latest|hotspot")
-  in
-  let print ppf d =
-    Fmt.string ppf
-      (match d with
-      | Workload.Uniform -> "uniform"
-      | Workload.Zipfian -> "zipfian"
-      | Workload.Scrambled_zipfian -> "scrambled"
-      | Workload.Latest -> "latest"
-      | Workload.Hotspot -> "hotspot")
-  in
-  Arg.conv (parse, print)
+  choice
+    [
+      ("uniform", Workload.Uniform); ("zipfian", Workload.Zipfian);
+      ("scrambled", Workload.Scrambled_zipfian);
+      ("scrambled-zipfian", Workload.Scrambled_zipfian);
+      ("latest", Workload.Latest); ("hotspot", Workload.Hotspot);
+    ]
 
 let jobs_arg =
   Arg.(
     value
-    & opt int 0
+    & opt non_negative 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for multi-cell commands (0 = NVML_JOBS env var, \
            else the recommended domain count). Cells are share-nothing, so \
            results match --jobs 1 exactly.")
 
-let resolve_jobs n = if n >= 1 then n else Pool.default_jobs ()
+(* Run [f] on a domain pool of [jobs] workers (0 = the default count). *)
+let with_pool jobs f =
+  let pool =
+    Pool.create ~jobs:(if jobs >= 1 then jobs else Pool.default_jobs ()) ()
+  in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
 let cores_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "cores" ] ~docv:"N"
         ~doc:
           "Simulated cores: interleave $(docv) per-core instruction streams \
            over shared L2/L3/POLB/VALB state with a seeded deterministic \
            scheduler. 1 (the default) is the single-core machine, \
            byte-identical to previous releases.")
+
+(* [LL] is a list benchmark, not a key-value map; commands that need a
+   map take [maps] only. *)
+let maps =
+  List.map (fun (module M : Intf.ORDERED_MAP) -> M.name) Registry.all_maps
+
+let benchmarks = "LL" :: maps
+
+let structure_arg valid =
+  Arg.(
+    value
+    & opt (names valid) "RB"
+    & info [ "structure"; "s" ] ~docv:"NAME"
+        ~doc:(Fmt.str "Index structure: %s." (String.concat ", " valid)))
+
+let records_arg ?(doc = "Initial records.") default =
+  Arg.(value & opt positive default & info [ "records" ] ~docv:"N" ~doc)
+
+let ops_arg ?(doc = "Run-phase operations.") default =
+  Arg.(value & opt positive default & info [ "ops" ] ~docv:"N" ~doc)
+
+let seed_arg ?(default = 1) doc =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let seeds_arg =
+  Arg.(
+    value & opt positive 1
+    & info [ "seeds" ] ~docv:"N"
+        ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
+
+let fast_arg =
+  Arg.(
+    value & flag
+    & info [ "fast" ]
+        ~doc:
+          "Fast functional mode: skip cache/TLB/branch/storeP timing models \
+           (cycles = instructions; latencies then have all non-base \
+           components zero).  Functional output is identical to the default \
+           cycle-accurate run.")
+
+let stats_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "stats" ] ~docv:"FILE"
+        ~doc:
+          "Record telemetry during the run and write the stats JSON document \
+           to $(docv).")
+
+(* Write the output file of [--flag] and say so on stderr; an unwritable
+   path exits 1. *)
+let write_file ~flag ~what path emit =
+  match open_out path with
+  | oc ->
+      emit oc;
+      close_out oc;
+      Fmt.epr "%s written to %s@." what path
+  | exception Sys_error msg ->
+      Fmt.epr "--%s: %s@." flag msg;
+      exit 1
+
+(* With a [--stats] or [--trace] file, record the run in a fresh telemetry
+   sink and write the dumps before returning (they read the sink).
+   Telemetry is enabled for the whole run, so parallel workers all see
+   one stable enabled flag. *)
+let with_telemetry ?trace stats f =
+  let dump flag emit =
+    Option.iter (fun path -> write_file ~flag ~what:flag path emit)
+  in
+  if stats = None && trace = None then f ()
+  else begin
+    Telemetry.set_enabled true;
+    Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
+        let r = f () in
+        dump "stats" Telemetry.write_stats_json stats;
+        dump "trace" Telemetry.write_chrome_trace trace;
+        r)
+  end
 
 let print_cluster_stats cluster =
   let s = Cluster.stats cluster in
@@ -224,19 +332,6 @@ let print_serving (t : Serving.t) =
       t.Serving.per_shard
   end
 
-(* Workload arguments shared by [kv] and [stats]. *)
-let structure_arg =
-  Arg.(
-    value & opt string "RB"
-    & info [ "structure"; "s" ] ~docv:"NAME"
-        ~doc:"Index structure: LL, Hash, RB, Splay, AVL, SG, Skip, BTree or Radix.")
-
-let records_arg =
-  Arg.(value & opt int 10_000 & info [ "records" ] ~doc:"Initial records.")
-
-let ops_arg =
-  Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Run-phase operations.")
-
 let dist_arg =
   Arg.(
     value
@@ -252,14 +347,6 @@ let spec_of ~records ~ops ~dist =
   }
 
 let kv_cmd =
-  let stats_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:"Record telemetry during the run and write the stats JSON \
-                document to $(docv).")
-  in
   let trace_arg =
     Arg.(
       value
@@ -286,15 +373,6 @@ let kv_cmd =
              percentiles (p50/p90/p99/p999/max), whole-run component \
              attribution and the slowest retained operations.")
   in
-  let fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fast" ]
-          ~doc:
-            "Fast functional mode: skip cache/TLB/branch/storeP timing \
-             models. Latencies then read cycles = instructions with all \
-             non-base components zero.")
-  in
   let slow_trace_arg =
     Arg.(
       value
@@ -307,7 +385,7 @@ let kv_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Serving engine: shard records across $(docv) independent \
@@ -316,7 +394,7 @@ let kv_cmd =
   in
   let batch_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "batch" ] ~docv:"N"
           ~doc:
             "Serving engine: requests per runtime entry; the entry cost is \
@@ -324,7 +402,7 @@ let kv_cmd =
   in
   let front_cache_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "front-cache" ] ~docv:"ENTRIES"
           ~doc:
             "Serving engine: total DRAM front-cache entries across all \
@@ -333,106 +411,58 @@ let kv_cmd =
              simply never evicts.")
   in
   let mix_arg =
+    let mixes = List.map fst (Workload.serving_mixes ~records:1 ~ops:1) in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (names mixes)) None
       & info [ "mix" ] ~docv:"NAME"
           ~doc:
-            "Serving engine: run a named serving mix (read-latest, \
-             scan-heavy, rmw-heavy or hot-storm) at --records/--ops scale \
-             instead of the --distribution preset.")
+            (Fmt.str
+               "Serving engine: run a named serving mix (%s) at \
+                --records/--ops scale instead of the --distribution preset."
+               (String.concat ", " mixes)))
   in
   let run structure mode persist records ops dist compare jobs stats_file
       trace_file latency fast slow_trace shards batch front_cache mix cores =
-    let reject fmt = Fmt.kstr (fun m -> Fmt.epr "%s@." m; exit 1) fmt in
-    if shards < 1 then reject "--shards must be >= 1, got %d" shards;
-    if batch < 1 then reject "--batch must be >= 1, got %d" batch;
-    if front_cache < 0 then
-      reject "--front-cache must be >= 0, got %d" front_cache;
-    if cores < 1 then reject "--cores must be >= 1, got %d" cores;
     let spec = spec_of ~records ~ops ~dist in
-    (* With [--stats]/[--trace], record the run in a fresh telemetry
-       sink and dump it before returning (the dumps read the sink). *)
-    let dump () =
-      let write flag path emit =
-        match open_out path with
-        | oc ->
-            emit oc;
-            close_out oc;
-            Fmt.epr "%s written to %s@." flag path
-        | exception Sys_error msg ->
-            Fmt.epr "--%s: %s@." flag msg;
-            exit 1
-      in
-      Option.iter
-        (fun path -> write "stats" path Telemetry.write_stats_json)
-        stats_file;
-      Option.iter
-        (fun path -> write "trace" path Telemetry.write_chrome_trace)
-        trace_file
-    in
-    let instrumented f =
-      if stats_file = None && trace_file = None then f ()
-      else begin
-        Telemetry.set_enabled true;
-        Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-            let r = f () in
-            dump ();
-            r)
-      end
-    in
     let write_slow_trace oplats =
       Option.iter
         (fun path ->
           let agg = Oplat.create ~cell:structure () in
           List.iter (fun o -> Oplat.merge_into ~dst:agg o) oplats;
-          match open_out path with
-          | oc ->
-              Oplat.write_slow_trace oc agg;
-              close_out oc;
-              Fmt.epr "slow-op trace written to %s@." path
-          | exception Sys_error msg ->
-              Fmt.epr "--slow-trace: %s@." msg;
-              exit 1)
+          write_file ~flag:"slow-trace" ~what:"slow-op trace" path (fun oc ->
+              Oplat.write_slow_trace oc agg))
         slow_trace
     in
     let with_timing f =
       if fast then Runtime.with_default_timing false f else f ()
     in
     let serving = shards > 1 || batch > 1 || front_cache > 0 || mix <> None in
-    if serving && compare then begin
-      Fmt.epr "--compare is not supported with the serving engine flags@.";
-      exit 1
-    end;
+    let engine_flags =
+      "the serving-engine flags (--shards/--batch/--front-cache/--mix)"
+    in
+    if serving && compare then
+      bad_input "--compare is not supported with %s" engine_flags;
     if cores > 1 && serving then
-      reject
-        "--cores > 1 is not supported with the serving-engine flags \
-         (--shards/--batch/--front-cache/--mix)";
+      bad_input "--cores > 1 is not supported with %s" engine_flags;
     if cores > 1 && compare then
-      reject "--cores > 1 is not supported with --compare";
+      bad_input "--cores > 1 is not supported with --compare";
     if serving && not (Persist.is_eager persist) then
-      reject
-        "--persist %s is not supported with the serving-engine flags \
-         (--shards/--batch/--front-cache/--mix); the serving engine is \
-         eager-only"
-        (Persist.model_name persist);
-    (* Validate the structure name up front so a typo produces the valid
-       list instead of an uncaught exception deep in a harness. *)
-    (let valid = if serving then Registry.map_names else Registry.benchmark_names in
-     if not (known structure valid) then
-       reject "--structure expects %s, got %S" (String.concat "|" valid)
-         structure);
+      bad_input "--persist %s is not supported with %s; the serving engine is \
+                 eager-only"
+        (Persist.model_name persist) engine_flags;
+    if (serving || cores > 1) && not (List.mem structure maps) then
+      bad_input "--structure %s is not a key-value map; %s and --cores > 1 \
+                 take %s"
+        structure engine_flags (String.concat "|" maps);
     with_timing @@ fun () ->
-    instrumented @@ fun () ->
+    with_telemetry ?trace:trace_file stats_file @@ fun () ->
     if cores > 1 then begin
       (* Replicated multi-core run: each core drives its own index
          instance (in its own pool, so persistent-allocator metadata
          stays disjoint) through the seeded µ-event scheduler; the cores
          contend on the shared L2/L3/POLB/VALB. *)
-      let (module M : Intf.ORDERED_MAP) =
-        try Registry.find_map structure
-        with Invalid_argument m -> reject "%s" m
-      in
+      let (module M : Intf.ORDERED_MAP) = Registry.find_map structure in
       let rt = Runtime.create ~mode ~timing:(not fast) ~persist () in
       let cluster = Cluster.create ~cores rt in
       let region i =
@@ -482,33 +512,17 @@ let kv_cmd =
     end
     else if serving then begin
       let spec =
-        match mix with
-        | None -> spec
-        | Some name -> (
-            match
-              List.assoc_opt name (Workload.serving_mixes ~records ~ops)
-            with
-            | Some s -> s
-            | None ->
-                let valid =
-                  List.map fst (Workload.serving_mixes ~records ~ops)
-                in
-                reject "--mix expects %s, got %S" (String.concat "|" valid)
-                  name)
+        Option.fold ~none:spec
+          ~some:(fun name ->
+            List.assoc name (Workload.serving_mixes ~records ~ops))
+          mix
       in
       let config =
         Serving.default_config ~structure ~mode ~shards ~batch ~front_cache
           spec
       in
-      let jobs = resolve_jobs jobs in
       let report =
-        if jobs <= 1 then Serving.run config
-        else begin
-          let pool = Pool.create ~jobs () in
-          Fun.protect
-            ~finally:(fun () -> Pool.shutdown pool)
-            (fun () -> Serving.run ~par:(Pool.run pool) config)
-        end
+        with_pool jobs (fun pool -> Serving.run ~par:(Pool.run pool) config)
       in
       print_serving report;
       if latency then print_latency report.Serving.oplat;
@@ -524,11 +538,8 @@ let kv_cmd =
       let modes =
         [ Runtime.Volatile; Runtime.Explicit; Runtime.Sw; Runtime.Hw ]
       in
-      let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
       let results =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
+        with_pool jobs (fun pool ->
             Pool.map pool
               (fun mode -> Harness.run_benchmark structure ~mode ~persist spec)
               modes)
@@ -569,10 +580,11 @@ let kv_cmd =
   Cmd.v
     (Cmd.info "kv" ~doc:"Run a YCSB workload against an index structure.")
     Term.(
-      const run $ structure_arg $ mode_arg $ persist_arg $ records_arg
-      $ ops_arg $ dist_arg $ compare_arg $ jobs_arg $ stats_arg $ trace_arg
-      $ latency_arg $ fast_arg $ slow_trace_arg $ shards_arg $ batch_arg
-      $ front_cache_arg $ mix_arg $ cores_arg)
+      const run $ structure_arg benchmarks $ mode_arg $ persist_arg
+      $ records_arg 10_000 $ ops_arg 100_000 $ dist_arg $ compare_arg
+      $ jobs_arg $ stats_arg $ trace_arg $ latency_arg $ fast_arg
+      $ slow_trace_arg $ shards_arg $ batch_arg $ front_cache_arg $ mix_arg
+      $ cores_arg)
 
 (* --- stats --------------------------------------------------------------- *)
 
@@ -586,11 +598,9 @@ let stats_cmd =
   in
   let run structure records ops dist output jobs =
     let spec = spec_of ~records ~ops ~dist in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let p =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Profile.run ~par:(Pool.run pool) ~benchmark:structure spec)
+      with_pool jobs (fun pool ->
+          Profile.run ~par:(Pool.run pool) ~benchmark:structure spec)
     in
     Fmt.pr "telemetry profile: %s (SW and HW cells)@." structure;
     List.iter
@@ -604,18 +614,12 @@ let stats_cmd =
             (if r.Profile.static then "static " else "dynamic")
             r.Profile.checks)
       p.Profile.sites;
-    match output with
-    | Some path -> (
-        match open_out path with
-        | oc ->
+    Option.iter
+      (fun path ->
+        write_file ~flag:"output" ~what:"stats" path (fun oc ->
             Json.to_channel oc (Profile.stats_json p);
-            output_char oc '\n';
-            close_out oc;
-            Fmt.epr "stats written to %s@." path
-        | exception Sys_error msg ->
-            Fmt.epr "--output: %s@." msg;
-            exit 1)
-    | None -> ()
+            output_char oc '\n'))
+      output
   in
   Cmd.v
     (Cmd.info "stats"
@@ -623,13 +627,15 @@ let stats_cmd =
          "Profile a YCSB run: per-site dynamic checks, POLB/VALB hit rates, \
           cycle attribution.")
     Term.(
-      const run $ structure_arg $ records_arg $ ops_arg $ dist_arg $ output
-      $ jobs_arg)
+      const run $ structure_arg benchmarks $ records_arg 10_000
+      $ ops_arg 100_000 $ dist_arg $ output $ jobs_arg)
 
 (* --- knn ------------------------------------------------------------------- *)
 
 let knn_cmd =
-  let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"Neighbours to consider.") in
+  let k =
+    Arg.(value & opt positive 3 & info [ "k" ] ~doc:"Neighbours to consider.")
+  in
   let run mode k =
     let rt = Runtime.create ~mode () in
     let placement =
@@ -681,11 +687,8 @@ let soundness_cmd =
           (name, mode, persistent, run_in mode persistent = reference))
         configs
     in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let rows =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> List.concat (Pool.map pool check Corpus.all))
+      with_pool jobs (fun pool -> List.concat (Pool.map pool check Corpus.all))
     in
     let failures = List.length (List.filter (fun (_, _, _, ok) -> not ok) rows) in
     List.iter
@@ -743,9 +746,9 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"A mini-C source file.")
 
-(* Shared across the verification engines (fuzz, faultinject, scrub):
-   they default to fast functional simulation and offer the
-   cycle-accurate core as an opt-out. *)
+(* Shared by the verification engines that drive a simulated core (fuzz,
+   faultinject): they default to fast functional simulation and offer
+   the cycle-accurate core as an opt-out. *)
 let timing_arg =
   Arg.(
     value & flag
@@ -763,20 +766,7 @@ let run_cmd =
       & info [ "persistent"; "p" ]
           ~doc:"Place the heap in a persistent pool (libvmmalloc-style).")
   in
-  let fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fast" ]
-          ~doc:
-            "Fast functional mode: skip cache/TLB/branch/storeP timing \
-             (cycles = instructions).  Program output is identical to \
-             the default cycle-accurate run.")
-  in
   let run path mode persist persistent fast cores =
-    if cores < 1 then begin
-      Fmt.epr "--cores must be >= 1, got %d@." cores;
-      exit 1
-    end;
     let program = parse_file path in
     let rt = Runtime.create ~timing:(not fast) ~mode ~persist () in
     let report_errors f =
@@ -874,7 +864,8 @@ let compile_cmd =
 let faultinject_cmd =
   let workload_arg =
     Arg.(
-      value & opt string "kv"
+      value
+      & opt (choice [ ("kv", `Kv); ("counter", `Counter); ("conc", `Conc) ]) `Kv
       & info [ "workload"; "w" ] ~docv:"NAME"
           ~doc:
             "Workload to sweep: $(b,kv) (YCSB stream against --structure), \
@@ -883,17 +874,9 @@ let faultinject_cmd =
              the --cores multi-core machine; --seed drives the schedule, \
              --ops is per core).")
   in
-  let records_arg =
-    Arg.(
-      value & opt int 30
-      & info [ "records" ] ~doc:"Initial records (kv workload).")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100 & info [ "ops" ] ~doc:"Run-phase operations.")
-  in
   let every_n_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "every-n"; "n" ] ~docv:"N"
           ~doc:
             "Crash at every $(docv)th persistence event (1 = exhaustive). \
@@ -918,17 +901,9 @@ let faultinject_cmd =
              power failure mid-write.  Undo-log words are exempt (the log \
              protocol assumes 8-byte atomicity).")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the torn byte masks; sweeps with the same seed replay \
-             bit-identically.")
-  in
   let max_points_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive) None
       & info [ "max-points" ] ~docv:"N"
           ~doc:"Stop after the first $(docv) crash points (smoke runs).")
   in
@@ -942,68 +917,45 @@ let faultinject_cmd =
   in
   let run mode persist workload structure records ops every_n at torn seed
       max_points break_recovery jobs timing cores =
-    (* [--at] out of range (and any other sweep-setup misuse) surfaces
-       as Invalid_argument; turn it into a clean CLI error. *)
-    let checked f = try f () with Invalid_argument m -> Fmt.epr "%s@." m; exit 1 in
-    if String.lowercase_ascii workload = "conc" then begin
-      (* Multi-core sweep: crash at every enumerated persistence event of
-         any core of the seeded interleaving; [--seed] drives the
-         schedule, [--ops] is per core. *)
-      if cores < 1 then begin
-        Fmt.epr "--cores must be >= 1, got %d@." cores;
-        exit 1
-      end;
-      let spec =
-        {
-          Faultinject.cores;
-          ops_per_core = ops;
-          sched_seed = seed;
-          conc_every_n = max 1 every_n;
-          conc_max_points = max_points;
-        }
-      in
-      let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
-      let report =
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
-            checked (fun () ->
-                Faultinject.run_conc ~par:(Pool.run pool) ~mode ~persist ~spec
-                  ~timing ()))
-      in
-      Fmt.pr "%a@." Faultinject.pp_conc_report report;
-      if report.Faultinject.conc_violation_list <> [] then exit 1
-    end
-    else
-    let w =
-      match String.lowercase_ascii workload with
-      | "counter" -> Faultinject.counter_workload ~ops ()
-      | "kv" -> Faultinject.kv_workload ~structure ~records ~ops ()
-      | other ->
-          Fmt.epr "--workload expects kv, counter or conc, got %S@." other;
-          exit 2
+    (* [--at] out of range surfaces as Invalid_argument naming the
+       workload's valid event range; it is bad input. *)
+    let sweep f =
+      with_pool jobs (fun pool ->
+          try f (Pool.run pool) with Invalid_argument m -> bad_input "%s" m)
     in
-    let spec =
-      {
-        Faultinject.every_n = max 1 every_n;
-        at;
-        torn;
-        seed;
-        max_points;
-        break_recovery;
-      }
-    in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
-    let report =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          checked (fun () ->
-              Faultinject.run ~par:(Pool.run pool) ~mode ~persist ~spec ~timing
-                w))
-    in
-    Fmt.pr "%a@." Faultinject.pp_report report;
-    if report.Faultinject.violations <> [] then exit 1
+    match workload with
+    | `Conc ->
+        (* Multi-core sweep: crash at every enumerated persistence event
+           of any core of the seeded interleaving; [--seed] drives the
+           schedule, [--ops] is per core. *)
+        let spec =
+          {
+            Faultinject.cores;
+            ops_per_core = ops;
+            sched_seed = seed;
+            conc_every_n = every_n;
+            conc_max_points = max_points;
+          }
+        in
+        let report =
+          sweep (fun par ->
+              Faultinject.run_conc ~par ~mode ~persist ~spec ~timing ())
+        in
+        Fmt.pr "%a@." Faultinject.pp_conc_report report;
+        if report.Faultinject.conc_violation_list <> [] then exit 1
+    | (`Kv | `Counter) as workload ->
+        let w =
+          if workload = `Counter then Faultinject.counter_workload ~ops ()
+          else Faultinject.kv_workload ~structure ~records ~ops ()
+        in
+        let spec =
+          { Faultinject.every_n; at; torn; seed; max_points; break_recovery }
+        in
+        let report =
+          sweep (fun par -> Faultinject.run ~par ~mode ~persist ~spec ~timing w)
+        in
+        Fmt.pr "%a@." Faultinject.pp_report report;
+        if report.Faultinject.violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "faultinject"
@@ -1034,8 +986,12 @@ let faultinject_cmd =
            `P "Exits 1 if any crash point produced a violation.";
          ])
     Term.(
-      const run $ mode_arg $ persist_arg $ workload_arg $ structure_arg
-      $ records_arg $ ops_arg $ every_n_arg $ at_arg $ torn_arg $ seed_arg
+      const run $ mode_arg $ persist_arg $ workload_arg $ structure_arg maps
+      $ records_arg ~doc:"Initial records (kv workload)." 30
+      $ ops_arg 100 $ every_n_arg $ at_arg $ torn_arg
+      $ seed_arg
+          "Seed for the torn byte masks; sweeps with the same seed replay \
+           bit-identically."
       $ max_points_arg $ break_arg $ jobs_arg $ timing_arg $ cores_arg)
 
 (* --- fuzz ----------------------------------------------------------------------------- *)
@@ -1043,34 +999,13 @@ let faultinject_cmd =
 let fuzz_cmd =
   let component_arg =
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (names ("structures" :: Modelcheck.names ())) []
       & info [ "component"; "c" ] ~docv:"NAME"
           ~doc:
             "Component to fuzz (repeatable; default all). One of cache, \
              valb, storep, vatb, freelist, pmop, semantics, zipf, \
              structures (all containers) or structures:$(i,NAME).")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "ops" ] ~docv:"N"
-          ~doc:
-            "Ops per component run (heavyweight harnesses scale this \
-             down; see DESIGN.md).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Stream seed. A run is deterministic in (component, seed, \
-             ops), so a reported violation replays bit-identically.")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
   in
   let break_arg =
     Arg.(
@@ -1081,50 +1016,13 @@ let fuzz_cmd =
              quirk-capable components and demand the fuzzer finds each \
              one while every other component stays clean.")
   in
-  let stats_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:
-            "Record telemetry (fuzz.* counters included) and write the \
-             stats JSON document to $(docv).")
-  in
   let run components ops seed seeds break jobs stats_file timing =
-    let instrumented f =
-      match stats_file with
-      | None -> f ()
-      | Some path ->
-          (* Enable telemetry for the whole run (not per component) so
-             parallel workers all see one stable enabled flag. *)
-          Telemetry.set_enabled true;
-          Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-              let r = f () in
-              (match open_out path with
-              | oc ->
-                  Telemetry.write_stats_json oc;
-                  close_out oc;
-                  Fmt.epr "stats written to %s@." path
-              | exception Sys_error msg ->
-                  Fmt.epr "--stats: %s@." msg;
-                  exit 1);
-              r)
-    in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let reports =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          instrumented @@ fun () ->
+      with_pool jobs (fun pool ->
+          with_telemetry stats_file @@ fun () ->
           List.init seeds (fun i ->
-              match
-                Modelcheck.run ~pool ~break ~timing ~components ~ops
-                  ~seed:(seed + i) ()
-              with
-              | report -> report
-              | exception Modelcheck.Unknown_component name ->
-                  Fmt.epr "unknown component %S (known: %s)@." name
-                    (String.concat ", " (Modelcheck.names ()));
-                  exit 2))
+              Modelcheck.run ~pool ~break ~timing ~components ~ops
+                ~seed:(seed + i) ()))
     in
     List.iter (Fmt.pr "%a" Modelcheck.pp_report) reports;
     if break then begin
@@ -1173,52 +1071,42 @@ let fuzz_cmd =
            `P "Exits 1 on any violation (or a failed --break self-test).";
          ])
     Term.(
-      const run $ component_arg $ ops_arg $ seed_arg $ seeds_arg $ break_arg
-      $ jobs_arg $ stats_arg $ timing_arg)
+      const run $ component_arg
+      $ ops_arg
+          ~doc:
+            "Ops per component run (heavyweight harnesses scale this down; \
+             see DESIGN.md)."
+          256
+      $ seed_arg
+          "Stream seed. A run is deterministic in (component, seed, ops), \
+           so a reported violation replays bit-identically."
+      $ seeds_arg $ break_arg $ jobs_arg $ stats_arg $ timing_arg)
 
 (* --- scrub ---------------------------------------------------------------------------- *)
 
 let scrub_cmd =
   let pools_arg =
-    Arg.(value & opt int 3 & info [ "pools" ] ~docv:"N" ~doc:"Pools per cell.")
-  in
-  let records_arg =
     Arg.(
-      value & opt int 48
-      & info [ "records" ] ~docv:"N"
-          ~doc:
-            "Objects allocated per pool before sealing (a third are freed \
-             again so the free list has interior nodes).")
+      value & opt positive 3
+      & info [ "pools" ] ~docv:"N" ~doc:"Pools per cell.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 5e-4
+      value & opt probability 5e-4
       & info [ "rate" ] ~docv:"R"
           ~doc:
             "Per-word (per-line for poison) fault probability for each \
              enabled kind; 0 disables injection.")
   in
   let kinds_arg =
+    let kinds = List.map (fun k -> (Media.kind_name k, k)) Media.all_kinds in
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (choice kinds) []
       & info [ "kinds" ] ~docv:"KIND"
           ~doc:
             "Fault kinds to inject (repeatable): $(b,flip), $(b,poison), \
              $(b,transient). Default: all three.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Cell seed (population and fault placement); a cell replays \
-             bit-identically from (seed, rate, kinds).")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
   in
   let repair_arg =
     Arg.(
@@ -1242,60 +1130,17 @@ let scrub_cmd =
       & info [ "allow-loss" ]
           ~doc:"Exit 0 even when unrepairable damage remains (smoke runs).")
   in
-  let stats_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats" ] ~docv:"FILE"
-          ~doc:
-            "Record telemetry (media.* counters included) and write the \
-             stats JSON document to $(docv).")
-  in
   let run pools records rate kinds seed seeds repair report allow_loss jobs
-      stats_file timing =
-    (* The scrub engine drives raw memory with no simulated core, so it
-       is already purely functional; --timing is accepted for CLI
-       uniformity with fuzz/faultinject and changes nothing. *)
-    ignore (timing : bool);
-    let kinds =
-      List.map
-        (fun k ->
-          match Media.kind_of_name k with
-          | Some k -> k
-          | None ->
-              Fmt.epr "--kinds expects flip, poison or transient, got %S@." k;
-              exit 2)
-        kinds
-    in
+      stats_file =
     let replay_flags =
       Fmt.str "--rate %g%s%s" rate
         (String.concat ""
            (List.map (fun k -> " --kinds " ^ Media.kind_name k) kinds))
         (if repair then " --repair" else "")
     in
-    let instrumented f =
-      match stats_file with
-      | None -> f ()
-      | Some path ->
-          Telemetry.set_enabled true;
-          Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-              let r = f () in
-              (match open_out path with
-              | oc ->
-                  Telemetry.write_stats_json oc;
-                  close_out oc;
-                  Fmt.epr "stats written to %s@." path
-              | exception Sys_error msg ->
-                  Fmt.epr "--stats: %s@." msg;
-                  exit 1);
-              r)
-    in
-    let pool = Pool.create ~jobs:(resolve_jobs jobs) () in
     let cells =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          instrumented @@ fun () ->
+      with_pool jobs (fun pool ->
+          with_telemetry stats_file @@ fun () ->
           Pool.run pool
             (List.init seeds (fun i () ->
                  Mediacheck.run_cell
@@ -1373,26 +1218,22 @@ let scrub_cmd =
               $(b,--allow-loss) was not given.";
          ])
     Term.(
-      const run $ pools_arg $ records_arg $ rate_arg $ kinds_arg $ seed_arg
+      const run $ pools_arg
+      $ records_arg
+          ~doc:
+            "Objects allocated per pool before sealing (a third are freed \
+             again so the free list has interior nodes)."
+          48
+      $ rate_arg $ kinds_arg
+      $ seed_arg
+          "Cell seed (population and fault placement); a cell replays \
+           bit-identically from (seed, rate, kinds)."
       $ seeds_arg $ repair_arg $ report_arg $ allow_loss_arg $ jobs_arg
-      $ stats_arg $ timing_arg)
+      $ stats_arg)
 
 (* --- shell ---------------------------------------------------------------------------- *)
 
 let shell_cmd =
-  let structure =
-    Arg.(
-      value & opt string "RB"
-      & info [ "structure"; "s" ] ~doc:"Index structure backing the store.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the 'crash torn' byte masks, so scripted sessions \
-             replay bit-identically.")
-  in
   let run mode structure seed =
     let shell = Nvml_kvstore.Shell.create ~mode ~structure ~seed () in
     Fmt.pr "persistent KV store (%s on %s) — 'help' for commands, 'quit' to \
@@ -1411,7 +1252,11 @@ let shell_cmd =
   Cmd.v
     (Cmd.info "shell"
        ~doc:"Interactive persistent key-value store with a crash command.")
-    Term.(const run $ mode_arg $ structure $ seed)
+    Term.(
+      const run $ mode_arg $ structure_arg maps
+      $ seed_arg ~default:0
+          "Seed for the 'crash torn' byte masks, so scripted sessions replay \
+           bit-identically.")
 
 (* --- info ------------------------------------------------------------------------- *)
 

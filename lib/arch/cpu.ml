@@ -563,20 +563,6 @@ let diff_attribution (after : attribution) (before : attribution) =
     storep = after.storep - before.storep;
   }
 
-let zero_attribution =
-  { base = 0; branch = 0; tlb = 0; cache = 0; mem = 0; xlate = 0; storep = 0 }
-
-let add_attribution (a : attribution) (b : attribution) =
-  {
-    base = a.base + b.base;
-    branch = a.branch + b.branch;
-    tlb = a.tlb + b.tlb;
-    cache = a.cache + b.cache;
-    mem = a.mem + b.mem;
-    xlate = a.xlate + b.xlate;
-    storep = a.storep + b.storep;
-  }
-
 (* Component accessors for telemetry publication. *)
 let caches (t : t) =
   [
@@ -590,7 +576,6 @@ let caches (t : t) =
 
 let valb (t : t) = t.valb
 let storep (t : t) = t.storep_unit
-let vatb_height (t : t) = Range_btree.height t.vatb
 
 let diff_snapshot (after : snapshot) (before : snapshot) =
   {

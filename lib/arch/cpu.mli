@@ -166,8 +166,6 @@ type attribution = {
 val attribution : t -> attribution
 val attribution_total : attribution -> int
 val diff_attribution : attribution -> attribution -> attribution
-val zero_attribution : attribution
-val add_attribution : attribution -> attribution -> attribution
 
 (** {2 Component access for telemetry publication} *)
 
@@ -177,4 +175,3 @@ val caches : t -> (string * Cache.t) list
 
 val valb : t -> Valb.t
 val storep : t -> Storep_unit.t
-val vatb_height : t -> int

@@ -65,7 +65,6 @@ let create ?(seed = 1) cores =
 
 let cores t = t.cores
 let core t i = t.cores.(i)
-let num_cores t = Array.length t.cores
 
 let stats t =
   {

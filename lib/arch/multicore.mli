@@ -55,4 +55,3 @@ type stats = {
 val stats : t -> stats
 val cores : t -> Cpu.t array
 val core : t -> int -> Cpu.t
-val num_cores : t -> int

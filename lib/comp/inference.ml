@@ -37,14 +37,6 @@ let join a b =
   | Rel, Rel -> Rel
   | _ -> Either
 
-let pp_prop ppf p =
-  Fmt.string ppf
-    (match p with
-    | Bottom -> "bottom"
-    | Va -> "va"
-    | Rel -> "rel"
-    | Either -> "either")
-
 type result = {
   expr_props : (int, prop) Hashtbl.t; (* pointer-typed expression nodes *)
   needs_check : (int, bool) Hashtbl.t; (* pointer-op site -> dynamic check? *)

@@ -13,7 +13,6 @@ module Ast = Nvml_minic.Ast
 type prop = Bottom | Va | Rel | Either
 
 val join : prop -> prop -> prop
-val pp_prop : prop Fmt.t
 
 type result = {
   expr_props : (int, prop) Hashtbl.t;

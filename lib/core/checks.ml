@@ -8,12 +8,11 @@ module Layout = Nvml_simmem.Layout
 module Telemetry = Nvml_telemetry.Telemetry
 
 (* Outcome counters for the dynamic checks: which branch each
-   pointerAssignment took, and how many derefs needed an ra2va. *)
+   pointerAssignment took. *)
 let c_pa_keep_relative = Telemetry.counter "check.pointer_assignment.keep_relative"
 let c_pa_keep_virtual = Telemetry.counter "check.pointer_assignment.keep_virtual"
 let c_pa_va2ra = Telemetry.counter "check.pointer_assignment.va2ra"
 let c_pa_ra2va = Telemetry.counter "check.pointer_assignment.ra2va"
-let c_deref = Telemetry.counter "check.deref"
 
 (* determineY: format of a pointer value — one sign test. *)
 let determine_y (p : Ptr.t) : Ptr.format = Ptr.format p
@@ -56,10 +55,3 @@ let pointer_assignment (x : Xlate.t) ~(dst : Ptr.t) ~(value : Ptr.t) : Ptr.t =
       | Virtual ->
           if tl then Telemetry.incr c_pa_keep_virtual;
           value)
-
-(* Resolve a pointer to the virtual address to issue to memory on a
-   dereference, counting the dynamic check the SW version performs. *)
-let checked_deref (x : Xlate.t) (p : Ptr.t) : int64 =
-  count_check x;
-  if Telemetry.enabled () then Telemetry.incr c_deref;
-  Xlate.ra2va x p

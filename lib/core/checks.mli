@@ -19,9 +19,5 @@ val pointer_assignment : Xlate.t -> dst:Ptr.t -> value:Ptr.t -> Ptr.t
     DRAM cells receive virtual form.  Returns the value to store and
     counts the dynamic checks performed. *)
 
-val checked_deref : Xlate.t -> Ptr.t -> int64
-(** Resolve a pointer to the virtual address to issue on a dereference,
-    counting the dynamic check the SW version performs. *)
-
 val count_check : Xlate.t -> unit
 (** Record one executed dynamic check. *)

@@ -27,15 +27,6 @@ type format = Virtual | Relative
 (* Location a memory cell lives in — the paper's determineX result. *)
 type location = Layout.region = Dram | Nvm
 
-let equal_format a b =
-  match (a, b) with
-  | Virtual, Virtual | Relative, Relative -> true
-  | (Virtual | Relative), _ -> false
-
-let pp_format ppf = function
-  | Virtual -> Fmt.string ppf "virtual"
-  | Relative -> Fmt.string ppf "relative"
-
 let is_relative (p : t) = Int64.compare p 0L < 0
 let is_virtual (p : t) = not (is_relative p)
 let is_null (p : t) = Int64.equal p 0L
@@ -88,5 +79,3 @@ let pp ppf (p : t) =
   else Fmt.pf ppf "va(0x%Lx, %a)" p Layout.pp_region (Layout.region_of_va p)
 
 let to_string p = Fmt.str "%a" pp p
-let equal_raw (a : t) (b : t) = Int64.equal a b
-let compare_raw (a : t) (b : t) = Int64.compare a b

@@ -26,9 +26,6 @@ type location = Nvml_simmem.Layout.region = Dram | Nvm
 (** Where the cell a pointer designates lives — what [determineX]
     returns. *)
 
-val equal_format : format -> format -> bool
-val pp_format : format Fmt.t
-
 val is_relative : t -> bool
 (** [is_relative p] is the bit-63 test: one instruction. *)
 
@@ -68,5 +65,3 @@ val same_pool : t -> t -> bool
 
 val pp : t Fmt.t
 val to_string : t -> string
-val equal_raw : t -> t -> bool
-val compare_raw : t -> t -> int

@@ -30,12 +30,6 @@ type counters = {
 let fresh_counters () =
   { ra2va = 0; va2ra = 0; dynamic_checks = 0; volatile_escapes = 0 }
 
-let add_counters a b =
-  a.ra2va <- a.ra2va + b.ra2va;
-  a.va2ra <- a.va2ra + b.va2ra;
-  a.dynamic_checks <- a.dynamic_checks + b.dynamic_checks;
-  a.volatile_escapes <- a.volatile_escapes + b.volatile_escapes
-
 type t = {
   provider : provider;
   counters : counters;
@@ -105,7 +99,3 @@ let va2ra t (p : Ptr.t) : Ptr.t =
         | Some (pool, base) ->
             Ptr.make_relative ~pool ~offset:(Int64.sub p base)
         | None -> raise (Not_in_pool p))
-
-(* The virtual address a pointer designates, whatever its format — the
-   address actually issued to the memory system on a dereference. *)
-let effective_va t (p : Ptr.t) : int64 = ra2va t p

@@ -30,7 +30,6 @@ type counters = {
 }
 
 val fresh_counters : unit -> counters
-val add_counters : counters -> counters -> unit
 
 type t
 
@@ -53,7 +52,3 @@ val va2ra : t -> Ptr.t -> Ptr.t
     virtual address has no relative form and is returned unchanged,
     counted as a volatile escape.
     @raise Not_in_pool on an NVM address outside every pool. *)
-
-val effective_va : t -> Ptr.t -> int64
-(** The virtual address a pointer designates, whatever its format — the
-    address issued to the memory system on a dereference. *)

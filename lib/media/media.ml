@@ -22,12 +22,6 @@ let kind_name = function
   | Poison_line -> "poison"
   | Transient -> "transient"
 
-let kind_of_name = function
-  | "flip" -> Some Bit_flip
-  | "poison" -> Some Poison_line
-  | "transient" -> Some Transient
-  | _ -> None
-
 let words_per_line = 8
 let retry_budget = 4
 

@@ -30,7 +30,6 @@ type kind =
 
 val all_kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 type t
 

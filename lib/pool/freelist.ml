@@ -134,7 +134,6 @@ let seal a =
   a.write (rb +! off_integrity) iw
 
 let mark_dirty a = a.write off_integrity 0L
-let is_sealed a = Int64.logand (a.read off_integrity) 1L = 1L
 
 type sb_state =
   | Sealed  (** checksum present and verified *)

@@ -87,7 +87,6 @@ type sb_state =
 
 val seal : access -> unit
 val mark_dirty : access -> unit
-val is_sealed : access -> bool
 val superblock_state : access -> sb_state
 
 val replica_state : access -> capacity:int64 -> sb_state

@@ -370,7 +370,6 @@ let check_pool_invariants t ~pool =
 let pool_name t id = (find_pool t id).name
 let pool_frames t ~pool = (find_pool t pool).frames
 let is_degraded t ~pool = (find_pool t pool).degraded
-let is_sealed_attach t ~pool = not (find_pool t pool).dirtied
 let any_degraded t = t.degraded_count > 0
 
 let set_pool_degraded t ~pool v = set_degraded t (find_pool t pool) v

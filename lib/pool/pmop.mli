@@ -87,9 +87,6 @@ val seal_pool : t -> pool:int -> unit
     replica snapshot.  No-op when detached, degraded, or already
     sealed. *)
 
-val is_sealed_attach : t -> pool:int -> bool
-(** Whether the current attach session has not yet broken the seal. *)
-
 val is_degraded : t -> pool:int -> bool
 val any_degraded : t -> bool
 

@@ -37,19 +37,6 @@ let add_components a b =
 
 let components_total c = c.base + c.check + c.translation + c.stall + c.media
 
-(* The five-way grouping: base absorbs issue + TLB + cache-hit cycles;
-   the other four keep their attribution source.  Each of the seven
-   attribution fields is used exactly once, so the group totals sum to
-   [Cpu.attribution_total]. *)
-let components_of_attr (a : Cpu.attribution) =
-  {
-    base = a.Cpu.base + a.Cpu.tlb + a.Cpu.cache;
-    check = a.Cpu.branch;
-    translation = a.Cpu.xlate;
-    stall = a.Cpu.storep;
-    media = a.Cpu.mem;
-  }
-
 type sample = {
   op : string;
   seq : int;

@@ -47,11 +47,6 @@ val zero_components : components
 val add_components : components -> components -> components
 val components_total : components -> int
 
-val components_of_attr : Cpu.attribution -> components
-(** The five-way grouping of the seven attribution fields described
-    above; [components_total (components_of_attr a) =
-    Cpu.attribution_total a]. *)
-
 type sample = {
   op : string;  (** operation kind ("get", "put", "scan", "txn", ...) *)
   seq : int;  (** per-cell operation sequence number *)

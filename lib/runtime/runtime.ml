@@ -104,8 +104,6 @@ let reg_rel_capacity = 32
    deterministic. *)
 let default_timing = Atomic.make true
 
-let set_default_timing v = Atomic.set default_timing v
-
 let with_default_timing v f =
   let prev = Atomic.exchange default_timing v in
   Fun.protect ~finally:(fun () -> Atomic.set default_timing prev) f
@@ -183,7 +181,6 @@ let recall_rel t ~va = Hashtbl.find_opt t.reg_rel va
 let mode t = t.mode
 let timing t = Cpu.timing t.cpu
 let persist t = t.persist
-let persist_model t = Persist.model t.persist
 let persist_relaxed t = not (Persist.is_eager (Persist.model t.persist))
 
 (* Drain the shared dirty-line buffer now (epoch close, pre-detach

@@ -43,7 +43,7 @@ val create :
   t
 (** [timing] selects cycle-accurate ([true]) or fast functional
     ([false]) simulation; when omitted it falls back to the ambient
-    default (see {!set_default_timing}).  Both modes perform identical
+    default (see {!with_default_timing}).  Both modes perform identical
     pointer-format checks, POW/VAW translations, crash-point hooks and
     media hooks; fast mode skips all cache/TLB/predictor/storeP timing,
     so [cycles = instrs] and timing statistics read as zero.
@@ -62,7 +62,6 @@ val mode : t -> mode
 val persist : t -> Persist.t
 (** The machine-wide buffered-persistency engine (shared by forks). *)
 
-val persist_model : t -> Persist.model
 val persist_relaxed : t -> bool
 (** [true] iff the model buffers (epoch or lazy). *)
 
@@ -87,10 +86,6 @@ val fork : t -> t
 
 val timing : t -> bool
 (** [true] iff this runtime's core models timing. *)
-
-val set_default_timing : bool -> unit
-(** Set the ambient default used by {!create} when [?timing] is
-    omitted.  Process-wide; initial value is [true]. *)
 
 val with_default_timing : bool -> (unit -> 'a) -> 'a
 (** [with_default_timing v f] runs [f ()] with the ambient default set

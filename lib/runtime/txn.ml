@@ -267,10 +267,6 @@ let instrument t =
          if (not t.busy) && is_active t then
            log_cell t (Ptr.make_relative ~pool ~offset)))
 
-let uninstrument rt =
-  Runtime.set_store_interceptor rt None;
-  Pmop.set_meta_hook (Runtime.pmop rt) None
-
 (* Run [f] in a transaction: commit on return, roll back on exception. *)
 let run t f =
   begin_ t;

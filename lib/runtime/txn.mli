@@ -82,9 +82,6 @@ val instrument : t -> unit
     volatile: a [Runtime.crash_and_restart] clears them, and recovery
     code re-registers on a freshly {!attach}ed log if desired. *)
 
-val uninstrument : Runtime.t -> unit
-(** Clear the runtime's store interceptor and allocator hook. *)
-
 val run : t -> (unit -> 'a) -> 'a
 (** Run the function transactionally: commit on return, roll back and
     re-raise on exception. *)

@@ -41,8 +41,6 @@ let region_of_va va =
 
 let is_nvm_va va = equal_region (region_of_va va) Nvm
 
-let va_in_range va = va >= 0L && va < va_limit
-
 let page_of_va va = Int64.to_int (Int64.shift_right_logical va page_shift)
 
 let page_offset_of_va va = Int64.to_int (Int64.logand va 0xFFFL)

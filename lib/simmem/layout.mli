@@ -31,7 +31,6 @@ val region_of_va : int64 -> region
     virtual-address format (bit 63 clear). *)
 
 val is_nvm_va : int64 -> bool
-val va_in_range : int64 -> bool
 val page_of_va : int64 -> int
 val page_offset_of_va : int64 -> int
 val va_of_page : int -> int64

@@ -49,11 +49,6 @@ let unmap t ~base ~bytes =
 let check_word_aligned va =
   if not (Layout.is_word_aligned va) then raise (Unaligned va)
 
-(* Translate a virtual address; raises [Vspace.Fault] if unmapped. *)
-let phys_of_va t va =
-  let frame, offset = Vspace.translate_exn t.vspace va in
-  Physmem.phys_addr_of ~frame ~offset
-
 (* Packed allocation-free translation: the physical address as an
    unboxed int, or -1 when unmapped. *)
 let translate_pa t va = Vspace.translate_pa t.vspace va

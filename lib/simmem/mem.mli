@@ -20,9 +20,6 @@ val map_existing : t -> Layout.region -> int list -> int64
 
 val unmap : t -> base:int64 -> bytes:int -> unit
 
-val phys_of_va : t -> int64 -> int64
-(** @raise Vspace.Fault when unmapped. *)
-
 val translate_pa : t -> int64 -> int
 (** Packed allocation-free translation: the physical address
     [frame * page_size + offset] as an unboxed int, or -1 when

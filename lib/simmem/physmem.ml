@@ -125,14 +125,6 @@ let storage t frame =
     t.memo_storage <- s;
     s
 
-(* Physical addresses: frame number * page size + offset. *)
-let phys_addr_of ~frame ~offset =
-  Int64.add
-    (Int64.shift_left (Int64.of_int frame) Layout.page_shift)
-    (Int64.of_int offset)
-
-let frame_of_phys pa = Int64.to_int (Int64.shift_right_logical pa Layout.page_shift)
-
 let read_word t ~frame ~word_index =
   t.reads <- t.reads + 1;
   let v = Bigarray.Array1.get (storage t frame) word_index in
@@ -227,7 +219,6 @@ let write_pa t pa value =
 (* Hook management and the raw backdoors the injector itself uses. *)
 
 let set_fi_hook t hook = t.fi_hook <- hook
-let fi_armed t = t.fi_hook <> None
 
 let fire t event =
   match t.fi_hook with

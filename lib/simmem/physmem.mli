@@ -27,9 +27,6 @@ val frame_reserved : t -> int -> bool
 
 val storage : t -> int -> frame
 
-val phys_addr_of : frame:int -> offset:int -> int64
-val frame_of_phys : int64 -> int
-
 val read_word : t -> frame:int -> word_index:int -> int64
 val write_word : t -> frame:int -> word_index:int -> int64 -> unit
 
@@ -71,8 +68,6 @@ val set_fi_hook : t -> (Fi.event -> unit) option -> unit
 (** Arm or disarm the fault-injection hook.  The unarmed write path
     pays only a null test; the armed path additionally reads the old
     value of every NVM word stored. *)
-
-val fi_armed : t -> bool
 
 val fire : t -> Fi.event -> unit
 (** Announce an event from an upper layer ([Txn], [Pmop], [Runtime])

@@ -168,10 +168,6 @@ let translate_exn t va =
 
 let is_mapped t va = translate t va <> None
 
-let mapped_pages t =
-  Hashtbl.length t.page_table
-  + List.fold_left (fun acc (_, n, _) -> acc + n) 0 t.segments
-
 let tc_stats t = t.tc_stats
 let reset_stats t = Hit_miss.reset t.tc_stats
 

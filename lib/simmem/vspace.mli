@@ -41,7 +41,6 @@ val translate_exn : t -> int64 -> int * int
 (** @raise Fault when unmapped. *)
 
 val is_mapped : t -> int64 -> bool
-val mapped_pages : t -> int
 
 val tc_stats : t -> Nvml_telemetry.Stats.Hit_miss.t
 (** Hit/miss record of the software translation cache in front of the

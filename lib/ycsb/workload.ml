@@ -41,7 +41,7 @@ let paper_default =
     seed = 42;
   }
 
-(* Classic YCSB core mixes. *)
+(* Classic YCSB core workload A. *)
 let workload_a =
   {
     paper_default with
@@ -51,26 +51,6 @@ let workload_a =
     insert_proportion = 0.0;
     distribution = Scrambled_zipfian;
   }
-
-let workload_b =
-  { workload_a with
-    name = "YCSB-B (95% read / 5% update, zipfian)";
-    read_proportion = 0.95;
-    update_proportion = 0.05 }
-
-let workload_c =
-  { workload_a with
-    name = "YCSB-C (100% read, zipfian)";
-    read_proportion = 1.0;
-    update_proportion = 0.0 }
-
-let workload_d =
-  { workload_a with
-    name = "YCSB-D (95% read / 5% insert, latest)";
-    read_proportion = 0.95;
-    update_proportion = 0.0;
-    insert_proportion = 0.05;
-    distribution = Latest }
 
 let scale spec factor =
   {

@@ -24,9 +24,6 @@ type spec = {
 
 val paper_default : spec
 val workload_a : spec
-val workload_b : spec
-val workload_c : spec
-val workload_d : spec
 
 val scale : spec -> int -> spec
 (** Divide record and operation counts by a factor. *)
