@@ -1073,6 +1073,28 @@ let micro _ctx =
   let note_pm, _note_p = relaxed () in
   let note_frame = Physmem.alloc_frame note_pm Nvml_simmem.Layout.Nvm in
   Physmem.write_word note_pm ~frame:note_frame ~word_index:0 1L;
+  (* Data-path rows: 64 backed DRAM frames visited in turn, a translation
+     already in the software TLB, and an HW load-pointer over 64 cells
+     (twice the keep-relative window, so every load misses it). *)
+  let module Layout = Nvml_simmem.Layout in
+  let stride_pm = Physmem.create () in
+  let stride_first = Physmem.alloc_frame_run stride_pm Layout.Dram 64 in
+  let stride_pa i =
+    ((stride_first + (i land 63)) lsl Layout.page_shift) lor ((i land 511) lsl 3)
+  in
+  for i = 0 to 63 do
+    Physmem.write_pa stride_pm (stride_pa i) 1L
+  done;
+  let vs = Nvml_simmem.Mem.vspace mem in
+  ignore (Nvml_simmem.Vspace.translate_pa vs va);
+  let hw = Runtime.create ~timing:false ~mode:Runtime.Hw () in
+  let hw_pool = Runtime.create_pool hw ~name:"micro" ~size:(1 lsl 20) in
+  let hw_cells = Runtime.alloc_in hw (Runtime.Pool_region hw_pool) (64 * 8) in
+  let hw_site = Site.make ~static:true "micro.load_ptr" in
+  for i = 0 to 63 do
+    Runtime.store_ptr hw ~site:hw_site hw_cells ~off:(8 * i)
+      (Runtime.alloc_in hw (Runtime.Pool_region hw_pool) 16)
+  done;
   let tests =
     Test.make_grouped ~name:"core"
       [
@@ -1129,6 +1151,25 @@ let micro _ctx =
         Test.make ~name:"persist note (already-dirty word)"
           (Staged.stage (fun () ->
                Physmem.write_word note_pm ~frame:note_frame ~word_index:0 2L));
+        (* Data-path guards: a frame access is array indexing whatever
+           frame came before, a translation hit two array loads, and a
+           window miss a few int ops — a hash-table probe on any of them
+           shows up as a several-fold jump. *)
+        Test.make ~name:"physmem write_pa (64-frame stride)"
+          (Staged.stage (fun () ->
+               incr counter;
+               Physmem.write_pa stride_pm (stride_pa !counter) 2L));
+        Test.make ~name:"physmem read_pa (64-frame stride)"
+          (Staged.stage (fun () ->
+               incr counter;
+               Physmem.read_pa stride_pm (stride_pa !counter)));
+        Test.make ~name:"vspace translate_pa (TC hit)"
+          (Staged.stage (fun () -> Nvml_simmem.Vspace.translate_pa vs va));
+        Test.make ~name:"HW load_ptr (relative, window miss)"
+          (Staged.stage (fun () ->
+               incr counter;
+               Runtime.load_ptr hw ~site:hw_site hw_cells
+                 ~off:(8 * (!counter land 63))));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

@@ -35,7 +35,9 @@ let branch t ~pc ~taken =
   let counter = Char.code (Bytes.get t.table i) in
   let predicted_taken = counter >= 2 in
   let counter' =
-    if taken then min 3 (counter + 1) else max 0 (counter - 1)
+    if taken then (if counter < 3 then counter + 1 else 3)
+    else if counter > 0 then counter - 1
+    else 0
   in
   Bytes.set t.table i (Char.chr counter');
   t.history <- ((t.history lsl 1) lor Bool.to_int taken) land t.history_mask;

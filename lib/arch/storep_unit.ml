@@ -38,7 +38,8 @@ let issue t ~now ~latency =
   done;
   if !occupancy > t.peak_occupancy then t.peak_occupancy <- !occupancy;
   if Telemetry.enabled () then Telemetry.observe occupancy_histo !occupancy;
-  let start = max now t.busy_until.(!victim) in
+  let busy = t.busy_until.(!victim) in
+  let start = if busy > now then busy else now in
   let stall = start - now in
   t.stall_cycles <- t.stall_cycles + stall;
   t.busy_until.(!victim) <- start + latency;

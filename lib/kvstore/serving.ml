@@ -215,11 +215,23 @@ let partition (c : config) =
    structure itself is host-side bookkeeping (hash table + intrusive
    LRU list over slots) charged as instructions. *)
 module Fcache = struct
+  (* Key -> slot index, hashed without the polymorphic [Hashtbl.hash];
+     never iterated, so bucket order cannot reach an output. *)
+  module Keys = Hashtbl.Make (struct
+    type t = int64
+
+    let equal = Int64.equal
+
+    let hash k =
+      let h = Int64.to_int k * 0x2545F4914F6CDD1D in
+      h lxor (h lsr 29)
+  end)
+
   type t = {
     cap : int;
     rt : Runtime.t;
     slab : int64; (* simulated DRAM backing the value slots *)
-    tbl : (int64, int) Hashtbl.t; (* key -> slot *)
+    tbl : int Keys.t; (* key -> slot *)
     keys : int64 array;
     vals : int64 array;
     dirty : bool array;
@@ -241,7 +253,7 @@ module Fcache = struct
       cap;
       rt;
       slab = Mem.map_fresh (Runtime.mem rt) Layout.Dram (cap * 8);
-      tbl = Hashtbl.create (2 * cap);
+      tbl = Keys.create (2 * cap);
       keys = Array.make cap 0L;
       vals = Array.make cap 0L;
       dirty = Array.make cap false;
@@ -301,13 +313,13 @@ module Fcache = struct
      LRU victim when full. *)
   let install t key v ~dirty ~write_back =
     Runtime.instr t.rt 2;
-    match Hashtbl.find_opt t.tbl key with
-    | Some slot ->
+    match Keys.find t.tbl key with
+    | slot ->
         t.vals.(slot) <- v;
         t.dirty.(slot) <- t.dirty.(slot) || dirty;
         slot_store t slot v;
         touch t slot
-    | None ->
+    | exception Not_found ->
         let slot =
           if t.size < t.cap then begin
             let s = t.size in
@@ -317,7 +329,7 @@ module Fcache = struct
           else begin
             let victim = t.tail in
             if t.dirty.(victim) then write_back_slot t victim ~write_back;
-            Hashtbl.remove t.tbl t.keys.(victim);
+            Keys.remove t.tbl t.keys.(victim);
             unlink t victim;
             t.evictions <- t.evictions + 1;
             victim
@@ -326,7 +338,7 @@ module Fcache = struct
         t.keys.(slot) <- key;
         t.vals.(slot) <- v;
         t.dirty.(slot) <- dirty;
-        Hashtbl.replace t.tbl key slot;
+        Keys.replace t.tbl key slot;
         push_front t slot;
         slot_store t slot v
 
@@ -334,13 +346,13 @@ module Fcache = struct
      result clean. *)
   let get t key ~find ~write_back =
     Runtime.instr t.rt 2;
-    match Hashtbl.find_opt t.tbl key with
-    | Some slot ->
+    match Keys.find t.tbl key with
+    | slot ->
         slot_load t slot;
         touch t slot;
         t.hits <- t.hits + 1;
         Some t.vals.(slot)
-    | None ->
+    | exception Not_found ->
         t.misses <- t.misses + 1;
         let r = find key in
         (match r with

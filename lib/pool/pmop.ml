@@ -48,9 +48,10 @@ type pool = {
 
 type t = {
   mem : Mem.t;
-  pools : (int, pool) Hashtbl.t;
+  mutable pools : pool array;
+      (* the registry: ids are dense from 1, pool [id] is [pools.(id - 1)];
+         pools are never unregistered *)
   by_name : (string, int) Hashtbl.t;
-  mutable next_id : int;
   mutable restarts : int;
   mutable vat : (int64 * int64 * int) array;
       (* mapped pools sorted by base: (base, size, id) *)
@@ -71,9 +72,8 @@ exception Already_open of string
 let create mem =
   {
     mem;
-    pools = Hashtbl.create 16;
+    pools = [||];
     by_name = Hashtbl.create 16;
-    next_id = 1;
     restarts = 0;
     vat = [||];
     meta_hook = None;
@@ -86,21 +86,22 @@ let mem t = t.mem
 let rebuild_vat t =
   incr t.map_generation;
   let entries =
-    Hashtbl.fold
-      (fun _ p acc ->
+    Array.fold_left
+      (fun acc p ->
         match p.base with
         | Some base -> (base, Int64.of_int p.size, p.id) :: acc
         | None -> acc)
-      t.pools []
+      [] t.pools
   in
   t.vat <-
     Array.of_list
       (List.sort (fun (a, _, _) (b, _, _) -> Int64.compare a b) entries)
 
+let registered t id = id >= 1 && id <= Array.length t.pools
+
 let find_pool t id =
-  match Hashtbl.find_opt t.pools id with
-  | Some p -> p
-  | None -> raise (Unknown_pool (string_of_int id))
+  if registered t id then Array.unsafe_get t.pools (id - 1)
+  else raise (Unknown_pool (string_of_int id))
 
 let find_pool_by_name t name =
   match Hashtbl.find_opt t.by_name name with
@@ -110,7 +111,7 @@ let find_pool_by_name t name =
 let pool_base t id = (find_pool t id).base
 let pool_id_of_name t name = (find_pool_by_name t name).id
 let pool_size t id = (find_pool t id).size
-let pool_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.pools [] |> List.sort compare
+let pool_ids t = List.init (Array.length t.pools) (fun i -> i + 1)
 
 let set_degraded t (p : pool) v =
   if p.degraded <> v then begin
@@ -197,8 +198,7 @@ let create_pool t ~name ~size =
   let size = Layout.pages_of_bytes size * Layout.page_size in
   if Int64.of_int size > Ptr.max_pool_size then
     Fmt.invalid_arg "Pmop.create_pool: %d bytes exceeds 4 GiB pool limit" size;
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = Array.length t.pools + 1 in
   let frames =
     Nvml_simmem.Physmem.alloc_frames (Mem.phys t.mem) Layout.Nvm
       (Layout.pages_of_bytes size)
@@ -207,7 +207,7 @@ let create_pool t ~name ~size =
   let pool =
     { id; name; size; frames; base = Some base; degraded = false; dirtied = true }
   in
-  Hashtbl.replace t.pools id pool;
+  t.pools <- Array.append t.pools [| pool |];
   Hashtbl.replace t.by_name name id;
   Freelist.init (arena_access t pool) ~capacity:(Int64.of_int size);
   (* A fresh pool starts sealed: its checksums and replica are valid
@@ -292,8 +292,8 @@ let detach_pool t id =
    pool frames and the registry survive. *)
 let crash t =
   Mem.crash t.mem;
-  Hashtbl.iter
-    (fun _ p ->
+  Array.iter
+    (fun p ->
       p.base <- None;
       (* Degraded is attach-session state: the next open re-verifies the
          (persistent) checksums and re-derives it. *)
@@ -325,10 +325,8 @@ let pool_of_va t (va : int64) =
 (* The translation provider handed to [Nvml_core.Xlate]. *)
 let provider t : Xlate.provider =
   {
-    Xlate.pool_base = (fun id ->
-      match Hashtbl.find_opt t.pools id with
-      | Some p -> p.base
-      | None -> None);
+    Xlate.pool_base =
+      (fun id -> if registered t id then (find_pool t id).base else None);
     pool_of_va = (fun va -> pool_of_va t va);
     generation = t.map_generation;
   }
@@ -390,10 +388,10 @@ let assert_cell_writable t (cell : Ptr.t) =
     else None
   in
   match pool with
-  | Some id -> (
-      match Hashtbl.find_opt t.pools id with
-      | Some p when p.degraded -> refuse_write p
-      | _ -> ())
+  | Some id ->
+      if registered t id then
+        let p = find_pool t id in
+        if p.degraded then refuse_write p
   | None -> ()
 
 (* Structural validation of a root pointer before the application

@@ -77,9 +77,8 @@ type t = {
      for a while; storing the pointer back into NVM shortly after needs
      no VALB translation.  Modeled as a small FIFO of recent
      (virtual address -> relative form) pairs standing in for the live
-     register set. *)
-  reg_rel : (int64, int64) Hashtbl.t;
-  reg_rel_fifo : int64 Queue.t;
+     register set ([Rel_window]). *)
+  reg_rel : Rel_window.t;
   (* Store interception: called with the destination cell of every
      store that targets pool memory, before the store executes.  This
      is the paper's "compiler inserts the necessary runtime logging"
@@ -93,8 +92,6 @@ type t = {
   persist : Persist.t;
   mutable persist_ops : int;
 }
-
-let reg_rel_capacity = 32
 
 (* Ambient execution-mode default: engines that spin up many internal
    runtimes (model checking, fault injection) flip this around their
@@ -128,8 +125,7 @@ let create ?(cfg = Config.default) ?(dram_capacity = 1 lsl 27) ?timing
     pot_table_va = Mem.map_fresh mem Layout.Dram 65536;
     vat_table_va = Mem.map_fresh mem Layout.Dram 65536;
     dram_capacity;
-    reg_rel = Hashtbl.create 64;
-    reg_rel_fifo = Queue.create ();
+    reg_rel = Rel_window.create ();
     store_interceptor = None;
     persist = Persist.create persist (Mem.phys mem);
     persist_ops = 0;
@@ -147,8 +143,7 @@ let fork (t : t) =
   {
     t with
     cpu = Cpu.create_sibling t.cpu;
-    reg_rel = Hashtbl.create 64;
-    reg_rel_fifo = Queue.create ();
+    reg_rel = Rel_window.create ();
     store_interceptor = None;
     persist_ops = 0;
   }
@@ -169,14 +164,7 @@ let intercept_store t (cell : Ptr.t) =
 (* Remember that the virtual address [va] was materialized from the
    relative pointer [rel] (both forms live in registers). *)
 let remember_rel t ~va ~rel =
-  if t.cfg.Config.keep_relative_opt && not (Hashtbl.mem t.reg_rel va) then begin
-    if Queue.length t.reg_rel_fifo >= reg_rel_capacity then
-      Hashtbl.remove t.reg_rel (Queue.pop t.reg_rel_fifo);
-    Hashtbl.replace t.reg_rel va rel;
-    Queue.push va t.reg_rel_fifo
-  end
-
-let recall_rel t ~va = Hashtbl.find_opt t.reg_rel va
+  if t.cfg.Config.keep_relative_opt then Rel_window.remember t.reg_rel ~va ~rel
 
 let mode t = t.mode
 let timing t = Cpu.timing t.cpu
@@ -254,8 +242,7 @@ let crash_and_restart t =
   t.valloc <- Valloc.create t.mem ~capacity:t.dram_capacity;
   t.pot_table_va <- Mem.map_fresh t.mem Layout.Dram 65536;
   t.vat_table_va <- Mem.map_fresh t.mem Layout.Dram 65536;
-  Hashtbl.reset t.reg_rel;
-  Queue.clear t.reg_rel_fifo;
+  Rel_window.clear t.reg_rel;
   (* The interceptor is volatile (it belongs to the crashed process);
      recovery code re-registers its own via Txn.instrument if needed. *)
   t.store_interceptor <- None
@@ -445,12 +432,13 @@ let store_ptr t ~site (p : Ptr.t) ~off (value : Ptr.t) : unit =
                  stores that relative form directly — no VALB needed
                  (the Section IV "keep relative opportunistically"
                  optimization). *)
-              match recall_rel t ~va:value with
-              | Some rel -> rel
-              | None ->
-                  let r = Xlate.va2ra t.x value in
-                  Cpu.xop_push_valb t.cpu ~va:value;
-                  r)
+              let slot = Rel_window.find t.reg_rel value in
+              if slot >= 0 then Rel_window.rel t.reg_rel slot
+              else begin
+                let r = Xlate.va2ra t.x value in
+                Cpu.xop_push_valb t.cpu ~va:value;
+                r
+              end)
         | Layout.Dram, Ptr.Relative ->
             let r = Xlate.ra2va t.x value in
             Cpu.xop_push_polb t.cpu ~pool:(Ptr.pool_of value);

@@ -9,12 +9,16 @@
 type frame =
   (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* Frame storage is indexed directly by frame number: [dram.(f)] backs
+   DRAM frame [f] (numbered from 1, recycled by [crash]) and
+   [nvm.(f - nvm_phys_frame_base)] NVM frame [f] (never recycled).  A
+   slot holding [no_storage] is reserved but not yet touched.  Each
+   array grows to the highest frame actually touched, not to the highest
+   reserved: boot reserves a 32k-frame DRAM arena that a short run
+   barely uses. *)
 type t = {
-  frames : (int, frame) Hashtbl.t;
-  (* Last-frame memo: consecutive accesses overwhelmingly hit the same
-     frame, so one equality test usually replaces the hashtable probe. *)
-  mutable memo_frame : int;
-  mutable memo_storage : frame;
+  mutable dram : frame array;
+  mutable nvm : frame array;
   mutable next_dram_frame : int;
   mutable next_nvm_frame : int;
   mutable dram_frames_allocated : int;
@@ -43,9 +47,8 @@ let no_storage : frame =
 
 let create () =
   {
-    frames = Hashtbl.create 4096;
-    memo_frame = -1;
-    memo_storage = no_storage;
+    dram = [||];
+    nvm = [||];
     next_dram_frame = 1 (* frame 0 reserved so phys addr 0 is never valid *);
     next_nvm_frame = Layout.nvm_phys_frame_base;
     dram_frames_allocated = 0;
@@ -102,28 +105,52 @@ let alloc_frame_run t region n =
 
 let alloc_frames t region n = List.init n (fun _ -> alloc_frame t region)
 
-let frame_exists t frame = Hashtbl.mem t.frames frame
-
 let frame_reserved t frame =
   (frame >= 1 && frame < t.next_dram_frame)
   || (frame >= Layout.nvm_phys_frame_base && frame < t.next_nvm_frame)
 
+(* The slot of [frame] in its region's array, or [no_storage] when the
+   frame was never touched (or lies beyond the array). *)
+let[@inline] slot t frame =
+  if frame >= Layout.nvm_phys_frame_base then
+    let i = frame - Layout.nvm_phys_frame_base in
+    if i < Array.length t.nvm then Array.unsafe_get t.nvm i else no_storage
+  else if frame >= 0 && frame < Array.length t.dram then
+    Array.unsafe_get t.dram frame
+  else no_storage
+
+let frame_exists t frame = slot t frame != no_storage
+
+(* [a] with [s] stored at [i], growing it when [i] lies beyond its end.
+   Growth is by an eighth (plus 64 slots), not by doubling: the first
+   touch past a reserved-but-idle arena jumps the array to that frame,
+   and doubling from there would size it by twice the arena. *)
+let set_grow a i s =
+  let a =
+    if i < Array.length a then a
+    else begin
+      let n = Array.length a in
+      let b = Array.make (max (i + 1) (n + 64 + (n / 8))) no_storage in
+      Array.blit a 0 b 0 n;
+      b
+    end
+  in
+  Array.unsafe_set a i s;
+  a
+
+(* First touch of a reserved frame: create its backing storage. *)
+let materialize t frame =
+  if not (frame_reserved t frame) then
+    Fmt.invalid_arg "Physmem: access to unallocated frame %d" frame;
+  let s = fresh_frame_storage () in
+  (match region_of_frame frame with
+  | Layout.Nvm -> t.nvm <- set_grow t.nvm (frame - Layout.nvm_phys_frame_base) s
+  | Layout.Dram -> t.dram <- set_grow t.dram frame s);
+  s
+
 let storage t frame =
-  if frame = t.memo_frame then t.memo_storage
-  else
-    let s =
-      match Hashtbl.find_opt t.frames frame with
-      | Some s -> s
-      | None ->
-          if not (frame_reserved t frame) then
-            Fmt.invalid_arg "Physmem: access to unallocated frame %d" frame;
-          let s = fresh_frame_storage () in
-          Hashtbl.replace t.frames frame s;
-          s
-    in
-    t.memo_frame <- frame;
-    t.memo_storage <- s;
-    s
+  let s = slot t frame in
+  if s != no_storage then s else materialize t frame
 
 let read_word t ~frame ~word_index =
   t.reads <- t.reads + 1;
@@ -246,17 +273,7 @@ let poke t ~frame ~word_index value =
    and without the reset repeated crash/restart cycles leak DRAM frame
    IDs (and physical address space) monotonically. *)
 let crash t =
-  let dram_frames =
-    Hashtbl.fold
-      (fun frame _ acc ->
-        match region_of_frame frame with
-        | Layout.Dram -> frame :: acc
-        | Layout.Nvm -> acc)
-      t.frames []
-  in
-  List.iter (Hashtbl.remove t.frames) dram_frames;
-  t.memo_frame <- -1;
-  t.memo_storage <- no_storage;
+  t.dram <- [||];
   t.next_dram_frame <- 1;
   t.dram_frames_allocated <- 0;
   (* Power is back: the media accepts stores again.  The fi hook stays

@@ -1,8 +1,9 @@
-(* A process virtual address space: a page table mapping virtual pages to
-   physical frames, plus simple bump reservations for fresh mapping bases
-   in each half of the address space.
+(* A process virtual address space: a list of segments mapping runs of
+   virtual pages to runs of physical frames, plus simple bump
+   reservations for fresh mapping bases in each half of the address
+   space.
 
-   The page table is volatile kernel state: a simulated crash clears it;
+   The mappings are volatile kernel state: a simulated crash clears them;
    persistent pools are re-mapped (possibly at different bases) when they
    are re-opened after restart. *)
 
@@ -10,7 +11,7 @@ exception Fault of int64
 (* Raised on access to an unmapped virtual address. *)
 
 (* Translations are served from a direct-mapped software cache in front
-   of the page-table hashtable: the simulator performs one translation
+   of the segment list: the simulator performs one translation
    per simulated access, so this cache is the hottest lookup in the
    whole system.  Entries are (vpage, frame) pairs indexed by the low
    vpage bits; [tc_vpage.(i) = -1] marks an empty slot. *)
@@ -20,15 +21,13 @@ let tc_size = 1 lsl tc_bits
 module Hit_miss = Nvml_telemetry.Stats.Hit_miss
 
 type t = {
-  page_table : (int, int) Hashtbl.t; (* virtual page -> physical frame *)
-  (* Contiguous mappings — a fresh arena, a pool's frame run — are one
-     [(first vpage, pages, first frame)] segment instead of a hashtable
-     entry per page: a 128 MiB DRAM arena is one cons cell, not 32768
-     inserts.  The verification engines boot a fresh machine per crash
-     point / fuzz case, so mapping cost sits on their hot path.  The
-     list stays short (arena, kernel tables, pools); it is scanned only
-     on a translation-cache *and* page-table miss, and each page's
-     translation then refills the cache. *)
+  (* Every mapping is a [(first vpage, pages, first frame)] segment: a
+     128 MiB DRAM arena is one cons cell, not 32768 page entries.  The
+     verification engines boot a fresh machine per crash point / fuzz
+     case, so mapping cost sits on their hot path.  The list stays short
+     (arena, kernel tables, pools); it is scanned only on a
+     translation-cache miss, and each page's translation then refills
+     the cache. *)
   mutable segments : (int * int * int) list;
   tc_vpage : int array; (* translation-cache tags, -1 = empty *)
   tc_frame : int array;
@@ -39,7 +38,6 @@ type t = {
 
 let create () =
   {
-    page_table = Hashtbl.create 4096;
     segments = [];
     tc_vpage = Array.make tc_size (-1);
     tc_frame = Array.make tc_size 0;
@@ -71,21 +69,8 @@ let skew_nvm_brk t pages =
   t.nvm_brk <-
     Int64.add t.nvm_brk (Int64.of_int (pages * Layout.page_size))
 
-let map_page t ~vpage ~frame =
-  Hashtbl.replace t.page_table vpage frame;
-  let idx = vpage land (tc_size - 1) in
-  t.tc_vpage.(idx) <- vpage;
-  t.tc_frame.(idx) <- frame
-
-let map_range t ~base ~frames =
-  assert (Int64.logand base (Int64.of_int (Layout.page_size - 1)) = 0L);
-  List.iteri
-    (fun i frame -> map_page t ~vpage:(Layout.page_of_va base + i) ~frame)
-    frames
-
 (* Map [pages] consecutive pages onto [pages] consecutive frames in one
-   segment.  Equivalent to [map_range] with the list
-   [first_frame; first_frame + 1; ...] but O(1). *)
+   O(1) segment. *)
 let map_seg t ~vpage ~pages ~first_frame =
   if pages > 0 then t.segments <- (vpage, pages, first_frame) :: t.segments
 
@@ -113,7 +98,6 @@ let seg_unmap t ~first ~pages =
 let unmap_range t ~base ~pages =
   let first = Layout.page_of_va base in
   for vpage = first to first + pages - 1 do
-    Hashtbl.remove t.page_table vpage;
     let idx = vpage land (tc_size - 1) in
     if t.tc_vpage.(idx) = vpage then t.tc_vpage.(idx) <- -1
   done;
@@ -129,24 +113,18 @@ let frame_of_va t va =
   end
   else begin
     Hit_miss.miss t.tc_stats;
-    match Hashtbl.find_opt t.page_table vpage with
-    | Some frame ->
-        Array.unsafe_set t.tc_vpage idx vpage;
-        Array.unsafe_set t.tc_frame idx frame;
-        frame
-    | None ->
-        let rec scan = function
-          | [] -> -1
-          | (v0, n, f0) :: rest ->
-              if vpage >= v0 && vpage < v0 + n then begin
-                let frame = f0 + (vpage - v0) in
-                Array.unsafe_set t.tc_vpage idx vpage;
-                Array.unsafe_set t.tc_frame idx frame;
-                frame
-              end
-              else scan rest
-        in
-        scan t.segments
+    let rec scan = function
+      | [] -> -1
+      | (v0, n, f0) :: rest ->
+          if vpage >= v0 && vpage < v0 + n then begin
+            let frame = f0 + (vpage - v0) in
+            Array.unsafe_set t.tc_vpage idx vpage;
+            Array.unsafe_set t.tc_frame idx frame;
+            frame
+          end
+          else scan rest
+    in
+    scan t.segments
   end
 
 (* Packed translation: the physical address as an unboxed int
@@ -174,7 +152,6 @@ let reset_stats t = Hit_miss.reset t.tc_stats
 (* Crash: all virtual mappings are volatile kernel state and vanish.
    The bump pointers are reset too — a fresh process address space. *)
 let crash t =
-  Hashtbl.reset t.page_table;
   t.segments <- [];
   Array.fill t.tc_vpage 0 tc_size (-1);
   t.dram_brk <- Int64.of_int Layout.page_size;

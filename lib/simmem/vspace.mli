@@ -1,6 +1,7 @@
-(** A process virtual address space: the page table mapping virtual
-    pages to physical frames, plus bump reservations for fresh mapping
-    bases in each half.  Volatile kernel state: a crash clears it. *)
+(** A process virtual address space: segments mapping runs of virtual
+    pages to runs of physical frames, plus bump reservations for fresh
+    mapping bases in each half.  Volatile kernel state: a crash clears
+    it. *)
 
 exception Fault of int64
 (** Access to an unmapped virtual address. *)
@@ -17,14 +18,9 @@ val skew_nvm_brk : t -> int -> unit
 (** Skip pages in the NVM half so re-opened pools land at different
     bases — exercising pointer relocatability. *)
 
-val map_page : t -> vpage:int -> frame:int -> unit
-val map_range : t -> base:int64 -> frames:int list -> unit
-
 val map_seg : t -> vpage:int -> pages:int -> first_frame:int -> unit
 (** Map [pages] consecutive pages onto consecutive frames starting at
-    [first_frame], as one O(1) segment instead of a page-table entry
-    per page.  Translation results are identical to the equivalent
-    {!map_range}. *)
+    [first_frame], as one O(1) segment. *)
 
 val unmap_range : t -> base:int64 -> pages:int -> unit
 
@@ -35,7 +31,7 @@ val translate_pa : t -> int64 -> int
 (** Packed allocation-free translation: the physical address
     [frame * page_size + offset] as an unboxed int, or -1 on fault.
     Served from a direct-mapped software translation cache in front of
-    the page table. *)
+    the segment list. *)
 
 val translate_exn : t -> int64 -> int * int
 (** @raise Fault when unmapped. *)
@@ -44,7 +40,7 @@ val is_mapped : t -> int64 -> bool
 
 val tc_stats : t -> Nvml_telemetry.Stats.Hit_miss.t
 (** Hit/miss record of the software translation cache in front of the
-    page table. *)
+    segment list. *)
 
 val reset_stats : t -> unit
 

@@ -252,6 +252,94 @@ let test_crash_detached_pool_faults () =
        false
      with Xlate.Pool_detached _ -> true)
 
+(* --- keep-relative window (Section IV) ----------------------------------------------- *)
+
+(* An HW cycle machine with [n] distinct pool objects and an NVM array
+   whose cell [i] holds object [i]'s relative pointer, behind a
+   [pad]-byte allocation so the objects sit deep inside the pool. *)
+let window_machine ?(cfg = Nvml_arch.Config.default) ?(pad = 0) n =
+  let rt = Runtime.create ~cfg ~timing:true ~mode:Runtime.Hw () in
+  let pool = Runtime.create_pool rt ~name:"t" ~size:(1 lsl 20) in
+  let region = Runtime.Pool_region pool in
+  if pad > 0 then ignore (Runtime.alloc_in rt region pad);
+  let objs = Array.init n (fun _ -> Runtime.alloc_in rt region 16) in
+  let cells = Runtime.alloc_in rt region (8 * n) in
+  Array.iteri (fun i o -> Runtime.store_ptr rt ~site cells ~off:(8 * i) o) objs;
+  let dst = Runtime.alloc_in rt region 8 in
+  (rt, objs, cells, dst)
+
+(* Materialize the pointer in cell [i]: the HW load converts it to a
+   virtual address and keeps the relative form live. *)
+let load_cell rt cells i = Runtime.load_ptr rt ~site cells ~off:(8 * i)
+
+(* Store [va] into the NVM cell [dst]; returns the (va2ra, VALB access)
+   counts the store cost and the word that landed. *)
+let store_back rt dst va =
+  let c0 = (Runtime.counters rt).Xlate.va2ra in
+  let s0 = Runtime.snapshot rt in
+  Runtime.store_ptr rt ~site dst ~off:0 va;
+  let s1 = Runtime.snapshot rt in
+  ( (Runtime.counters rt).Xlate.va2ra - c0,
+    s1.Cpu.valb_accesses - s0.Cpu.valb_accesses,
+    stored_bits rt dst 0 )
+
+let check_cost what (va2ra, valb) (va2ra', valb', _) =
+  check_int (what ^ ": va2ra") va2ra va2ra';
+  check_int (what ^ ": VALB accesses") valb valb'
+
+let test_window_remembers_last_32 () =
+  let rt, objs, cells, dst = window_machine 33 in
+  let vas = Array.init 33 (load_cell rt cells) in
+  for i = 1 to 32 do
+    let (_, _, word) as cost = store_back rt dst vas.(i) in
+    check_cost (Fmt.str "remembered VA %d" i) (0, 0) cost;
+    check_i64 (Fmt.str "VA %d stores its relative form" i) objs.(i) word
+  done;
+  let (_, _, word) as cost = store_back rt dst vas.(0) in
+  check_cost "evicted oldest VA" (1, 1) cost;
+  check_i64 "oldest VA still stores its relative form" objs.(0) word
+
+let test_window_hit_does_not_refresh () =
+  let rt, _, cells, dst = window_machine 33 in
+  let vas = Array.init 32 (load_cell rt cells) in
+  check_i64 "re-load yields the same VA" vas.(0) (load_cell rt cells 0);
+  ignore (load_cell rt cells 32);
+  check_cost "re-loaded VA was still the oldest" (1, 1)
+    (store_back rt dst vas.(0));
+  check_cost "second-oldest VA survives" (0, 0) (store_back rt dst vas.(1))
+
+let test_window_empty_after_crash () =
+  (* The object lies past the largest re-open skew (61 pages), so its
+     old VA is mapped again after restart, at a different offset: a
+     stale window would store the pre-crash relative form. *)
+  let rt, objs, cells, dst = window_machine ~pad:(640 * 1024) 1 in
+  let va = load_cell rt cells 0 in
+  Runtime.crash_and_restart rt;
+  ignore (Runtime.open_pool rt "t");
+  let expected = Xlate.va2ra (Runtime.xlate rt) va in
+  check_bool "old VA now designates another offset" true (expected <> objs.(0));
+  let (_, _, word) as cost = store_back rt dst va in
+  check_cost "restarted core translates" (1, 1) cost;
+  check_i64 "restarted core stores the current relative form" expected word
+
+let test_window_empty_after_fork () =
+  let rt, _, cells, dst = window_machine 1 in
+  let va = load_cell rt cells 0 in
+  check_cost "forked core translates" (1, 1) (store_back (Runtime.fork rt) dst va);
+  check_cost "primary still remembers" (0, 0) (store_back rt dst va)
+
+let test_window_off () =
+  let cfg =
+    { Nvml_arch.Config.default with Nvml_arch.Config.keep_relative_opt = false }
+  in
+  let rt, _, cells, dst = window_machine ~cfg 2 in
+  let vas = Array.init 2 (load_cell rt cells) in
+  Array.iter
+    (fun va ->
+      check_cost "no window: every store-back translates" (1, 1)
+        (store_back rt dst va))
+    vas
+
 (* --- properties --------------------------------------------------------------------- *)
 
 let prop_mode_equivalence =
@@ -287,7 +375,64 @@ let prop_mode_equivalence =
         (fun mode -> run mode = reference)
         [ Runtime.Sw; Runtime.Hw; Runtime.Explicit ])
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_mode_equivalence ]
+(* The window against the structures it replaced: a [Hashtbl] from VA
+   to relative form plus a [Queue] of VAs in insertion order. *)
+type window_op = Remember of int * int64 | Recall of int | Clear
+
+let prop_window_matches_model =
+  let module W = Nvml_runtime.Rel_window in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (60, map2 (fun v r -> Remember (v, r)) (int_bound 47) ui64);
+          (40, map (fun v -> Recall v) (int_bound 47));
+          (1, return Clear);
+        ])
+  in
+  let print = function
+    | Remember (v, r) -> Printf.sprintf "remember %d %Ld" v r
+    | Recall v -> Printf.sprintf "recall %d" v
+    | Clear -> "clear"
+  in
+  QCheck.Test.make ~name:"keep-relative window matches Hashtbl+Queue FIFO"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 1 300) op))
+    (fun ops ->
+      let w = W.create () in
+      let tbl = Hashtbl.create 64 and fifo = Queue.create () in
+      (* VAs on distinct NVM words, so index collisions are exercised
+         by the FIFO and not only by equal keys. *)
+      let va v = Int64.add Layout.nvm_va_base (Int64.of_int (v * 24)) in
+      let recall v =
+        let s = W.find w (va v) in
+        if s < 0 then None else Some (W.rel w s)
+      in
+      List.for_all
+        (function
+          | Remember (v, r) ->
+              if not (Hashtbl.mem tbl v) then begin
+                if Queue.length fifo >= W.capacity then
+                  Hashtbl.remove tbl (Queue.pop fifo);
+                Hashtbl.replace tbl v r;
+                Queue.push v fifo
+              end;
+              W.remember w ~va:(va v) ~rel:r;
+              true
+          | Recall v -> recall v = Hashtbl.find_opt tbl v
+          | Clear ->
+              Hashtbl.reset tbl;
+              Queue.clear fifo;
+              W.clear w;
+              true)
+        ops
+      && List.for_all (fun v -> recall v = Hashtbl.find_opt tbl v)
+           (List.init 48 Fun.id))
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_mode_equivalence; prop_window_matches_model ]
 
 let () =
   Alcotest.run "runtime"
@@ -329,6 +474,18 @@ let () =
             test_hw_translation_reuse_beats_explicit;
           Alcotest.test_case "SW branch volume" `Quick
             test_sw_emits_more_branches;
+        ] );
+      ( "keep-relative",
+        [
+          Alcotest.test_case "last 32 VAs store relative" `Quick
+            test_window_remembers_last_32;
+          Alcotest.test_case "hit does not refresh" `Quick
+            test_window_hit_does_not_refresh;
+          Alcotest.test_case "empty after crash" `Quick
+            test_window_empty_after_crash;
+          Alcotest.test_case "empty after fork" `Quick
+            test_window_empty_after_fork;
+          Alcotest.test_case "off remembers nothing" `Quick test_window_off;
         ] );
       ( "crash",
         [

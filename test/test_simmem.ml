@@ -83,6 +83,26 @@ let test_phys_crash_recycles_dram_frames () =
   check_bool "NVM counter advances past survivor" true (n2 > n1);
   check_bool "survivor still exists" true (Physmem.frame_exists pm n1)
 
+(* The data-path contract: once a frame is backed, a packed-address
+   store is array indexing and allocates nothing, whichever frame the
+   previous access touched.  A small slack absorbs the boxed
+   [Gc.minor_words] reads themselves. *)
+let test_phys_write_pa_allocation_free () =
+  let pm = Physmem.create () in
+  let first = Physmem.alloc_frame_run pm Layout.Dram 64 in
+  let pa i = ((first + (i land 63)) lsl Layout.page_shift) lor ((i land 511) lsl 3) in
+  for i = 0 to 63 do
+    Physmem.write_pa pm (pa i) 0L
+  done;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Physmem.write_pa pm (pa i) 7L
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 64.0 then
+    Alcotest.failf "write_pa allocated %.0f minor words over %d calls" words n
+
 (* --- virtual space ---------------------------------------------------- *)
 
 let test_vspace_reserve_halves () =
@@ -96,7 +116,7 @@ let test_vspace_reserve_halves () =
 
 let test_vspace_map_translate () =
   let vs = Vspace.create () in
-  Vspace.map_page vs ~vpage:5 ~frame:99;
+  Vspace.map_seg vs ~vpage:5 ~pages:1 ~first_frame:99;
   (match Vspace.translate vs 0x5123L with
   | Some (frame, off) ->
       check_int "frame" 99 frame;
@@ -106,7 +126,7 @@ let test_vspace_map_translate () =
 
 let test_vspace_translate_pa () =
   let vs = Vspace.create () in
-  Vspace.map_page vs ~vpage:5 ~frame:99;
+  Vspace.map_seg vs ~vpage:5 ~pages:1 ~first_frame:99;
   check_int "packed physical address" ((99 lsl Layout.page_shift) lor 0x123)
     (Vspace.translate_pa vs 0x5123L);
   check_int "unmapped packs to -1" (-1) (Vspace.translate_pa vs 0x9000L);
@@ -122,7 +142,7 @@ let test_vspace_fault () =
 
 let test_vspace_unmap () =
   let vs = Vspace.create () in
-  Vspace.map_range vs ~base:0x10000L ~frames:[ 1; 2; 3 ];
+  Vspace.map_seg vs ~vpage:0x10 ~pages:3 ~first_frame:1;
   check_bool "mapped" true (Vspace.is_mapped vs 0x12000L);
   Vspace.unmap_range vs ~base:0x10000L ~pages:3;
   check_bool "unmapped" false (Vspace.is_mapped vs 0x12000L)
@@ -273,9 +293,120 @@ let prop_region_split =
       let va = Int64.rem (Int64.abs v) Layout.va_limit in
       Layout.is_nvm_va va = (va >= Layout.nvm_va_base))
 
+(* The frame table against a reference map from frame to words.  Frames
+   are drawn mostly from the first dozen numbers of each region, and
+   now and then from the first 400, so accesses hit reserved,
+   untouched, unreserved and crash-recycled frames and the frame arrays
+   grow while holding data.  An access to a frame that is not reserved
+   must raise [Invalid_argument] and leave the model unchanged. *)
+type phys_op =
+  | Alloc of Layout.region
+  | Alloc_run of Layout.region * int
+  | Write_word of int * int * int64
+  | Write_pa of int * int * int64
+  | Read_pa of int * int
+  | Exists of int
+  | Crash
+
+let prop_frame_table_matches_model =
+  let region = QCheck.Gen.(map (fun b -> if b then Layout.Nvm else Layout.Dram) bool) in
+  let frame =
+    QCheck.Gen.(
+      map2
+        (fun r i -> match r with Layout.Dram -> i | Layout.Nvm -> Layout.nvm_phys_frame_base + i)
+        region
+        (frequency [ (3, int_bound 11); (1, int_bound 399) ]))
+  in
+  let run = QCheck.Gen.(frequency [ (3, int_range 1 4); (1, int_range 1 200) ]) in
+  let word = QCheck.Gen.int_bound (Layout.words_per_page - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun r -> Alloc r) region);
+          (2, map2 (fun r n -> Alloc_run (r, n)) region run);
+          (4, map3 (fun f w v -> Write_word (f, w, v)) frame word ui64);
+          (4, map3 (fun f w v -> Write_pa (f, w, v)) frame word ui64);
+          (5, map2 (fun f w -> Read_pa (f, w)) frame word);
+          (2, map (fun f -> Exists f) frame);
+          (1, return Crash);
+        ])
+  in
+  let print = function
+    | Alloc r -> Fmt.str "alloc %a" Layout.pp_region r
+    | Alloc_run (r, n) -> Fmt.str "alloc_run %a %d" Layout.pp_region r n
+    | Write_word (f, w, v) -> Fmt.str "write_word %d %d %Ld" f w v
+    | Write_pa (f, w, v) -> Fmt.str "write_pa %d %d %Ld" f w v
+    | Read_pa (f, w) -> Fmt.str "read_pa %d %d" f w
+    | Exists f -> Fmt.str "frame_exists %d" f
+    | Crash -> "crash"
+  in
+  QCheck.Test.make ~name:"frame table matches a frame -> words map" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      let pm = Physmem.create () in
+      let next_dram = ref 1 and next_nvm = ref Layout.nvm_phys_frame_base in
+      (* backed frames -> their words *)
+      let model : (int, (int, int64) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+      let reserved f =
+        (f >= 1 && f < !next_dram)
+        || (f >= Layout.nvm_phys_frame_base && f < !next_nvm)
+      in
+      let words f =
+        match Hashtbl.find_opt model f with
+        | Some w -> w
+        | None ->
+            let w = Hashtbl.create 8 in
+            Hashtbl.replace model f w;
+            w
+      in
+      let reserve r n =
+        let next = match r with Layout.Dram -> next_dram | Layout.Nvm -> next_nvm in
+        let f = !next in
+        next := f + n;
+        f
+      in
+      (* [access f k]: run [k] on the simulator and [expect] on the model
+         when [f] is reserved; expect [Invalid_argument] otherwise. *)
+      let access f k expect =
+        if reserved f then begin
+          let got = k () in
+          got = expect ()
+        end
+        else match k () with _ -> false | exception Invalid_argument _ -> true
+      in
+      let pa f w = (f lsl Layout.page_shift) lor (w lsl 3) in
+      List.for_all
+        (function
+          | Alloc r -> Physmem.alloc_frame pm r = reserve r 1
+          | Alloc_run (r, n) -> Physmem.alloc_frame_run pm r n = reserve r n
+          | Write_word (f, w, v) ->
+              access f
+                (fun () -> Physmem.write_word pm ~frame:f ~word_index:w v)
+                (fun () -> Hashtbl.replace (words f) w v)
+          | Write_pa (f, w, v) ->
+              access f
+                (fun () -> Physmem.write_pa pm (pa f w) v)
+                (fun () -> Hashtbl.replace (words f) w v)
+          | Read_pa (f, w) ->
+              access f
+                (fun () -> Physmem.read_pa pm (pa f w))
+                (fun () ->
+                  Option.value ~default:0L (Hashtbl.find_opt (words f) w))
+          | Exists f -> Physmem.frame_exists pm f = Hashtbl.mem model f
+          | Crash ->
+              Physmem.crash pm;
+              next_dram := 1;
+              Hashtbl.filter_map_inplace
+                (fun f w -> if f >= Layout.nvm_phys_frame_base then Some w else None)
+                model;
+              true)
+        ops)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_word_roundtrip; prop_byte_roundtrip; prop_bytes_independent;
-      prop_region_split ]
+      prop_region_split; prop_frame_table_matches_model ]
 
 let () =
   Alcotest.run "simmem"
@@ -293,6 +424,8 @@ let () =
           Alcotest.test_case "crash" `Quick test_phys_crash;
           Alcotest.test_case "crash recycles DRAM frames" `Quick
             test_phys_crash_recycles_dram_frames;
+          Alcotest.test_case "write_pa allocation-free" `Quick
+            test_phys_write_pa_allocation_free;
         ] );
       ( "vspace",
         [
