@@ -1599,27 +1599,22 @@ let concurrent ctx =
         (Multicore.cores (Cluster.machine s.Conc_workload.cluster)))
     episodes;
   subheading "Durability: crash at every event of a seeded 2-core schedule";
-  let spec =
-    {
-      F.default_conc_spec with
-      F.ops_per_core = (if quick then 4 else 8);
-      conc_every_n = (if quick then 2 else 1);
-    }
+  let r =
+    F.run ~par:(Nvml_exec.Pool.run ctx.pool)
+      ~spec:{ F.default_spec with every_n = (if quick then 2 else 1) }
+      (F.conc_workload ~cores:2 ~ops_per_core:(if quick then 4 else 8) ())
   in
-  let r = F.run_conc ~par:(Nvml_exec.Pool.run ctx.pool) ~spec () in
   (* reference pass + one full workload replay per crash point *)
-  Report.ops_add ((List.length r.F.conc_outcomes + 1) * r.F.conc_ops);
-  metric "conc.fi.events" (float_of_int r.F.conc_events);
-  metric "conc.fi.points" (float_of_int (List.length r.F.conc_outcomes));
-  metric "conc.fi.violations"
-    (float_of_int (List.length r.F.conc_violation_list));
-  if r.F.conc_violation_list = [] then
+  Report.ops_add ((List.length r.F.outcomes + 1) * r.F.ops);
+  metric "conc.fi.events" (float_of_int r.F.events);
+  metric "conc.fi.points" (float_of_int (List.length r.F.outcomes));
+  metric "conc.fi.violations" (float_of_int (List.length r.F.violations));
+  if r.F.violations = [] then
     Printf.printf
-      "%d crash points over the %d-core interleaving: every recovered state \
+      "%d crash points over the 2-core interleaving: every recovered state \
        sits between the completed and invoked operation sets.\n"
-      (List.length r.F.conc_outcomes)
-      r.F.conc_cores
-  else Fmt.pr "%a@." F.pp_conc_report r
+      (List.length r.F.outcomes)
+  else Fmt.pr "%a@." F.pp_report r
 
 (* --- persistency-model sweep ---------------------------------------- *)
 

@@ -872,7 +872,8 @@ let faultinject_cmd =
              $(b,counter) (3-store transactions over a flat array) or \
              $(b,conc) (the durably-linearizable concurrent structures on \
              the --cores multi-core machine; --seed drives the schedule, \
-             --ops is per core).")
+             --ops is per core; --torn and --break-recovery do not apply). \
+             Only $(b,conc) takes --cores > 1.")
   in
   let every_n_arg =
     Arg.(
@@ -899,7 +900,7 @@ let faultinject_cmd =
             "Additionally tear the interrupted store: the word is replaced \
              by a seeded byte-mix of its old and new value, modelling a \
              power failure mid-write.  Undo-log words are exempt (the log \
-             protocol assumes 8-byte atomicity).")
+             protocol assumes 8-byte atomicity).  kv and counter only.")
   in
   let max_points_arg =
     Arg.(
@@ -913,49 +914,40 @@ let faultinject_cmd =
       & info [ "break-recovery" ]
           ~doc:
             "Checker self-test: skip log recovery after each crash and \
-             report the violations the checker finds.")
+             report the violations the checker finds.  kv and counter \
+             only.")
   in
   let run mode persist workload structure records ops every_n at torn seed
       max_points break_recovery jobs timing cores =
+    (match workload with
+    | `Conc when torn ->
+        bad_input "--torn is not supported with --workload conc (no undo log \
+                   to tear)"
+    | `Conc when break_recovery ->
+        bad_input "--break-recovery is not supported with --workload conc \
+                   (no undo-log recovery to skip)"
+    | (`Kv | `Counter) when cores > 1 ->
+        bad_input "--cores > 1 is supported only with --workload conc"
+    | _ -> ());
+    let w =
+      match workload with
+      | `Kv -> Faultinject.kv_workload ~structure ~records ~ops ()
+      | `Counter -> Faultinject.counter_workload ~ops ()
+      | `Conc ->
+          Faultinject.conc_workload ~cores ~ops_per_core:ops ~sched_seed:seed ()
+    in
+    let spec =
+      { Faultinject.every_n; at; torn; seed; max_points; break_recovery }
+    in
     (* [--at] out of range surfaces as Invalid_argument naming the
        workload's valid event range; it is bad input. *)
-    let sweep f =
+    let report =
       with_pool jobs (fun pool ->
-          try f (Pool.run pool) with Invalid_argument m -> bad_input "%s" m)
+          try Faultinject.run ~par:(Pool.run pool) ~mode ~persist ~spec ~timing w
+          with Invalid_argument m -> bad_input "%s" m)
     in
-    match workload with
-    | `Conc ->
-        (* Multi-core sweep: crash at every enumerated persistence event
-           of any core of the seeded interleaving; [--seed] drives the
-           schedule, [--ops] is per core. *)
-        let spec =
-          {
-            Faultinject.cores;
-            ops_per_core = ops;
-            sched_seed = seed;
-            conc_every_n = every_n;
-            conc_max_points = max_points;
-          }
-        in
-        let report =
-          sweep (fun par ->
-              Faultinject.run_conc ~par ~mode ~persist ~spec ~timing ())
-        in
-        Fmt.pr "%a@." Faultinject.pp_conc_report report;
-        if report.Faultinject.conc_violation_list <> [] then exit 1
-    | (`Kv | `Counter) as workload ->
-        let w =
-          if workload = `Counter then Faultinject.counter_workload ~ops ()
-          else Faultinject.kv_workload ~structure ~records ~ops ()
-        in
-        let spec =
-          { Faultinject.every_n; at; torn; seed; max_points; break_recovery }
-        in
-        let report =
-          sweep (fun par -> Faultinject.run ~par ~mode ~persist ~spec ~timing w)
-        in
-        Fmt.pr "%a@." Faultinject.pp_report report;
-        if report.Faultinject.violations <> [] then exit 1
+    Fmt.pr "%a@." Faultinject.pp_report report;
+    if report.Faultinject.violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "faultinject"
@@ -974,7 +966,10 @@ let faultinject_cmd =
               exactly there; after reboot, pool re-open and log recovery, \
               the checker validates structural invariants, pointer \
               reachability, transaction atomicity against pre/post-op \
-              snapshots, and the persistent freelist.";
+              snapshots, and the persistent freelist.  The conc workload \
+              has no transactions: its recovered counter and list must \
+              equal the durable values at the crash event and lie between \
+              the completed and the invoked operations.";
            `P
              "Under a relaxed persistency model (--persist epoch:N or lazy) \
               the sweep additionally arms the contract oracle: a pure pass \
@@ -990,8 +985,8 @@ let faultinject_cmd =
       $ records_arg ~doc:"Initial records (kv workload)." 30
       $ ops_arg 100 $ every_n_arg $ at_arg $ torn_arg
       $ seed_arg
-          "Seed for the torn byte masks; sweeps with the same seed replay \
-           bit-identically."
+          "Seed for the torn byte masks (kv, counter) or the schedule \
+           (conc); sweeps with the same seed replay bit-identically."
       $ max_points_arg $ break_arg $ jobs_arg $ timing_arg $ cores_arg)
 
 (* --- fuzz ----------------------------------------------------------------------------- *)

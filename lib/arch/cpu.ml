@@ -374,20 +374,15 @@ let valb_latency t ~va =
       t.vaw_nodes <- t.vaw_nodes + walk;
       t.cfg.valb_latency + (walk * t.cfg.vatb_node_latency)
 
-(* storeP: a store of a pointer value.  [xops] lists the address
-   conversions the instruction's two operands require: [`Polb pool] for
-   an ra2va through the POLB (Rd in relative format, or a relative Rs
-   destined for a DRAM cell) and [`Valb va] for a va2ra through the VALB
-   (a virtual Rs destined for an NVM cell).  Translations proceed
-   concurrently inside the FSM entry; only buffer-full conditions stall
-   the core.  [dst_va] is the resolved destination of the store. *)
-type xop = [ `Polb of int | `Valb of int64 ]
-
-(* Reusable operand buffer: the narration layer pushes this storeP's
-   conversions (at most Rd + Rs), [store_p_buffered] drains them.  The
-   push/drain pair replaces the per-storeP [xop list] allocation on the
-   hot path; the latency fold visits the buffer in push order, exactly
-   as the list fold visited [rd_ops @ rs_ops]. *)
+(* storeP: a store of a pointer value.  The narration layer pushes the
+   address conversions the instruction's two operands require into a
+   reusable buffer (at most Rd + Rs): [xop_push_polb] for an ra2va
+   through the POLB (Rd in relative format, or a relative Rs destined
+   for a DRAM cell) and [xop_push_valb] for a va2ra through the VALB (a
+   virtual Rs destined for an NVM cell).  [store_p_buffered] retires the
+   store and drains the buffer: translations proceed concurrently inside
+   the FSM entry, folded in push order; only buffer-full conditions
+   stall the core.  [dst_va]/[dst_pa] are the resolved destination. *)
 
 let xop_reset t = t.xop_len <- 0
 
@@ -433,18 +428,6 @@ let store_p_buffered t ~dst_va ~dst_pa =
   t.stores <- t.stores + 1;
   data_access_pa_k t ~va:dst_va ~pa:dst_pa ~store:true;
   t.on_store dst_pa
-
-let store_p_pa t ~dst_va ~dst_pa ~(xops : xop list) =
-  t.xop_len <- 0;
-  List.iter
-    (function
-      | `Polb pool -> xop_push_polb t ~pool
-      | `Valb va -> xop_push_valb t ~va)
-    xops;
-  store_p_buffered t ~dst_va ~dst_pa
-
-let store_p t ~dst_va ~(xops : xop list) =
-  store_p_pa t ~dst_va ~dst_pa:(Mem.translate_pa_exn t.mem dst_va) ~xops
 
 (* --- kernel-table maintenance ------------------------------------------- *)
 

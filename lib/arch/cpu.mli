@@ -85,23 +85,16 @@ val valb_latency : t -> va:int64 -> int
 (** VALB lookup latency; a miss walks the VATB B-tree (one kernel
     access per node) and refills the buffer. *)
 
-type xop = [ `Polb of int | `Valb of int64 ]
+(** {2 storeP}
 
-val store_p : t -> dst_va:int64 -> xops:xop list -> unit
-(** A storeP instruction: the listed operand translations run
-    concurrently inside an FSM entry (stalling only when the unit is
-    full), then the store itself accesses memory. *)
-
-val store_p_pa : t -> dst_va:int64 -> dst_pa:int -> xops:xop list -> unit
-(** {!store_p} with the destination translation already done. *)
-
-(** {2 Allocation-free storeP narration}
-
-    The reusable operand buffer replaces the per-storeP [xop list] on
-    the hot path: push this instruction's operand conversions (at most
-    one per source register), then retire with {!store_p_buffered},
-    which drains the buffer.  Equivalent to {!store_p_pa} with the same
-    operands in push order. *)
+    A storeP instruction narrates its operand conversions into a
+    reusable, allocation-free buffer — {!xop_push_polb} for an ra2va
+    through the POLB, {!xop_push_valb} for a va2ra through the VALB, at
+    most one per source register — then retires with
+    {!store_p_buffered}: the buffered translations run concurrently
+    inside an FSM entry (stalling only when the unit is full), the
+    buffer drains, and the store itself accesses memory at the resolved
+    destination. *)
 
 val xop_reset : t -> unit
 val xop_push_polb : t -> pool:int -> unit

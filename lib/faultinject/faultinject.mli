@@ -1,49 +1,40 @@
 (** Systematic crash-point fault injection for the persistence stack.
 
-    A reference pass counts every persistence-relevant event
-    ({!Nvml_simmem.Fi.event}) of a workload and snapshots the structure
-    at every operation boundary; then each chosen event index is
-    replayed on a fresh machine that loses power exactly there (the
-    interrupted store never lands, the media freezes, DRAM and all
-    mappings vanish).  After reboot, pool re-open and [Txn.recover],
-    the checker validates recovery status, structural invariants,
-    pointer reachability, atomicity against the pre/post-transaction
-    snapshots, and persistent-freelist consistency.
+    One engine, {!run}, sweeps every workload.  A reference pass counts
+    every persistence-relevant event ({!Nvml_simmem.Fi.event}) of a
+    workload while the workload's oracle records what a crash at each
+    event must recover to; then each chosen event index is replayed on
+    a fresh machine that loses power exactly there (the interrupted
+    store never lands, the media freezes, DRAM and all mappings
+    vanish).  After reboot and pool re-open, the workload's post-reboot
+    check compares the recovered state with the oracle's prediction.
 
-    Operations run under [Txn.instrument]: plain [Runtime.store_*]
-    calls in legacy structure code are undo-logged transparently, so
-    the sweep exercises exactly the user-transparent persistence story
-    the paper argues for.
+    The transactional workloads ({!counter_workload}, {!kv_workload})
+    run their operations under [Txn.instrument]: plain
+    [Runtime.store_*] calls in legacy structure code are undo-logged
+    transparently, so the sweep exercises exactly the user-transparent
+    persistence story the paper argues for.  The checker validates the
+    recovery verdict, structural invariants, pointer reachability,
+    atomicity against the op-boundary snapshots, and persistent-freelist
+    consistency.
 
-    Under a relaxed persistency model ([?persist]) the reference pass
-    doubles as a {e contract oracle}: a pure pass over the µ-event
-    schedule that predicts, for every crash point, the exact recovery
-    verdict and the exact operation boundary the recovered state must
-    equal (the legitimately lost op suffix).  Crash passes then check
-    the observation against the prediction in both directions — losing
-    more than predicted and retaining more than predicted are both
-    hard violations. *)
+    Under a relaxed persistency model ([?persist]) the oracle predicts,
+    for every crash point, the exact recovery verdict and the exact
+    operation boundary the recovered state must equal (the legitimately
+    lost op suffix).  Crash passes check the observation against the
+    prediction in both directions — losing more than predicted and
+    retaining more than predicted are both hard violations. *)
 
 module Runtime = Nvml_runtime.Runtime
 module Persist = Nvml_runtime.Persist
 module Txn = Nvml_runtime.Txn
-module Snapshot = Nvml_structures.Snapshot
 
 (** {1 Workloads} *)
 
-type instance = {
-  header : Nvml_core.Ptr.t;
-  step : int -> unit;  (** run operation [i] (wrapped in a txn by the engine) *)
-  snapshot : unit -> Snapshot.t;
-  check : unit -> unit;  (** raise on broken structural invariants *)
-}
-
-type workload = {
-  name : string;
-  ops : int;
-  setup : Runtime.t -> pool:int -> instance;
-  reattach : Runtime.t -> Nvml_core.Ptr.t -> instance;
-}
+type workload
+(** A sweep target: its boot, its replay, its per-event oracle step, an
+    optional at-crash action (torn writes) and its post-reboot check.
+    Built only by the three constructors below. *)
 
 val counter_workload : ?cells:int -> ?ops:int -> unit -> workload
 (** Flat persistent counter array; each op is a transaction of three
@@ -54,6 +45,21 @@ val kv_workload :
 (** The KV-harness shape: populate a Table III structure ([structure]
     as in [Registry.find_map]), then replay a YCSB stream with every
     seventh op replaced by a remove (so pfree is exercised too). *)
+
+val conc_workload :
+  ?cores:int -> ?ops_per_core:int -> ?sched_seed:int -> unit -> workload
+(** The durably-linearizable concurrent structures ([Conc_counter],
+    [Conc_list]) on a [cores]-core machine (default 2), each core
+    running [ops_per_core] operations (default 8) of a seeded
+    interleaving ([sched_seed], default 1).  No transactions: after a
+    crash at any persistence event of any core, the recovered counter
+    and chain must equal the oracle's durable-value walk at that event,
+    and under [Eager] they must also lie between the completed and the
+    invoked operation sets (the crash-resilient-object criterion).  Its
+    outcomes report [recovery = Clean], [lost_ops = 0], no tear, and
+    [op] = the operations completed when power failed; [spec.torn] and
+    [spec.break_recovery] do not apply (there is no undo log).
+    @raise Invalid_argument if [cores < 1]. *)
 
 (** {1 Sweep specification} *)
 
@@ -79,6 +85,8 @@ val default_spec : spec
 
 (** {1 Results} *)
 
+(** Events of the reference pass by kind; the six counts sum to
+    [report.events]. *)
 type tally = {
   pm_stores : int;
   storeps : int;
@@ -89,8 +97,10 @@ type tally = {
 }
 
 type outcome = {
-  point : int;
+  point : int;  (** the event index the crash interrupted *)
   op : int;
+      (** the operation that event belonged to (conc: the operations
+          completed when power failed) *)
   kind : string;
   recovery : Txn.recovery;
   lost_ops : int;
@@ -130,9 +140,10 @@ val run :
     sequential default.  [mode] defaults to [Hw]; [persist] to
     [Persist.Eager] (per-operation atomicity, the historical checker,
     now expressed as the oracle's degenerate case).  [timing] defaults
-    to [false]: crash-point enumeration and recovery verdicts are
-    functional, so the sweep uses fast functional simulation; pass
-    [true] for the cycle-accurate core (identical report, slower).
+    to [false] and is passed to every machine the sweep creates:
+    crash-point enumeration and recovery verdicts are functional, so
+    the sweep uses fast functional simulation; pass [true] for the
+    cycle-accurate core (identical report, slower).
     @raise Invalid_argument for [Volatile] mode or an out-of-range
     [spec.at] index. *)
 
@@ -141,62 +152,3 @@ val pp_tally : tally Fmt.t
 val pp_report : report Fmt.t
 (** Multi-line summary inside a vertical box: counts per event kind,
     recovery totals, and every violation with its crash point. *)
-
-(** {1 Multi-core durability sweep}
-
-    Crash-at-any-event verification for the durably-linearizable
-    concurrent structures ([Conc_counter], [Conc_list]) on the
-    multi-core machine.  No transactions: the oracle is the
-    crash-resilient-object criterion — after a crash at any enumerated
-    persistence event of any core, the recovered state must lie
-    between the completed and the invoked operation sets (counter
-    value within [sum completed, sum invoked]; per-core list contents
-    an insertion-order prefix of length within the same bounds).  The
-    reference pass records the seeded interleaving's invoked/completed
-    state at every event; each crash pass replays the identical
-    schedule on a share-nothing machine. *)
-
-type conc_spec = {
-  cores : int;
-  ops_per_core : int;
-  sched_seed : int;  (** drives the µ-event interleaving *)
-  conc_every_n : int;  (** crash at events [0, n, 2n, ...] *)
-  conc_max_points : int option;  (** bound the sweep (for smoke runs) *)
-}
-
-val default_conc_spec : conc_spec
-(** 2 cores, 8 ops per core, scheduler seed 1, every event. *)
-
-type conc_outcome = {
-  conc_point : int;
-  conc_kind : string;
-  conc_violations : string list;
-}
-
-type conc_report = {
-  conc_cores : int;
-  conc_ops : int;
-  conc_events : int;
-  conc_outcomes : conc_outcome list;  (** in event-index order *)
-  conc_violation_list : (int * string) list;
-}
-
-val run_conc :
-  ?par:((unit -> conc_outcome) list -> conc_outcome list) ->
-  ?mode:Runtime.mode ->
-  ?persist:Persist.model ->
-  ?spec:conc_spec ->
-  ?timing:bool ->
-  unit ->
-  conc_report
-(** Run the multi-core sweep.  Same parallelism and determinism
-    contract as {!run}: crash passes are share-nothing, so [par] may
-    run them on worker domains with results identical to the
-    sequential default ([--jobs N == --jobs 1]).  Under a relaxed
-    [persist] model the per-core epochs drain through the shared
-    buffer, and the recovered counter/chain must equal the oracle's
-    durable-value prediction at every point (the durable-linearizability
-    bounds are additionally enforced under [Eager]).
-    @raise Invalid_argument for [Volatile] mode. *)
-
-val pp_conc_report : conc_report Fmt.t

@@ -94,7 +94,7 @@ type t = {
 }
 
 (* Ambient execution-mode default: engines that spin up many internal
-   runtimes (model checking, fault injection) flip this around their
+   runtimes through harnesses (model checking) flip this around their
    whole run instead of threading [?timing] through every harness.
    Read once per [create]; workers inherit the value set before task
    submission (the pool join is a barrier), so [--jobs N] stays

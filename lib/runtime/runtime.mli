@@ -90,8 +90,10 @@ val timing : t -> bool
 val with_default_timing : bool -> (unit -> 'a) -> 'a
 (** [with_default_timing v f] runs [f ()] with the ambient default set
     to [v], restoring the previous value afterwards (even on raise).
-    Engines that create runtimes internally (model checking, fault
-    injection) use this to switch whole runs to fast mode. *)
+    Callers that create runtimes through harnesses with no [?timing]
+    parameter (the model checker, [nvml kv --fast]) use this to switch
+    whole runs to fast mode; prefer passing [~timing] to {!create}
+    where the caller owns the [create] call, as fault injection does. *)
 
 val cpu : t -> Cpu.t
 val mem : t -> Nvml_simmem.Mem.t

@@ -152,11 +152,6 @@ let storage t frame =
   let s = slot t frame in
   if s != no_storage then s else materialize t frame
 
-let read_word t ~frame ~word_index =
-  t.reads <- t.reads + 1;
-  let v = Bigarray.Array1.get (storage t frame) word_index in
-  match t.media_read with None -> v | Some f -> f ~frame ~word_index v
-
 (* Fire a [Pm_store] for a word about to land in an NVM frame.  Only
    called with a hook armed; reading the old value costs a frame lookup,
    which is why the unarmed paths below skip this entirely. *)
@@ -181,17 +176,6 @@ let note_persist_store t frame word_index =
       if frame >= Layout.nvm_phys_frame_base then
         f ~frame ~word_index
           ~old_value:(Bigarray.Array1.get (storage t frame) word_index)
-
-let write_word t ~frame ~word_index value =
-  if not t.frozen then begin
-    t.writes <- t.writes + 1;
-    (match t.fi_hook with
-    | None -> ()
-    | Some f -> announce_nvm_store t f frame word_index value);
-    note_persist_store t frame word_index;
-    Bigarray.Array1.set (storage t frame) word_index value;
-    match t.media_write with None -> () | Some f -> f ~frame ~word_index
-  end
 
 (* Packed-address accessors: [pa] is [frame * page_size + offset] as an
    unboxed int (as produced by [Vspace.translate_pa]).  The word index
@@ -242,6 +226,20 @@ let write_pa t pa value =
         Bigarray.Array1.unsafe_set (storage t frame) word_index value;
         note_media_write t pa
       end
+
+(* (frame, word index) accessors for harnesses and tests: the packed
+   address of the word, through the one read and one write path.  The
+   index is checked first, so a bad one raises instead of aliasing into
+   the next frame. *)
+let packed ~frame ~word_index =
+  if word_index < 0 || word_index >= Layout.words_per_page then
+    Fmt.invalid_arg "Physmem: word index %d outside a frame" word_index;
+  (frame lsl Layout.page_shift) lor (word_index lsl 3)
+
+let read_word t ~frame ~word_index = read_pa t (packed ~frame ~word_index)
+
+let write_word t ~frame ~word_index value =
+  write_pa t (packed ~frame ~word_index) value
 
 (* Hook management and the raw backdoors the injector itself uses. *)
 

@@ -27,14 +27,19 @@ val frame_reserved : t -> int -> bool
 
 val storage : t -> int -> frame
 
-val read_word : t -> frame:int -> word_index:int -> int64
-val write_word : t -> frame:int -> word_index:int -> int64 -> unit
-
 val read_pa : t -> int -> int64
 (** Word at the packed physical address [frame * page_size + offset]
     (as produced by {!Vspace.translate_pa}); allocation-free. *)
 
 val write_pa : t -> int -> int64 -> unit
+(** The one write path: the fi hook's announcement, the persistency
+    note, the store, then the media note. *)
+
+val read_word : t -> frame:int -> word_index:int -> int64
+val write_word : t -> frame:int -> word_index:int -> int64 -> unit
+(** {!read_pa} / {!write_pa} at [frame]'s word [word_index].
+    @raise Invalid_argument unless [0 <= word_index <
+    Layout.words_per_page]. *)
 
 val crash : t -> unit
 (** Simulated power failure at the media level.

@@ -256,18 +256,25 @@ let test_cpu_polb_translate () =
   check_int "POLB hit costs its latency" Config.default.Config.polb_latency
     hit_cost
 
+(* A storeP of the virtual pointer [va] into the NVM cell at [va]: one
+   va2ra through the VALB. *)
+let store_p_valb mem cpu va =
+  Cpu.xop_reset cpu;
+  Cpu.xop_push_valb cpu ~va;
+  Cpu.store_p_buffered cpu ~dst_va:va ~dst_pa:(Mem.translate_pa_exn mem va)
+
 let test_cpu_storep_valb_walk () =
   let mem, cpu = make_cpu () in
   let dst = Mem.map_fresh mem Layout.Nvm 4096 in
   Cpu.map_pool cpu ~base:dst ~size:4096 ~pool:9;
-  Cpu.store_p cpu ~dst_va:dst ~xops:[ `Valb dst ];
+  store_p_valb mem cpu dst;
   let s = Cpu.snapshot cpu in
   check_int "one storeP" 1 s.Cpu.storeps;
   check_int "one VALB access" 1 s.Cpu.valb_accesses;
   check_int "one VALB miss (cold)" 1 s.Cpu.valb_misses;
   check_int "one VAW walk" 1 s.Cpu.vaw_walks;
   (* Second one hits the VALB. *)
-  Cpu.store_p cpu ~dst_va:dst ~xops:[ `Valb dst ];
+  store_p_valb mem cpu dst;
   let s2 = Cpu.snapshot cpu in
   check_int "second VALB access hits" 1 s2.Cpu.valb_misses
 
@@ -275,9 +282,9 @@ let test_cpu_unmap_shootdown () =
   let mem, cpu = make_cpu () in
   let base = Mem.map_fresh mem Layout.Nvm 4096 in
   Cpu.map_pool cpu ~base ~size:4096 ~pool:4;
-  Cpu.store_p cpu ~dst_va:base ~xops:[ `Valb base ];
+  store_p_valb mem cpu base;
   Cpu.unmap_pool cpu ~base ~pool:4;
-  Cpu.store_p cpu ~dst_va:base ~xops:[ `Valb base ];
+  store_p_valb mem cpu base;
   let s = Cpu.snapshot cpu in
   check_int "VALB misses twice after shootdown" 2 s.Cpu.valb_misses
 

@@ -1,7 +1,9 @@
 (* The multi-core machine: scheduler determinism, single-core
    byte-identity with the pre-multi-core machine (across the minic
    corpus and a kv run), coherence/FliT behaviour of the concurrent
-   structures, and the crash-at-any-event durability sweep. *)
+   structures, and the model checker's schedule enumeration.  The
+   crash-at-any-event durability sweep is the conc workload of
+   test_faultinject. *)
 
 module Runtime = Nvml_runtime.Runtime
 module Cluster = Nvml_runtime.Cluster
@@ -16,7 +18,6 @@ module Intf = Nvml_structures.Intf
 module Workload = Nvml_ycsb.Workload
 module Corpus = Nvml_minic.Corpus
 module Interp = Nvml_minic.Interp
-module Faultinject = Nvml_faultinject.Faultinject
 module Modelcheck = Nvml_modelcheck.Modelcheck
 module Pool = Nvml_exec.Pool
 
@@ -183,34 +184,6 @@ let test_validation () =
     (Invalid_argument "Conc_list.insert: slot out of range") (fun () ->
       Conc_list.insert (Conc_list.handle l rt) ~slot:4 ~key:1L)
 
-(* --- the multi-core durability sweep ------------------------------------- *)
-
-let conc_spec =
-  {
-    Faultinject.default_conc_spec with
-    Faultinject.cores = 2;
-    ops_per_core = 4;
-  }
-
-let test_faultinject_conc () =
-  let r = Faultinject.run_conc ~spec:conc_spec () in
-  check_int "cores" 2 r.Faultinject.conc_cores;
-  check_bool "events enumerated" true (r.Faultinject.conc_events > 0);
-  check_int "every event crashed" r.Faultinject.conc_events
-    (List.length r.Faultinject.conc_outcomes);
-  check_int "zero durability violations" 0
-    (List.length r.Faultinject.conc_violation_list)
-
-let test_faultinject_conc_jobs () =
-  let seq = Faultinject.run_conc ~spec:conc_spec () in
-  let pool = Pool.create ~jobs:4 () in
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Faultinject.run_conc ~par:(Pool.run pool) ~spec:conc_spec ())
-  in
-  check_bool "jobs 4 == jobs 1" true (seq = par)
-
 (* --- schedule enumeration through the model checker ---------------------- *)
 
 let test_modelcheck_conc () =
@@ -236,9 +209,5 @@ let () =
       ( "validation",
         [ Alcotest.test_case "degenerate parameters" `Quick test_validation ] );
       ( "durability",
-        [
-          Alcotest.test_case "crash at every event" `Slow test_faultinject_conc;
-          Alcotest.test_case "jobs determinism" `Slow test_faultinject_conc_jobs;
-          Alcotest.test_case "modelcheck conc" `Slow test_modelcheck_conc;
-        ] );
+        [ Alcotest.test_case "modelcheck conc" `Slow test_modelcheck_conc ] );
     ]

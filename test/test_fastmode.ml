@@ -99,15 +99,16 @@ let test_faultinject_equivalence () =
       let fast = Faultinject.run ~spec ~timing:false w in
       let cycle = Faultinject.run ~spec ~timing:true w in
       check_bool
-        (w.Faultinject.name ^ ": report identical across modes")
+        (fast.Faultinject.workload ^ ": report identical across modes")
         true (fast = cycle);
       check_bool
-        (w.Faultinject.name ^ ": crash points enumerated")
+        (fast.Faultinject.workload ^ ": crash points enumerated")
         true
         (fast.Faultinject.events > 0 && fast.Faultinject.outcomes <> []))
     [
       Faultinject.counter_workload ~ops:2 ();
       Faultinject.kv_workload ~structure:"RB" ~records:6 ~ops:10 ();
+      Faultinject.conc_workload ~cores:2 ~ops_per_core:3 ();
     ]
 
 (* --- fuzz verdicts ----------------------------------------------------- *)

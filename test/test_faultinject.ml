@@ -1,10 +1,12 @@
 (* Fault-injection engine tests: exhaustive crash-point sweeps over a
-   small transaction stream and over the KV harness, torn-write
-   round-trips, parallel-sweep determinism, and the checker self-test
-   (a deliberately broken recovery must be caught). *)
+   small transaction stream, the KV harness and the multi-core
+   structures, torn-write round-trips, crash-point selection,
+   parallel-sweep determinism, and the checker self-test (a
+   deliberately broken recovery must be caught). *)
 
 module Fi = Nvml_simmem.Fi
 module Txn = Nvml_runtime.Txn
+module Persist = Nvml_runtime.Persist
 module F = Nvml_faultinject.Faultinject
 module Pool = Nvml_exec.Pool
 
@@ -56,6 +58,67 @@ let test_counter_sweep_torn () =
   check_bool "torn words were injected" true (r.F.torn_injected > 0);
   no_violations r
 
+(* Every workload under eager and epoch:4: one crash point per event,
+   the per-kind tally accounts for every event, no violations. *)
+let test_every_workload () =
+  List.iter
+    (fun persist ->
+      List.iter
+        (fun w ->
+          let r = F.run ~persist w in
+          let t = r.F.tally in
+          let tag = r.F.workload ^ "/" ^ r.F.persist in
+          check (tag ^ ": tally sums to the event count") r.F.events
+            (t.F.pm_stores + t.F.storeps + t.F.log_appends + t.F.meta_writes
+           + t.F.flushes + t.F.fences);
+          check (tag ^ ": one crash point per event") r.F.events
+            (List.length r.F.outcomes);
+          no_violations r)
+        [
+          F.counter_workload ~ops:3 ();
+          F.kv_workload ~structure:"RB" ~records:6 ~ops:12 ();
+          F.conc_workload ~cores:2 ~ops_per_core:4 ();
+        ])
+    [ Persist.Eager; Persist.Epoch { interval = 4 } ]
+
+(* The multi-core workload reports through the shared outcome: nothing
+   to roll back, nothing lost, no tear, and [op] counts the operations
+   completed when power failed. *)
+let test_conc_results () =
+  let r = F.run (F.conc_workload ~cores:2 ~ops_per_core:3 ()) in
+  check "ops = cores * ops_per_core" 6 r.F.ops;
+  check "every point recovered clean" (List.length r.F.outcomes) r.F.clean;
+  check "nothing lost" 0 r.F.suffix_lost;
+  check "nothing torn" 0 r.F.torn_injected;
+  let ops = List.map (fun (o : F.outcome) -> o.F.op) r.F.outcomes in
+  check "nothing completed at the first event" 0 (List.hd ops);
+  check_bool "completed ops never decrease" true
+    (List.sort compare ops = ops);
+  check_bool "completed ops stay within the workload" true
+    (List.for_all (fun n -> n >= 0 && n <= r.F.ops) ops)
+
+(* --- crash-point selection ------------------------------------------------ *)
+
+(* The conc workload selects points through the shared selection: [at]
+   gives exactly the named point, and an out-of-range index fails with
+   the valid range. *)
+let test_conc_at () =
+  let w = F.conc_workload ~cores:2 ~ops_per_core:3 () in
+  let events =
+    (F.run ~spec:{ F.default_spec with max_points = Some 0 } w).F.events
+  in
+  let k = events / 2 in
+  let r = F.run ~spec:{ F.default_spec with at = [ k ] } w in
+  check "exactly one outcome" 1 (List.length r.F.outcomes);
+  check "at point k" k (List.hd r.F.outcomes).F.point;
+  Alcotest.check_raises "out-of-range at names the range"
+    (Invalid_argument
+       (Printf.sprintf
+          "faultinject: crash point %d is out of range (this workload has \
+           events 0..%d)"
+          events (events - 1)))
+    (fun () -> ignore (F.run ~spec:{ F.default_spec with at = [ events ] } w))
+
 (* --- checker self-test -------------------------------------------------- *)
 
 (* With recovery disabled the machine reboots into whatever the crash
@@ -94,21 +157,31 @@ let test_kv_torn_sweep () =
 
 (* --- parallel-sweep determinism ----------------------------------------- *)
 
+(* Each workload's sweep is identical at --jobs 4 and --jobs 1. *)
 let test_jobs_determinism () =
-  let w = F.kv_workload ~structure:"Skip" ~records:6 ~ops:15 () in
-  let spec = { F.default_spec with every_n = 4; torn = true; seed = 11 } in
-  let seq = F.run ~spec w in
+  let torn = { F.default_spec with every_n = 4; torn = true; seed = 11 } in
   let pool = Pool.create ~jobs:4 () in
-  let par =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> F.run ~par:(Pool.run pool) ~spec w)
-  in
-  check "same point count" (List.length seq.F.outcomes)
-    (List.length par.F.outcomes);
-  check_bool "--jobs 4 outcomes identical to --jobs 1" true
-    (seq.F.outcomes = par.F.outcomes);
-  check_bool "identical reports" true (seq = par)
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (w, spec) ->
+          let seq = F.run ~spec w in
+          let par = F.run ~par:(Pool.run pool) ~spec w in
+          check
+            (seq.F.workload ^ ": same point count")
+            (List.length seq.F.outcomes)
+            (List.length par.F.outcomes);
+          check_bool
+            (seq.F.workload ^ ": --jobs 4 outcomes identical to --jobs 1")
+            true
+            (seq.F.outcomes = par.F.outcomes);
+          check_bool (seq.F.workload ^ ": identical reports") true (seq = par))
+        [
+          (F.kv_workload ~structure:"Skip" ~records:6 ~ops:15 (), torn);
+          (F.counter_workload ~ops:3 (), torn);
+          (F.conc_workload ~cores:2 ~ops_per_core:4 (), F.default_spec);
+        ])
 
 let () =
   Alcotest.run "faultinject"
@@ -125,7 +198,13 @@ let () =
           Alcotest.test_case "counter, every event" `Quick test_counter_sweep;
           Alcotest.test_case "kv RB, every event of 100 ops" `Slow
             test_kv_full_sweep;
+          Alcotest.test_case "every workload, eager and epoch:4" `Quick
+            test_every_workload;
+          Alcotest.test_case "conc results" `Quick test_conc_results;
         ] );
+      ( "selection",
+        [ Alcotest.test_case "conc --at, in and out of range" `Quick
+            test_conc_at ] );
       ( "checker",
         [
           Alcotest.test_case "broken recovery is caught" `Quick

@@ -288,24 +288,23 @@ let test_relaxed_jobs_determinism () =
    draining through the shared buffer: the recovered counter/chain must
    equal the oracle's durable-value prediction at every point. *)
 let test_conc_epoch4_sweep () =
-  let spec = { F.default_conc_spec with F.cores = 2 } in
-  let run persist = F.run_conc ~persist ~spec () in
+  let run persist = F.run ~persist (F.conc_workload ~cores:2 ()) in
   let eager = run Persist.Eager in
   let epoch = run (Persist.Epoch { interval = 4 }) in
   List.iter
-    (fun (name, (r : F.conc_report)) ->
+    (fun (name, (r : F.report)) ->
       Alcotest.(check (list (pair int string)))
-        (name ^ ": no violations") [] r.F.conc_violation_list;
+        (name ^ ": no violations") [] r.F.violations;
       check_int
         (name ^ ": one crash point per event")
-        r.F.conc_events
-        (List.length r.F.conc_outcomes);
-      check_int (name ^ ": two cores") 2 r.F.conc_cores)
+        r.F.events
+        (List.length r.F.outcomes);
+      Alcotest.(check string) (name ^ ": two cores") "conc-2core" r.F.workload)
     [ ("eager", eager); ("epoch:4", epoch) ];
   (* The relaxed machine schedules extra drain µ-events, so its sweep
      is strictly longer than the eager one. *)
   check_bool "epoch:4 enumerates drain events" true
-    (epoch.F.conc_events > eager.F.conc_events)
+    (epoch.F.events > eager.F.events)
 
 let () =
   Alcotest.run "persist"

@@ -53,7 +53,21 @@ let test_phys_rw () =
   let f = Physmem.alloc_frame pm Layout.Dram in
   Physmem.write_word pm ~frame:f ~word_index:7 42L;
   check_i64 "read back" 42L (Physmem.read_word pm ~frame:f ~word_index:7);
-  check_i64 "other words zero" 0L (Physmem.read_word pm ~frame:f ~word_index:8)
+  check_i64 "other words zero" 0L (Physmem.read_word pm ~frame:f ~word_index:8);
+  (* A word index past the frame raises rather than aliasing into the
+     next frame's first word. *)
+  let next = Physmem.alloc_frame pm Layout.Dram in
+  List.iter
+    (fun word_index ->
+      match Physmem.write_word pm ~frame:f ~word_index 9L with
+      | () -> Alcotest.failf "word index %d accepted" word_index
+      | exception Invalid_argument _ -> ())
+    [ Layout.words_per_page; -1 ];
+  (match Physmem.read_word pm ~frame:f ~word_index:Layout.words_per_page with
+  | _ -> Alcotest.fail "read past the frame accepted"
+  | exception Invalid_argument _ -> ());
+  check_i64 "next frame untouched" 0L
+    (Physmem.read_word pm ~frame:next ~word_index:0)
 
 let test_phys_crash () =
   let pm = Physmem.create () in
