@@ -1058,7 +1058,8 @@ let micro _ctx =
     let ppm = Physmem.create () in
     (ppm, Persist.create (Persist.Epoch { interval = 8 }) ppm)
   in
-  let pcpu = Cpu.create ~timing:false Config.default mem in
+  let fast = { Config.default with timing = false } in
+  let pcpu = Cpu.create fast mem in
   let drain_pm, drain_p = relaxed () in
   let drain_frames =
     Array.init 196 (fun _ -> Physmem.alloc_frame drain_pm Nvml_simmem.Layout.Nvm)
@@ -1087,7 +1088,7 @@ let micro _ctx =
   done;
   let vs = Nvml_simmem.Mem.vspace mem in
   ignore (Nvml_simmem.Vspace.translate_pa vs va);
-  let hw = Runtime.create ~timing:false ~mode:Runtime.Hw () in
+  let hw = Runtime.create ~cfg:fast ~mode:Runtime.Hw () in
   let hw_pool = Runtime.create_pool hw ~name:"micro" ~size:(1 lsl 20) in
   let hw_cells = Runtime.alloc_in hw (Runtime.Pool_region hw_pool) (64 * 8) in
   let hw_site = Site.make ~static:true "micro.load_ptr" in
@@ -1237,7 +1238,8 @@ let profile ctx =
   in
   Printf.printf
     "%d of %d sites need dynamic checks (%s of sites, %s of executions).\n\
-     Paper: ~42%% of pointer-operation sites cannot be resolved statically.\n"
+     Paper: ~42%% of a program's pointer-operation sites need checks; the\n\
+     compiler experiment measures this repo's analog.\n"
     dynamic
     (List.length p.Profile.sites)
     (pct (dval "check_sites.dynamic_fraction"))
@@ -1468,13 +1470,13 @@ let serving ctx =
   Printf.printf
     "%d records, %d ops per mix; Hash x %d shards, batch %d, front cache %d\n"
     records ops shards batch front_cache;
+  let cfg = { Config.default with timing = false } in
   let results =
-    Runtime.with_default_timing false @@ fun () ->
     List.map
       (fun (name, spec) ->
         if ctx.verbose then Printf.eprintf "  [run] serving / %s...\n%!" name;
         let config =
-          Serving.default_config ~structure:"Hash" ~mode:Runtime.Hw ~shards
+          Serving.default_config ~structure:"Hash" ~mode:Runtime.Hw ~cfg ~shards
             ~batch ~front_cache spec
         in
         (name, Serving.run ~par:(Nvml_exec.Pool.run ctx.pool) config))
@@ -1535,7 +1537,7 @@ let concurrent ctx =
   let quick = ctx.spec.Workload.operation_count < 100_000 in
   let ops_per_core = if quick then 200 else 2_000 in
   let episode cores =
-    let rt = Runtime.create ~mode:Runtime.Hw ~timing:true () in
+    let rt = Runtime.create ~mode:Runtime.Hw () in
     let pool = Runtime.create_pool rt ~name:"conc" ~size:(1 lsl 24) in
     let s = Conc_workload.setup ~sched_seed:7 ~cores ~ops_per_core rt ~pool in
     Conc_workload.run s;

@@ -184,15 +184,19 @@ let seeds_arg =
     & info [ "seeds" ] ~docv:"N"
         ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
 
-let fast_arg =
-  Arg.(
-    value & flag
-    & info [ "fast" ]
-        ~doc:
-          "Fast functional mode: skip cache/TLB/branch/storeP timing models \
-           (cycles = instructions; latencies then have all non-base \
-           components zero).  Functional output is identical to the default \
-           cycle-accurate run.")
+(* The simulated machine: Table IV, on the core --fast selects. *)
+let cfg_arg =
+  let fast =
+    Arg.(
+      value & flag
+      & info [ "fast" ]
+          ~doc:
+            "Fast functional mode: skip cache/TLB/branch/storeP timing \
+             models (cycles = instructions; latencies then have all \
+             non-base components zero).  Functional output is identical to \
+             the default cycle-accurate run.")
+  in
+  Term.(const (fun fast -> { Config.default with timing = not fast }) $ fast)
 
 let stats_arg =
   Arg.(
@@ -423,7 +427,7 @@ let kv_cmd =
                (String.concat ", " mixes)))
   in
   let run structure mode persist records ops dist compare jobs stats_file
-      trace_file latency fast slow_trace shards batch front_cache mix cores =
+      trace_file latency cfg slow_trace shards batch front_cache mix cores =
     let spec = spec_of ~records ~ops ~dist in
     let write_slow_trace oplats =
       Option.iter
@@ -433,9 +437,6 @@ let kv_cmd =
           write_file ~flag:"slow-trace" ~what:"slow-op trace" path (fun oc ->
               Oplat.write_slow_trace oc agg))
         slow_trace
-    in
-    let with_timing f =
-      if fast then Runtime.with_default_timing false f else f ()
     in
     let serving = shards > 1 || batch > 1 || front_cache > 0 || mix <> None in
     let engine_flags =
@@ -455,7 +456,6 @@ let kv_cmd =
       bad_input "--structure %s is not a key-value map; %s and --cores > 1 \
                  take %s"
         structure engine_flags (String.concat "|" maps);
-    with_timing @@ fun () ->
     with_telemetry ?trace:trace_file stats_file @@ fun () ->
     if cores > 1 then begin
       (* Replicated multi-core run: each core drives its own index
@@ -463,7 +463,7 @@ let kv_cmd =
          stays disjoint) through the seeded µ-event scheduler; the cores
          contend on the shared L2/L3/POLB/VALB. *)
       let (module M : Intf.ORDERED_MAP) = Registry.find_map structure in
-      let rt = Runtime.create ~mode ~timing:(not fast) ~persist () in
+      let rt = Runtime.create ~cfg ~mode ~persist () in
       let cluster = Cluster.create ~cores rt in
       let region i =
         if mode = Runtime.Volatile then Runtime.Dram_region
@@ -518,8 +518,8 @@ let kv_cmd =
           mix
       in
       let config =
-        Serving.default_config ~structure ~mode ~shards ~batch ~front_cache
-          spec
+        Serving.default_config ~structure ~mode ~cfg ~shards ~batch
+          ~front_cache spec
       in
       let report =
         with_pool jobs (fun pool -> Serving.run ~par:(Pool.run pool) config)
@@ -529,7 +529,7 @@ let kv_cmd =
       write_slow_trace [ report.Serving.oplat ]
     end
     else if not compare then begin
-      let r = Harness.run_benchmark structure ~mode ~persist spec in
+      let r = Harness.run_benchmark structure ~mode ~cfg ~persist spec in
       print_result r;
       if latency then print_latency r.Harness.oplat;
       write_slow_trace [ r.Harness.oplat ]
@@ -541,7 +541,8 @@ let kv_cmd =
       let results =
         with_pool jobs (fun pool ->
             Pool.map pool
-              (fun mode -> Harness.run_benchmark structure ~mode ~persist spec)
+              (fun mode ->
+                Harness.run_benchmark structure ~mode ~cfg ~persist spec)
               modes)
       in
       let base =
@@ -582,7 +583,7 @@ let kv_cmd =
     Term.(
       const run $ structure_arg benchmarks $ mode_arg $ persist_arg
       $ records_arg 10_000 $ ops_arg 100_000 $ dist_arg $ compare_arg
-      $ jobs_arg $ stats_arg $ trace_arg $ latency_arg $ fast_arg
+      $ jobs_arg $ stats_arg $ trace_arg $ latency_arg $ cfg_arg
       $ slow_trace_arg $ shards_arg $ batch_arg $ front_cache_arg $ mix_arg
       $ cores_arg)
 
@@ -766,9 +767,9 @@ let run_cmd =
       & info [ "persistent"; "p" ]
           ~doc:"Place the heap in a persistent pool (libvmmalloc-style).")
   in
-  let run path mode persist persistent fast cores =
+  let run path mode persist persistent cfg cores =
     let program = parse_file path in
-    let rt = Runtime.create ~timing:(not fast) ~mode ~persist () in
+    let rt = Runtime.create ~cfg ~mode ~persist () in
     let report_errors f =
       try f () with
       | Nvml_minic.Types.Type_error m ->
@@ -844,7 +845,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Interpret a mini-C source file on the simulator.")
     Term.(
-      const run $ file_arg $ mode_arg $ persist_arg $ persistent $ fast_arg
+      const run $ file_arg $ mode_arg $ persist_arg $ persistent $ cfg_arg
       $ cores_arg)
 
 let compile_cmd =

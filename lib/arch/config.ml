@@ -59,6 +59,8 @@ type t = {
      The eager model never pays these — stores persist in place. *)
   flush_latency : int;
   fence_latency : int;
+  (* core speed: false = the fast functional core (see Cpu) *)
+  timing : bool;
 }
 
 let default =
@@ -99,6 +101,7 @@ let default =
     sw_va2ra_loads = 3;
     flush_latency = 40;
     fence_latency = 20;
+    timing = true;
   }
 
 let rows t =

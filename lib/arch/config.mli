@@ -48,6 +48,11 @@ type t = {
           this. *)
   fence_latency : int;
       (** Cycles to retire the fence that ends a buffered drain. *)
+  timing : bool;
+      (** Core speed: [true] (the default) is the cycle-accurate core,
+          [false] the fast functional core ({!Cpu}).  Every machine
+          built from this configuration runs at this speed; functional
+          results are identical either way. *)
 }
 
 val default : t

@@ -9,7 +9,8 @@
    mispredictions, POLB/VALB latencies on the address-generation path
    and storeP structural stalls add stall cycles on top.
 
-   Two execution speeds behind the same narration API:
+   Two execution speeds behind the same narration API, chosen by the
+   configuration's [timing] field:
 
    - [timing = true] (default): the cycle-accurate mode above.  Every
      entry point is bit-for-bit unchanged from the pre-split code, so
@@ -98,7 +99,8 @@ type t = {
 let no_step () = ()
 let no_store (_ : int) = ()
 
-let create ?(timing = true) cfg mem =
+let create (cfg : Config.t) mem =
+  let timing = cfg.timing in
   (* Fast functional mode never exercises the timing components, but the
      telemetry accessors still publish them — so build degenerate
      one-entry stand-ins instead of the config-sized arrays.  The
@@ -178,7 +180,7 @@ let create ?(timing = true) cfg mem =
    are the same physical structures, so siblings contend for them. *)
 let create_sibling (t : t) =
   {
-    (create ~timing:t.timing t.cfg t.mem) with
+    (create t.cfg t.mem) with
     l2 = t.l2;
     l3 = t.l3;
     polb = t.polb;
@@ -197,6 +199,12 @@ let clear_hooks t =
   t.on_step <- no_step;
   t.on_store <- no_store
 
+(* Only the running core can be inside [f], and it never yields there. *)
+let atomically t f =
+  let on_step = t.on_step in
+  t.on_step <- no_step;
+  Fun.protect ~finally:(fun () -> t.on_step <- on_step) f
+
 (* Coherence: another core stored to [pa]; drop this core's private
    copy of the line.  [true] when the line was actually present.  Only
    the private L1 is touched — L2/L3 are shared between siblings — and
@@ -209,7 +217,6 @@ let invalidate_line t pa =
    true)
 
 let config t = t.cfg
-let timing t = t.timing
 
 (* --- plain instructions and branches --------------------------------- *)
 

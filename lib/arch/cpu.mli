@@ -8,8 +8,8 @@
     exposed POLB/VALB latencies and storeP structural stalls add stall
     cycles on top.
 
-    Two-speed simulation: with [~timing:false] the core runs in fast
-    functional mode — every event counter (instrs, loads, stores,
+    Two-speed simulation: with [Config.timing = false] the core runs in
+    fast functional mode — every event counter (instrs, loads, stores,
     storeps, branches, dram/nvm accesses) is still maintained, but no
     cache/TLB/predictor/lookaside/storeP state is touched and
     [cycles = instrs].  Functional outputs (and hence check outcomes,
@@ -17,13 +17,10 @@
 
 type t
 
-val create : ?timing:bool -> Config.t -> Nvml_simmem.Mem.t -> t
-(** [timing] defaults to [true] (cycle-accurate mode). *)
+val create : Config.t -> Nvml_simmem.Mem.t -> t
+(** A core at the configuration's speed ([Config.timing]). *)
 
 val config : t -> Config.t
-
-val timing : t -> bool
-(** [true] iff this core models timing (cycle-accurate mode). *)
 
 (** {2 Multi-core support}
 
@@ -51,6 +48,12 @@ val set_hooks : t -> on_step:(unit -> unit) -> on_store:(int -> unit) -> unit
     physical address (the coherence broadcast point). *)
 
 val clear_hooks : t -> unit
+
+val atomically : t -> (unit -> 'a) -> 'a
+(** [atomically t f] models a hardware atomic read-modify-write on this
+    core: [t]'s [on_step] hook is off while [f] runs (restored after,
+    even on raise), so no other core's µ-events interleave with [f]'s.
+    On a core with no hooks this is just [f ()]. *)
 
 val invalidate_line : t -> int -> bool
 (** Coherence shoot-down: another core stored to this packed physical

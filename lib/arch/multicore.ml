@@ -15,11 +15,11 @@
    need no action).  The invalidation count is the machine's contention
    signal.
 
-   [atomically f] models a hardware atomic read-modify-write: yields
-   are suppressed while [f] runs, so no other core's µ-events interleave
-   with it.  The ambient current-machine reference is domain-local, so
-   share-nothing worker domains (the exec pool) can each drive their own
-   machine. *)
+   Atomicity is per core: [Cpu.atomically] switches one core's
+   [on_step] hook off for the length of an atomic read-modify-write, so
+   that core runs the block without yielding.  The machine keeps no
+   ambient state — everything it reads is [t] — so share-nothing worker
+   domains (the exec pool) can each drive their own machine. *)
 
 type _ Effect.t += Yield : unit Effect.t
 
@@ -39,7 +39,6 @@ type t = {
   cores : Cpu.t array;
   seed : int;
   mutable rng : int64;
-  mutable suppress : int; (* [atomically] nesting depth: no yields *)
   mutable active : bool; (* inside [run]: hooks perform Yield *)
   mutable steps : int;
   mutable contended_steps : int;
@@ -47,15 +46,12 @@ type t = {
   mutable invalidations : int;
 }
 
-let ambient : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
 let create ?(seed = 1) cores =
   if Array.length cores = 0 then invalid_arg "Multicore.create: no cores";
   {
     cores;
     seed;
     rng = 0L;
-    suppress = 0;
     active = false;
     steps = 0;
     contended_steps = 0;
@@ -73,21 +69,6 @@ let stats t =
     switches = t.switches;
     invalidations = t.invalidations;
   }
-
-let atomically f =
-  match !(Domain.DLS.get ambient) with
-  | None -> f ()
-  | Some t ->
-      t.suppress <- t.suppress + 1;
-      Fun.protect ~finally:(fun () -> t.suppress <- t.suppress - 1) f
-
-(* An explicit interleave point for code whose µ-events are wrapped in
-   [atomically] blocks (e.g. allocator-heavy operations that must not be
-   split): yields once if a machine is running, no-op otherwise. *)
-let checkpoint () =
-  match !(Domain.DLS.get ambient) with
-  | Some t when t.active && t.suppress = 0 -> Effect.perform Yield
-  | _ -> ()
 
 (* xorshift64: deterministic, allocation-free modulo boxing, never 0. *)
 let next_rand t =
@@ -133,10 +114,8 @@ let run t fns =
     in
     (* Hooks: yield before each µ-event; broadcast each store to the
        other cores' private L1s. *)
+    let on_step () = if t.active then Effect.perform Yield in
     for i = 0 to n - 1 do
-      let on_step () =
-        if t.active && t.suppress = 0 then Effect.perform Yield
-      in
       let on_store pa =
         if t.active then
           for j = 0 to n - 1 do
@@ -146,13 +125,9 @@ let run t fns =
       in
       Cpu.set_hooks t.cores.(i) ~on_step ~on_store
     done;
-    let ambient_ref = Domain.DLS.get ambient in
-    let saved_ambient = !ambient_ref in
-    ambient_ref := Some t;
     t.active <- true;
     let cleanup () =
       t.active <- false;
-      ambient_ref := saved_ambient;
       Array.iter (fun c -> Cpu.clear_hooks c) t.cores;
       (* Unwind any still-paused fibers so their one-shot continuations
          are not leaked when an exception aborts the schedule. *)

@@ -28,22 +28,11 @@ val create : ?seed:int -> Cpu.t array -> t
 val run : t -> (int -> unit) array -> unit
 (** [run t fns] runs [fns.(i) i] on core [i], interleaved per µ-event.
     With one core this is a plain call — no hooks, no scheduler — so a
-    1-core machine is byte-identical to the single-core one.  An
-    exception from any fiber aborts the schedule: paused siblings are
-    unwound with {!Aborted} and the original exception is re-raised. *)
-
-val atomically : (unit -> 'a) -> 'a
-(** Model a hardware atomic read-modify-write: while [f] runs, the
-    current machine (if any) suppresses yields, so no other core's
-    µ-events interleave with it.  Outside {!run} this is just [f ()].
-    The ambient machine reference is domain-local. *)
-
-val checkpoint : unit -> unit
-(** Explicit interleave point: yield once to the scheduler if a machine
-    is running (and not inside {!atomically}), no-op otherwise.  For
-    drivers that wrap whole operations in {!atomically} — e.g. index
-    operations whose shared-allocator updates must not be split — and
-    still want the schedule to interleave at operation boundaries. *)
+    1-core machine is byte-identical to the single-core one.  A core
+    inside {!Cpu.atomically} does not yield, so its block runs without
+    interleaving.  An exception from any fiber aborts the schedule:
+    paused siblings are unwound with {!Aborted} and the original
+    exception is re-raised.  The machine keeps no ambient state. *)
 
 type stats = {
   steps : int;  (** scheduling decisions taken *)

@@ -468,10 +468,11 @@ let transactional ~name ~ops ~setup ~reattach =
       verify = txn_verify ~reattach;
     }
 
-(* A flat array of persistent counters, [ops] transactions of three
+(* A flat array of 8 persistent counters, [ops] transactions of three
    scattered stores each — the smallest workload whose transactions
    have interesting intermediate states. *)
-let counter_workload ?(cells = 8) ?(ops = 3) () =
+let counter_workload ?(ops = 3) () =
+  let cells = 8 in
   let o_cell i = 8 + (i * 8) in
   let instance rt header =
     {
@@ -843,8 +844,8 @@ let points_of ~events spec =
    order-independent) to their results in submission order — pass
    [Nvml_exec.Pool.run pool] for a parallel sweep; results are
    identical to the sequential default.  Crash-point enumeration and
-   recovery verdicts are functional, so every machine defaults to the
-   fast core; [~timing:true] restores cycle-accurate simulation (same
+   recovery verdicts are functional, so every machine boots on the fast
+   core by default; [~timing:true] boots the cycle-accurate core (same
    report). *)
 let run ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
     ?(persist = Persist.Eager) ?(spec = default_spec) ?(timing = false)
@@ -854,8 +855,9 @@ let run ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
   (* A fresh machine with the workload built and fully durable: the
      drain fires before the fi hook installs, so the reference and
      every crash pass count identical event schedules. *)
+  let cfg = { Nvml_arch.Config.default with timing } in
   let boot () =
-    let rt = Runtime.create ~mode ~persist ~timing () in
+    let rt = Runtime.create ~cfg ~mode ~persist () in
     let pool = Runtime.create_pool rt ~name:"fi" ~size:pool_size in
     let m = d.boot rt ~pool in
     Runtime.persist_sync rt;

@@ -36,9 +36,9 @@ type workload
     optional at-crash action (torn writes) and its post-reboot check.
     Built only by the three constructors below. *)
 
-val counter_workload : ?cells:int -> ?ops:int -> unit -> workload
-(** Flat persistent counter array; each op is a transaction of three
-    scattered stores.  The smallest interesting sweep target. *)
+val counter_workload : ?ops:int -> unit -> workload
+(** A flat array of 8 persistent counters; each op is a transaction of
+    three scattered stores.  The smallest interesting sweep target. *)
 
 val kv_workload :
   ?structure:string -> ?records:int -> ?ops:int -> ?seed:int -> unit -> workload
@@ -139,11 +139,11 @@ val run :
     domains: results are in submission order and identical to the
     sequential default.  [mode] defaults to [Hw]; [persist] to
     [Persist.Eager] (per-operation atomicity, the historical checker,
-    now expressed as the oracle's degenerate case).  [timing] defaults
-    to [false] and is passed to every machine the sweep creates:
-    crash-point enumeration and recovery verdicts are functional, so
-    the sweep uses fast functional simulation; pass [true] for the
-    cycle-accurate core (identical report, slower).
+    now expressed as the oracle's degenerate case).  Every machine the
+    sweep boots runs [Config.default] at speed [timing] (default
+    [false]): crash-point enumeration and recovery verdicts are
+    functional, so the sweep uses fast functional simulation; pass
+    [true] for the cycle-accurate core (identical report, slower).
     @raise Invalid_argument for [Volatile] mode or an out-of-range
     [spec.at] index. *)
 

@@ -199,10 +199,11 @@ let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default
   }
 
 (* The separate LL harness: build [nodes] nodes of two pointers and a
-   16-byte value, then iterate the list accumulating the values. *)
+   16-byte value, then iterate the list 10 times accumulating the
+   values. *)
 let run_ll ~mode ?(cfg = Nvml_arch.Config.default)
-    ?(persist = Nvml_runtime.Persist.Eager) ?(nodes = 10_000)
-    ?(iterations = 10) () : result =
+    ?(persist = Nvml_runtime.Persist.Eager) ?(nodes = 10_000) () : result =
+  let iterations = 10 in
   let rt = Runtime.create ~cfg ~mode ~persist () in
   let region = region_for rt mode in
   let l = Linked_list.create rt region in

@@ -63,11 +63,10 @@ val run_ll :
   ?cfg:Nvml_arch.Config.t ->
   ?persist:Nvml_runtime.Persist.model ->
   ?nodes:int ->
-  ?iterations:int ->
   unit ->
   result
-(** The separate LL harness: build [nodes] nodes, iterate accumulating
-    the values. *)
+(** The separate LL harness: build [nodes] nodes, then iterate the list
+    10 times accumulating the values. *)
 
 val run_benchmark :
   string ->

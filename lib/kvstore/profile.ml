@@ -2,9 +2,8 @@
    HW configurations inside a fresh telemetry scope and distill the
    observability story the paper tells in Section VII —
 
-   - which static sites executed dynamic checks and how often (the SW
-     version's per-site profile; the fraction of sites needing dynamic
-     checks is the paper's ~42 % figure),
+   - which of the structure's sites executed dynamic checks and how
+     often (the SW version's per-site profile),
    - the POLB/VALB hit rates the HW version's latency-hiding rests on,
    - where the cycles went (attribution by stall source).
 
@@ -32,11 +31,11 @@ type t = {
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
-(* One row per distinct site name.  [Site.make] is free to mint the
-   same name repeatedly (re-created structures); the rows below merge
-   them, consistent with the shared telemetry counter they already
-   share. *)
-let site_rows () =
+(* One row per distinct site name of the profiled structure (prefix
+   "rb." for RB), whatever else the process has run.  [Site.make] may
+   mint a name repeatedly; the rows merge them, as their shared
+   telemetry counter already does. *)
+let site_rows benchmark =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -44,7 +43,7 @@ let site_rows () =
       if not (Hashtbl.mem tbl name) then
         Hashtbl.replace tbl name
           { site = name; static = Site.is_static s; checks = Site.checks s })
-    (Site.all ());
+    (Site.with_prefix (String.lowercase_ascii benchmark ^ "."));
   Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
   |> List.sort (fun a b ->
          match compare b.checks a.checks with
@@ -55,7 +54,7 @@ let inline_runner fs = List.map (fun f -> f ()) fs
 
 (* Run the profile.  [par] runs the two independent mode cells —
    [Pool.run pool] in bench, sequential by default. *)
-let run ?(par = inline_runner) ?cfg ~benchmark (spec : Workload.spec) : t =
+let run ?(par = inline_runner) ~benchmark (spec : Workload.spec) : t =
   let was_enabled = Telemetry.enabled () in
   Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled was_enabled)
@@ -66,21 +65,22 @@ let run ?(par = inline_runner) ?cfg ~benchmark (spec : Workload.spec) : t =
     match
       par
         [
-          (fun () -> Harness.run_benchmark benchmark ~mode:Runtime.Sw ?cfg spec);
-          (fun () -> Harness.run_benchmark benchmark ~mode:Runtime.Hw ?cfg spec);
+          (fun () -> Harness.run_benchmark benchmark ~mode:Runtime.Sw spec);
+          (fun () -> Harness.run_benchmark benchmark ~mode:Runtime.Hw spec);
         ]
     with
     | [ sw; hw ] -> (sw, hw)
     | _ -> assert false
   in
-  let sites = site_rows () in
+  let sites = site_rows benchmark in
   let dynamic_sites = List.length (List.filter (fun r -> not r.static) sites) in
   let counters = Telemetry.counters_snapshot () in
   let cval name = try List.assoc name counters with Not_found -> 0 in
   let derived =
     [
-      (* Fraction of registered pointer-operation sites the inference
-         could not resolve — the paper's ~42 %. *)
+      (* Fraction of the structure's pointer-operation sites the
+         inference could not resolve (the paper's whole-program ~42 %
+         has its analog in the [compiler] experiment). *)
       ( "check_sites.dynamic_fraction",
         ratio dynamic_sites (List.length sites) );
       (* Execution-weighted: of the check *executions* the SW version

@@ -1,7 +1,7 @@
 (** The check-site / lookaside profile: run one benchmark in the SW and
     HW configurations inside a fresh telemetry scope and distill the
-    Section VII observability story — which sites executed dynamic
-    checks (the ~42 % figure), the POLB/VALB hit rates, and cycle
+    Section VII observability story — which of the structure's sites
+    executed dynamic checks, the POLB/VALB hit rates, and cycle
     attribution by stall source. *)
 
 module Telemetry = Nvml_telemetry.Telemetry
@@ -13,7 +13,9 @@ type t = {
   benchmark : string;
   sw : Harness.result;
   hw : Harness.result;
-  sites : site_row list;  (** by descending checks, then name *)
+  sites : site_row list;
+      (** the profiled structure's sites (name prefix: its lowercase
+          name and a dot), by descending checks, then name *)
   counters : (string * int) list;
   histos : (string * Telemetry.histo_stats) list;
   derived : (string * float) list;
@@ -23,7 +25,6 @@ type t = {
 
 val run :
   ?par:((unit -> Harness.result) list -> Harness.result list) ->
-  ?cfg:Nvml_arch.Config.t ->
   benchmark:string ->
   Workload.spec ->
   t

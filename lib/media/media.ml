@@ -37,21 +37,19 @@ type t = {
   flips : bool;
   poisons : bool;
   transients : bool;
-  region : (int * int) option;
   healed : (int, unit) Hashtbl.t; (* key: frame * words_per_page + word *)
   mutable flips_served : int;
   mutable poisons_served : int;
   mutable transients_served : int;
 }
 
-let create ?(kinds = all_kinds) ?region ~rate ~seed () =
+let create ?(kinds = all_kinds) ~rate ~seed () =
   {
     seed;
     rate;
     flips = List.mem Bit_flip kinds;
     poisons = List.mem Poison_line kinds;
     transients = List.mem Transient kinds;
-    region;
     healed = Hashtbl.create 64;
     flips_served = 0;
     poisons_served = 0;
@@ -75,14 +73,11 @@ let hash t ~salt ~frame ~index =
 let hits t h =
   Int64.to_float (Int64.logand h 0xFFFFFFFFL) /. 4294967296.0 < t.rate
 
-let in_scope t frame =
-  frame >= Layout.nvm_phys_frame_base
-  && match t.region with None -> true | Some (lo, hi) -> frame >= lo && frame <= hi
-
 (* Pure placement: poison (line-granular) shadows flip shadows
-   transient, so one word has at most one fault kind. *)
+   transient, so one word has at most one fault kind.  Only NVM frames
+   take faults. *)
 let decide t ~frame ~word_index =
-  if t.rate <= 0.0 || not (in_scope t frame) then None
+  if t.rate <= 0.0 || frame < Layout.nvm_phys_frame_base then None
   else if
     t.poisons && hits t (hash t ~salt:1 ~frame ~index:(word_index / words_per_line))
   then Some Poison_line

@@ -25,8 +25,8 @@ let gaussian rng ~mean ~std =
   let u2 = Random.State.float rng 1.0 in
   mean +. (std *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let generate ?(seed = 1936) () =
-  let rng = Random.State.make [| seed |] in
+let generate () =
+  let rng = Random.State.make [| 1936 |] in
   let features =
     Array.init total_samples (fun i ->
         let cls = i / samples_per_class in

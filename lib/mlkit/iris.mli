@@ -9,4 +9,5 @@ val samples_per_class : int
 val features_per_sample : int
 val total_samples : int
 
-val generate : ?seed:int -> unit -> t
+val generate : unit -> t
+(** The dataset; every call returns the same samples. *)

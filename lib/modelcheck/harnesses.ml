@@ -1335,7 +1335,7 @@ module Structure_h = struct
     | n when n < 94 -> Check
     | _ -> Crash
 
-  let harness (module M : Intf.ORDERED_MAP) =
+  let harness ~cfg (module M : Intf.ORDERED_MAP) =
     Engine.Packed
       {
         Engine.component = "structures:" ^ M.name;
@@ -1343,7 +1343,7 @@ module Structure_h = struct
         pp;
         init =
           (fun ~seed:_ ->
-            let rt = Runtime.create ~mode:Runtime.Hw () in
+            let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
             let pool = Runtime.create_pool rt ~name:"fuzz" ~size:(1 lsl 21) in
             let m = ref (M.create rt (Runtime.Pool_region pool)) in
             Runtime.set_root rt ~site ~pool (M.header !m);
@@ -1410,9 +1410,9 @@ module Semantics_h = struct
 
   let site_prefix = "site.minic."
 
-  let run_in ~mode ~persistent ?plan prog =
+  let run_in ~cfg ~mode ~persistent ?plan prog =
     Telemetry.run_with_sink (Telemetry.fresh_sink ()) @@ fun () ->
-    let rt = Runtime.create ~mode () in
+    let rt = Runtime.create ~cfg ~mode () in
     let heap =
       if persistent then
         Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
@@ -1431,7 +1431,8 @@ module Semantics_h = struct
     in
     (out, counter_value counters "checks.dynamic", fired_sites)
 
-  let harness () =
+  let harness ~cfg () =
+    let run_in = run_in ~cfg in
     Engine.Packed
       {
         Engine.component = "semantics";
@@ -1643,8 +1644,8 @@ module Conc_h = struct
     syncs : int * int; (* issued, elided *)
   }
 
-  let run_episode ~sched_seed ~cores ~ops_per_core =
-    let rt = Runtime.create ~mode:Runtime.Hw () in
+  let run_episode ~cfg ~sched_seed ~cores ~ops_per_core =
+    let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
     let pool = Runtime.create_pool rt ~name:"mc-conc" ~size:(1 lsl 22) in
     let s =
       Conc_workload.setup ~sched_seed ~cores ~ops_per_core rt ~pool
@@ -1681,7 +1682,8 @@ module Conc_h = struct
           Flit.elided fc + Flit.elided fl );
     }
 
-  let harness () =
+  let harness ~cfg () =
+    let run_episode = run_episode ~cfg in
     Engine.Packed
       {
         Engine.component = "conc";

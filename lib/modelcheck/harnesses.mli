@@ -63,13 +63,14 @@ module Media_h : sig
 end
 
 module Structure_h : sig
-  val harness : Nvml_structures.Intf.ordered_map -> Engine.packed
+  val harness :
+    cfg:Nvml_arch.Config.t -> Nvml_structures.Intf.ordered_map -> Engine.packed
   (** One persistent container (in HW mode, through the full runtime)
       vs [Stdlib.Map], with crash/re-attach cycles. *)
 end
 
 module Semantics_h : sig
-  val harness : unit -> Engine.packed
+  val harness : cfg:Nvml_arch.Config.t -> unit -> Engine.packed
   (** Cross-layer: each op replays one corpus program under volatile,
       SW (with and without the inference plan) and HW configurations,
       checking output equality and that telemetry's per-site check
@@ -83,7 +84,7 @@ module Zipf_h : sig
 end
 
 module Conc_h : sig
-  val harness : unit -> Engine.packed
+  val harness : cfg:Nvml_arch.Config.t -> unit -> Engine.packed
   (** The multi-core machine vs its sequential model: every op runs a
       complete contended episode (fresh cluster, seeded interleaving)
       twice, checking schedule determinism, agreement of the shared

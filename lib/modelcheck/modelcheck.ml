@@ -2,14 +2,13 @@
 
 module Registry = Nvml_structures.Registry
 module Pool = Nvml_exec.Pool
-module Runtime = Nvml_runtime.Runtime
 
 type spec = {
   name : string;
   breakable : bool;
       (* has a quirk that re-enables a fixed bug for --break self-tests *)
   scale : int; (* op-cost divisor: heavy harnesses run ops/scale ops *)
-  make : break:bool -> Engine.packed;
+  make : cfg:Nvml_arch.Config.t -> break:bool -> Engine.packed;
 }
 
 let structure_spec (module M : Nvml_structures.Intf.ORDERED_MAP) =
@@ -17,7 +16,8 @@ let structure_spec (module M : Nvml_structures.Intf.ORDERED_MAP) =
     name = "structures:" ^ M.name;
     breakable = false;
     scale = 4;
-    make = (fun ~break:_ -> Harnesses.Structure_h.harness (module M));
+    make =
+      (fun ~cfg ~break:_ -> Harnesses.Structure_h.harness ~cfg (module M));
   }
 
 let specs () =
@@ -26,49 +26,49 @@ let specs () =
       name = "cache";
       breakable = true;
       scale = 1;
-      make = (fun ~break -> Harnesses.Cache_h.harness ~break ());
+      make = (fun ~cfg:_ ~break -> Harnesses.Cache_h.harness ~break ());
     };
     {
       name = "valb";
       breakable = true;
       scale = 1;
-      make = (fun ~break -> Harnesses.Valb_h.harness ~break ());
+      make = (fun ~cfg:_ ~break -> Harnesses.Valb_h.harness ~break ());
     };
     {
       name = "storep";
       breakable = false;
       scale = 1;
-      make = (fun ~break:_ -> Harnesses.Storep_h.harness ());
+      make = (fun ~cfg:_ ~break:_ -> Harnesses.Storep_h.harness ());
     };
     {
       name = "persist";
       breakable = false;
       scale = 1;
-      make = (fun ~break:_ -> Harnesses.Persist_h.harness ());
+      make = (fun ~cfg:_ ~break:_ -> Harnesses.Persist_h.harness ());
     };
     {
       name = "vatb";
       breakable = false;
       scale = 1;
-      make = (fun ~break:_ -> Harnesses.Vatb_h.harness ());
+      make = (fun ~cfg:_ ~break:_ -> Harnesses.Vatb_h.harness ());
     };
     {
       name = "freelist";
       breakable = false;
       scale = 1;
-      make = (fun ~break:_ -> Harnesses.Freelist_h.harness ());
+      make = (fun ~cfg:_ ~break:_ -> Harnesses.Freelist_h.harness ());
     };
     {
       name = "pmop";
       breakable = false;
       scale = 2;
-      make = (fun ~break:_ -> Harnesses.Pmop_h.harness ());
+      make = (fun ~cfg:_ ~break:_ -> Harnesses.Pmop_h.harness ());
     };
     {
       name = "media";
       breakable = true;
       scale = 4;
-      make = (fun ~break -> Harnesses.Media_h.harness ~break ());
+      make = (fun ~cfg:_ ~break -> Harnesses.Media_h.harness ~break ());
     };
   ]
   @ List.map structure_spec Registry.all_maps
@@ -77,13 +77,13 @@ let specs () =
         name = "semantics";
         breakable = false;
         scale = 16;
-        make = (fun ~break:_ -> Harnesses.Semantics_h.harness ());
+        make = (fun ~cfg ~break:_ -> Harnesses.Semantics_h.harness ~cfg ());
       };
       {
         name = "zipf";
         breakable = false;
         scale = 1;
-        make = (fun ~break:_ -> Harnesses.Zipf_h.harness ());
+        make = (fun ~cfg:_ ~break:_ -> Harnesses.Zipf_h.harness ());
       };
       {
         (* Schedule enumeration over seeded interleavings of the
@@ -92,7 +92,7 @@ let specs () =
         name = "conc";
         breakable = false;
         scale = 64;
-        make = (fun ~break:_ -> Harnesses.Conc_h.harness ());
+        make = (fun ~cfg ~break:_ -> Harnesses.Conc_h.harness ~cfg ());
       };
     ]
 
@@ -124,16 +124,17 @@ type entry = { spec_name : string; breakable : bool; result : Engine.result }
 type report = { entries : entry list; violations : int }
 
 let run ?pool ?(break = false) ?(timing = false) ~components ~ops ~seed () =
-  (* Model checking only compares functional outputs, so the engines
-     default to fast functional simulation; [~timing:true] restores the
-     cycle-accurate core (the results are identical either way). *)
-  Runtime.with_default_timing timing @@ fun () ->
+  (* Model checking only compares functional outputs, so the machines
+     the harnesses boot default to fast functional simulation;
+     [~timing:true] boots the cycle-accurate core (the results are
+     identical either way). *)
+  let cfg = { Nvml_arch.Config.default with timing } in
   let selected = select components in
   let tasks =
     List.map
       (fun s () ->
         let ops = max 1 (ops / s.scale) in
-        let result = Engine.run (s.make ~break) ~ops ~seed in
+        let result = Engine.run (s.make ~cfg ~break) ~ops ~seed in
         { spec_name = s.name; breakable = s.breakable; result })
       selected
   in

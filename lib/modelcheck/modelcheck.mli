@@ -11,7 +11,8 @@ type spec = {
       (** the component has a quirk that re-enables a fixed bug, so
           --break self-tests can assert the fuzzer finds it *)
   scale : int;  (** op-cost divisor applied to the requested op count *)
-  make : break:bool -> Engine.packed;
+  make : cfg:Nvml_arch.Config.t -> break:bool -> Engine.packed;
+      (** [cfg] is the machine the harness boots, if it boots one *)
 }
 
 val specs : unit -> spec list
@@ -39,10 +40,11 @@ val run :
 (** Fuzz the selected components with the same [seed].  [break] enables
     each component's quirks (planted bugs) first.  With [pool] the
     components run on the domain pool; results keep submission order, so
-    output is identical to the sequential run.  [timing] defaults to
-    [false]: model checking compares only functional outputs, so the
-    internal runtimes use fast functional simulation; pass [true] to
-    run the cycle-accurate core (identical verdicts, slower). *)
+    output is identical to the sequential run.  The harnesses boot
+    their machines from [Config.default] at speed [timing] (default
+    [false]): model checking compares only functional outputs, so they
+    use fast functional simulation; pass [true] to run the
+    cycle-accurate core (identical verdicts, slower). *)
 
 val break_run_ok : report -> bool
 (** A --break run succeeds iff every breakable component reported a

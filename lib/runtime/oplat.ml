@@ -83,10 +83,10 @@ type t = {
    enabled), so stats documents and j1-vs-j4 merge checks see them. *)
 let tl_op_cycles = Telemetry.latency "op.cycles"
 
-let create ?(k = 8) ~cell () =
+let create ~cell () =
   {
     cell_label = cell;
-    k = max 0 k;
+    k = 8 (* slow-op reservoir capacity *);
     lat = Latency.create ();
     totals = zero_components;
     next_seq = 0;

@@ -26,7 +26,7 @@
     op's cycles equal its instructions and all non-[base] components
     are zero — the invariant still holds.
 
-    The [k] slowest operations are retained in a bounded reservoir
+    The 8 slowest operations are retained in a bounded reservoir
     with their marker span lists, dumpable as a Chrome trace
     ({!write_slow_trace}) so a p999 outlier can be explained, not just
     counted.  Ordering is deterministic: slower first, ties broken by
@@ -60,8 +60,8 @@ type sample = {
 
 type t
 
-val create : ?k:int -> cell:string -> unit -> t
-(** [k] is the slow-op reservoir capacity (default 8). *)
+val create : cell:string -> unit -> t
+(** A recorder whose slow-op reservoir keeps the 8 slowest ops. *)
 
 val cell : t -> string
 
@@ -77,7 +77,7 @@ val mark : t -> Cpu.t -> string -> unit
 val op_end : t -> Cpu.t -> string -> unit
 (** Finish the operation named [op]: record its cycle latency and
     attribution components, and admit it to the slow-op reservoir if it
-    ranks among the [k] slowest. *)
+    ranks among the 8 slowest. *)
 
 val count : t -> int
 val latency : t -> Nvml_telemetry.Latency.t

@@ -70,7 +70,6 @@ type t = {
   cpu : Cpu.t;
   mutable pot_table_va : int64; (* software POT, read by SW ra2va *)
   mutable vat_table_va : int64; (* software VAT, read by SW va2ra *)
-  dram_capacity : int;
   (* The "opportunistically kept relative form" of Section IV: when the
      HW version converts a loaded relative pointer to a virtual address,
      the compiler keeps the original relative value live in a register
@@ -93,26 +92,28 @@ type t = {
   mutable persist_ops : int;
 }
 
-(* Ambient execution-mode default: engines that spin up many internal
-   runtimes through harnesses (model checking) flip this around their
-   whole run instead of threading [?timing] through every harness.
-   Read once per [create]; workers inherit the value set before task
-   submission (the pool join is a barrier), so [--jobs N] stays
-   deterministic. *)
-let default_timing = Atomic.make true
+(* The volatile allocator's DRAM budget (128 MiB). *)
+let dram_capacity = 1 lsl 27
+
+(* The benchmark's core-speed override (see [with_default_timing]):
+   [None] lets each machine's configuration decide.  Read once per
+   [create]; workers inherit the value set before task submission (the
+   pool join is a barrier), so [--jobs N] stays deterministic. *)
+let timing_override : bool option Atomic.t = Atomic.make None
 
 let with_default_timing v f =
-  let prev = Atomic.exchange default_timing v in
-  Fun.protect ~finally:(fun () -> Atomic.set default_timing prev) f
+  let prev = Atomic.exchange timing_override (Some v) in
+  Fun.protect ~finally:(fun () -> Atomic.set timing_override prev) f
 
-let create ?(cfg = Config.default) ?(dram_capacity = 1 lsl 27) ?timing
-    ?(persist = Persist.Eager) ~mode () =
-  let timing =
-    match timing with Some v -> v | None -> Atomic.get default_timing
+let create ?(cfg = Config.default) ?(persist = Persist.Eager) ~mode () =
+  let cfg =
+    match Atomic.get timing_override with
+    | Some timing -> { cfg with Config.timing }
+    | None -> cfg
   in
   let mem = Mem.create () in
   let pm = Pmop.create mem in
-  let cpu = Cpu.create ~timing cfg mem in
+  let cpu = Cpu.create cfg mem in
   if not (Persist.is_eager persist) then Cpu.set_relaxed_persistency cpu true;
   {
     mode;
@@ -124,7 +125,6 @@ let create ?(cfg = Config.default) ?(dram_capacity = 1 lsl 27) ?timing
     cpu;
     pot_table_va = Mem.map_fresh mem Layout.Dram 65536;
     vat_table_va = Mem.map_fresh mem Layout.Dram 65536;
-    dram_capacity;
     reg_rel = Rel_window.create ();
     store_interceptor = None;
     persist = Persist.create persist (Mem.phys mem);
@@ -167,7 +167,7 @@ let remember_rel t ~va ~rel =
   if t.cfg.Config.keep_relative_opt then Rel_window.remember t.reg_rel ~va ~rel
 
 let mode t = t.mode
-let timing t = Cpu.timing t.cpu
+let atomically t f = Cpu.atomically t.cpu f
 let persist t = t.persist
 let persist_relaxed t = not (Persist.is_eager (Persist.model t.persist))
 
@@ -239,7 +239,7 @@ let crash_and_restart t =
     (Pmop.pool_ids t.pm);
   Pmop.crash t.pm;
   Cpu.flush_volatile t.cpu;
-  t.valloc <- Valloc.create t.mem ~capacity:t.dram_capacity;
+  t.valloc <- Valloc.create t.mem ~capacity:dram_capacity;
   t.pot_table_va <- Mem.map_fresh t.mem Layout.Dram 65536;
   t.vat_table_va <- Mem.map_fresh t.mem Layout.Dram 65536;
   Rel_window.clear t.reg_rel;
@@ -271,7 +271,7 @@ let count_dynamic_check t =
 let pc_determine_y = 8
 let pc_determine_x = 16
 
-let sw_check t ~site ~pc_offset:_ (v : Ptr.t) =
+let sw_check t ~site (v : Ptr.t) =
   if Site.is_static site then begin
     if Telemetry.enabled () then Telemetry.incr c_checks_elided
   end
@@ -321,7 +321,7 @@ let resolve t ~site (p : Ptr.t) : int64 =
   match t.mode with
   | Volatile -> p
   | Sw ->
-      sw_check t ~site ~pc_offset:0 p;
+      sw_check t ~site p;
       if Ptr.is_relative p then sw_ra2va t p else p
   | Hw ->
       if Ptr.is_relative p then begin
@@ -383,7 +383,7 @@ let load_ptr t ~site (p : Ptr.t) ~off : Ptr.t =
   match t.mode with
   | Volatile | Explicit -> raw
   | Sw ->
-      sw_check t ~site ~pc_offset:8 raw;
+      sw_check t ~site raw;
       if Ptr.is_relative raw then sw_ra2va t raw else raw
   | Hw ->
       if Ptr.is_relative raw then begin
@@ -405,8 +405,8 @@ let store_ptr t ~site (p : Ptr.t) ~off (value : Ptr.t) : unit =
   | Sw ->
       let va = resolve t ~site cell in
       (* Inlined pointerAssignment: checks on destination and source. *)
-      sw_check t ~site ~pc_offset:16 cell;
-      sw_check t ~site ~pc_offset:24 value;
+      sw_check t ~site cell;
+      sw_check t ~site value;
       let stored =
         match Checks.determine_x cell with
         | Layout.Nvm -> sw_va2ra t value
@@ -483,8 +483,8 @@ let ptr_compare t ~site op (p : Ptr.t) (q : Ptr.t) : bool =
   (match t.mode with
   | Volatile | Explicit -> ()
   | Sw ->
-      sw_check t ~site ~pc_offset:0 p;
-      sw_check t ~site ~pc_offset:8 q
+      sw_check t ~site p;
+      sw_check t ~site q
   | Hw -> ());
   let before = (Xlate.counters t.x).Xlate.ra2va in
   let result = Semantics.compare_ptr t.x op p q in
@@ -501,8 +501,8 @@ let ptr_diff t ~site (p : Ptr.t) (q : Ptr.t) ~elem_size : int64 =
   (match t.mode with
   | Volatile | Explicit -> ()
   | Sw ->
-      sw_check t ~site ~pc_offset:0 p;
-      sw_check t ~site ~pc_offset:8 q
+      sw_check t ~site p;
+      sw_check t ~site q
   | Hw -> ());
   let before = (Xlate.counters t.x).Xlate.ra2va in
   let result = Semantics.diff t.x p q ~elem_size in
@@ -518,7 +518,7 @@ let ptr_to_int t ~site (p : Ptr.t) : int64 =
   | Volatile -> p
   | Explicit -> Xlate.ra2va t.x p
   | Sw ->
-      sw_check t ~site ~pc_offset:0 p;
+      sw_check t ~site p;
       if Ptr.is_relative p then sw_ra2va t p else p
   | Hw ->
       if Ptr.is_relative p then begin
@@ -530,7 +530,7 @@ let ptr_to_int t ~site (p : Ptr.t) : int64 =
 let ptr_is_null t ~site (p : Ptr.t) : bool =
   Cpu.instr t.cpu 1;
   (match t.mode with
-  | Sw -> sw_check t ~site ~pc_offset:0 p
+  | Sw -> sw_check t ~site p
   | Volatile | Hw | Explicit -> ());
   Ptr.is_null p
 

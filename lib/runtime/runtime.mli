@@ -33,17 +33,10 @@ val all_modes : mode list
 
 type t
 
-val create :
-  ?cfg:Config.t ->
-  ?dram_capacity:int ->
-  ?timing:bool ->
-  ?persist:Persist.model ->
-  mode:mode ->
-  unit ->
-  t
-(** [timing] selects cycle-accurate ([true]) or fast functional
-    ([false]) simulation; when omitted it falls back to the ambient
-    default (see {!with_default_timing}).  Both modes perform identical
+val create : ?cfg:Config.t -> ?persist:Persist.model -> mode:mode -> unit -> t
+(** [cfg] (default {!Config.default}) is the machine, core speed
+    included: [Config.timing] selects cycle-accurate ([true]) or fast
+    functional ([false]) simulation.  Both speeds perform identical
     pointer-format checks, POW/VAW translations, crash-point hooks and
     media hooks; fast mode skips all cache/TLB/predictor/storeP timing,
     so [cycles = instrs] and timing statistics read as zero.
@@ -84,16 +77,19 @@ val fork : t -> t
     {!crash_and_restart} on the primary they are stale and must be
     re-created from the restarted primary. *)
 
-val timing : t -> bool
-(** [true] iff this runtime's core models timing. *)
-
 val with_default_timing : bool -> (unit -> 'a) -> 'a
-(** [with_default_timing v f] runs [f ()] with the ambient default set
-    to [v], restoring the previous value afterwards (even on raise).
-    Callers that create runtimes through harnesses with no [?timing]
-    parameter (the model checker, [nvml kv --fast]) use this to switch
-    whole runs to fast mode; prefer passing [~timing] to {!create}
-    where the caller owns the [create] call, as fault injection does. *)
+(** [with_default_timing v f] runs [f ()] with every machine {!create}
+    builds running at speed [v], whatever its [Config.timing], and
+    restores the previous setting afterwards (even on raise).  This is
+    the host-time benchmark's override ([benchmark/cells.ml]) and,
+    apart from its own test, it has no other caller: everything else
+    passes a configuration.  It goes once the benchmark passes one
+    too. *)
+
+val atomically : t -> (unit -> 'a) -> 'a
+(** [atomically t f] runs [f] as one atomic read-modify-write on [t]'s
+    core ({!Cpu.atomically}): inside a multi-core run no other core's
+    µ-events interleave with [f]'s.  Outside a run it is just [f ()]. *)
 
 val cpu : t -> Cpu.t
 val mem : t -> Nvml_simmem.Mem.t

@@ -64,16 +64,11 @@ let intern ?(static = false) name =
   Mutex.unlock registry_lock;
   t
 
-(* All sites registered so far (used by the productivity analysis: each
-   non-static site is a place an explicit-API migration would have to
-   edit by hand). *)
-let all () = List.rev !registry
-
+(* Sites registered so far under a name prefix (the per-structure
+   check profile, and the productivity analysis: each non-static site
+   is a place an explicit-API migration would have to edit by hand). *)
 let with_prefix prefix =
-  List.filter
-    (fun t -> String.length t.name >= String.length prefix
-              && String.sub t.name 0 (String.length prefix) = prefix)
-    (all ())
+  List.filter (fun t -> String.starts_with ~prefix t.name) (List.rev !registry)
 
 let pc t = t.pc
 let name t = t.name

@@ -36,10 +36,8 @@ val checks : t -> int
 
 val pp : t Fmt.t
 
-val all : unit -> t list
-(** Every site registered so far, in registration order.  Each
-    non-static site is a place an explicit-API migration would edit by
-    hand — the basis of the productivity analysis. *)
-
 val with_prefix : string -> t list
-(** Sites whose name starts with [prefix] (e.g. ["rb."]). *)
+(** Sites registered so far whose name starts with [prefix] (e.g.
+    ["rb."]), in registration order.  Each non-static site is a place an
+    explicit-API migration would edit by hand — the basis of the
+    productivity analysis and of the per-structure check profile. *)

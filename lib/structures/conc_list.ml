@@ -11,7 +11,7 @@
 
    Insert protocol: write the key into the slot (the node is still
    unreachable, so this is crash-benign), then — as one modeled atomic
-   read-modify-write ({!Nvml_arch.Multicore.atomically}) — link the
+   read-modify-write ({!Nvml_runtime.Runtime.atomically}) — link the
    node to the current head and swing the head pointer.  The head-swing
    store is the durability point: crash before it and the node is
    unreachable (operation not completed), crash at or after it and the
@@ -27,7 +27,6 @@
 module Runtime = Nvml_runtime.Runtime
 module Site = Nvml_runtime.Site
 module Ptr = Nvml_core.Ptr
-module Multicore = Nvml_arch.Multicore
 
 let s_hdr = Site.make "conc.list.header"
 let s_node = Site.make "conc.list.node"
@@ -79,7 +78,7 @@ let insert { rt; shared } ~slot ~key =
   Flit.writer_begin rt shared.flit node;
   (* Link + publish as one modeled atomic RMW: no other core's µ-events
      interleave between reading the head and swinging it. *)
-  Multicore.atomically (fun () ->
+  Runtime.atomically rt (fun () ->
       let head = Runtime.load_ptr rt ~site:s_node shared.header ~off:h_head in
       Runtime.store_ptr rt ~site:s_node shared.header
         ~off:(slot_off slot + o_next)

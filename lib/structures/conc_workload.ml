@@ -1,9 +1,9 @@
 (* The canonical contended workload over the multi-core machine, shared
-   by the fault-injection engine, the model checker, the bench
-   `concurrent` experiment and `nvml kv --cores`: every core hammers
-   one shared {!Conc_counter} and one shared {!Conc_list}, with
-   periodic reads so the FliT table sees both in-flight and quiescent
-   objects (issued *and* elided flushes).
+   by the fault-injection engine, the model checker and the bench
+   `concurrent` experiment (`nvml kv --cores` runs its own replicated
+   loop): every core hammers one shared {!Conc_counter} and one shared
+   {!Conc_list}, with periodic reads so the FliT table sees both
+   in-flight and quiescent objects (issued *and* elided flushes).
 
    Per-core op [j]: increment the counter, then publish key
    [(core+1) << 32 | j] into list slot [core * ops_per_core + j].  Both
@@ -22,8 +22,10 @@ type setup = {
   list : Conc_list.t;
   cores : int;
   ops_per_core : int;
-  read_every : int;
 }
+
+(* Every 4th op on a core reads the counter; every 16th probes the list. *)
+let read_every = 4
 
 let key ~core ~op =
   Int64.logor (Int64.shift_left (Int64.of_int (core + 1)) 32) (Int64.of_int op)
@@ -33,13 +35,12 @@ let decode_key k =
 
 (* Build the structures on [primary] (outside the scheduler) and the
    cluster around it.  The caller owns pool/root management. *)
-let setup ?(sched_seed = 1) ?(read_every = 4) ~cores ~ops_per_core primary
-    ~pool =
+let setup ?(sched_seed = 1) ~cores ~ops_per_core primary ~pool =
   let region = Runtime.Pool_region pool in
   let counter = Conc_counter.create primary region ~cells:cores in
   let list = Conc_list.create primary region ~capacity:(cores * ops_per_core) in
   let cluster = Cluster.create ~seed:sched_seed ~cores primary in
-  { cluster; counter; list; cores; ops_per_core; read_every }
+  { cluster; counter; list; cores; ops_per_core }
 
 let no_mark ~core:_ ~op:_ _ = ()
 
@@ -61,8 +62,8 @@ let run ?(mark = no_mark) s =
          epoch model every interval-th boundary drains this core's
          epoch through the shared buffer. *)
       Runtime.persist_op_boundary rt;
-      if (j + 1) mod s.read_every = 0 then ignore (Conc_counter.read ch);
-      if (j + 1) mod (s.read_every * 4) = 0 then
+      if (j + 1) mod read_every = 0 then ignore (Conc_counter.read ch);
+      if (j + 1) mod (read_every * 4) = 0 then
         ignore (Conc_list.mem lh (key ~core ~op:j))
     done
   in

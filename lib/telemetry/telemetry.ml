@@ -32,11 +32,6 @@ let flag = Atomic.make false
 let enabled () = Atomic.get flag [@@inline]
 let set_enabled b = Atomic.set flag b
 
-let () =
-  match Sys.getenv_opt "NVML_TELEMETRY" with
-  | Some ("1" | "true" | "on" | "yes") -> set_enabled true
-  | _ -> ()
-
 (* --- registry -------------------------------------------------------------- *)
 
 type kind = Counter | Histo | Lat

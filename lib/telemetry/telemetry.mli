@@ -2,8 +2,8 @@
     ring-buffer event tracer with spans, and per-domain sinks that the
     execution pool merges deterministically at join.
 
-    All recording is gated on a process-wide flag (off by default, also
-    settable via the [NVML_TELEMETRY] environment variable).  Hot-path
+    All recording is gated on a process-wide flag (off by default; the
+    [--stats]/[--trace] flags and {!set_enabled} turn it on).  Hot-path
     callers write [if Telemetry.enabled () then Telemetry.incr c]; when
     the flag is off the cost is one atomic load.  The timing model never
     reads telemetry, so enabling it cannot change simulated cycles. *)

@@ -37,7 +37,8 @@ type episode = {
 }
 
 let run_episode ?(sched_seed = 7) ?(timing = true) ~cores ~ops_per_core () =
-  let rt = Runtime.create ~mode:Runtime.Hw ~timing () in
+  let cfg = { Runtime.Config.default with timing } in
+  let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
   let pool = Runtime.create_pool rt ~name:"conc" ~size:(1 lsl 22) in
   let s = Conc_workload.setup ~sched_seed ~cores ~ops_per_core rt ~pool in
   Conc_workload.run s;
@@ -83,6 +84,46 @@ let test_fast_mode_agrees () =
   check_bool "functional outputs equal across speeds" true
     (a.value = b.value && a.keys = b.keys)
 
+(* --- per-core atomicity --------------------------------------------------- *)
+
+(* A 2-core run on the functional core: core 0 narrates 5 plain
+   µ-events and then a block of 20, core 1 narrates 60; each core logs
+   (core, in block) after every µ-event.  Returns how many entries the
+   block logged and how many log positions its entries span. *)
+let block_span ~atomic =
+  let cfg = { Runtime.Config.default with timing = false } in
+  let cluster =
+    Cluster.create ~seed:3 ~cores:2 (Runtime.create ~cfg ~mode:Runtime.Hw ())
+  in
+  let log = ref [] in
+  let step rt core ~block =
+    Runtime.instr rt 1;
+    log := (core, block) :: !log
+  in
+  let body core =
+    let rt = Cluster.rt cluster core in
+    if core = 0 then begin
+      for _ = 1 to 5 do step rt 0 ~block:false done;
+      let block () = for _ = 1 to 20 do step rt 0 ~block:true done in
+      if atomic then Runtime.atomically rt block else block ()
+    end
+    else for _ = 1 to 60 do step rt 1 ~block:false done
+  in
+  Cluster.run cluster [| body; body |];
+  let at =
+    List.concat
+      (List.mapi (fun i (_, b) -> if b then [ i ] else []) (List.rev !log))
+  in
+  (List.length at, List.nth at (List.length at - 1) - List.hd at + 1)
+
+let test_atomically_contiguous () =
+  let n, span = block_span ~atomic:true in
+  check_int "block logged every µ-event" 20 n;
+  check_int "atomic block is contiguous in the log" 20 span;
+  let n, span = block_span ~atomic:false in
+  check_int "plain block logged every µ-event" 20 n;
+  check_bool "without atomically core 1 interleaves" true (span > 20)
+
 (* --- the contended 2-core run: coherence and FliT ----------------------- *)
 
 let test_contended_metrics () =
@@ -115,7 +156,7 @@ let snapshot_fingerprint (s : Cpu.snapshot) =
   )
 
 let run_minic ~cluster prog =
-  let rt = Runtime.create ~mode:Runtime.Hw ~timing:true () in
+  let rt = Runtime.create ~mode:Runtime.Hw () in
   let heap =
     Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
   in
@@ -136,7 +177,7 @@ let test_single_core_minic_corpus () =
 
 let run_kv ~cluster =
   let (module M : Intf.ORDERED_MAP) = Registry.find_map "RB" in
-  let rt = Runtime.create ~mode:Runtime.Hw ~timing:true () in
+  let rt = Runtime.create ~mode:Runtime.Hw () in
   let pool = Runtime.create_pool rt ~name:"kv" ~size:(1 lsl 22) in
   let body _ =
     let m = M.create rt (Runtime.Pool_region pool) in
@@ -169,11 +210,12 @@ let test_single_core_kv () =
 (* --- validation ---------------------------------------------------------- *)
 
 let test_validation () =
-  let rt = Runtime.create ~mode:Runtime.Hw ~timing:false () in
+  let cfg = { Runtime.Config.default with timing = false } in
+  let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
   Alcotest.check_raises "cores 0" (Invalid_argument "Cluster.create: cores must be >= 1")
     (fun () -> ignore (Cluster.create ~cores:0 rt));
   check_int "atomically outside run is transparent" 42
-    (Multicore.atomically (fun () -> 42));
+    (Runtime.atomically rt (fun () -> 42));
   let pool = Runtime.create_pool rt ~name:"v" ~size:(1 lsl 20) in
   let region = Runtime.Pool_region pool in
   Alcotest.check_raises "counter cells 0"
@@ -200,6 +242,8 @@ let () =
           Alcotest.test_case "seeded determinism" `Quick test_determinism;
           Alcotest.test_case "fast mode agrees" `Quick test_fast_mode_agrees;
           Alcotest.test_case "contended metrics" `Quick test_contended_metrics;
+          Alcotest.test_case "atomically is contiguous" `Quick
+            test_atomically_contiguous;
         ] );
       ( "single-core identity",
         [

@@ -14,6 +14,7 @@ module Corpus = Nvml_minic.Corpus
 module Pool = Nvml_exec.Pool
 module Modelcheck = Nvml_modelcheck.Modelcheck
 module Faultinject = Nvml_faultinject.Faultinject
+module Harness = Nvml_kvstore.Harness
 module Mediacheck = Nvml_pool.Mediacheck
 module Crc = Nvml_media.Crc
 
@@ -42,7 +43,8 @@ type fingerprint = {
 }
 
 let run_program ~timing ~mode prog =
-  let rt = Runtime.create ~timing ~mode () in
+  let cfg = { Runtime.Config.default with timing } in
+  let rt = Runtime.create ~cfg ~mode () in
   let heap =
     if mode <> Runtime.Volatile then
       Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
@@ -123,6 +125,35 @@ let test_fuzz_equivalence () =
   in
   check_bool "verdicts identical across modes" true (fast = cycle);
   check_int "no violations" 0 fast.Modelcheck.violations
+
+(* --- the benchmark's timing override ------------------------------------ *)
+
+(* Inside [Runtime.with_default_timing] every machine runs at the speed
+   it names, whatever its configuration; outside it the configuration
+   decides. *)
+let test_timing_override () =
+  let spec =
+    {
+      Nvml_ycsb.Workload.paper_default with
+      record_count = 200;
+      operation_count = 300;
+    }
+  in
+  let run ?cfg () =
+    (Harness.run_benchmark "RB" ~mode:Runtime.Hw ?cfg spec).Harness.run
+  in
+  let functional = { Runtime.Config.default with timing = false } in
+  let s = Runtime.with_default_timing false (fun () -> run ()) in
+  check_int "override false, default config: cycles = instrs" s.Cpu.instrs
+    s.Cpu.cycles;
+  let s = Runtime.with_default_timing true (fun () -> run ~cfg:functional ()) in
+  check_bool "override true, functional config: cycles > instrs" true
+    (s.Cpu.cycles > s.Cpu.instrs);
+  let s = run () in
+  check_bool "default config: cycles > instrs" true
+    (s.Cpu.cycles > s.Cpu.instrs);
+  let s = run ~cfg:functional () in
+  check_int "functional config: cycles = instrs" s.Cpu.instrs s.Cpu.cycles
 
 (* --- scrub reports ----------------------------------------------------- *)
 
@@ -248,6 +279,11 @@ let () =
         [
           Alcotest.test_case "fast mode jobs 4 == jobs 1" `Quick
             test_fast_jobs_deterministic;
+        ] );
+      ( "override",
+        [
+          Alcotest.test_case "benchmark timing override" `Quick
+            test_timing_override;
         ] );
       ( "crc",
         [

@@ -6,6 +6,8 @@
 module Cpu = Nvml_arch.Cpu
 module Runtime = Nvml_runtime.Runtime
 module Harness = Nvml_kvstore.Harness
+module Profile = Nvml_kvstore.Profile
+module Site = Nvml_runtime.Site
 module W = Nvml_ycsb.Workload
 
 let check_bool = Alcotest.(check bool)
@@ -94,9 +96,25 @@ let test_storep_fraction_small () =
     (s.Cpu.valb_accesses < s.Cpu.polb_accesses)
 
 let test_ll_harness () =
-  let r = Harness.run_ll ~mode:Runtime.Hw ~nodes:500 ~iterations:2 () in
+  let r = Harness.run_ll ~mode:Runtime.Hw ~nodes:500 () in
   check_bool "LL run did work" true (r.Harness.run.Cpu.loads > 1000);
   check_int "benchmark name" 0 (compare r.Harness.benchmark "LL")
+
+(* The profile reports the profiled structure's sites only, so a site
+   minted elsewhere in the process between two runs changes neither its
+   rows nor its derived metrics. *)
+let test_profile_sites_stable () =
+  let a = Profile.run ~benchmark:"RB" small in
+  ignore (Site.make "test.profile.unrelated");
+  let b = Profile.run ~benchmark:"RB" small in
+  check_bool "site rows identical" true (a.Profile.sites = b.Profile.sites);
+  check_bool "derived metrics identical" true
+    (a.Profile.derived = b.Profile.derived);
+  List.iter
+    (fun (r : Profile.site_row) ->
+      check_bool (r.Profile.site ^ " is an RB site") true
+        (String.starts_with ~prefix:"rb." r.Profile.site))
+    a.Profile.sites
 
 let test_nvm_accesses_only_in_persistent_modes () =
   let nvm mode =
@@ -115,6 +133,8 @@ let () =
           Alcotest.test_case "same behaviour across modes" `Quick
             test_same_behaviour_across_modes;
           Alcotest.test_case "LL harness" `Quick test_ll_harness;
+          Alcotest.test_case "profile sites stable" `Quick
+            test_profile_sites_stable;
           Alcotest.test_case "NVM access placement" `Quick
             test_nvm_accesses_only_in_persistent_modes;
         ] );

@@ -258,7 +258,7 @@ let test_crash_detached_pool_faults () =
    whose cell [i] holds object [i]'s relative pointer, behind a
    [pad]-byte allocation so the objects sit deep inside the pool. *)
 let window_machine ?(cfg = Nvml_arch.Config.default) ?(pad = 0) n =
-  let rt = Runtime.create ~cfg ~timing:true ~mode:Runtime.Hw () in
+  let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
   let pool = Runtime.create_pool rt ~name:"t" ~size:(1 lsl 20) in
   let region = Runtime.Pool_region pool in
   if pad > 0 then ignore (Runtime.alloc_in rt region pad);

@@ -20,9 +20,9 @@ let mix name ~records ~ops =
 
 let run ?par ?(structure = "Hash") ?(shards = 8) ?(batch = 32)
     ?(front_cache = 0) spec =
-  Runtime.with_default_timing false @@ fun () ->
+  let cfg = { Runtime.Config.default with timing = false } in
   Serving.run ?par
-    (Serving.default_config ~structure ~mode:Runtime.Hw ~shards ~batch
+    (Serving.default_config ~structure ~mode:Runtime.Hw ~cfg ~shards ~batch
        ~front_cache spec)
 
 (* Serialize everything deterministic about a report — the "metrics

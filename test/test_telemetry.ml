@@ -416,10 +416,8 @@ let test_oplat_attribution_sums () =
 (* Fast functional mode still reports latencies — cycles equal
    instructions and every non-base component is zero. *)
 let test_oplat_fast_mode () =
-  let r =
-    Runtime.with_default_timing false (fun () ->
-        Harness.run_benchmark "RB" ~mode:Runtime.Hw quick_spec)
-  in
+  let cfg = { Runtime.Config.default with timing = false } in
+  let r = Harness.run_benchmark "RB" ~mode:Runtime.Hw ~cfg quick_spec in
   check_int "fast mode: cycles = instrs" r.Harness.run.Cpu.instrs
     r.Harness.run.Cpu.cycles;
   let tot = Oplat.totals r.Harness.oplat in
