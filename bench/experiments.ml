@@ -23,7 +23,14 @@ module Corpus = Nvml_minic.Corpus
 module Inference = Nvml_comp.Inference
 open Report
 
-type ctx = { spec : Workload.spec; verbose : bool; pool : Nvml_exec.Pool.t }
+(* [quick] is main.exe's --quick: [spec] is then 10x smaller, and the
+   experiments that size their own runs shrink them too. *)
+type ctx = {
+  spec : Workload.spec;
+  quick : bool;
+  verbose : bool;
+  pool : Nvml_exec.Pool.t;
+}
 
 let benchmarks = Registry.benchmark_names (* LL Hash RB Splay AVL SG *)
 
@@ -37,13 +44,9 @@ let run_one ctx ?cfg name mode =
     Printf.eprintf "  [run] %s / %s...\n%!" name (Runtime.mode_name mode);
   Harness.run_benchmark name ~mode ?cfg ctx.spec
 
-let matrix ctx name mode =
-  match Hashtbl.find_opt matrix_cache (name, mode) with
-  | Some r -> r
-  | None ->
-      let r = run_one ctx name mode in
-      Hashtbl.replace matrix_cache (name, mode) r;
-      r
+(* A cell of the matrix; an experiment [prefetch]es every cell it
+   reads, so a cell missing here raises [Not_found]. *)
+let matrix name mode = Hashtbl.find matrix_cache (name, mode)
 
 (* --- parallel cell execution -------------------------------------------- *)
 
@@ -53,28 +56,24 @@ let matrix ctx name mode =
    [--jobs 1] reproduces the pre-parallel output byte for byte. *)
 let par_map ctx f xs = Nvml_exec.Pool.map ctx.pool f xs
 
-(* Populate [matrix_cache] for the given cells in parallel.  A no-op
-   with one job: the lazy [matrix] fills the cache in the sequential
-   order instead, preserving the exact sequential behaviour.  Cells are
-   share-nothing (each builds its own [Runtime.t] and seeds its RNG
+(* Populate [matrix_cache] for the given cells through the pool.  Cells
+   are share-nothing (each builds its own [Runtime.t] and seeds its RNG
    from the spec), so the cached results are independent of worker
    count and scheduling. *)
 let prefetch ctx cells =
-  if Nvml_exec.Pool.jobs ctx.pool > 1 then begin
-    let seen = Hashtbl.create 16 in
-    let todo =
-      List.filter
-        (fun cell ->
-          if Hashtbl.mem matrix_cache cell || Hashtbl.mem seen cell then false
-          else begin
-            Hashtbl.add seen cell ();
-            true
-          end)
-        cells
-    in
-    let results = par_map ctx (fun (name, mode) -> run_one ctx name mode) todo in
-    List.iter2 (fun cell r -> Hashtbl.replace matrix_cache cell r) todo results
-  end
+  let seen = Hashtbl.create 16 in
+  let todo =
+    List.filter
+      (fun cell ->
+        if Hashtbl.mem matrix_cache cell || Hashtbl.mem seen cell then false
+        else begin
+          Hashtbl.add seen cell ();
+          true
+        end)
+      cells
+  in
+  let results = par_map ctx (fun (name, mode) -> run_one ctx name mode) todo in
+  List.iter2 (fun cell r -> Hashtbl.replace matrix_cache cell r) todo results
 
 (* Every (benchmark x mode) cell an experiment over [names] consumes,
    volatile included (the normalization denominator). *)
@@ -83,9 +82,9 @@ let matrix_cells names modes =
     (fun name -> List.map (fun mode -> (name, mode)) modes)
     names
 
-let norm_cycles ctx name mode =
-  let r = matrix ctx name mode in
-  let v = matrix ctx name Runtime.Volatile in
+let norm_cycles name mode =
+  let r = matrix name mode in
+  let v = matrix name Runtime.Volatile in
   float_of_int r.Harness.run.Cpu.cycles /. float_of_int v.Harness.run.Cpu.cycles
 
 (* --- ops and latency accounting ------------------------------------------ *)
@@ -216,7 +215,7 @@ let table5 ctx =
   prefetch ctx (matrix_cells benchmarks [ Runtime.Sw ]);
   List.iter
     (fun name ->
-      let r = matrix ctx name Runtime.Sw in
+      let r = matrix name Runtime.Sw in
       metric
         (Printf.sprintf "table5.dynamic_checks.%s" name)
         (float_of_int r.Harness.checks.Harness.dynamic_checks))
@@ -225,7 +224,7 @@ let table5 ctx =
     ~header:[ "Benchmark"; "dynamic checks"; "abs. to rel."; "rel. to abs." ]
     (List.map
        (fun name ->
-         let r = matrix ctx name Runtime.Sw in
+         let r = matrix name Runtime.Sw in
          [
            name;
            with_commas r.Harness.checks.Harness.dynamic_checks;
@@ -235,9 +234,9 @@ let table5 ctx =
        benchmarks);
   credit_cells ctx (List.length benchmarks);
   latency_table
-    (List.map (fun n -> (n, (matrix ctx n Runtime.Sw).Harness.oplat)) benchmarks);
+    (List.map (fun n -> (n, (matrix n Runtime.Sw).Harness.oplat)) benchmarks);
   latency_metrics "table5.sw"
-    (result_oplats (List.map (fun n -> matrix ctx n Runtime.Sw) benchmarks));
+    (result_oplats (List.map (fun n -> matrix n Runtime.Sw) benchmarks));
   Printf.printf
     "Paper magnitudes (100k ops): LL 8.2M, Hash 2.6M, RB 14.5M, Splay 25.6M,\n\
      AVL 14.4M, SG 18.1M dynamic checks.\n"
@@ -256,20 +255,20 @@ let fig11 ctx =
       (fun name ->
         [
           name;
-          f3 (norm_cycles ctx name Runtime.Explicit);
-          f3 (norm_cycles ctx name Runtime.Sw);
-          f3 (norm_cycles ctx name Runtime.Hw);
+          f3 (norm_cycles name Runtime.Explicit);
+          f3 (norm_cycles name Runtime.Sw);
+          f3 (norm_cycles name Runtime.Hw);
         ])
       benchmarks
   in
   table ~header:[ "Benchmark"; "Explicit"; "SW"; "HW" ] rows;
-  let gm mode = geomean (List.map (fun n -> norm_cycles ctx n mode) benchmarks) in
+  let gm mode = geomean (List.map (fun n -> norm_cycles n mode) benchmarks) in
   metric "fig11.geomean.explicit" (gm Runtime.Explicit);
   metric "fig11.geomean.sw" (gm Runtime.Sw);
   metric "fig11.geomean.hw" (gm Runtime.Hw);
   credit_cells ctx (4 * List.length benchmarks);
   latency_metrics "fig11.hw"
-    (result_oplats (List.map (fun n -> matrix ctx n Runtime.Hw) benchmarks));
+    (result_oplats (List.map (fun n -> matrix n Runtime.Hw) benchmarks));
   Printf.printf
     "Geomean: Explicit %.3f, SW %.3f, HW %.3f; HW speedup over Explicit %.2fx\n"
     (gm Runtime.Explicit) (gm Runtime.Sw) (gm Runtime.Hw)
@@ -318,8 +317,8 @@ let fig13 ctx =
     (matrix_cells benchmarks
        [ Runtime.Sw; Runtime.Volatile; Runtime.Hw; Runtime.Explicit ]);
   let mp name mode =
-    let r = matrix ctx name mode in
-    let v = matrix ctx name Runtime.Volatile in
+    let r = matrix name mode in
+    let v = matrix name Runtime.Volatile in
     float_of_int r.Harness.run.Cpu.branch_mispredicts
     /. float_of_int (max 1 v.Harness.run.Cpu.branch_mispredicts)
   in
@@ -366,7 +365,7 @@ let fig14 ctx =
     List.map
       (fun name ->
         let explicit =
-          float_of_int (matrix ctx name Runtime.Explicit).Harness.run.Cpu.cycles
+          float_of_int (matrix name Runtime.Explicit).Harness.run.Cpu.cycles
         in
         name
         :: List.map
@@ -393,7 +392,7 @@ let fig15 ctx =
     ~header:[ "Benchmark"; "storeP"; "VALB/VAW"; "POLB/POW" ]
     (List.map
        (fun name ->
-         let s = (matrix ctx name Runtime.Hw).Harness.run in
+         let s = (matrix name Runtime.Hw).Harness.run in
          let m = float_of_int (max 1 s.Cpu.mem_accesses) in
          [
            name;
@@ -637,9 +636,9 @@ let ablation ctx =
     List.map
       (fun name ->
         let volatile =
-          float_of_int (matrix ctx name Runtime.Volatile).Harness.run.Cpu.cycles
+          float_of_int (matrix name Runtime.Volatile).Harness.run.Cpu.cycles
         in
-        let on = matrix ctx name Runtime.Hw in
+        let on = matrix name Runtime.Hw in
         let off = List.assoc name offs in
         let valb_frac (r : Harness.result) =
           float_of_int r.Harness.run.Cpu.valb_accesses
@@ -666,7 +665,7 @@ let ablation ctx =
      translations cost bandwidth, not time (hence Fig. 14's flatness).\n";
   subheading "VALB/VAW latency sensitivity with reuse disabled (Splay)";
   let explicit =
-    float_of_int (matrix ctx "Splay" Runtime.Explicit).Harness.run.Cpu.cycles
+    float_of_int (matrix "Splay" Runtime.Explicit).Harness.run.Cpu.cycles
   in
   let row =
     "Splay(no reuse)"
@@ -683,7 +682,7 @@ let ablation ctx =
   table ~header:[ "Benchmark"; "3cyc"; "10cyc"; "25cyc"; "50cyc" ] [ row ];
   heading "Ablation 2: branch-predictor capacity vs the SW slowdown (RB)";
   let volatile =
-    float_of_int (matrix ctx "RB" Runtime.Volatile).Harness.run.Cpu.cycles
+    float_of_int (matrix "RB" Runtime.Volatile).Harness.run.Cpu.cycles
   in
   let rows =
     par_map ctx
@@ -793,18 +792,18 @@ let extended ctx =
       (fun name ->
         [
           name;
-          f3 (norm_cycles ctx name Runtime.Explicit);
-          f3 (norm_cycles ctx name Runtime.Sw);
-          f3 (norm_cycles ctx name Runtime.Hw);
+          f3 (norm_cycles name Runtime.Explicit);
+          f3 (norm_cycles name Runtime.Sw);
+          f3 (norm_cycles name Runtime.Hw);
         ])
       names
   in
   table ~header:[ "Structure"; "Explicit"; "SW"; "HW" ] rows;
   credit_cells ctx (4 * List.length names);
   latency_table
-    (List.map (fun n -> (n, (matrix ctx n Runtime.Hw).Harness.oplat)) names);
+    (List.map (fun n -> (n, (matrix n Runtime.Hw).Harness.oplat)) names);
   latency_metrics "extended.hw"
-    (result_oplats (List.map (fun n -> matrix ctx n Runtime.Hw) names));
+    (result_oplats (List.map (fun n -> matrix n Runtime.Hw) names));
   Printf.printf
     "The same ranking as Table III's set: SW-only slow, HW near-native,\n\
      user-transparent HW ahead of explicit handles.\n"
@@ -993,6 +992,8 @@ let sweep ctx =
      rest is the NVM medium itself, which every persistent design pays.\n";
   heading "Extension: HW overhead vs working-set size (RB)";
   let sizes = [ 1_000; 10_000; 50_000 ] in
+  (* The sizes are absolute, so --quick shrinks the ops per record. *)
+  let ops_per_record = if ctx.quick then 1 else 10 in
   let cells =
     List.concat_map
       (fun r -> [ (r, Runtime.Volatile); (r, Runtime.Hw) ])
@@ -1004,7 +1005,7 @@ let sweep ctx =
          (fun (records, mode) ->
            let s =
              { spec with Nvml_ycsb.Workload.record_count = records;
-               operation_count = records * 10 }
+               operation_count = records * ops_per_record }
            in
            Harness.run_benchmark "RB" ~mode s)
          cells)
@@ -1024,8 +1025,9 @@ let sweep ctx =
       sizes
   in
   table ~header:[ "records"; "HW / volatile"; "L3 hit rate" ] rows;
-  (* working-set cells run records x 10 ops each, volatile + HW *)
-  Report.ops_add (2 * List.fold_left (fun acc r -> acc + (r * 10)) 0 sizes);
+  (* working-set cells run records x ops_per_record ops, volatile + HW *)
+  Report.ops_add
+    (2 * List.fold_left (fun acc r -> acc + (r * ops_per_record)) 0 sizes);
   Printf.printf
     "Past the 2 MiB L3, more accesses reach the NVM medium and the 2x miss\n\
      latency shows — the overhead is the memory, not the pointer scheme.\n"
@@ -1280,14 +1282,13 @@ let profile ctx =
 let faultinject ctx =
   let module F = Nvml_faultinject.Faultinject in
   heading "Crash-point fault injection: recovery check matrix";
-  let quick = ctx.spec.Workload.operation_count < 100_000 in
-  let kv_ops = if quick then 40 else 100 in
+  let kv_ops = if ctx.quick then 40 else 100 in
   let cases =
     [
       (F.counter_workload ~ops:3 (), { F.default_spec with torn = true });
       ( F.kv_workload ~structure:"RB" ~records:15 ~ops:kv_ops (),
-        if quick then { F.default_spec with every_n = 3 } else F.default_spec
-      );
+        if ctx.quick then { F.default_spec with every_n = 3 }
+        else F.default_spec );
       ( F.kv_workload ~structure:"AVL" ~records:10 ~ops:40 (),
         { F.default_spec with every_n = 5; torn = true } );
       ( F.kv_workload ~structure:"BTree" ~records:10 ~ops:40 (),
@@ -1351,8 +1352,7 @@ let scrub ctx =
   let module Media = Nvml_media.Media in
   let module Mediacheck = Nvml_pool.Mediacheck in
   heading "Media errors: scrub detection / repair coverage";
-  let quick = ctx.spec.Workload.operation_count < 100_000 in
-  let seeds = if quick then 8 else 32 in
+  let seeds = if ctx.quick then 8 else 32 in
   let rows =
     [
       ("5e-4", "all", 5e-4, [], true);
@@ -1461,9 +1461,8 @@ let scrub ctx =
 let serving ctx =
   let module Serving = Nvml_kvstore.Serving in
   heading "Serving at scale: sharded pools, batching, DRAM front cache";
-  let quick = ctx.spec.Workload.operation_count < 100_000 in
-  let records = if quick then 20_000 else 1_000_000 in
-  let ops = if quick then 50_000 else 2_500_000 in
+  let records = if ctx.quick then 20_000 else 1_000_000 in
+  let ops = if ctx.quick then 50_000 else 2_500_000 in
   let shards = 8 and batch = 32 in
   let front_cache = records / 8 in
   let mixes = Workload.serving_mixes ~records ~ops in
@@ -1534,8 +1533,7 @@ let concurrent ctx =
   let module Conc_workload = Nvml_structures.Conc_workload in
   let module F = Nvml_faultinject.Faultinject in
   heading "Multi-core contention: coherence, flush elision, durability";
-  let quick = ctx.spec.Workload.operation_count < 100_000 in
-  let ops_per_core = if quick then 200 else 2_000 in
+  let ops_per_core = if ctx.quick then 200 else 2_000 in
   let episode cores =
     let rt = Runtime.create ~mode:Runtime.Hw () in
     let pool = Runtime.create_pool rt ~name:"conc" ~size:(1 lsl 24) in
@@ -1544,7 +1542,7 @@ let concurrent ctx =
     Report.ops_add (cores * ops_per_core);
     s
   in
-  let core_counts = if quick then [ 2 ] else [ 2; 4 ] in
+  let core_counts = if ctx.quick then [ 2 ] else [ 2; 4 ] in
   let episodes = List.map (fun c -> (c, episode c)) core_counts in
   table
     ~header:
@@ -1603,8 +1601,9 @@ let concurrent ctx =
   subheading "Durability: crash at every event of a seeded 2-core schedule";
   let r =
     F.run ~par:(Nvml_exec.Pool.run ctx.pool)
-      ~spec:{ F.default_spec with every_n = (if quick then 2 else 1) }
-      (F.conc_workload ~cores:2 ~ops_per_core:(if quick then 4 else 8) ())
+      ~spec:{ F.default_spec with every_n = (if ctx.quick then 2 else 1) }
+      (F.conc_workload ~cores:2
+         ~ops_per_core:(if ctx.quick then 4 else 8) ())
   in
   (* reference pass + one full workload replay per crash point *)
   Report.ops_add ((List.length r.F.outcomes + 1) * r.F.ops);
@@ -1641,9 +1640,8 @@ let persist ctx =
   let module Persist = Nvml_runtime.Persist in
   let module F = Nvml_faultinject.Faultinject in
   heading "Persistency models: drain traffic saved vs suffix-loss exposure";
-  let quick = ctx.spec.Workload.operation_count < 100_000 in
-  let records = if quick then 1_000 else 5_000 in
-  let ops = if quick then 500 else 2_500 in
+  let records = if ctx.quick then 1_000 else 5_000 in
+  let ops = if ctx.quick then 500 else 2_500 in
   (* Write-heavy stream: the trade only shows on the write path (reads
      never dirty a line), and the latest-skewed updates give wider
      epochs hot lines to coalesce. *)

@@ -23,50 +23,43 @@ module Telemetry = Nvml_telemetry.Telemetry
 module Json = Nvml_telemetry.Json
 module Profile = Nvml_kvstore.Profile
 
-let all_experiments : (string * string * (Experiments.ctx -> unit)) list =
+(* Every experiment: name, the core it drives (the --bench document's
+   mode breakdown), description, entry point.  "fast" experiments run
+   the verification engines, which default to fast functional
+   simulation; "cycle" experiments measure timing on the cycle-accurate
+   core; "other" experiments do no simulation worth classifying (static
+   tables, compiler output, micro-benchmarks). *)
+let all_experiments :
+    (string * string * string * (Experiments.ctx -> unit)) list =
   [
-    ("table2", "HW structure storage cost", Experiments.table2);
-    ("table3", "benchmark inventory", Experiments.table3);
-    ("table4", "simulator parameters", Experiments.table4);
-    ("table5", "dynamic checks and conversions (SW)", Experiments.table5);
-    ("fig11", "execution time normalized to volatile", Experiments.fig11);
-    ("fig12", "translation-reuse codelet", Experiments.fig12);
-    ("fig9", "compiler-generated code sample", Experiments.fig9);
-    ("fig13", "branch mispredictions normalized", Experiments.fig13);
-    ("fig14", "VALB/VAW latency sensitivity", Experiments.fig14);
-    ("fig15", "translation-hardware access fractions", Experiments.fig15);
-    ("profile", "telemetry: check sites, lookasides, cycles", Experiments.profile);
-    ("table6", "relocation overhead comparison", Experiments.table6);
-    ("knn", "KNN case study + productivity", Experiments.knn);
-    ("soundness", "mini-C corpus soundness runs", Experiments.soundness);
-    ("compiler", "pointer-property inference stats", Experiments.compiler);
-    ("productivity", "library migration cost table", Experiments.productivity);
-    ("ablation", "design-choice ablations", Experiments.ablation);
-    ("extended", "extended structure set", Experiments.extended);
-    ("multipool", "pool-count capacity sweep", Experiments.multipool);
-    ("txn", "transaction overhead", Experiments.txn_overhead);
-    ("faultinject", "crash-point recovery sweep", Experiments.faultinject);
-    ("scrub", "media-error detection/repair coverage", Experiments.scrub);
-    ("serving", "sharded serving engine throughput/latency", Experiments.serving);
-    ("concurrent", "multi-core contention, FliT elision, durability", Experiments.concurrent);
-    ("persist", "persistency-model sweep: drain savings vs loss exposure", Experiments.persist);
-    ("sweep", "NVM latency and working-set sweeps", Experiments.sweep);
-    ("micro", "bechamel micro-benchmarks", Experiments.micro);
+    ("table2", "other", "HW structure storage cost", Experiments.table2);
+    ("table3", "other", "benchmark inventory", Experiments.table3);
+    ("table4", "other", "simulator parameters", Experiments.table4);
+    ("table5", "cycle", "dynamic checks and conversions (SW)", Experiments.table5);
+    ("fig11", "cycle", "execution time normalized to volatile", Experiments.fig11);
+    ("fig12", "cycle", "translation-reuse codelet", Experiments.fig12);
+    ("fig9", "other", "compiler-generated code sample", Experiments.fig9);
+    ("fig13", "cycle", "branch mispredictions normalized", Experiments.fig13);
+    ("fig14", "cycle", "VALB/VAW latency sensitivity", Experiments.fig14);
+    ("fig15", "cycle", "translation-hardware access fractions", Experiments.fig15);
+    ("profile", "cycle", "telemetry: check sites, lookasides, cycles", Experiments.profile);
+    ("table6", "cycle", "relocation overhead comparison", Experiments.table6);
+    ("knn", "cycle", "KNN case study + productivity", Experiments.knn);
+    ("soundness", "cycle", "mini-C corpus soundness runs", Experiments.soundness);
+    ("compiler", "other", "pointer-property inference stats", Experiments.compiler);
+    ("productivity", "other", "library migration cost table", Experiments.productivity);
+    ("ablation", "cycle", "design-choice ablations", Experiments.ablation);
+    ("extended", "cycle", "extended structure set", Experiments.extended);
+    ("multipool", "cycle", "pool-count capacity sweep", Experiments.multipool);
+    ("txn", "cycle", "transaction overhead", Experiments.txn_overhead);
+    ("faultinject", "fast", "crash-point recovery sweep", Experiments.faultinject);
+    ("scrub", "fast", "media-error detection/repair coverage", Experiments.scrub);
+    ("serving", "fast", "sharded serving engine throughput/latency", Experiments.serving);
+    ("concurrent", "cycle", "multi-core contention, FliT elision, durability", Experiments.concurrent);
+    ("persist", "cycle", "persistency-model sweep: drain savings vs loss exposure", Experiments.persist);
+    ("sweep", "cycle", "NVM latency and working-set sweeps", Experiments.sweep);
+    ("micro", "other", "bechamel micro-benchmarks", Experiments.micro);
   ]
-
-(* Execution-mode classification for the --bench trajectory document:
-   which core each experiment drives.  "fast" experiments run the
-   verification engines, which default to fast functional simulation
-   since PR 6; "cycle" experiments measure timing and always run the
-   cycle-accurate core; "other" experiments do no simulation worth
-   classifying (static tables, compiler output, micro-benchmarks). *)
-let mode_of_experiment = function
-  | "faultinject" | "scrub" | "serving" -> "fast"
-  | "table5" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "profile"
-  | "table6" | "knn" | "soundness" | "ablation" | "extended" | "multipool"
-  | "txn" | "sweep" | "concurrent" | "persist" ->
-      "cycle"
-  | _ -> "other"
 
 (* A metric prints as a JSON integer when it is integral, so the
    documents read back with the values the experiments recorded. *)
@@ -91,15 +84,14 @@ let metrics () =
 let bench_json ~spec ~quick ~jobs ~timings ~total =
   let wall_of m =
     List.fold_left
-      (fun acc (name, wall, _, _) ->
-        if mode_of_experiment name = m then acc +. wall else acc)
+      (fun acc (_, mode, wall, _, _) -> if mode = m then acc +. wall else acc)
       0.0 timings
   in
-  let experiment (name, wall, ops, lat) =
+  let experiment (name, mode, wall, ops, lat) =
     Json.Obj
       ([
          ("name", Json.String name);
-         ("mode", Json.String (mode_of_experiment name));
+         ("mode", Json.String mode);
          ("wall_s", seconds wall);
          ("ops", Json.Int ops);
          ( "ops_per_s",
@@ -144,7 +136,7 @@ let () =
   let args = List.filter (fun a -> a <> "--") args in
   if List.mem "--list" args then begin
     List.iter
-      (fun (name, doc, _) -> Printf.printf "%-14s %s\n" name doc)
+      (fun (name, _, doc, _) -> Printf.printf "%-14s %s\n" name doc)
       all_experiments;
     exit 0
   end;
@@ -193,7 +185,7 @@ let () =
     else Workload.paper_default
   in
   let pool = Pool.create ~jobs () in
-  let ctx = { Experiments.spec; verbose; pool } in
+  let ctx = { Experiments.spec; quick; verbose; pool } in
   let chosen =
     match selected with
     | [] -> all_experiments
@@ -201,7 +193,7 @@ let () =
         List.map
           (fun n ->
             match
-              List.find_opt (fun (name, _, _) -> name = n) all_experiments
+              List.find_opt (fun (name, _, _, _) -> name = n) all_experiments
             with
             | Some e -> e
             | None ->
@@ -216,17 +208,19 @@ let () =
   let t0 = Unix.gettimeofday () in
   let timings =
     List.map
-      (fun (name, _, f) ->
+      (fun (name, mode, _, f) ->
         let te = Unix.gettimeofday () in
         ignore (Report.ops_take () : int);
         ignore (Report.lat_take ());
         f ctx;
         let wall = Unix.gettimeofday () -. te in
-        (name, wall, Report.ops_take (), Report.lat_take ()))
+        (name, mode, wall, Report.ops_take (), Report.lat_take ()))
       chosen
   in
   let total = Unix.gettimeofday () -. t0 in
-  Printf.printf "\nTotal wall time: %.1fs\n" total;
+  (* On stderr, so stdout is a function of the inputs alone. *)
+  flush stdout;
+  Printf.eprintf "\nTotal wall time: %.1fs\n%!" total;
   let write doc oc =
     Json.to_channel oc doc;
     output_char oc '\n';

@@ -46,7 +46,6 @@ let branch t ~pc ~taken =
   if miss then t.mispredictions <- t.mispredictions + 1;
   miss
 
-let predictions t = t.predictions
 let mispredictions t = t.mispredictions
 
 let miss_rate t =

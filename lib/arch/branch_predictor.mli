@@ -11,7 +11,6 @@ val branch : t -> pc:int -> taken:bool -> bool
 (** Record a branch outcome; [true] when the predictor had it wrong
     (the CPU model charges the penalty). *)
 
-val predictions : t -> int
 val mispredictions : t -> int
 val miss_rate : t -> float
 val reset_stats : t -> unit

@@ -136,8 +136,6 @@ let ways_of_set t set =
 
 let sets t = t.sets
 let stats t = t.stats
-let hits t = Hit_miss.hits t.stats
 let misses t = Hit_miss.misses t.stats
 let accesses t = Hit_miss.accesses t.stats
 let hit_rate t = Hit_miss.hit_rate t.stats
-let reset_stats t = Hit_miss.reset t.stats

@@ -44,8 +44,6 @@ val sets : t -> int
 val stats : t -> Nvml_telemetry.Stats.Hit_miss.t
 (** The shared hit/miss record; the remaining accessors delegate to it. *)
 
-val hits : t -> int
 val misses : t -> int
 val accesses : t -> int
 val hit_rate : t -> float
-val reset_stats : t -> unit

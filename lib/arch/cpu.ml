@@ -216,8 +216,6 @@ let invalidate_line t pa =
   (Cache.invalidate t.l1 pa;
    true)
 
-let config t = t.cfg
-
 (* --- plain instructions and branches --------------------------------- *)
 
 let instr t n =

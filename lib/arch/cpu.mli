@@ -20,8 +20,6 @@ type t
 val create : Config.t -> Nvml_simmem.Mem.t -> t
 (** A core at the configuration's speed ([Config.timing]). *)
 
-val config : t -> Config.t
-
 (** {2 Multi-core support}
 
     A sibling core shares the outer hierarchy (L2, L3, POLB, VALB and

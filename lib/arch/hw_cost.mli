@@ -11,14 +11,10 @@ type structure = {
   num_entries : int;
 }
 
-val area_per_byte : structure_kind -> float
 val total_bytes : structure -> int
 val area_mm2 : structure -> float
 val of_config : Config.t -> structure list
 val total_bytes_all : structure list -> int
 val total_area_all : structure list -> float
-
-val reference_die_mm2 : float
-(** Die area of the 45 nm octal-core reference processor. *)
 
 val fraction_of_die : structure list -> float

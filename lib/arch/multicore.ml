@@ -60,7 +60,6 @@ let create ?(seed = 1) cores =
   }
 
 let cores t = t.cores
-let core t i = t.cores.(i)
 
 let stats t =
   {

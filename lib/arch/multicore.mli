@@ -43,4 +43,3 @@ type stats = {
 
 val stats : t -> stats
 val cores : t -> Cpu.t array
-val core : t -> int -> Cpu.t

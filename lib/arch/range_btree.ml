@@ -62,8 +62,6 @@ let lookup t (va : int64) : (entry * int) option =
   in
   descend t.root 1
 
-let mem t va = lookup t va <> None
-
 (* --- insertion ---------------------------------------------------------- *)
 
 let split_child parent i =

@@ -24,7 +24,6 @@ val lookup : t -> int64 -> (entry * int) option
 (** The range containing the address, plus the number of nodes visited
     during the descent. *)
 
-val mem : t -> int64 -> bool
 val to_list : t -> entry list
 (** All entries in ascending base order. *)
 

@@ -49,9 +49,4 @@ let issued t = t.issued
 let stall_cycles t = t.stall_cycles
 let peak_occupancy t = t.peak_occupancy
 
-let reset_stats t =
-  t.issued <- 0;
-  t.stall_cycles <- 0;
-  t.peak_occupancy <- 0
-
 let flush t = Array.fill t.busy_until 0 (Array.length t.busy_until) 0

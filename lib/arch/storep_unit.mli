@@ -16,7 +16,4 @@ val issued : t -> int
 val stall_cycles : t -> int
 val peak_occupancy : t -> int
 
-val reset_stats : t -> unit
-(** Zero the issue/stall/occupancy statistics (FSM state is kept). *)
-
 val flush : t -> unit

@@ -18,6 +18,3 @@ val pointer_assignment : Xlate.t -> dst:Ptr.t -> value:Ptr.t -> Ptr.t
     [dst] (itself in either format): NVM cells receive relative form,
     DRAM cells receive virtual form.  Returns the value to store and
     counts the dynamic checks performed. *)
-
-val count_check : Xlate.t -> unit
-(** Record one executed dynamic check. *)

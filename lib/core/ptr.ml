@@ -77,5 +77,3 @@ let pp ppf (p : t) =
   else if is_relative p then
     Fmt.pf ppf "rel(pool=%d, off=0x%Lx)" (pool_of p) (offset_of p)
   else Fmt.pf ppf "va(0x%Lx, %a)" p Layout.pp_region (Layout.region_of_va p)
-
-let to_string p = Fmt.str "%a" pp p

@@ -64,4 +64,3 @@ val same_pool : t -> t -> bool
     and differences need no translation. *)
 
 val pp : t Fmt.t
-val to_string : t -> string

@@ -21,16 +21,6 @@ let eval_comparison op (c : int) =
   | Eq -> c = 0
   | Ne -> c <> 0
 
-let pp_comparison ppf op =
-  Fmt.string ppf
-    (match op with
-    | Lt -> "<"
-    | Gt -> ">"
-    | Le -> "<="
-    | Ge -> ">="
-    | Eq -> "=="
-    | Ne -> "!=")
-
 (* --- cast operators ------------------------------------------------- *)
 
 (* (T* )p — pointer-to-pointer cast: value unchanged, format preserved. *)

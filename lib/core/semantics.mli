@@ -12,8 +12,6 @@ type comparison = Lt | Gt | Le | Ge | Eq | Ne
 val eval_comparison : comparison -> int -> bool
 (** Interpret a [compare]-style result under a comparison operator. *)
 
-val pp_comparison : comparison Fmt.t
-
 (** {1 Cast operators} *)
 
 val cast_ptr : Ptr.t -> Ptr.t

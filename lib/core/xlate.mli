@@ -29,8 +29,6 @@ type counters = {
       (** DRAM virtual addresses stored into NVM unconverted *)
 }
 
-val fresh_counters : unit -> counters
-
 type t
 
 val make : provider -> t

@@ -147,8 +147,6 @@ val run :
     @raise Invalid_argument for [Volatile] mode or an out-of-range
     [spec.at] index. *)
 
-val pp_tally : tally Fmt.t
-
 val pp_report : report Fmt.t
 (** Multi-line summary inside a vertical box: counts per event kind,
     recovery totals, and every violation with its crash point. *)

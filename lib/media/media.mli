@@ -55,11 +55,6 @@ val healed : t -> frame:int -> word_index:int -> bool
 val words_per_line : int
 (** Words per poison granule (a 64-byte line = 8 words). *)
 
-val retry_budget : int
-(** Reads retried at most this many times before a transient fault
-    becomes a {!Media_error}.  Injected transients always clear within
-    the budget; the counter [media.read.retries] records the cost. *)
-
 (** {2 Per-injector fault statistics}
 
     Local counts (independent of the telemetry gate) for reports. *)

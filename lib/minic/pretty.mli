@@ -3,8 +3,5 @@
     structurally identical to [p].  Also displays the Fig. 9-style
     instrumented code the compiler pass produces. *)
 
-val ty_text : Ast.ty -> string
 val expr_text : Ast.expr -> string
-val func_text : Ast.func -> string
-val struct_text : Ast.struct_def -> string
 val program_text : Ast.program -> string

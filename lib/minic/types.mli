@@ -13,22 +13,16 @@ type env = {
   mutable vars : (string * ty) list;  (** innermost scope first *)
 }
 
-val make_env : program -> env
 val struct_def : env -> string -> struct_def
 val sizeof : env -> ty -> int
 
 val field_info : env -> string -> string -> int * ty
 (** Byte offset and type of a struct field. *)
 
-val var_type : env -> string -> ty
-(** Variables shadow functions; a bare function name types as
-    [Tfunptr].  @raise Type_error when unbound. *)
-
 val is_ptr : ty -> bool
 (** Pointer-like (including [Tfunptr]): stored with pointer-store
     semantics. *)
 
-val is_funptr : ty -> bool
 val elem_ty : ty -> ty
 
 val type_of : env -> expr -> ty

@@ -5,7 +5,6 @@
 type t = { features : float array array; labels : int array }
 
 val classes : int
-val samples_per_class : int
 val features_per_sample : int
 val total_samples : int
 

@@ -15,15 +15,9 @@ type spec = {
       (** [cfg] is the machine the harness boots, if it boots one *)
 }
 
-val specs : unit -> spec list
 val names : unit -> string list
 
 exception Unknown_component of string
-
-val select : string list -> spec list
-(** Resolve component names; [[]] selects everything and ["structures"]
-    expands to every registered container.
-    @raise Unknown_component on a name not in {!names}. *)
 
 type entry = { spec_name : string; breakable : bool; result : Engine.result }
 type report = { entries : entry list; violations : int }

@@ -49,6 +49,8 @@ let off_allocated = 24L
 let off_root = 32L
 let off_alloc_count = 40L
 let off_free_count = 48L
+(* The seal/checksum word: 0 while the arena is dirty (in use), odd
+   with the superblock CRC-32 in bits 16..47 when sealed. *)
 let off_integrity = 56L
 let heap_start = 64L
 let header_size = 16L

@@ -24,11 +24,6 @@ val magic : int64
 val off_root : int64
 (** Byte offset of the root-object slot inside the arena header. *)
 
-val off_integrity : int64
-(** Byte offset of the seal/checksum word: 0 while the arena is dirty
-    (in use), odd with the superblock CRC-32 in bits 16..47 when
-    sealed. *)
-
 val heap_start : int64
 val header_size : int64
 val min_block : int64
@@ -40,7 +35,6 @@ val replica_size : int64
 val heap_limit : capacity:int64 -> int64
 (** End of the heap: [capacity - replica_size]. *)
 
-val is_initialized : access -> bool
 val init : access -> capacity:int64 -> unit
 (** Lay out an empty arena, dirty (unsealed); the creator seals it once
     construction is complete. *)
@@ -109,4 +103,3 @@ val header_corrupt : access -> int64 -> bool
 
 val block_size : access -> int64 -> int64
 val block_allocated : access -> int64 -> bool
-val block_next : access -> int64 -> int64

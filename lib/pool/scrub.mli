@@ -57,5 +57,4 @@ val create : Pmop.t -> t
 val enable_quirk : t -> quirk -> unit
 val run : t -> repair:bool -> report
 
-val pp_pool_report : pool_report Fmt.t
 val pp_report : report Fmt.t

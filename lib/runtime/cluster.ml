@@ -29,7 +29,6 @@ let create ?(seed = 1) ~cores primary =
 let primary t = t.rts.(0)
 let rt t i = t.rts.(i)
 let rts t = t.rts
-let cores t = Array.length t.rts
 let machine t = t.mc
 
 let run t fns = Multicore.run t.mc fns

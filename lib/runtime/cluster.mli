@@ -16,7 +16,6 @@ val create : ?seed:int -> cores:int -> Runtime.t -> t
 val primary : t -> Runtime.t
 val rt : t -> int -> Runtime.t
 val rts : t -> Runtime.t array
-val cores : t -> int
 val machine : t -> Nvml_arch.Multicore.t
 
 val run : t -> (int -> unit) array -> unit

@@ -105,8 +105,6 @@ let create ~cell () =
     slow = [];
   }
 
-let cell t = t.cell_label
-
 let op_begin t cpu =
   let a = Cpu.attribution cpu in
   t.in_op <- true;

@@ -43,8 +43,6 @@ type components = {
   media : int;
 }
 
-val zero_components : components
-val add_components : components -> components -> components
 val components_total : components -> int
 
 type sample = {
@@ -62,8 +60,6 @@ type t
 
 val create : cell:string -> unit -> t
 (** A recorder whose slow-op reservoir keeps the 8 slowest ops. *)
-
-val cell : t -> string
 
 val op_begin : t -> Cpu.t -> unit
 (** Stamp the operation start.  Nested [op_begin] is not supported —

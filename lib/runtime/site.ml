@@ -75,6 +75,3 @@ let name t = t.name
 let is_static t = t.static
 let check_counter t = t.check_counter
 let checks t = Telemetry.value t.check_counter
-
-let pp ppf t =
-  Fmt.pf ppf "%s@pc=0x%x%s" t.name t.pc (if t.static then " (static)" else "")

@@ -34,8 +34,6 @@ val checks : t -> int
 (** Dynamic checks recorded at this site in the current telemetry
     sink. *)
 
-val pp : t Fmt.t
-
 val with_prefix : string -> t list
 (** Sites registered so far whose name starts with [prefix] (e.g.
     ["rb."]), in registration order.  Each non-static site is a place an

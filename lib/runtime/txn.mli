@@ -25,10 +25,9 @@ exception Log_full
 exception Not_active
 exception Already_active
 
-val default_capacity : int
-
 val create : Runtime.t -> pool:int -> ?capacity:int -> unit -> t
-(** Allocate a fresh log inside [pool]. *)
+(** Allocate a fresh log of [capacity] entries (default 4096) inside
+    [pool]. *)
 
 val header : t -> Ptr.t
 (** The log object's handle — anchor it (e.g. in the pool root) so

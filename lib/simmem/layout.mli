@@ -5,11 +5,8 @@
     half backs NVM pages (paper, Fig. 2) — and a physical frame space
     likewise split by {!nvm_phys_frame_base}. *)
 
-val va_bits : int
-val nvm_va_bit : int
 val page_shift : int
 val page_size : int
-val word_size : int
 val words_per_page : int
 
 val nvm_va_base : int64

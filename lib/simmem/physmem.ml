@@ -286,7 +286,3 @@ let dram_frames_allocated t = t.dram_frames_allocated
 let nvm_frames_allocated t = t.nvm_frames_allocated
 let reads t = t.reads
 let writes t = t.writes
-
-let reset_stats t =
-  t.reads <- 0;
-  t.writes <- 0

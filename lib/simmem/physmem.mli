@@ -17,13 +17,9 @@ val alloc_frame_run : t -> Layout.region -> int -> int
     numbering [n] successive {!alloc_frame} calls would produce,
     without building the list. *)
 
-
 val frame_exists : t -> int -> bool
 (** Whether the frame's backing storage has been materialized (frames
     are backed lazily on first touch). *)
-
-val frame_reserved : t -> int -> bool
-(** Whether the frame number has been handed out by [alloc_frame]. *)
 
 val storage : t -> int -> frame
 
@@ -57,10 +53,6 @@ val dram_frames_allocated : t -> int
 val nvm_frames_allocated : t -> int
 val reads : t -> int
 val writes : t -> int
-
-val reset_stats : t -> unit
-(** Zero the read/write counters (frame-allocation counts are state,
-    not statistics, and are kept). *)
 
 (** {2 Fault injection}
 

@@ -147,7 +147,6 @@ let translate_exn t va =
 let is_mapped t va = translate t va <> None
 
 let tc_stats t = t.tc_stats
-let reset_stats t = Hit_miss.reset t.tc_stats
 
 (* Crash: all virtual mappings are volatile kernel state and vanish.
    The bump pointers are reset too — a fresh process address space. *)

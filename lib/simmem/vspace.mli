@@ -42,7 +42,5 @@ val tc_stats : t -> Nvml_telemetry.Stats.Hit_miss.t
 (** Hit/miss record of the software translation cache in front of the
     segment list. *)
 
-val reset_stats : t -> unit
-
 val crash : t -> unit
 (** All mappings vanish and the reservation pointers reset. *)

@@ -24,7 +24,6 @@ type t = {
   mutable writer_flushes : int;
   mutable issued : int; (* reader flushes issued (writer in flight) *)
   mutable elided : int; (* reader flushes elided (object quiescent) *)
-  mutable persist_elided : int; (* flushes absorbed by a relaxed model *)
 }
 
 let create () =
@@ -33,7 +32,6 @@ let create () =
     writer_flushes = 0;
     issued = 0;
     elided = 0;
-    persist_elided = 0;
   }
 
 (* Modeled instruction costs. *)
@@ -50,13 +48,11 @@ let writer_begin rt t (p : Ptr.t) =
 
 (* Under a relaxed persistency model the per-store flush+fence is the
    cost the model exists to remove: durability moves to the epoch
-   drain, so the flush instructions are elided entirely (counted in
-   [persist_elided] — this is the epoch model's cycle-savings story).
-   Under the eager model the charge is unchanged. *)
+   drain, so the flush instructions are elided entirely — this is the
+   epoch model's cycle-savings story.  Under the eager model the charge
+   is unchanged. *)
 let writer_flush rt t (_ : Ptr.t) =
-  if Runtime.persist_relaxed rt then
-    t.persist_elided <- t.persist_elided + 1
-  else begin
+  if not (Runtime.persist_relaxed rt) then begin
     Runtime.instr rt flush_instrs;
     t.writer_flushes <- t.writer_flushes + 1
   end
@@ -71,9 +67,7 @@ let writer_end rt t (p : Ptr.t) =
 let reader_sync rt t (p : Ptr.t) =
   Runtime.instr rt check_instrs;
   if count t p > 0 then begin
-    if Runtime.persist_relaxed rt then
-      t.persist_elided <- t.persist_elided + 1
-    else begin
+    if not (Runtime.persist_relaxed rt) then begin
       Runtime.instr rt flush_instrs;
       t.issued <- t.issued + 1
     end
@@ -84,4 +78,3 @@ let pending t = Hashtbl.length t.counts
 let writer_flushes t = t.writer_flushes
 let issued t = t.issued
 let elided t = t.elided
-let persist_elided t = t.persist_elided

@@ -34,9 +34,3 @@ val pending : t -> int
 val writer_flushes : t -> int
 val issued : t -> int
 val elided : t -> int
-
-val persist_elided : t -> int
-(** Flushes absorbed by a relaxed persistency model
-    ([Runtime.persist_relaxed]): durability moved to the epoch drain,
-    so neither the writer- nor the reader-side flush instructions were
-    charged. *)

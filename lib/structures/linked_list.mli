@@ -31,7 +31,6 @@ val iter : t -> (v0:int64 -> v1:int64 -> unit) -> unit
 val find : t -> int64 -> Ptr.t option
 (** First node whose first value word matches. *)
 
-val remove_node : t -> Ptr.t -> unit
 val remove_value : t -> int64 -> bool
 
 val check_invariants : t -> unit

@@ -17,7 +17,6 @@ module Radix : Intf.ORDERED_MAP
 val maps : Intf.ordered_map list
 val extended_maps : Intf.ordered_map list
 val all_maps : Intf.ordered_map list
-val map_names : string list
 
 val find_map : string -> Intf.ordered_map
 (** Case-insensitive lookup.  @raise Invalid_argument on unknown names. *)

@@ -34,8 +34,3 @@ let diff_summary (a : t) (b : t) =
       | _ -> None
     in
     first 0 a b
-
-let pp ppf (t : t) =
-  Fmt.pf ppf "{%a}"
-    (Fmt.list ~sep:Fmt.comma (fun ppf (k, v) -> Fmt.pf ppf "%Ld:%Ld" k v))
-    t

@@ -13,5 +13,3 @@ val equal : t -> t -> bool
 
 val diff_summary : t -> t -> string option
 (** Human-readable first divergence ([None] when equal). *)
-
-val pp : t Fmt.t

@@ -102,22 +102,6 @@ let merge_into ~dst src =
     (fun i n -> if n <> 0 then dst.slots.(i) <- dst.slots.(i) + n)
     src.slots
 
-let copy t =
-  {
-    count = t.count;
-    sum = t.sum;
-    vmin = t.vmin;
-    vmax = t.vmax;
-    slots = Array.copy t.slots;
-  }
-
-let reset t =
-  t.count <- 0;
-  t.sum <- 0;
-  t.vmin <- max_int;
-  t.vmax <- 0;
-  Array.fill t.slots 0 num_slots 0
-
 type summary = {
   count : int;
   sum : int;

@@ -53,9 +53,6 @@ val percentile : t -> float -> int
 val merge_into : dst:t -> t -> unit
 (** Add [src]'s cells into [dst].  Commutative, associative. *)
 
-val copy : t -> t
-val reset : t -> unit
-
 type summary = {
   count : int;
   sum : int;
@@ -74,9 +71,3 @@ val summary_json : t -> Json.t
     "p99": ..., "p999": ..., "max": ...}] *)
 
 (**/**)
-
-val slot_of : int -> int
-(** Exposed for tests: the slot index a value maps to. *)
-
-val slot_upper_bound : int -> int
-(** Exposed for tests: the largest value mapping to a slot. *)

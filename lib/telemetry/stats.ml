@@ -18,24 +18,4 @@ module Hit_miss = struct
   let hit_rate t =
     let total = accesses t in
     if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-  let reset t =
-    t.hits <- 0;
-    t.misses <- 0
-
-  let add ~into:(a : t) (b : t) =
-    a.hits <- a.hits + b.hits;
-    a.misses <- a.misses + b.misses
-end
-
-(* The uniform statistics surface a cache-like component exposes; every
-   hit/miss structure in [nvml_arch] and [nvml_simmem] satisfies it. *)
-module type HIT_MISS_SOURCE = sig
-  type t
-
-  val hits : t -> int
-  val misses : t -> int
-  val accesses : t -> int
-  val hit_rate : t -> float
-  val reset_stats : t -> unit
 end
