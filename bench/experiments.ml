@@ -15,12 +15,11 @@ module Site = Nvml_runtime.Site
 module Registry = Nvml_structures.Registry
 module Workload = Nvml_ycsb.Workload
 module Harness = Nvml_kvstore.Harness
-module Matrix = Nvml_mlkit.Matrix
 module Iris = Nvml_mlkit.Iris
 module Knn = Nvml_mlkit.Knn
-module Interp = Nvml_minic.Interp
 module Corpus = Nvml_minic.Corpus
 module Inference = Nvml_comp.Inference
+module Soundness = Nvml_comp.Soundness
 open Report
 
 (* [quick] is main.exe's --quick: [spec] is then 10x smaller, and the
@@ -408,36 +407,13 @@ let fig15 ctx =
 
 (* --- KNN case study ------------------------------------------------------------- *)
 
-let knn_run mode =
-  let rt = Runtime.create ~mode () in
-  let pool =
-    match mode with
-    | Runtime.Volatile -> -1
-    | _ -> Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21)
-  in
-  let placement =
-    match mode with
-    | Runtime.Volatile -> Knn.all_dram
-    | _ -> Knn.paper_placement ~pool
-  in
-  let data = Iris.generate () in
-  let t =
-    Knn.create rt placement ~n:Iris.total_samples ~dims:Iris.features_per_sample
-      ~k:3
-  in
-  Knn.load_input t data.Iris.features;
-  let s0 = Runtime.snapshot rt in
-  Knn.run rt t;
-  let s1 = Runtime.snapshot rt in
-  (Knn.accuracy t data.Iris.labels, Cpu.diff_snapshot s1 s0)
-
 let knn _ctx =
   heading "Case study (Sec. VII-E): KNN over iris, all matrices persisted but input";
-  let acc_v, vol = knn_run Runtime.Volatile in
+  let _, vol = Knn.case_study ~mode:Runtime.Volatile ~k:3 in
   let rows =
     List.map
       (fun mode ->
-        let acc, s = knn_run mode in
+        let acc, s = Knn.case_study ~mode ~k:3 in
         let m = float_of_int (max 1 s.Cpu.mem_accesses) in
         [
           Runtime.mode_name mode;
@@ -447,7 +423,6 @@ let knn _ctx =
         ])
       [ Runtime.Volatile; Runtime.Hw; Runtime.Sw; Runtime.Explicit ]
   in
-  ignore acc_v;
   (* 5 KNN kernel runs (volatile reference + 4 modes), one classified
      sample per op *)
   Report.ops_add (5 * Iris.total_samples);
@@ -508,56 +483,21 @@ let fig9 _ctx =
 
 (* --- soundness (Sec. VII-B) ------------------------------------------------------ *)
 
-let run_minic ?plan ~mode ~persistent program =
-  let rt = Runtime.create ~mode () in
-  let heap =
-    if persistent && mode <> Runtime.Volatile then
-      Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-    else Runtime.Dram_region
-  in
-  (Interp.run rt ?plan ~heap program ~args:[]).Interp.output
-
 let soundness _ctx =
   heading "Soundness (Sec. VII-B): corpus under native vs pmalloc-everything heaps";
-  let total = ref 0 and passed = ref 0 in
-  let rows =
-    List.map
-      (fun (name, program) ->
-        let reference = run_minic ~mode:Runtime.Volatile ~persistent:false program in
-        let check mode persistent =
-          incr total;
-          let ok = run_minic ~mode ~persistent program = reference in
-          if ok then incr passed;
-          if ok then "ok" else "FAIL"
-        in
-        let plan_check () =
-          incr total;
-          let inference = Inference.infer program in
-          let plan = Inference.plan inference in
-          let ok =
-            run_minic ~plan ~mode:Runtime.Sw ~persistent:true program = reference
-          in
-          if ok then incr passed;
-          if ok then "ok" else "FAIL"
-        in
-        [
-          name;
-          check Runtime.Sw false;
-          check Runtime.Sw true;
-          check Runtime.Hw false;
-          check Runtime.Hw true;
-          plan_check ();
-        ])
-      Corpus.all
-  in
+  let results = List.map (fun (name, p) -> (name, Soundness.check p)) Corpus.all in
+  let runs = List.concat_map snd results in
+  let total = List.length runs and passed = List.length (List.filter Fun.id runs) in
   table
-    ~header:
-      [ "Program"; "SW/DRAM"; "SW/NVM"; "HW/DRAM"; "HW/NVM"; "SW+inference" ]
-    rows;
+    ~header:("Program" :: List.map (fun c -> c.Soundness.label) Soundness.configs)
+    (List.map
+       (fun (name, oks) ->
+         name :: List.map (fun ok -> if ok then "ok" else "FAIL") oks)
+       results);
   (* one op per corpus execution: the checks plus one reference run
      per program *)
-  Report.ops_add (!total + List.length Corpus.all);
-  Printf.printf "%d/%d runs match the native output.\n" !passed !total;
+  Report.ops_add (total + List.length Corpus.all);
+  Printf.printf "%d/%d runs match the native output.\n" passed total;
   Printf.printf
     "(Paper: all 267 application + 1518 regression tests of the LLVM\n\
     \ test-suite pass under the SW implementation.)\n"

@@ -122,64 +122,65 @@ let bench_json ~spec ~quick ~jobs ~timings ~total =
    [--jobs N] by construction, which the determinism test relies on. *)
 let metrics_json () = Json.Obj [ ("schema", Json.Int 1); metrics () ]
 
-(* Pull the value of [--flag V] out of the raw argument list. *)
-let extract_value_arg flag args =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | a :: v :: rest when a = flag -> (Some v, List.rev_append acc rest)
-    | a :: rest -> go (a :: acc) rest
+let switches = [ "--quick"; "--quiet"; "--list" ]
+let value_flags = [ "--jobs"; "--bench"; "--stats"; "--trace"; "--metrics-json" ]
+
+(* Bad input on the command line exits 1 with a message. *)
+let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+
+(* Split the command line into switches, flag values and experiment
+   names.  A flag that is not one of the above, or a value flag with no
+   value, is an error: skipping it would, for a misspelt --quick, run
+   the 10x larger suite. *)
+let parse_args args =
+  let rec go set values names = function
+    | [] -> (set, values, List.rev names)
+    | "--" :: rest -> go set values names rest
+    | a :: rest when List.mem a switches -> go (a :: set) values names rest
+    | a :: rest when List.mem a value_flags -> (
+        match rest with
+        | v :: rest -> go set ((a, v) :: values) names rest
+        | [] -> fail "%s expects a value" a)
+    | a :: _ when String.length a > 1 && a.[0] = '-' ->
+        fail "unknown flag %S (flags: %s)" a
+          (String.concat " " (switches @ value_flags))
+    | a :: rest -> go set values (a :: names) rest
   in
-  go [] args
+  go [] [] [] args
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args = List.filter (fun a -> a <> "--") args in
-  if List.mem "--list" args then begin
+  let set, values, selected = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let value flag = List.assoc_opt flag values in
+  if List.mem "--list" set then begin
     List.iter
       (fun (name, _, doc, _) -> Printf.printf "%-14s %s\n" name doc)
       all_experiments;
     exit 0
   end;
-  let jobs_arg, args = extract_value_arg "--jobs" args in
-  let bench_path, args = extract_value_arg "--bench" args in
-  let stats_path, args = extract_value_arg "--stats" args in
-  let trace_path, args = extract_value_arg "--trace" args in
-  let metrics_path, args = extract_value_arg "--metrics-json" args in
   let jobs =
-    match jobs_arg with
+    match value "--jobs" with
     | Some s -> (
         match int_of_string_opt s with
         | Some n when n >= 1 -> n
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %S\n" s;
-            exit 1)
+        | _ -> fail "--jobs expects a positive integer, got %S" s)
     | None -> (
-        try Pool.default_jobs ()
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 1)
+        try Pool.default_jobs () with Invalid_argument msg -> fail "%s" msg)
   in
   (* Open the output sinks before the (long) run so a bad path fails fast. *)
   let open_sink flag = function
     | None -> None
     | Some path -> (
-        try Some (open_out path)
-        with Sys_error msg ->
-          Printf.eprintf "%s: %s\n" flag msg;
-          exit 1)
+        try Some (open_out path) with Sys_error msg -> fail "%s: %s" flag msg)
   in
-  let bench_out = open_sink "--bench" bench_path in
-  let stats_out = open_sink "--stats" stats_path in
-  let trace_out = open_sink "--trace" trace_path in
-  let metrics_out = open_sink "--metrics-json" metrics_path in
+  let bench_out = open_sink "--bench" (value "--bench") in
+  let stats_out = open_sink "--stats" (value "--stats") in
+  let trace_out = open_sink "--trace" (value "--trace") in
+  let metrics_out = open_sink "--metrics-json" (value "--metrics-json") in
   (* [--trace] records the whole run: enable telemetry up front so the
      worker-pool sinks exist and merge into this domain's at each join. *)
   if trace_out <> None then Telemetry.set_enabled true;
-  let quick = List.mem "--quick" args in
-  let verbose = not (List.mem "--quiet" args) in
-  let selected =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
+  let quick = List.mem "--quick" set in
+  let verbose = not (List.mem "--quiet" set) in
   let spec =
     if quick then Workload.scale Workload.paper_default 10
     else Workload.paper_default
@@ -196,9 +197,7 @@ let () =
               List.find_opt (fun (name, _, _, _) -> name = n) all_experiments
             with
             | Some e -> e
-            | None ->
-                Printf.eprintf "unknown experiment %S (try --list)\n" n;
-                exit 1)
+            | None -> fail "unknown experiment %S (try --list)" n)
           names
   in
   Printf.printf

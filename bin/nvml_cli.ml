@@ -20,6 +20,7 @@ module Knn = Nvml_mlkit.Knn
 module Corpus = Nvml_minic.Corpus
 module Interp = Nvml_minic.Interp
 module Inference = Nvml_comp.Inference
+module Soundness = Nvml_comp.Soundness
 module Pool = Nvml_exec.Pool
 module Faultinject = Nvml_faultinject.Faultinject
 module Modelcheck = Nvml_modelcheck.Modelcheck
@@ -471,7 +472,7 @@ let kv_cmd =
           Runtime.Pool_region
             (Runtime.create_pool rt
                ~name:(Printf.sprintf "kv%d" i)
-               ~size:(1 lsl 26))
+               ~size:Harness.pool_size)
       in
       let regions = Array.init cores region in
       let body core =
@@ -480,18 +481,9 @@ let kv_cmd =
         for i = 0 to records - 1 do
           M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
         done;
+        let apply = Workload.apply ~find:(M.find m) ~insert:(M.insert m) in
         Workload.iter_ops spec (fun op ->
-            (match op with
-            | Workload.Read k -> ignore (M.find m k)
-            | Workload.Update (k, v) | Workload.Insert (k, v) ->
-                M.insert m ~key:k ~value:v
-            | Workload.Scan (start, len) ->
-                for j = start to start + len - 1 do
-                  ignore (M.find m (Workload.key_of_index j))
-                done
-            | Workload.Rmw (k, d) ->
-                let v = match M.find m k with Some v -> v | None -> 0L in
-                M.insert m ~key:k ~value:(Int64.add v d));
+            apply op;
             (* Per-core epoch boundary: each core's op count drives its
                own epoch clock; the drains serialize through the shared
                persist engine. *)
@@ -635,29 +627,16 @@ let stats_cmd =
 
 let knn_cmd =
   let k =
-    Arg.(value & opt positive 3 & info [ "k" ] ~doc:"Neighbours to consider.")
+    let range = Fmt.str "an integer in 1..%d" (Iris.total_samples - 1) in
+    Arg.(
+      value
+      & opt (checked int (fun k -> k >= 1 && k < Iris.total_samples) range) 3
+      & info [ "k" ] ~doc:("Neighbours to consider, " ^ range ^ "."))
   in
   let run mode k =
-    let rt = Runtime.create ~mode () in
-    let placement =
-      match mode with
-      | Runtime.Volatile -> Knn.all_dram
-      | _ ->
-          let pool = Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21) in
-          Knn.paper_placement ~pool
-    in
-    let data = Iris.generate () in
-    let t =
-      Knn.create rt placement ~n:Iris.total_samples
-        ~dims:Iris.features_per_sample ~k
-    in
-    Knn.load_input t data.Iris.features;
-    let s0 = Runtime.snapshot rt in
-    Knn.run rt t;
-    let s = Cpu.diff_snapshot (Runtime.snapshot rt) s0 in
+    let acc, s = Knn.case_study ~mode ~k in
     Fmt.pr "KNN (k=%d, %s): %d cycles, %d memory accesses, accuracy %.1f%%@."
-      k (Runtime.mode_name mode) s.Cpu.cycles s.Cpu.mem_accesses
-      (100. *. Knn.accuracy t data.Iris.labels)
+      k (Runtime.mode_name mode) s.Cpu.cycles s.Cpu.mem_accesses (100. *. acc)
   in
   Cmd.v
     (Cmd.info "knn" ~doc:"Run the KNN case study on the iris dataset.")
@@ -667,39 +646,21 @@ let knn_cmd =
 
 let soundness_cmd =
   let run jobs =
-    let configs =
-      [ (Runtime.Sw, false); (Runtime.Sw, true); (Runtime.Hw, false);
-        (Runtime.Hw, true) ]
+    let results =
+      with_pool jobs (fun pool ->
+          Pool.map pool (fun (_, program) -> Soundness.check program) Corpus.all)
     in
-    let check (name, program) =
-      let run_in mode persistent =
-        let rt = Runtime.create ~mode () in
-        let heap =
-          if persistent then
-            Runtime.Pool_region
-              (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-          else Runtime.Dram_region
-        in
-        (Interp.run rt ~heap program ~args:[]).Interp.output
-      in
-      let reference = run_in Runtime.Volatile false in
-      List.map
-        (fun (mode, persistent) ->
-          (name, mode, persistent, run_in mode persistent = reference))
-        configs
-    in
-    let rows =
-      with_pool jobs (fun pool -> List.concat (Pool.map pool check Corpus.all))
-    in
-    let failures = List.length (List.filter (fun (_, _, _, ok) -> not ok) rows) in
-    List.iter
-      (fun (name, mode, persistent, ok) ->
-        Fmt.pr "%-14s %-8s heap=%-4s %s@." name (Runtime.mode_name mode)
-          (if persistent then "NVM" else "DRAM")
-          (if ok then "ok" else "MISMATCH"))
-      rows;
-    if failures = 0 then Fmt.pr "all corpus runs sound@."
-    else Fmt.pr "%d mismatches@." failures
+    List.iter2
+      (fun (name, _) oks ->
+        List.iter2
+          (fun (c : Soundness.config) ok ->
+            Fmt.pr "%-14s %-12s %s@." name c.label
+              (if ok then "ok" else "MISMATCH"))
+          Soundness.configs oks)
+      Corpus.all results;
+    match List.length (List.filter not (List.concat results)) with
+    | 0 -> Fmt.pr "all corpus runs sound@."
+    | n -> Fmt.pr "%d mismatches@." n
   in
   Cmd.v
     (Cmd.info "soundness"
@@ -769,31 +730,26 @@ let run_cmd =
   in
   let run path mode persist persistent cfg cores =
     let program = parse_file path in
-    let rt = Runtime.create ~cfg ~mode ~persist () in
     let report_errors f =
       try f () with
       | Nvml_minic.Types.Type_error m ->
           Fmt.epr "type error: %s@." m;
           exit 1
-      | Nvml_minic.Interp.Runtime_error m ->
+      | Interp.Runtime_error m ->
           Fmt.epr "runtime error: %s@." m;
           exit 1
     in
     if cores = 1 then begin
-      let heap =
-        if persistent && mode <> Runtime.Volatile then
-          Runtime.Pool_region
-            (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-        else Runtime.Dram_region
+      let rt, outcome =
+        report_errors (fun () ->
+            Interp.run_fresh ~cfg ~persist ~mode ~persistent program)
       in
-      let s0 = Runtime.snapshot rt in
-      report_errors (fun () ->
-          let outcome = Nvml_minic.Interp.run rt ~heap program ~args:[] in
-          List.iter (Fmt.pr "%Ld@.") outcome.Nvml_minic.Interp.output);
+      List.iter (Fmt.pr "%Ld@.") outcome.Interp.output;
       (* Mini-C has no operation boundaries, so a relaxed model treats
-         the whole program as one epoch; close it before reporting. *)
+         the whole program as one epoch; close it before reporting.  A
+         fresh machine's counters start at zero. *)
       Runtime.persist_sync rt;
-      let s = Cpu.diff_snapshot (Runtime.snapshot rt) s0 in
+      let s = Runtime.snapshot rt in
       Fmt.epr "[%s, heap=%s] %d cycles, %d instructions, %d memory accesses@."
         (Runtime.mode_name mode)
         (if persistent then "NVM" else "DRAM")
@@ -803,6 +759,7 @@ let run_cmd =
       (* One replica of the program per core (each with its own heap, so
          persistent-allocator metadata stays disjoint), interleaved per
          µ-event over the shared cache hierarchy. *)
+      let rt = Runtime.create ~cfg ~mode ~persist () in
       let cluster = Cluster.create ~cores rt in
       let heaps =
         Array.init cores (fun i ->
@@ -816,10 +773,10 @@ let run_cmd =
       let outputs = Array.make cores [] in
       let body core =
         let outcome =
-          Nvml_minic.Interp.run (Cluster.rt cluster core) ~heap:heaps.(core)
-            program ~args:[]
+          Interp.run (Cluster.rt cluster core) ~heap:heaps.(core) program
+            ~args:[]
         in
-        outputs.(core) <- outcome.Nvml_minic.Interp.output
+        outputs.(core) <- outcome.Interp.output
       in
       report_errors (fun () ->
           Cluster.run cluster (Array.init cores (fun _ -> body)));

@@ -527,26 +527,14 @@ let kv_workload ?(structure = "RB") ?(records = 30) ?(ops = 100) ?(seed = 42)
     Array.of_list (List.rev !acc)
   in
   let instance m =
+    let apply = Workload.apply ~find:(M.find m) ~insert:(M.insert m) in
     {
       header = M.header m;
       step =
         (fun i ->
           if i mod 7 = 3 then
             ignore (M.remove m (Workload.key_of_index (i * 3 mod records)))
-          else
-            match op_arr.(i) with
-            | Workload.Read k -> ignore (M.find m k)
-            | Workload.Update (k, v) | Workload.Insert (k, v) ->
-                M.insert m ~key:k ~value:v
-            | Workload.Scan (start, len) ->
-                for j = start to start + len - 1 do
-                  ignore (M.find m (Workload.key_of_index j))
-                done
-            | Workload.Rmw (k, d) ->
-                let v =
-                  match M.find m k with Some v -> v | None -> 0L
-                in
-                M.insert m ~key:k ~value:(Int64.add v d));
+          else apply op_arr.(i));
       snapshot = (fun () -> Snapshot.capture (fun f -> M.iter m f));
       check = (fun () -> M.check_invariants m);
     }

@@ -88,11 +88,68 @@ let region_for rt mode =
   | Runtime.Volatile -> Runtime.Dram_region
   | _ -> Runtime.Pool_region (Runtime.create_pool rt ~name:"kv" ~size:pool_size)
 
-(* Run one YCSB spec against one index structure in one mode.  Under a
-   relaxed persistency model every run-phase operation is an epoch
+(* The measurement protocol of both harnesses.  [load] populates the
+   structure; [op ol i] runs run-phase op [i] and returns its name.
+   Under a relaxed persistency model every run-phase op is an epoch
    boundary candidate ([Runtime.persist_op_boundary]) and the run ends
    with a full drain, so the measured cycles include the model's
-   flush+fence µ-events — durability is weakened, never dropped. *)
+   flush+fence µ-events — durability is weakened, never dropped.  The
+   result's [hits] and [misses] are left at 0 for the caller. *)
+let measure rt ~benchmark ~records ~ops ~load ~op =
+  let mode = Runtime.mode rt in
+  Telemetry.span "harness.load" ~args:[ ("records", records) ] load;
+  (* Close the load phase's epoch before the phase boundary, so the
+     load's (large, one-off) drain bills into the load phase and the
+     measured run phase carries only its own drain traffic. *)
+  Runtime.persist_sync rt;
+  let load = Runtime.snapshot rt in
+  let a0 = Cpu.attribution (Runtime.cpu rt) in
+  let c0 = copy_counters (Runtime.counters rt) in
+  (* Run phase: every op is bracketed with cycle stamps so its latency
+     and attribution land in the per-cell recorder. *)
+  let cpu = Runtime.cpu rt in
+  let ol = Oplat.create ~cell:(benchmark ^ "/" ^ Runtime.mode_name mode) () in
+  Telemetry.span "harness.run" ~args:[ ("ops", ops) ] (fun () ->
+      for i = 0 to ops - 1 do
+        Oplat.op_begin ol cpu;
+        let name = op ol i in
+        Runtime.persist_op_boundary rt;
+        Oplat.op_end ol cpu name
+      done);
+  (* Close the final epoch: the run is not over until its data is
+     durable, so the drain bills into the measured run phase. *)
+  Runtime.persist_sync rt;
+  let after = Runtime.snapshot rt in
+  Runtime.publish_stats rt;
+  {
+    benchmark;
+    mode;
+    load;
+    run = Cpu.diff_snapshot after load;
+    attr = Cpu.diff_attribution (Cpu.attribution cpu) a0;
+    checks = counter_diff (Runtime.counters rt) c0;
+    hits = 0;
+    misses = 0;
+    oplat = ol;
+    persist = persist_tally rt;
+  }
+
+(* The key the driver reads back from the request buffer (a scan's
+   first record), and the op's name in the latency recorder. *)
+let staged_key = function
+  | Workload.Read k | Workload.Update (k, _) | Workload.Insert (k, _)
+  | Workload.Rmw (k, _) ->
+      k
+  | Workload.Scan (start, _) -> Workload.key_of_index start
+
+let op_name = function
+  | Workload.Read _ -> "get"
+  | Workload.Update _ -> "put"
+  | Workload.Insert _ -> "insert"
+  | Workload.Scan _ -> "scan"
+  | Workload.Rmw _ -> "rmw"
+
+(* Run one YCSB spec against one index structure in one mode. *)
 let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) (spec : Workload.spec) : result =
   let rt = Runtime.create ~cfg ~mode ~persist () in
@@ -108,141 +165,57 @@ let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default
   in
   Array.iteri
     (fun i op ->
-      let key =
-        match op with
-        | Workload.Read k
-        | Workload.Update (k, _)
-        | Workload.Insert (k, _)
-        | Workload.Rmw (k, _) ->
-            k
-        | Workload.Scan (start, _) -> Workload.key_of_index start
-      in
-      Mem.write_word (Runtime.mem rt) (Int64.add key_buf (Int64.of_int (i * 8))) key)
+      Mem.write_word (Runtime.mem rt)
+        (Int64.add key_buf (Int64.of_int (i * 8)))
+        (staged_key op))
     ops;
-  (* Load phase. *)
-  Telemetry.span "harness.load" ~args:[ ("records", spec.Workload.record_count) ]
-    (fun () ->
-      for i = 0 to spec.Workload.record_count - 1 do
-        M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
-      done);
-  (* Close the load phase's epoch before the phase boundary, so the
-     load's (large, one-off) drain bills into the load phase and the
-     measured run phase carries only its own drain traffic. *)
-  Runtime.persist_sync rt;
-  let load = Runtime.snapshot rt in
-  let a0 = Cpu.attribution (Runtime.cpu rt) in
-  let c0 = copy_counters (Runtime.counters rt) in
-  (* Run phase: every op is bracketed with cycle stamps so its latency
-     and attribution land in the per-cell recorder. *)
-  let cpu = Runtime.cpu rt in
-  let ol =
-    Oplat.create ~cell:(M.name ^ "/" ^ Runtime.mode_name mode) ()
-  in
   let hits = ref 0 and misses = ref 0 in
-  Telemetry.span "harness.run" ~args:[ ("ops", Array.length ops) ] (fun () ->
-      Array.iteri
-        (fun i op ->
-          Oplat.op_begin ol cpu;
-          (* Driver work: fetch the key from the request buffer, dispatch. *)
-          let key = Runtime.load_word rt ~site:s_driver key_buf ~off:(i * 8) in
-          Runtime.instr rt 10;
-          Oplat.mark ol cpu "driver";
-          (match op with
-          | Workload.Read _ -> (
-              match M.find m key with
-              | Some _ -> incr hits
-              | None -> incr misses)
-          | Workload.Update (_, v) | Workload.Insert (_, v) ->
-              M.insert m ~key ~value:v
-          | Workload.Scan (start, len) ->
-              (* Multi-get over consecutive record indices: the first
-                 key comes from the request buffer, the rest are
-                 derived by the driver. *)
-              for j = 0 to len - 1 do
-                let k = if j = 0 then key else Workload.key_of_index (start + j) in
-                match M.find m k with
-                | Some _ -> incr hits
-                | None -> incr misses
-              done
-          | Workload.Rmw (_, delta) ->
-              let v =
-                match M.find m key with
-                | Some v -> incr hits; v
-                | None -> incr misses; 0L
-              in
-              M.insert m ~key ~value:(Int64.add v delta));
-          Runtime.persist_op_boundary rt;
-          Oplat.op_end ol cpu
-            (match op with
-            | Workload.Read _ -> "get"
-            | Workload.Update _ -> "put"
-            | Workload.Insert _ -> "insert"
-            | Workload.Scan _ -> "scan"
-            | Workload.Rmw _ -> "rmw"))
-        ops);
-  (* Close the final epoch: the run is not over until its data is
-     durable, so the drain bills into the measured run phase. *)
-  Runtime.persist_sync rt;
-  let after = Runtime.snapshot rt in
-  Runtime.publish_stats rt;
-  {
-    benchmark = M.name;
-    mode;
-    load;
-    run = Cpu.diff_snapshot after load;
-    attr = Cpu.diff_attribution (Cpu.attribution (Runtime.cpu rt)) a0;
-    checks = counter_diff (Runtime.counters rt) c0;
-    hits = !hits;
-    misses = !misses;
-    oplat = ol;
-    persist = persist_tally rt;
-  }
+  let find k =
+    let v = M.find m k in
+    incr (if Option.is_some v then hits else misses);
+    v
+  in
+  let insert = M.insert m in
+  let r =
+    measure rt ~benchmark:M.name ~records:spec.Workload.record_count
+      ~ops:(Array.length ops)
+      ~load:(fun () ->
+        for i = 0 to spec.Workload.record_count - 1 do
+          M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
+        done)
+      ~op:(fun ol i ->
+        (* Driver work: fetch the key from the request buffer (the op
+           carries the same key), dispatch. *)
+        ignore (Runtime.load_word rt ~site:s_driver key_buf ~off:(i * 8) : int64);
+        Runtime.instr rt 10;
+        Oplat.mark ol (Runtime.cpu rt) "driver";
+        Workload.apply ~find ~insert ops.(i);
+        op_name ops.(i))
+  in
+  { r with hits = !hits; misses = !misses }
 
 (* The separate LL harness: build [nodes] nodes of two pointers and a
    16-byte value, then iterate the list 10 times accumulating the
    values. *)
 let run_ll ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) ?(nodes = 10_000) () : result =
-  let iterations = 10 in
   let rt = Runtime.create ~cfg ~mode ~persist () in
   let region = region_for rt mode in
   let l = Linked_list.create rt region in
   let rng = Random.State.make [| 7 |] in
-  Telemetry.span "harness.load" ~args:[ ("records", nodes) ] (fun () ->
-      for _ = 1 to nodes do
-        Linked_list.append l
-          ~v0:(Random.State.int64 rng Int64.max_int)
-          ~v1:(Random.State.int64 rng Int64.max_int)
-      done);
-  Runtime.persist_sync rt;
-  let load = Runtime.snapshot rt in
-  let a0 = Cpu.attribution (Runtime.cpu rt) in
-  let c0 = copy_counters (Runtime.counters rt) in
-  let cpu = Runtime.cpu rt in
-  let ol = Oplat.create ~cell:("LL/" ^ Runtime.mode_name mode) () in
-  let sum = ref 0L in
-  Telemetry.span "harness.run" ~args:[ ("ops", iterations) ] (fun () ->
-      for _ = 1 to iterations do
-        Oplat.op_begin ol cpu;
-        sum := Linked_list.iterate_sum l;
-        Runtime.persist_op_boundary rt;
-        Oplat.op_end ol cpu "scan"
-      done);
-  Runtime.persist_sync rt;
-  let after = Runtime.snapshot rt in
-  Runtime.publish_stats rt;
-  {
-    benchmark = "LL";
-    mode;
-    load;
-    run = Cpu.diff_snapshot after load;
-    attr = Cpu.diff_attribution (Cpu.attribution (Runtime.cpu rt)) a0;
-    checks = counter_diff (Runtime.counters rt) c0;
-    hits = nodes;
-    misses = 0;
-    oplat = ol;
-    persist = persist_tally rt;
-  }
+  let r =
+    measure rt ~benchmark:"LL" ~records:nodes ~ops:10
+      ~load:(fun () ->
+        for _ = 1 to nodes do
+          Linked_list.append l
+            ~v0:(Random.State.int64 rng Int64.max_int)
+            ~v1:(Random.State.int64 rng Int64.max_int)
+        done)
+      ~op:(fun _ _ ->
+        ignore (Linked_list.iterate_sum l : int64);
+        "scan")
+  in
+  { r with hits = nodes }
 
 (* Run a named benchmark (Table III) in a mode. *)
 let run_benchmark name ~mode ?cfg ?persist (spec : Workload.spec) : result =

@@ -45,6 +45,9 @@ type result = {
 }
 
 val pool_size : int
+(** Bytes of each KV pool (the harness's, a serving shard's, a core's
+    under [nvml kv --cores]); frames are lazily backed, so a roomy pool
+    is free. *)
 
 val run_map :
   Nvml_structures.Intf.ordered_map ->

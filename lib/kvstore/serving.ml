@@ -38,8 +38,6 @@ let op_dispatch_instrs = 4
    i.e. a ~2.67 GHz core. *)
 let clock_hz = 120.0 /. 45e-9
 
-let pool_size = 1 lsl 26 (* frames are lazily backed, so roomy pools are free *)
-
 type config = {
   structure : string;
   mode : Runtime.mode;
@@ -395,7 +393,7 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
         Runtime.Pool_region
           (Runtime.create_pool rt
              ~name:(Printf.sprintf "kv.shard%02d" shard)
-             ~size:pool_size)
+             ~size:Harness.pool_size)
   in
   let m = M.create rt region in
   Array.iter

@@ -26,3 +26,16 @@ val run :
     expression node id (defaults to all-dynamic).
     @raise Runtime_error on dynamic errors (unbound names, division by
     zero, stack overflow, calls to unknown functions). *)
+
+val run_fresh :
+  ?cfg:Runtime.Config.t ->
+  ?persist:Nvml_runtime.Persist.model ->
+  ?plan:(int -> bool) ->
+  mode:Runtime.mode ->
+  persistent:bool ->
+  Ast.program ->
+  Runtime.t * outcome
+(** {!run} [main] with no arguments on a fresh machine
+    ([Runtime.create ?cfg ?persist ~mode]).  The heap is a 4 MiB pool
+    named ["heap"] when [persistent], and DRAM otherwise or in the
+    [Volatile] version.  Returns the machine, for its counters. *)

@@ -4,6 +4,7 @@
    Any combination of the four may be placed in DRAM or NVM; the case
    study persists all but the input. *)
 
+module Cpu = Nvml_arch.Cpu
 module Runtime = Nvml_runtime.Runtime
 module Site = Nvml_runtime.Site
 
@@ -16,23 +17,6 @@ type placement = {
   neighbors : Runtime.region;
   distances : Runtime.region;
 }
-
-let all_dram =
-  {
-    input = Runtime.Dram_region;
-    internal = Runtime.Dram_region;
-    neighbors = Runtime.Dram_region;
-    distances = Runtime.Dram_region;
-  }
-
-(* The paper's configuration: everything persistent except the input. *)
-let paper_placement ~pool =
-  {
-    input = Runtime.Dram_region;
-    internal = Runtime.Pool_region pool;
-    neighbors = Runtime.Pool_region pool;
-    distances = Runtime.Pool_region pool;
-  }
 
 (* All 16 DRAM/NVM combinations of the four matrices — the reason the
    explicit model would need 16 code versions. *)
@@ -60,8 +44,12 @@ type t = {
   k : int;
 }
 
-(* Build the working set for [n] samples of [dims] features. *)
+(* Build the working set for [n] samples of [dims] features.  The
+   selection takes [k] neighbours other than the sample itself, so [k]
+   must be in 1..n-1. *)
 let create rt (placement : placement) ~n ~dims ~k =
+  if k < 1 || k >= n then
+    Fmt.invalid_arg "Knn.create: k must be in 1..%d, got %d" (n - 1) k;
   {
     input = Matrix.create rt placement.input ~rows:n ~cols:dims;
     internal = Matrix.create rt placement.internal ~rows:n ~cols:n;
@@ -148,3 +136,24 @@ let accuracy t (labels : int array) =
     if winner = labels.(i) then incr correct
   done;
   float_of_int !correct /. float_of_int n
+
+(* The case study as the paper runs it: iris with every matrix but the
+   input persistent (all in DRAM in the volatile version), classified
+   once.  Returns the accuracy and the classification's cost. *)
+let case_study ~mode ~k =
+  let rt = Runtime.create ~mode () in
+  let nvm =
+    match mode with
+    | Runtime.Volatile -> Runtime.Dram_region
+    | _ -> Runtime.Pool_region (Runtime.create_pool rt ~name:"knn" ~size:(1 lsl 21))
+  in
+  let placement =
+    { input = Runtime.Dram_region; internal = nvm; neighbors = nvm; distances = nvm }
+  in
+  let data = Iris.generate () in
+  let t = create rt placement ~n:Iris.total_samples ~dims:Iris.features_per_sample ~k in
+  load_input t data.Iris.features;
+  let s0 = Runtime.snapshot rt in
+  run rt t;
+  let s = Cpu.diff_snapshot (Runtime.snapshot rt) s0 in
+  (accuracy t data.Iris.labels, s)

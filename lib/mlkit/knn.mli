@@ -12,11 +12,6 @@ type placement = {
   distances : Runtime.region;
 }
 
-val all_dram : placement
-
-val paper_placement : pool:int -> placement
-(** The paper's configuration: everything persistent except the input. *)
-
 val all_placements : pool:int -> placement list
 (** All 16 DRAM/NVM combinations — the reason an explicit-pointer port
     would need 16 code versions. *)
@@ -30,6 +25,9 @@ type t = {
 }
 
 val create : Runtime.t -> placement -> n:int -> dims:int -> k:int -> t
+(** @raise Invalid_argument unless [k] is in [1..n-1]: the neighbours
+    exclude the sample itself. *)
+
 val load_input : t -> float array array -> unit
 
 val run : Runtime.t -> t -> unit
@@ -38,3 +36,11 @@ val run : Runtime.t -> t -> unit
 
 val accuracy : t -> int array -> float
 (** Leave-one-out majority-vote accuracy against true labels. *)
+
+val case_study : mode:Runtime.mode -> k:int -> float * Nvml_arch.Cpu.snapshot
+(** The case study: the iris dataset ({!Iris}) on a fresh machine in
+    the paper's placement — everything persistent except the input, all
+    DRAM in the [Volatile] version — classified once with [k]
+    neighbours.  Returns the leave-one-out accuracy and the
+    classification's snapshot delta.
+    @raise Invalid_argument unless [k] is in [1..Iris.total_samples-1]. *)

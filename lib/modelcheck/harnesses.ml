@@ -1412,13 +1412,7 @@ module Semantics_h = struct
 
   let run_in ~cfg ~mode ~persistent ?plan prog =
     Telemetry.run_with_sink (Telemetry.fresh_sink ()) @@ fun () ->
-    let rt = Runtime.create ~cfg ~mode () in
-    let heap =
-      if persistent then
-        Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-      else Runtime.Dram_region
-    in
-    let out = (Interp.run rt ?plan ~heap prog ~args:[]).Interp.output in
+    let _, outcome = Interp.run_fresh ~cfg ?plan ~mode ~persistent prog in
     let counters = Telemetry.counters_snapshot () in
     let fired_sites =
       List.filter_map
@@ -1429,7 +1423,7 @@ module Semantics_h = struct
           else None)
         counters
     in
-    (out, counter_value counters "checks.dynamic", fired_sites)
+    (outcome.Interp.output, counter_value counters "checks.dynamic", fired_sites)
 
   let harness ~cfg () =
     let run_in = run_in ~cfg in

@@ -131,6 +131,20 @@ let iter_ops spec f =
       | IScan (start, len) -> f (Scan (start, len))
       | IRmw (i, opno) -> f (Rmw (key_of_index i, Int64.of_int opno)))
 
+(* What an op does to a map: the one statement of the stream's
+   semantics that every driver (the Sec. VII-A harness, the crash-sweep
+   KV workload, the multi-core kv run) replays. *)
+let apply ~find ~insert = function
+  | Read k -> ignore (find k : int64 option)
+  | Update (k, v) | Insert (k, v) -> insert ~key:k ~value:v
+  | Scan (start, len) ->
+      for j = start to start + len - 1 do
+        ignore (find (key_of_index j) : int64 option)
+      done
+  | Rmw (k, delta) ->
+      let v = match find k with Some v -> v | None -> 0L in
+      insert ~key:k ~value:(Int64.add v delta)
+
 (* Serving-scale mixes for the sharded engine: the paper preset scaled
    up, plus scan-heavy, read-modify-write, and hot-key-storm mixes.
    [records]/[ops] parameterize the scale so the same presets drive

@@ -60,6 +60,16 @@ val iter_ops : spec -> (op -> unit) -> unit
 val iter_idx_ops : spec -> (idx_op -> unit) -> unit
 (** Same stream as {!iter_ops} at the record-index level. *)
 
+val apply :
+  find:(int64 -> int64 option) ->
+  insert:(key:int64 -> value:int64 -> unit) ->
+  op ->
+  unit
+(** Replay one op against a map: a read finds its key; an update or
+    insert stores its pair; a scan finds each of its records in index
+    order; an RMW finds its key (a missing key reads 0) and stores the
+    value plus its delta. *)
+
 val serving_mixes : records:int -> ops:int -> (string * spec) list
 (** The serving-engine mixes at the given scale: [read-latest] (the
     paper preset), [scan-heavy], [rmw-heavy], and [hot-storm]. *)

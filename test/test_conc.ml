@@ -187,17 +187,8 @@ let run_kv ~cluster =
     for i = 0 to 63 do
       M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
     done;
-    Workload.iter_ops spec (function
-      | Workload.Read k -> ignore (M.find m k)
-      | Workload.Update (k, v) | Workload.Insert (k, v) ->
-          M.insert m ~key:k ~value:v
-      | Workload.Scan (start, len) ->
-          for j = start to start + len - 1 do
-            ignore (M.find m (Workload.key_of_index j))
-          done
-      | Workload.Rmw (k, d) ->
-          let v = match M.find m k with Some v -> v | None -> 0L in
-          M.insert m ~key:k ~value:(Int64.add v d))
+    Workload.iter_ops spec
+      (Workload.apply ~find:(M.find m) ~insert:(M.insert m))
   in
   if cluster then Cluster.run (Cluster.create ~cores:1 rt) [| body |]
   else body 0;

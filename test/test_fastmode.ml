@@ -44,13 +44,7 @@ type fingerprint = {
 
 let run_program ~timing ~mode prog =
   let cfg = { Runtime.Config.default with timing } in
-  let rt = Runtime.create ~cfg ~mode () in
-  let heap =
-    if mode <> Runtime.Volatile then
-      Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-    else Runtime.Dram_region
-  in
-  let outcome = Interp.run rt ~heap prog ~args:[] in
+  let rt, outcome = Interp.run_fresh ~cfg ~mode ~persistent:true prog in
   let c = Runtime.counters rt in
   let s = Runtime.snapshot rt in
   let fp =

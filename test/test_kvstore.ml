@@ -8,6 +8,8 @@ module Runtime = Nvml_runtime.Runtime
 module Harness = Nvml_kvstore.Harness
 module Profile = Nvml_kvstore.Profile
 module Site = Nvml_runtime.Site
+module Oplat = Nvml_runtime.Oplat
+module Registry = Nvml_structures.Registry
 module W = Nvml_ycsb.Workload
 
 let check_bool = Alcotest.(check bool)
@@ -16,23 +18,28 @@ let check_int = Alcotest.(check int)
 (* A scaled-down spec so the suite stays fast. *)
 let small = W.scale W.paper_default 50 (* 200 records, 2000 ops *)
 
-let test_all_reads_hit () =
+(* A run of [spec] timed each of its ops, and each find of a read, an
+   RMW or a scanned record hit a live key.  The finds are counted on the
+   index-level mirror of the stream, independently of the harness's op
+   semantics. *)
+let check_run tag (spec : W.spec) (r : Harness.result) =
+  let finds = ref 0 in
+  W.iter_idx_ops spec (function
+    | W.IRead _ | W.IRmw _ -> incr finds
+    | W.IScan (_, len) -> finds := !finds + len
+    | W.IUpdate _ | W.IInsert _ -> ());
+  check_int (tag ^ ": misses") 0 r.Harness.misses;
+  check_int (tag ^ ": hits") !finds r.Harness.hits;
+  check_int (tag ^ ": ops timed") spec.W.operation_count
+    (Oplat.count r.Harness.oplat)
+
+(* Every mode runs the same stream to the same exact hit count. *)
+let test_reads_hit (module M : Nvml_structures.Intf.ORDERED_MAP) () =
   List.iter
     (fun mode ->
-      let r = Harness.run_map (module Nvml_structures.Registry.Rb) ~mode small in
-      check_int (Fmt.str "no misses in %a" Runtime.pp_mode mode) 0 r.Harness.misses;
-      check_bool "some hits" true (r.Harness.hits > 0))
+      check_run (Fmt.str "%s in %a" M.name Runtime.pp_mode mode) small
+        (Harness.run_map (module M) ~mode small))
     Runtime.all_modes
-
-let test_same_behaviour_across_modes () =
-  let hits mode =
-    (Harness.run_map (module Nvml_structures.Registry.Avl) ~mode small)
-      .Harness.hits
-  in
-  let reference = hits Runtime.Volatile in
-  List.iter
-    (fun mode -> check_int "hit counts equal across modes" reference (hits mode))
-    [ Runtime.Sw; Runtime.Hw; Runtime.Explicit ]
 
 let run_cycles name mode =
   (Harness.run_benchmark name ~mode small).Harness.run.Cpu.cycles
@@ -116,6 +123,20 @@ let test_profile_sites_stable () =
         (String.starts_with ~prefix:"rb." r.Profile.site))
     a.Profile.sites
 
+(* The scan and RMW ops of the serving mixes, on the fast core. *)
+let test_scan_rmw_paths () =
+  let cfg = { Runtime.Config.default with timing = false } in
+  let mixes = W.serving_mixes ~records:500 ~ops:2000 in
+  List.iter
+    (fun (mix, structure) ->
+      let spec = List.assoc mix mixes in
+      check_run (mix ^ "/" ^ structure) spec
+        (Harness.run_map (Registry.find_map structure) ~mode:Runtime.Hw ~cfg spec))
+    [
+      ("scan-heavy", "RB"); ("scan-heavy", "Hash"); ("rmw-heavy", "RB");
+      ("rmw-heavy", "Hash");
+    ]
+
 let test_nvm_accesses_only_in_persistent_modes () =
   let nvm mode =
     (Harness.run_map (module Nvml_structures.Registry.Hash) ~mode small)
@@ -129,14 +150,16 @@ let () =
     [
       ( "harness",
         [
-          Alcotest.test_case "all reads hit" `Quick test_all_reads_hit;
+          Alcotest.test_case "all reads hit" `Quick
+            (test_reads_hit (module Registry.Rb));
           Alcotest.test_case "same behaviour across modes" `Quick
-            test_same_behaviour_across_modes;
+            (test_reads_hit (module Registry.Avl));
           Alcotest.test_case "LL harness" `Quick test_ll_harness;
           Alcotest.test_case "profile sites stable" `Quick
             test_profile_sites_stable;
           Alcotest.test_case "NVM access placement" `Quick
             test_nvm_accesses_only_in_persistent_modes;
+          Alcotest.test_case "scan and RMW paths" `Quick test_scan_rmw_paths;
         ] );
       ( "paper-shapes",
         [

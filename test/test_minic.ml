@@ -16,14 +16,8 @@ let check_int = Alcotest.(check int)
 let check_out = Alcotest.(check (list int64))
 
 let run_program ?plan ~mode ~persistent_heap program =
-  let rt = Runtime.create ~mode () in
-  let heap =
-    if persistent_heap && mode <> Runtime.Volatile then
-      Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-    else Runtime.Dram_region
-  in
-  let outcome = Interp.run rt ?plan ~heap program ~args:[] in
-  outcome.Interp.output
+  (snd (Interp.run_fresh ?plan ~mode ~persistent:persistent_heap program))
+    .Interp.output
 
 (* --- interpreter unit tests -------------------------------------------- *)
 

@@ -52,50 +52,47 @@ let test_iris_deterministic () =
   let a = Iris.generate () and b = Iris.generate () in
   check_bool "same seed, same data" true (a.Iris.features = b.Iris.features)
 
-let run_knn mode =
-  let rt, pool = make mode in
-  let placement =
-    match mode with
-    | Runtime.Volatile -> Knn.all_dram
-    | _ -> Knn.paper_placement ~pool
-  in
-  let data = Iris.generate () in
-  let t =
-    Knn.create rt placement ~n:Iris.total_samples
-      ~dims:Iris.features_per_sample ~k:3
-  in
-  Knn.load_input t data.Iris.features;
-  let before = Runtime.snapshot rt in
-  Knn.run rt t;
-  let after = Runtime.snapshot rt in
-  (Knn.accuracy t data.Iris.labels, Cpu.diff_snapshot after before)
-
 let test_knn_accuracy () =
   (* Separated synthetic clusters: leave-one-out 3-NN should be easy. *)
-  let acc, _ = run_knn Runtime.Volatile in
+  let acc, _ = Knn.case_study ~mode:Runtime.Volatile ~k:3 in
   check_bool (Fmt.str "accuracy %.2f > 0.9" acc) true (acc > 0.9)
 
 let test_knn_same_answer_all_modes () =
-  let reference, _ = run_knn Runtime.Volatile in
+  let reference, _ = Knn.case_study ~mode:Runtime.Volatile ~k:3 in
   List.iter
     (fun mode ->
-      let acc, _ = run_knn mode in
+      let acc, _ = Knn.case_study ~mode ~k:3 in
       check_float
         (Fmt.str "accuracy equal in %a" Runtime.pp_mode mode)
         reference acc)
     [ Runtime.Sw; Runtime.Hw; Runtime.Explicit ]
 
 let test_knn_hw_overhead_marginal () =
-  let _, vol = run_knn Runtime.Volatile in
-  let _, hw = run_knn Runtime.Hw in
+  let _, vol = Knn.case_study ~mode:Runtime.Volatile ~k:3 in
+  let _, hw = Knn.case_study ~mode:Runtime.Hw ~k:3 in
   let ratio = float_of_int hw.Cpu.cycles /. float_of_int vol.Cpu.cycles in
   check_bool (Fmt.str "HW/volatile = %.3f < 1.5" ratio) true (ratio < 1.5)
 
 let test_knn_sw_slowdown_substantial () =
-  let _, vol = run_knn Runtime.Volatile in
-  let _, sw = run_knn Runtime.Sw in
+  let _, vol = Knn.case_study ~mode:Runtime.Volatile ~k:3 in
+  let _, sw = Knn.case_study ~mode:Runtime.Sw ~k:3 in
   let ratio = float_of_int sw.Cpu.cycles /. float_of_int vol.Cpu.cycles in
   check_bool (Fmt.str "SW/volatile = %.2f > 1.5" ratio) true (ratio > 1.5)
+
+(* The neighbours exclude the sample itself, so k is in 1..n-1; the
+   iris case study takes at most 149. *)
+let test_knn_k_range () =
+  let rt, pool = make Runtime.Hw in
+  let placement = List.hd (Knn.all_placements ~pool) in
+  let rejects ~n k f =
+    Alcotest.check_raises (Fmt.str "n = %d, k = %d" n k)
+      (Invalid_argument (Fmt.str "Knn.create: k must be in 1..%d, got %d" (n - 1) k))
+      (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun k -> rejects ~n:60 k (fun () -> Knn.create rt placement ~n:60 ~dims:4 ~k))
+    [ 0; 60 ];
+  rejects ~n:150 150 (fun () -> Knn.case_study ~mode:Runtime.Hw ~k:150)
 
 let test_all_16_placements_work () =
   let rt, pool = make Runtime.Hw in
@@ -146,5 +143,6 @@ let () =
           Alcotest.test_case "SW slowdown substantial" `Slow
             test_knn_sw_slowdown_substantial;
           Alcotest.test_case "16 placements" `Slow test_all_16_placements_work;
+          Alcotest.test_case "k out of range" `Quick test_knn_k_range;
         ] );
     ]

@@ -18,13 +18,7 @@ let check_str = Alcotest.(check string)
 let check_out = Alcotest.(check (list int64))
 
 let run_program ~mode ~persistent program =
-  let rt = Runtime.create ~mode () in
-  let heap =
-    if persistent then
-      Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-    else Runtime.Dram_region
-  in
-  (Interp.run rt ~heap program ~args:[]).Interp.output
+  (snd (Interp.run_fresh ~mode ~persistent program)).Interp.output
 
 
 (* --- lexer -------------------------------------------------------------- *)
