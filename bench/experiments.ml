@@ -1655,6 +1655,8 @@ let persist ctx =
       let prefix = Printf.sprintf "persist.%s.%s" s (mkey m) in
       let p = r.Harness.persist in
       metric (prefix ^ ".run_cycles") (float_of_int r.Harness.run.Cpu.cycles);
+      metric (prefix ^ ".load_cycles")
+        (float_of_int r.Harness.load.Cpu.cycles);
       metric (prefix ^ ".drains") (float_of_int p.Harness.drains);
       metric (prefix ^ ".flushes") (float_of_int p.Harness.flushes);
       metric (prefix ^ ".fences") (float_of_int p.Harness.fences);

@@ -9,7 +9,8 @@
    fresh path for each run).  Both are compared; anything else the
    command prints is shown only if it fails.  J1-ARGs are passed to the
    --jobs 1 run only, e.g. a --stats dump that a schema gate reads.  The
-   --jobs 1 stdout is copied to OUT and its document to FILE. *)
+   --jobs 1 stdout is copied to OUT ("-" prints it) and its document to
+   FILE. *)
 
 let fail fmt =
   Printf.ksprintf
@@ -100,7 +101,7 @@ let () =
       let same_out = same "stdouts" out1 out4 in
       let same_doc = same "documents" doc1 doc4 in
       if not (same_out && same_doc) then exit 1;
-      write out out1;
+      if out = "-" then print_string out1 else write out out1;
       Option.iter
         (fun file -> if file <> "" then write file doc1)
         (List.find_map doc_arg args)

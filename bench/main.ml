@@ -13,9 +13,8 @@
      dune exec bench/main.exe -- --list
 
    Independent simulation cells run on a domain worker pool sized by
-   --jobs (or the NVML_JOBS environment variable; default: the
-   machine's recommended domain count).  --jobs 1 reproduces the
-   sequential output exactly. *)
+   --jobs (default: the machine's recommended domain count).  --jobs 1
+   reproduces the sequential output exactly. *)
 
 module Workload = Nvml_ycsb.Workload
 module Pool = Nvml_exec.Pool
@@ -163,8 +162,7 @@ let () =
         match int_of_string_opt s with
         | Some n when n >= 1 -> n
         | _ -> fail "--jobs expects a positive integer, got %S" s)
-    | None -> (
-        try Pool.default_jobs () with Invalid_argument msg -> fail "%s" msg)
+    | None -> Pool.default_jobs ()
   in
   (* Open the output sinks before the (long) run so a bad path fails fast. *)
   let open_sink flag = function

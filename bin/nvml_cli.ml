@@ -135,9 +135,9 @@ let jobs_arg =
     & opt non_negative 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for multi-cell commands (0 = NVML_JOBS env var, \
-           else the recommended domain count). Cells are share-nothing, so \
-           results match --jobs 1 exactly.")
+          "Worker domains for multi-cell commands (0 = the recommended \
+           domain count). Cells are share-nothing, so results match \
+           --jobs 1 exactly.")
 
 (* Run [f] on a domain pool of [jobs] workers (0 = the default count). *)
 let with_pool jobs f =
@@ -449,6 +449,10 @@ let kv_cmd =
       bad_input "--cores > 1 is not supported with %s" engine_flags;
     if cores > 1 && compare then
       bad_input "--cores > 1 is not supported with --compare";
+    if cores > 1 && latency then
+      bad_input "--cores > 1 is not supported with --latency";
+    if cores > 1 && slow_trace <> None then
+      bad_input "--cores > 1 is not supported with --slow-trace";
     if serving && not (Persist.is_eager persist) then
       bad_input "--persist %s is not supported with %s; the serving engine is \
                  eager-only"

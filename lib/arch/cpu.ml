@@ -33,7 +33,7 @@ module Physmem = Nvml_simmem.Physmem
 module Telemetry = Nvml_telemetry.Telemetry
 
 (* Depth of each VAW walk into the VATB B-tree (nodes visited). *)
-let vatb_depth_histo = Telemetry.histo "vatb.walk_depth"
+let vatb_depth = Telemetry.latency "vatb.walk_depth"
 
 (* Capacity of the reusable storeP operand buffer.  A storeP narrates
    at most one Rd and one Rs conversion; the slack tolerates synthetic
@@ -375,7 +375,7 @@ let valb_latency t ~va =
             visited
         | None -> Range_btree.height t.vatb (* walked to a leaf, no range *)
       in
-      if Telemetry.enabled () then Telemetry.observe vatb_depth_histo walk;
+      if Telemetry.enabled () then Telemetry.record vatb_depth walk;
       t.vaw_nodes <- t.vaw_nodes + walk;
       t.cfg.valb_latency + (walk * t.cfg.vatb_node_latency)
 

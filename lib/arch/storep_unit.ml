@@ -8,7 +8,7 @@
 module Telemetry = Nvml_telemetry.Telemetry
 
 (* FSM-entry occupancy observed at each issue — how full the unit runs. *)
-let occupancy_histo = Telemetry.histo "storep.occupancy"
+let occupancy_lat = Telemetry.latency "storep.occupancy"
 
 type t = {
   busy_until : int array; (* per-entry completion cycle *)
@@ -37,7 +37,7 @@ let issue t ~now ~latency =
     if t.busy_until.(i) < t.busy_until.(!victim) then victim := i
   done;
   if !occupancy > t.peak_occupancy then t.peak_occupancy <- !occupancy;
-  if Telemetry.enabled () then Telemetry.observe occupancy_histo !occupancy;
+  if Telemetry.enabled () then Telemetry.record occupancy_lat !occupancy;
   let busy = t.busy_until.(!victim) in
   let start = if busy > now then busy else now in
   let stall = start - now in

@@ -16,7 +16,7 @@
    Telemetry: when recording is enabled, every task runs in a fresh
    telemetry sink, and [run] merges the task sinks into the caller's
    current sink in submission order after all tasks finish.  Counters
-   and histograms commute, and each task's bounded event ring keeps its
+   and latency cells commute, and each task's bounded event ring keeps its
    own last-capacity suffix, so the merged stream is exactly what an
    inline [jobs = 1] execution would have accumulated — [--jobs N]
    telemetry is bit-identical to [--jobs 1]. *)
@@ -54,13 +54,7 @@ let rec worker_loop t =
       task ();
       worker_loop t
 
-let default_jobs () =
-  match Sys.getenv_opt "NVML_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> invalid_arg "NVML_JOBS must be a positive integer")
-  | None -> Domain.recommended_domain_count ()
+let default_jobs () = Domain.recommended_domain_count ()
 
 let create ?jobs () =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in

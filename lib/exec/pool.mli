@@ -14,8 +14,7 @@
 type t
 
 val default_jobs : unit -> int
-(** The [NVML_JOBS] environment variable if set (must be a positive
-    integer), else [Domain.recommended_domain_count ()]. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] worker domains (default {!default_jobs}).

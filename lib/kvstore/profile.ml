@@ -12,6 +12,7 @@
    merges at the join make the result identical either way. *)
 
 module Telemetry = Nvml_telemetry.Telemetry
+module Json = Nvml_telemetry.Json
 module Runtime = Nvml_runtime.Runtime
 module Site = Nvml_runtime.Site
 module Cpu = Nvml_arch.Cpu
@@ -24,9 +25,8 @@ type t = {
   sw : Harness.result;
   hw : Harness.result;
   sites : site_row list; (* by descending checks, then name *)
-  counters : (string * int) list;
-  histos : (string * Telemetry.histo_stats) list;
   derived : (string * float) list;
+  stats : Json.t; (* [Telemetry.stats_json ~derived], captured in scope *)
 }
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
@@ -106,53 +106,24 @@ let run ?(par = inline_runner) ~benchmark (spec : Workload.spec) : t =
     sw;
     hw;
     sites;
-    counters;
-    histos = Telemetry.histos_snapshot ();
     derived;
+    stats = Telemetry.stats_json ~derived ();
   }
 
-(* The stats document, built from the snapshots captured inside the
-   profile's telemetry scope (the scope is gone by the time callers
-   serialize).  Same schema as [Telemetry.stats_json]. *)
-let stats_json (t : t) : Nvml_telemetry.Json.t =
-  let module Json = Nvml_telemetry.Json in
-  Json.Obj
-    [
-      ("schema", Json.Int 1);
-      ("benchmark", Json.String t.benchmark);
-      ( "derived",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) t.derived) );
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (k, (h : Telemetry.histo_stats)) ->
-               ( k,
-                 Json.Obj
-                   [
-                     ("count", Json.Int h.Telemetry.count);
-                     ("sum", Json.Int h.Telemetry.sum);
-                     ("min", Json.Int h.Telemetry.min);
-                     ("max", Json.Int h.Telemetry.max);
-                     ("mean", Json.Float h.Telemetry.mean);
-                     ( "log2_buckets",
-                       Json.List
-                         (List.map
-                            (fun (ub, n) ->
-                              Json.List [ Json.Int ub; Json.Int n ])
-                            h.Telemetry.log2_buckets) );
-                   ] ))
-             t.histos) );
-      ( "sites",
-        Json.Obj
-          (List.map
-             (fun r ->
-               ( r.site,
-                 Json.Obj
-                   [
-                     ("static", Json.Bool r.static);
-                     ("checks", Json.Int r.checks);
-                   ] ))
-             t.sites) );
-    ]
+(* The telemetry stats document of the profile's scope (gone by the
+   time callers serialize), plus the benchmark and its site rows. *)
+let stats_json (t : t) : Json.t =
+  let site r =
+    ( r.site,
+      Json.Obj [ ("static", Json.Bool r.static); ("checks", Json.Int r.checks) ]
+    )
+  in
+  match t.stats with
+  | Json.Obj fields ->
+      Json.Obj
+        (fields
+        @ [
+            ("benchmark", Json.String t.benchmark);
+            ("sites", Json.Obj (List.map site t.sites));
+          ])
+  | doc -> doc

@@ -4,7 +4,7 @@
     executed dynamic checks, the POLB/VALB hit rates, and cycle
     attribution by stall source. *)
 
-module Telemetry = Nvml_telemetry.Telemetry
+module Json = Nvml_telemetry.Json
 module Workload = Nvml_ycsb.Workload
 
 type site_row = { site : string; static : bool; checks : int }
@@ -16,11 +16,12 @@ type t = {
   sites : site_row list;
       (** the profiled structure's sites (name prefix: its lowercase
           name and a dot), by descending checks, then name *)
-  counters : (string * int) list;
-  histos : (string * Telemetry.histo_stats) list;
   derived : (string * float) list;
       (** includes [check_sites.dynamic_fraction], [polb.hit_rate],
           [valb.hit_rate] *)
+  stats : Json.t;
+      (** [Telemetry.stats_json ~derived], captured inside the profile's
+          telemetry scope *)
 }
 
 val run :
@@ -33,6 +34,6 @@ val run :
     the two independent mode cells — pass [Pool.run pool] to exercise
     the parallel merge; the result is identical either way. *)
 
-val stats_json : t -> Nvml_telemetry.Json.t
-(** The stats document ([{"schema": 1, "derived": ..., "counters": ...,
-    "histograms": ..., "sites": ...}]). *)
+val stats_json : t -> Json.t
+(** The stats document: {!stats}, the same document every command
+    writes, plus ["benchmark"] and ["sites"]. *)

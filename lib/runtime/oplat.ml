@@ -229,61 +229,33 @@ let summary_json t =
         @ [ ("tail", components_json ~total:(components_total tail) tail) ])
   | other -> other
 
+(* One thread per retained op: its root span carries the op's cycles
+   and components, its marker spans nest inside; simulated cycles are
+   the timestamps. *)
 let write_slow_trace oc t =
-  let rows =
-    List.concat
-      (List.mapi
-         (fun tid s ->
-           let span ?(args = []) name start stop =
-             [
-               Json.Obj
-                 ([
-                    ("name", Json.String name);
-                    ("ph", Json.String "B");
-                    ("pid", Json.Int 0);
-                    ("tid", Json.Int tid);
-                    ("ts", Json.Int start);
-                  ]
-                 @
-                 match args with
-                 | [] -> []
-                 | args ->
-                     [
-                       ( "args",
-                         Json.Obj
-                           (List.map (fun (k, v) -> (k, Json.Int v)) args) );
-                     ]);
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("ph", Json.String "E");
-                   ("pid", Json.Int 0);
-                   ("tid", Json.Int tid);
-                   ("ts", Json.Int stop);
-                 ];
-             ]
-           in
-           match s.spans with
-           | [] -> []
-           | (root, start, stop) :: subs ->
-               span root start stop
-                 ~args:
-                   [
-                     ("cycles", s.cycles);
-                     ("seq", s.seq);
-                     ("base", s.comps.base);
-                     ("check", s.comps.check);
-                     ("translation", s.comps.translation);
-                     ("stall", s.comps.stall);
-                     ("media", s.comps.media);
-                   ]
-               @ List.concat_map (fun (n, a, b) -> span n a b) subs)
-         t.slow)
+  let span tid ?(args = []) (name, start, stop) =
+    [
+      (tid, start, { Telemetry.ename = name; phase = Telemetry.Begin; args });
+      (tid, stop, { Telemetry.ename = name; phase = Telemetry.End; args = [] });
+    ]
   in
-  Json.to_channel oc
-    (Json.Obj
-       [
-         ("traceEvents", Json.List rows);
-         ("displayTimeUnit", Json.String "ms");
-       ]);
-  output_char oc '\n'
+  Telemetry.write_trace oc
+    (List.concat
+       (List.mapi
+          (fun tid s ->
+            match s.spans with
+            | [] -> []
+            | root :: subs ->
+                span tid root
+                  ~args:
+                    [
+                      ("cycles", s.cycles);
+                      ("seq", s.seq);
+                      ("base", s.comps.base);
+                      ("check", s.comps.check);
+                      ("translation", s.comps.translation);
+                      ("stall", s.comps.stall);
+                      ("media", s.comps.media);
+                    ]
+                @ List.concat_map (span tid) subs)
+          t.slow))

@@ -1,6 +1,6 @@
-(* The cross-layer telemetry subsystem: typed counters and histograms
-   registered by name, a bounded ring-buffer event tracer with spans,
-   and per-domain sinks that the [nvml_exec] pool merges
+(* The cross-layer telemetry subsystem: counters and HDR latency
+   recorders registered by name, a bounded ring-buffer event tracer
+   with spans, and per-domain sinks that the [nvml_exec] pool merges
    deterministically at join — so [--jobs N] telemetry equals
    [--jobs 1] telemetry.
 
@@ -34,10 +34,9 @@ let set_enabled b = Atomic.set flag b
 
 (* --- registry -------------------------------------------------------------- *)
 
-type kind = Counter | Histo | Lat
+type kind = Counter | Lat
 
 type counter = int
-type histo = int
 type latency = int
 
 let registry_lock = Mutex.create ()
@@ -78,7 +77,6 @@ let intern kind name =
   id
 
 let counter name = intern Counter name
-let histo name = intern Histo name
 let latency name = intern Lat name
 
 (* A stable snapshot of (id, name, kind) rows for dump functions. *)
@@ -88,47 +86,6 @@ let registry_rows () =
   let rows = List.init n (fun id -> (id, !names.(id), !kinds.(id))) in
   Mutex.unlock registry_lock;
   rows
-
-(* --- histograms ------------------------------------------------------------ *)
-
-(* Power-of-two buckets: bucket [i] counts observations whose value [v]
-   satisfies [2^(i-1) < v <= 2^i] (bucket 0 holds v <= 1, including
-   zero and negatives). *)
-let histo_buckets = 63
-
-type histo_data = {
-  mutable count : int;
-  mutable sum : int;
-  mutable vmin : int;
-  mutable vmax : int;
-  buckets : int array;
-}
-
-let fresh_histo () =
-  { count = 0; sum = 0; vmin = max_int; vmax = min_int;
-    buckets = Array.make histo_buckets 0 }
-
-let bucket_of v =
-  if v <= 1 then 0
-  else
-    let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v lsr 1) in
-    let b = log2 0 (v - 1) + 1 in
-    min b (histo_buckets - 1)
-
-let histo_observe h v =
-  h.count <- h.count + 1;
-  h.sum <- h.sum + v;
-  if v < h.vmin then h.vmin <- v;
-  if v > h.vmax then h.vmax <- v;
-  let b = bucket_of v in
-  h.buckets.(b) <- h.buckets.(b) + 1
-
-let histo_merge ~into:(a : histo_data) (b : histo_data) =
-  a.count <- a.count + b.count;
-  a.sum <- a.sum + b.sum;
-  if b.vmin < a.vmin then a.vmin <- b.vmin;
-  if b.vmax > a.vmax then a.vmax <- b.vmax;
-  Array.iteri (fun i n -> a.buckets.(i) <- a.buckets.(i) + n) b.buckets
 
 (* --- trace events ----------------------------------------------------------- *)
 
@@ -143,7 +100,6 @@ let set_trace_capacity n = default_trace_capacity := max 0 n
 
 type sink = {
   mutable counters : int array; (* indexed by registry id *)
-  mutable histos : histo_data option array;
   mutable lats : Latency.t option array;
   ring : event option array; (* bounded tracer; oldest overwritten *)
   mutable ring_start : int; (* index of the oldest event *)
@@ -154,7 +110,6 @@ type sink = {
 let fresh_sink () =
   {
     counters = Array.make 0 0;
-    histos = Array.make 0 None;
     lats = Array.make 0 None;
     ring = Array.make !default_trace_capacity None;
     ring_start = 0;
@@ -181,20 +136,6 @@ let ensure_counters s id =
     s.counters <- a
   end
 
-let ensure_histo s id =
-  if id >= Array.length s.histos then begin
-    let cap = max 64 (max (id + 1) (2 * Array.length s.histos)) in
-    let a = Array.make cap None in
-    Array.blit s.histos 0 a 0 (Array.length s.histos);
-    s.histos <- a
-  end;
-  match s.histos.(id) with
-  | Some h -> h
-  | None ->
-      let h = fresh_histo () in
-      s.histos.(id) <- Some h;
-      h
-
 let ensure_lat s id =
   if id >= Array.length s.lats then begin
     let cap = max 64 (max (id + 1) (2 * Array.length s.lats)) in
@@ -219,9 +160,6 @@ let add c n =
   end
 
 let incr c = add c 1
-
-let observe h v =
-  if enabled () then histo_observe (ensure_histo (current_sink ()) h) v
 
 let record l v =
   if enabled () then Latency.record (ensure_lat (current_sink ()) l) v
@@ -258,9 +196,9 @@ let span ?(args = []) ename f =
 
 (* Merge [src] into [dst], appending trace events after [dst]'s.
    Applied in submission order at pool join, this reproduces the
-   sequential stream: counters and histograms commute, and the bounded
-   ring drops exactly the events a sequential run would also have
-   dropped (an overwritten event is always older than the [capacity]
+   sequential stream: counters and latency cells commute, and the
+   bounded ring drops exactly the events a sequential run would also
+   have dropped (an overwritten event is always older than the [capacity]
    events that follow it in the same sink). *)
 let merge_into ~dst src =
   if dst == src then invalid_arg "Telemetry.merge_into: src is dst";
@@ -271,12 +209,6 @@ let merge_into ~dst src =
         dst.counters.(id) <- dst.counters.(id) + n
       end)
     src.counters;
-  Array.iteri
-    (fun id h ->
-      match h with
-      | None -> ()
-      | Some h -> histo_merge ~into:(ensure_histo dst id) h)
-    src.histos;
   Array.iteri
     (fun id l ->
       match l with
@@ -297,29 +229,6 @@ let value c =
   let s = current_sink () in
   if c < Array.length s.counters then s.counters.(c) else 0
 
-type histo_stats = {
-  count : int;
-  sum : int;
-  min : int;
-  max : int;
-  mean : float;
-  log2_buckets : (int * int) list; (* (bucket upper bound, count), non-empty only *)
-}
-
-let stats_of_histo (h : histo_data) =
-  {
-    count = h.count;
-    sum = h.sum;
-    min = (if h.count = 0 then 0 else h.vmin);
-    max = (if h.count = 0 then 0 else h.vmax);
-    mean =
-      (if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count);
-    log2_buckets =
-      List.filteri (fun _ (_, n) -> n > 0)
-        (List.init histo_buckets (fun i ->
-             ((if i >= 62 then max_int else 1 lsl i), h.buckets.(i))));
-  }
-
 (* Sorted by name, every registered counter included (zeros too), so
    the dump schema is independent of execution order. *)
 let counters_snapshot () =
@@ -330,19 +239,7 @@ let counters_snapshot () =
          | Counter ->
              Some
                (name, if id < Array.length s.counters then s.counters.(id) else 0)
-         | Histo | Lat -> None)
-  |> List.sort compare
-
-let histos_snapshot () =
-  let s = current_sink () in
-  registry_rows ()
-  |> List.filter_map (fun (id, name, kind) ->
-         match kind with
-         | Histo when id < Array.length s.histos -> (
-             match s.histos.(id) with
-             | Some h -> Some (name, stats_of_histo h)
-             | None -> None)
-         | _ -> None)
+         | Lat -> None)
   |> List.sort compare
 
 let lats_snapshot () =
@@ -372,7 +269,6 @@ let events_dropped () =
 let reset_current () =
   let s = current_sink () in
   Array.fill s.counters 0 (Array.length s.counters) 0;
-  Array.fill s.histos 0 (Array.length s.histos) None;
   Array.fill s.lats 0 (Array.length s.lats) None;
   Array.fill s.ring 0 (Array.length s.ring) None;
   s.ring_start <- 0;
@@ -385,25 +281,6 @@ let stats_json ~derived () =
   let counters =
     List.map (fun (name, v) -> (name, Json.Int v)) (counters_snapshot ())
   in
-  let histos =
-    List.map
-      (fun (name, h) ->
-        ( name,
-          Json.Obj
-            [
-              ("count", Json.Int h.count);
-              ("sum", Json.Int h.sum);
-              ("min", Json.Int h.min);
-              ("max", Json.Int h.max);
-              ("mean", Json.Float h.mean);
-              ( "log2_buckets",
-                Json.List
-                  (List.map
-                     (fun (ub, n) -> Json.List [ Json.Int ub; Json.Int n ])
-                     h.log2_buckets) );
-            ] ))
-      (histos_snapshot ())
-  in
   let lats =
     List.map (fun (name, l) -> (name, Latency.summary_json l)) (lats_snapshot ())
   in
@@ -414,7 +291,6 @@ let stats_json ~derived () =
         Json.Obj
           (List.map (fun (name, v) -> (name, Json.Float v)) derived) );
       ("counters", Json.Obj counters);
-      ("histograms", Json.Obj histos);
       ("latencies", Json.Obj lats);
       ("events_total", Json.Int (events_total ()));
       ("events_dropped", Json.Int (events_dropped ()));
@@ -425,41 +301,39 @@ let write_stats_json ?(derived = []) oc =
   output_char oc '\n'
 
 (* Chrome trace_event format (JSON Object Format), loadable in
-   chrome://tracing or Perfetto.  Timestamps are logical: the position
-   of the event in the merged stream, in "microseconds". *)
-let write_chrome_trace oc =
-  let events = events_snapshot () in
-  let rows =
-    List.mapi
-      (fun i e ->
-        let ph =
-          match e.phase with Begin -> "B" | End -> "E" | Instant -> "i"
-        in
-        Json.Obj
-          ([
-             ("name", Json.String e.ename);
-             ("ph", Json.String ph);
-             ("pid", Json.Int 0);
-             ("tid", Json.Int 0);
-             ("ts", Json.Int i);
-           ]
-          @ (match e.phase with
-            | Instant -> [ ("s", Json.String "t") ]
-            | Begin | End -> [])
-          @
-          match e.args with
-          | [] -> []
-          | args ->
-              [
-                ( "args",
-                  Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) args) );
-              ]))
-      events
+   chrome://tracing or Perfetto.  Every row is process 0; [tid] and
+   [ts] (in "microseconds") are the caller's. *)
+let write_trace oc rows =
+  let row (tid, ts, e) =
+    let ph = match e.phase with Begin -> "B" | End -> "E" | Instant -> "i" in
+    Json.Obj
+      ([
+         ("name", Json.String e.ename);
+         ("ph", Json.String ph);
+         ("pid", Json.Int 0);
+         ("tid", Json.Int tid);
+         ("ts", Json.Int ts);
+       ]
+      @ (match e.phase with
+        | Instant -> [ ("s", Json.String "t") ]
+        | Begin | End -> [])
+      @
+      match e.args with
+      | [] -> []
+      | args ->
+          [
+            ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) args));
+          ])
   in
   Json.to_channel oc
     (Json.Obj
        [
-         ("traceEvents", Json.List rows);
+         ("traceEvents", Json.List (List.map row rows));
          ("displayTimeUnit", Json.String "ms");
        ]);
   output_char oc '\n'
+
+(* The trace ring on one thread; timestamps are logical, the position
+   of the event in the merged stream. *)
+let write_chrome_trace oc =
+  write_trace oc (List.mapi (fun i e -> (0, i, e)) (events_snapshot ()))

@@ -1,6 +1,6 @@
-(** Cross-layer telemetry: named counters and histograms, a bounded
-    ring-buffer event tracer with spans, and per-domain sinks that the
-    execution pool merges deterministically at join.
+(** Cross-layer telemetry: named counters and HDR latency recorders, a
+    bounded ring-buffer event tracer with spans, and per-domain sinks
+    that the execution pool merges deterministically at join.
 
     All recording is gated on a process-wide flag (off by default; the
     [--stats]/[--trace] flags and {!set_enabled} turn it on).  Hot-path
@@ -17,20 +17,20 @@ val set_enabled : bool -> unit
 
     Metrics are registered by name in a process-wide, mutex-guarded
     registry.  Registering the same name twice returns the same handle;
-    registering a name as both a counter and a histogram raises
+    registering a name as both a counter and a latency recorder raises
     [Invalid_argument]. *)
 
 type counter
-type histo
 type latency
 
 val counter : string -> counter
-val histo : string -> histo
 
 val latency : string -> latency
-(** A named HDR-style latency recorder (see {!Latency}): log-bucketed
-    with {!Latency.precision_bits} sub-bucket bits, so percentiles are
-    within {!Latency.rel_error_bound} of exact. *)
+(** A named HDR-style recorder (see {!Latency}) — the one distribution
+    kind: log-bucketed with {!Latency.precision_bits} sub-bucket bits,
+    so percentiles are within {!Latency.rel_error_bound} of exact, and
+    every value below 64 is recorded exactly (storeP occupancy and VATB
+    walk depth use it too). *)
 
 (** {1 Recording}
 
@@ -38,10 +38,9 @@ val latency : string -> latency
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val observe : histo -> int -> unit
 
 val record : latency -> int -> unit
-(** Record one latency observation; allocation-free once the sink's
+(** Record one observation; allocation-free once the sink's
     recorder exists (first call per sink allocates it). *)
 
 val event : ?args:(string * int) list -> string -> unit
@@ -57,11 +56,11 @@ val set_trace_capacity : int -> unit
 
 (** {1 Sinks}
 
-    A sink holds counter/histogram values and the trace ring for one
-    execution context.  Each domain has a current sink; the pool runs
-    every task in a fresh sink and merges them into the submitter's
-    sink in submission order, making [--jobs N] output bit-identical to
-    [--jobs 1]. *)
+    A sink holds counter values, latency recorders and the trace ring
+    for one execution context.  Each domain has a current sink; the
+    pool runs every task in a fresh sink and merges them into the
+    submitter's sink in submission order, making [--jobs N] output
+    bit-identical to [--jobs 1]. *)
 
 type sink
 
@@ -73,7 +72,7 @@ val run_with_sink : sink -> (unit -> 'a) -> 'a
     the duration of [f ()], restoring the previous sink afterwards. *)
 
 val merge_into : dst:sink -> sink -> unit
-(** Fold [src]'s values into [dst]: counters and histogram cells add;
+(** Fold [src]'s values into [dst]: counters and latency cells add;
     trace events append after [dst]'s existing events. *)
 
 (** {1 Reading}
@@ -83,23 +82,8 @@ val merge_into : dst:sink -> sink -> unit
 
 val value : counter -> int
 
-type histo_stats = {
-  count : int;
-  sum : int;
-  min : int;
-  max : int;
-  mean : float;
-  log2_buckets : (int * int) list;
-      (** [(upper_bound, count)] for non-empty power-of-two buckets:
-          bucket with bound [b] counts observations [v] with
-          [prev_bound < v <= b]. *)
-}
-
 val counters_snapshot : unit -> (string * int) list
 (** Every registered counter (zeros included), sorted by name. *)
-
-val histos_snapshot : unit -> (string * histo_stats) list
-(** Histograms with at least one observation, sorted by name. *)
 
 val lats_snapshot : unit -> (string * Latency.t) list
 (** Latency recorders with at least one observation, sorted by name. *)
@@ -120,13 +104,18 @@ val reset_current : unit -> unit
 (** {1 Dumps} *)
 
 val stats_json : derived:(string * float) list -> unit -> Json.t
-(** Stats document: [{"schema": 1, "derived": {...}, "counters": {...},
-    "histograms": {...}, "latencies": {...}, ...}].  [derived] carries
-    precomputed rates (e.g. ["valb.hit_rate"]); latency entries are
-    {!Latency.summary_json} rows. *)
+(** The stats document every command writes: [{"schema": 1, "derived":
+    {...}, "counters": {...}, "latencies": {...}, "events_total": n,
+    "events_dropped": n}].  [derived] carries precomputed rates (e.g.
+    ["valb.hit_rate"]); latency entries are {!Latency.summary_json}
+    rows. *)
 
 val write_stats_json : ?derived:(string * float) list -> out_channel -> unit
 
+val write_trace : out_channel -> (int * int * event) list -> unit
+(** The one Chrome [trace_event] writer (load in [chrome://tracing] or
+    Perfetto): one row per [(tid, ts, event)], in the order given. *)
+
 val write_chrome_trace : out_channel -> unit
-(** Chrome [trace_event] JSON (load in [chrome://tracing] or Perfetto).
-    Timestamps are logical positions in the merged event stream. *)
+(** The trace ring through {!write_trace}, on thread 0.  Timestamps
+    are logical positions in the merged event stream. *)

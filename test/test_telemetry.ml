@@ -12,6 +12,7 @@ module Cpu = Nvml_arch.Cpu
 module Runtime = Nvml_runtime.Runtime
 module Oplat = Nvml_runtime.Oplat
 module Harness = Nvml_kvstore.Harness
+module Profile = Nvml_kvstore.Profile
 module Workload = Nvml_ycsb.Workload
 
 let check = Alcotest.check
@@ -38,21 +39,21 @@ let test_registry_interning () =
 
 let test_registry_kind_conflict () =
   ignore (Telemetry.counter "test.registry.kind");
-  match Telemetry.histo "test.registry.kind" with
+  match Telemetry.latency "test.registry.kind" with
   | _ -> Alcotest.fail "expected Invalid_argument on kind conflict"
   | exception Invalid_argument _ -> ()
 
 let test_disabled_records_nothing () =
   let c = Telemetry.counter "test.gate.c" in
-  let h = Telemetry.histo "test.gate.h" in
+  let l = Telemetry.latency "test.gate.l" in
   scoped ~enabled:false (fun () ->
       Telemetry.incr c;
       Telemetry.add c 5;
-      Telemetry.observe h 7;
+      Telemetry.record l 7;
       Telemetry.event "test.gate.e";
       check_int "counter untouched" 0 (Telemetry.value c);
-      check_bool "histogram untouched" false
-        (List.mem_assoc "test.gate.h" (Telemetry.histos_snapshot ()));
+      check_bool "latency untouched" false
+        (List.mem_assoc "test.gate.l" (Telemetry.lats_snapshot ()));
       check_int "no events" 0 (Telemetry.events_total ()))
 
 (* --- merge -------------------------------------------------------------- *)
@@ -66,7 +67,7 @@ let with_enabled f =
 let view s =
   Telemetry.run_with_sink s (fun () ->
       ( Telemetry.counters_snapshot (),
-        Telemetry.histos_snapshot (),
+        Telemetry.lats_snapshot (),
         Telemetry.events_snapshot (),
         Telemetry.events_total () ))
 
@@ -74,14 +75,14 @@ let test_merge_associativity () =
   with_enabled @@ fun () ->
   let c1 = Telemetry.counter "test.merge.c1" in
   let c2 = Telemetry.counter "test.merge.c2" in
-  let h = Telemetry.histo "test.merge.h" in
+  let l = Telemetry.latency "test.merge.l" in
   let make tag n =
     let s = Telemetry.fresh_sink () in
     Telemetry.run_with_sink s (fun () ->
         for i = 1 to n do
           Telemetry.incr c1;
           Telemetry.add c2 i;
-          Telemetry.observe h (i * 3);
+          Telemetry.record l (i * 3);
           Telemetry.event tag ~args:[ ("i", i) ]
         done);
     s
@@ -122,11 +123,11 @@ let test_merge_empty_sinks () =
 
 let test_pool_merge_matches_sequential () =
   let c = Telemetry.counter "test.pool.c" in
-  let h = Telemetry.histo "test.pool.h" in
+  let l = Telemetry.latency "test.pool.l" in
   let tasks =
     List.init 6 (fun i () ->
         Telemetry.add c (i + 1);
-        Telemetry.observe h (i * 2);
+        Telemetry.record l (i * 2);
         Telemetry.event "task" ~args:[ ("i", i) ];
         i)
   in
@@ -140,7 +141,7 @@ let test_pool_merge_matches_sequential () =
         in
         ( out,
           Telemetry.counters_snapshot (),
-          Telemetry.histos_snapshot (),
+          Telemetry.lats_snapshot (),
           Telemetry.events_snapshot () ))
   in
   check_bool "--jobs 4 telemetry equals --jobs 1" true (run 1 = run 4)
@@ -462,14 +463,39 @@ let test_json_roundtrip () =
   | Ok d -> check_bool "parse (print doc) = doc" true (d = doc)
   | Error e -> Alcotest.fail e
 
+(* Every stats document has one shape; the profile's adds its
+   benchmark and sites, and lists the storeP and VATB recorders. *)
 let test_stats_json_shape () =
+  let keys = function Json.Obj fields -> List.map fst fields | _ -> [] in
+  let shape =
+    [
+      "schema"; "derived"; "counters"; "latencies"; "events_total";
+      "events_dropped";
+    ]
+  in
   scoped (fun () ->
       Telemetry.incr (Telemetry.counter "test.schema.c");
+      Telemetry.record (Telemetry.latency "test.schema.l") 5;
       let doc = Telemetry.stats_json ~derived:[ ("x.rate", 0.5) ] () in
+      check Alcotest.(list string) "top-level keys" shape (keys doc);
       check_bool "derived key present" true
         (Json.path [ "derived"; "x.rate" ] doc = Some (Json.Float 0.5));
       check_bool "counter present" true
-        (Json.path [ "counters"; "test.schema.c" ] doc = Some (Json.Int 1)))
+        (Json.path [ "counters"; "test.schema.c" ] doc = Some (Json.Int 1));
+      check_bool "latency present" true
+        (Json.path [ "latencies"; "test.schema.l"; "max" ] doc
+        = Some (Json.Int 5)));
+  let doc = Profile.stats_json (Profile.run ~benchmark:"RB" quick_spec) in
+  check
+    Alcotest.(list string)
+    "profile keys"
+    (shape @ [ "benchmark"; "sites" ])
+    (keys doc);
+  List.iter
+    (fun name ->
+      check_bool (name ^ " is a latency") true
+        (Json.path [ "latencies"; name; "count" ] doc <> None))
+    [ "storep.occupancy"; "vatb.walk_depth" ]
 
 let () =
   Alcotest.run "telemetry"
