@@ -173,29 +173,14 @@ let table2 _ctx =
 let table3 _ctx =
   heading "Table III: benchmark data structures";
   let module S = Nvml_structures in
-  let node_bytes = function
-    | "LL" -> S.Linked_list.node_size
-    | "Hash" -> S.Hash_table.node_size
-    | "RB" -> S.Rb_tree.node_size
-    | "Splay" -> S.Splay_tree.node_size
-    | "AVL" -> S.Avl_tree.node_size
-    | "SG" -> S.Scapegoat_tree.node_size
-    | _ -> 0
-  in
-  let describe = function
-    | "LL" -> S.Linked_list.description
-    | "Hash" -> S.Hash_table.description
-    | "RB" -> S.Rb_tree.description
-    | "Splay" -> S.Splay_tree.description
-    | "AVL" -> S.Avl_tree.description
-    | "SG" -> S.Scapegoat_tree.description
-    | _ -> ""
-  in
+  let row name node_size description = [ name; int_ node_size; description ] in
   table
     ~header:[ "Benchmark"; "Node (B)"; "Implementation" ]
-    (List.map
-       (fun n -> [ n; int_ (node_bytes n); describe n ])
-       benchmarks);
+    (row S.Linked_list.name S.Linked_list.node_size S.Linked_list.description
+    :: List.map
+         (fun (module M : S.Intf.ORDERED_MAP) ->
+           row M.name M.node_size M.description)
+         S.Registry.maps);
   Printf.printf
     "(The paper instantiates these from Boost, 22,206 lines of library code;\n\
     \ here each is implemented from scratch over the simulated-memory runtime.)\n"

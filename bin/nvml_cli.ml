@@ -337,10 +337,12 @@ let print_serving (t : Serving.t) =
       t.Serving.per_shard
   end
 
+(* Optional, so that kv can reject it next to --mix; absent means
+   latest. *)
 let dist_arg =
   Arg.(
     value
-    & opt dist_conv Workload.Latest
+    & opt (some ~none:"latest" dist_conv) None
     & info [ "distribution"; "d" ] ~doc:"Key distribution.")
 
 let spec_of ~records ~ops ~dist =
@@ -348,7 +350,7 @@ let spec_of ~records ~ops ~dist =
     Workload.paper_default with
     Workload.record_count = records;
     operation_count = ops;
-    distribution = dist;
+    distribution = Option.value dist ~default:Workload.Latest;
   }
 
 let kv_cmd =
@@ -411,9 +413,10 @@ let kv_cmd =
       & info [ "front-cache" ] ~docv:"ENTRIES"
           ~doc:
             "Serving engine: total DRAM front-cache entries across all \
-             shards (bounded LRU, write-back to NVM); 0 disables the \
-             cache. May exceed the record count, in which case the cache \
-             simply never evicts.")
+             shards (bounded LRU, write-back to NVM); each shard gets \
+             $(docv) / --shards entries, rounded down, so $(docv) must be \
+             0 (no cache) or at least --shards. May exceed the record \
+             count, in which case the cache simply never evicts.")
   in
   let mix_arg =
     let mixes = List.map fst (Workload.serving_mixes ~records:1 ~ops:1) in
@@ -424,7 +427,8 @@ let kv_cmd =
           ~doc:
             (Fmt.str
                "Serving engine: run a named serving mix (%s) at \
-                --records/--ops scale instead of the --distribution preset."
+                --records/--ops scale.  A mix sets its own key \
+                distribution, so it cannot be combined with --distribution."
                (String.concat ", " mixes)))
   in
   let run structure mode persist records ops dist compare jobs stats_file
@@ -445,6 +449,13 @@ let kv_cmd =
     in
     if serving && compare then
       bad_input "--compare is not supported with %s" engine_flags;
+    if front_cache > 0 && front_cache < shards then
+      bad_input
+        "--front-cache %d is below --shards %d: each shard gets front-cache \
+         / shards entries, rounded down; use 0 or at least %d"
+        front_cache shards shards;
+    if mix <> None && dist <> None then
+      bad_input "--mix sets its own key distribution; drop --distribution";
     if cores > 1 && serving then
       bad_input "--cores > 1 is not supported with %s" engine_flags;
     if cores > 1 && compare then

@@ -414,7 +414,7 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
   done;
   let cache =
     if c.front_cache > 0 then
-      Some (Fcache.create rt (max 1 (c.front_cache / c.shards)))
+      Some (Fcache.create rt (c.front_cache / c.shards))
     else None
   in
   let write_back key value = M.insert m ~key ~value in
@@ -526,6 +526,8 @@ let run ?(par = inline_runner) (c : config) : t =
   if c.shards < 1 then invalid_arg "Serving.run: shards must be >= 1";
   if c.batch < 1 then invalid_arg "Serving.run: batch must be >= 1";
   if c.front_cache < 0 then invalid_arg "Serving.run: front_cache must be >= 0";
+  if c.front_cache > 0 && c.front_cache < c.shards then
+    invalid_arg "Serving.run: front_cache must be 0 or at least shards";
   let (module M : Intf.ORDERED_MAP) = Registry.find_map c.structure in
   let loads, ops = partition c in
   let thunks =

@@ -18,7 +18,10 @@ type config = {
   spec : Nvml_ycsb.Workload.spec;
   shards : int;
   batch : int;  (** requests per runtime entry; 1 = no batching *)
-  front_cache : int;  (** total cache entries across all shards; 0 = off *)
+  front_cache : int;
+      (** total cache entries across all shards; 0 = off.  Each shard gets
+          [front_cache / shards] entries, rounded down, so any other value
+          must be at least [shards]. *)
   cfg : Nvml_arch.Config.t;
 }
 
@@ -96,4 +99,6 @@ val run : ?par:((unit -> shard) list -> shard list) -> config -> t
     share-nothing shard cells ([Pool.run pool] from bench); the default
     runs them sequentially.  Results are merged in shard-index order,
     so the report is byte-identical for any runner.  Publishes
-    [serving.*] telemetry counters when telemetry is enabled. *)
+    [serving.*] telemetry counters when telemetry is enabled.
+    @raise Invalid_argument when [shards] or [batch] is below 1, or
+    [front_cache] is negative or between 1 and [shards - 1]. *)

@@ -1,27 +1,16 @@
 (* The AVL benchmark: a height-balanced binary search tree with
    recursive insert/remove and single/double rotations. *)
 
-module Runtime = Nvml_runtime.Runtime
-module Site = Nvml_runtime.Site
-module Ptr = Nvml_core.Ptr
+open Bst
 
 let name = "AVL"
 let description = "AVL tree, recursive rebalancing"
 
-(* Node layout. *)
-let o_key = 0
-let o_value = 8
-let o_left = 16
-let o_right = 24
+(* Node layout after the 32-byte {!Bst} prefix. *)
 let o_height = 32
 let node_size = 40
 
-(* Header layout. *)
-let h_root = 0
-let h_size = 8
-let header_size = 16
-
-type t = { rt : Runtime.t; region : Runtime.region; header : Ptr.t }
+type t = Bst.t
 
 let s_hdr = Site.make "avl.header"
 let s_search = Site.make "avl.search"
@@ -30,38 +19,28 @@ let s_node = Site.make "avl.node"
 let s_rot = Site.make "avl.rotate"
 let s_bal = Site.make "avl.balance"
 
-let create rt region =
-  let header = Runtime.alloc_in rt region header_size in
-  Runtime.store_ptr rt ~site:s_hdr header ~off:h_root Ptr.null;
-  Runtime.store_word rt ~site:s_hdr header ~off:h_size 0L;
-  { rt; region; header }
-
-let header t = t.header
-let attach rt header =
-  { rt; region = Runtime.region_of_ptr rt header; header }
-
-let size t =
-  Int64.to_int (Runtime.load_word t.rt ~site:s_hdr t.header ~off:h_size)
-
-let set_size t n =
-  Runtime.store_word t.rt ~site:s_hdr t.header ~off:h_size (Int64.of_int n)
-
-let is_null t node = Runtime.ptr_is_null t.rt ~site:s_search node
+let sites = { hdr = s_hdr; search = s_search; child = s_child; node = s_node }
+let create rt region = Bst.create sites rt region
+let attach = Bst.attach sites
+let header = Bst.header
+let size = Bst.size
+let find = Bst.find
+let iter = Bst.iter
 
 let height t node =
   if Runtime.branch t.rt ~site:s_bal (is_null t node) then 0
   else Int64.to_int (Runtime.load_word t.rt ~site:s_node node ~off:o_height)
 
 let update_height t node =
-  let hl = height t (Runtime.load_ptr t.rt ~site:s_child node ~off:o_left) in
-  let hr = height t (Runtime.load_ptr t.rt ~site:s_child node ~off:o_right) in
+  let hl = height t (left t node) in
+  let hr = height t (right t node) in
   Runtime.instr t.rt 2;
   Runtime.store_word t.rt ~site:s_node node ~off:o_height
     (Int64.of_int (1 + max hl hr))
 
 let balance_factor t node =
-  let hl = height t (Runtime.load_ptr t.rt ~site:s_child node ~off:o_left) in
-  let hr = height t (Runtime.load_ptr t.rt ~site:s_child node ~off:o_right) in
+  let hl = height t (left t node) in
+  let hr = height t (right t node) in
   Runtime.instr t.rt 1;
   hl - hr
 
@@ -97,28 +76,18 @@ let rebalance t node =
   update_height t node;
   let bf = balance_factor t node in
   if Runtime.branch rt ~site:s_bal (bf > 1) then begin
-    let l = Runtime.load_ptr rt ~site:s_child node ~off:o_left in
+    let l = left t node in
     if Runtime.branch rt ~site:s_bal (balance_factor t l < 0) then
-      Runtime.store_ptr rt ~site:s_child node ~off:o_left (rotate_left t l);
+      set_left t node (rotate_left t l);
     rotate_right t node
   end
   else if Runtime.branch rt ~site:s_bal (bf < -1) then begin
-    let r = Runtime.load_ptr rt ~site:s_child node ~off:o_right in
+    let r = right t node in
     if Runtime.branch rt ~site:s_bal (balance_factor t r > 0) then
-      Runtime.store_ptr rt ~site:s_child node ~off:o_right (rotate_right t r);
+      set_right t node (rotate_right t r);
     rotate_left t node
   end
   else node
-
-let new_node t ~key ~value =
-  let rt = t.rt in
-  let node = Runtime.alloc_in rt t.region node_size in
-  Runtime.store_word rt ~site:s_node node ~off:o_key key;
-  Runtime.store_word rt ~site:s_node node ~off:o_value value;
-  Runtime.store_ptr rt ~site:s_node node ~off:o_left Ptr.null;
-  Runtime.store_ptr rt ~site:s_node node ~off:o_right Ptr.null;
-  Runtime.store_word rt ~site:s_node node ~off:o_height 1L;
-  node
 
 let insert t ~key ~value =
   let rt = t.rt in
@@ -126,146 +95,47 @@ let insert t ~key ~value =
   let rec ins node =
     if Runtime.branch rt ~site:s_search (is_null t node) then begin
       added := true;
-      new_node t ~key ~value
+      let node = alloc_node t ~size:node_size ~key ~value in
+      Runtime.store_word rt ~site:s_node node ~off:o_height 1L;
+      node
     end
     else begin
       let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
       Runtime.instr rt 1;
       if Runtime.branch rt ~site:s_search (Int64.equal key k) then begin
-        Runtime.store_word rt ~site:s_node node ~off:o_value value;
+        set_value t node value;
         node
       end
       else if Runtime.branch rt ~site:s_search (key < k) then begin
-        let l = Runtime.load_ptr rt ~site:s_child node ~off:o_left in
-        Runtime.store_ptr rt ~site:s_child node ~off:o_left (ins l);
+        set_left t node (ins (left t node));
         rebalance t node
       end
       else begin
-        let r = Runtime.load_ptr rt ~site:s_child node ~off:o_right in
-        Runtime.store_ptr rt ~site:s_child node ~off:o_right (ins r);
+        set_right t node (ins (right t node));
         rebalance t node
       end
     end
   in
-  let root = Runtime.load_ptr rt ~site:s_hdr t.header ~off:h_root in
-  Runtime.store_ptr rt ~site:s_hdr t.header ~off:h_root (ins root);
+  set_root t (ins (root t));
   if !added then set_size t (size t + 1)
 
-let find t key =
-  let rt = t.rt in
-  let rec go node =
-    if Runtime.branch rt ~site:s_search (is_null t node) then None
-    else
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then
-        Some (Runtime.load_word rt ~site:s_node node ~off:o_value)
-      else if Runtime.branch rt ~site:s_search (key < k) then
-        go (Runtime.load_ptr rt ~site:s_child node ~off:o_left)
-      else go (Runtime.load_ptr rt ~site:s_child node ~off:o_right)
-  in
-  go (Runtime.load_ptr rt ~site:s_hdr t.header ~off:h_root)
-
-(* Remove the minimum of a non-empty subtree, returning (new root of
-   the subtree, the detached minimum node). *)
-let rec detach_min t node =
-  let rt = t.rt in
-  let l = Runtime.load_ptr rt ~site:s_child node ~off:o_left in
-  if Runtime.branch rt ~site:s_search (Runtime.ptr_is_null rt ~site:s_search l)
-  then (Runtime.load_ptr rt ~site:s_child node ~off:o_right, node)
-  else begin
-    let l', m = detach_min t l in
-    Runtime.store_ptr rt ~site:s_child node ~off:o_left l';
-    (rebalance t node, m)
-  end
-
 let remove t key =
-  let rt = t.rt in
-  let removed = ref false in
-  let rec del node =
-    if Runtime.branch rt ~site:s_search (is_null t node) then node
-    else begin
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then begin
-        removed := true;
-        let l = Runtime.load_ptr rt ~site:s_child node ~off:o_left in
-        let r = Runtime.load_ptr rt ~site:s_child node ~off:o_right in
-        let replacement =
-          if
-            Runtime.branch rt ~site:s_search
-              (Runtime.ptr_is_null rt ~site:s_search l)
-          then r
-          else if
-            Runtime.branch rt ~site:s_search
-              (Runtime.ptr_is_null rt ~site:s_search r)
-          then l
-          else begin
-            (* Two children: the in-order successor replaces the node. *)
-            let r', succ = detach_min t r in
-            Runtime.store_ptr rt ~site:s_child succ ~off:o_left l;
-            Runtime.store_ptr rt ~site:s_child succ ~off:o_right r';
-            rebalance t succ
-          end
-        in
-        Runtime.dealloc rt node;
-        replacement
-      end
-      else if Runtime.branch rt ~site:s_search (key < k) then begin
-        let l = Runtime.load_ptr rt ~site:s_child node ~off:o_left in
-        Runtime.store_ptr rt ~site:s_child node ~off:o_left (del l);
-        rebalance t node
-      end
-      else begin
-        let r = Runtime.load_ptr rt ~site:s_child node ~off:o_right in
-        Runtime.store_ptr rt ~site:s_child node ~off:o_right (del r);
-        rebalance t node
-      end
-    end
-  in
-  let root = Runtime.load_ptr rt ~site:s_hdr t.header ~off:h_root in
-  Runtime.store_ptr rt ~site:s_hdr t.header ~off:h_root (del root);
-  if !removed then set_size t (size t - 1);
-  !removed
-
-let iter t f =
-  let rt = t.rt in
-  let rec go node =
-    if not (Runtime.ptr_is_null rt ~site:s_search node) then begin
-      go (Runtime.load_ptr rt ~site:s_child node ~off:o_left);
-      let key = Runtime.load_word rt ~site:s_node node ~off:o_key in
-      let value = Runtime.load_word rt ~site:s_node node ~off:o_value in
-      f ~key ~value;
-      go (Runtime.load_ptr rt ~site:s_child node ~off:o_right)
-    end
-  in
-  go (Runtime.load_ptr rt ~site:s_hdr t.header ~off:h_root)
+  let removed = delete t key ~fix:(rebalance t) in
+  if removed then set_size t (size t - 1);
+  removed
 
 (* BST ordering, recorded heights, AVL balance and size must all hold. *)
 let check_invariants t =
-  let rt = t.rt in
   let count = ref 0 in
-  let rec check node lo hi =
-    if Runtime.ptr_is_null rt ~site:s_search node then 0
-    else begin
-      incr count;
-      let k = Runtime.load_word rt ~site:s_node node ~off:o_key in
-      (match lo with
-      | Some l when k <= l -> failwith "AVL: BST order violated (low)"
-      | _ -> ());
-      (match hi with
-      | Some h when k >= h -> failwith "AVL: BST order violated (high)"
-      | _ -> ());
-      let hl = check (Runtime.load_ptr rt ~site:s_child node ~off:o_left) lo (Some k) in
-      let hr = check (Runtime.load_ptr rt ~site:s_child node ~off:o_right) (Some k) hi in
-      if abs (hl - hr) > 1 then failwith "AVL: unbalanced node";
-      let h = 1 + max hl hr in
-      let stored =
-        Int64.to_int (Runtime.load_word rt ~site:s_node node ~off:o_height)
-      in
-      if h <> stored then failwith "AVL: stale height";
-      h
-    end
+  let check node hl hr =
+    incr count;
+    if abs (hl - hr) > 1 then failwith "AVL: unbalanced node";
+    let h = 1 + max hl hr in
+    let stored =
+      Int64.to_int (Runtime.load_word t.rt ~site:s_node node ~off:o_height)
+    in
+    if h <> stored then failwith "AVL: stale height";
+    h
   in
-  ignore (check (Runtime.load_ptr rt ~site:s_hdr t.header ~off:h_root) None None);
+  ignore (fold_ordered t ~name ~empty:0 check);
   if !count <> size t then failwith "AVL: size mismatch"

@@ -15,6 +15,9 @@ module type ORDERED_MAP = sig
 
   val description : string
 
+  val node_size : int
+  (* Bytes per node (Table III). *)
+
   val create : Nvml_runtime.Runtime.t -> Nvml_runtime.Runtime.region -> t
   (* Allocate an empty structure with its header in the given region. *)
 

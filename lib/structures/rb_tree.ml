@@ -3,18 +3,12 @@
    black; the delete fixup therefore tracks the parent of the current
    node explicitly. *)
 
-module Runtime = Nvml_runtime.Runtime
-module Site = Nvml_runtime.Site
-module Ptr = Nvml_core.Ptr
+open Bst
 
 let name = "RB"
 let description = "red-black tree with parent pointers"
 
-(* Node layout. *)
-let o_key = 0
-let o_value = 8
-let o_left = 16
-let o_right = 24
+(* Node layout after the 32-byte {!Bst} prefix. *)
 let o_parent = 32
 let o_color = 40
 let node_size = 48
@@ -22,12 +16,7 @@ let node_size = 48
 let red = 0L
 let black = 1L
 
-(* Header layout. *)
-let h_root = 0
-let h_size = 8
-let header_size = 16
-
-type t = { rt : Runtime.t; region : Runtime.region; header : Ptr.t }
+type t = Bst.t
 
 let s_hdr = Site.make "rb.header"
 let s_search = Site.make "rb.search"
@@ -36,33 +25,16 @@ let s_node = Site.make "rb.node"
 let s_rot = Site.make "rb.rotate"
 let s_fix = Site.make "rb.fixup"
 
-let create rt region =
-  let header = Runtime.alloc_in rt region header_size in
-  Runtime.store_ptr rt ~site:s_hdr header ~off:h_root Ptr.null;
-  Runtime.store_word rt ~site:s_hdr header ~off:h_size 0L;
-  { rt; region; header }
+let sites = { hdr = s_hdr; search = s_search; child = s_child; node = s_node }
+let create rt region = Bst.create sites rt region
+let attach = Bst.attach sites
+let header = Bst.header
+let size = Bst.size
+let find = Bst.find
+let iter = Bst.iter
 
-let header t = t.header
-let attach rt header =
-  { rt; region = Runtime.region_of_ptr rt header; header }
-
-let size t =
-  Int64.to_int (Runtime.load_word t.rt ~site:s_hdr t.header ~off:h_size)
-
-let set_size t n =
-  Runtime.store_word t.rt ~site:s_hdr t.header ~off:h_size (Int64.of_int n)
-
-let is_null t node = Runtime.ptr_is_null t.rt ~site:s_search node
-let eq t a b = Runtime.ptr_eq t.rt ~site:s_child a b
-
-let left t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_left
-let right t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_right
 let parent t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_parent
-let set_left t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_left v
-let set_right t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_right v
 let set_parent t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_parent v
-let root t = Runtime.load_ptr t.rt ~site:s_hdr t.header ~off:h_root
-let set_root t v = Runtime.store_ptr t.rt ~site:s_hdr t.header ~off:h_root v
 
 (* NULL is black. *)
 let color t n =
@@ -150,50 +122,16 @@ let insert_fixup t z0 =
   done;
   set_color t (root t) black
 
-(* Walk down to [key]; Some node when present, otherwise the would-be
-   parent for an insertion. *)
-let descend t key =
-  let rt = t.rt in
-  let rec go node last =
-    if Runtime.branch rt ~site:s_search (is_null t node) then (None, last)
-    else
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then
-        (Some node, last)
-      else if Runtime.branch rt ~site:s_search (key < k) then
-        go (left t node) (Some node)
-      else go (right t node) (Some node)
-  in
-  go (root t) None
-
-let find t key =
-  match descend t key with
-  | Some node, _ ->
-      Some (Runtime.load_word t.rt ~site:s_node node ~off:o_value)
-  | None, _ -> None
-
 let insert t ~key ~value =
   let rt = t.rt in
   match descend t key with
-  | Some node, _ -> Runtime.store_word rt ~site:s_node node ~off:o_value value
-  | None, p ->
-      let z = Runtime.alloc_in rt t.region node_size in
-      Runtime.store_word rt ~site:s_node z ~off:o_key key;
-      Runtime.store_word rt ~site:s_node z ~off:o_value value;
-      Runtime.store_ptr rt ~site:s_node z ~off:o_left Ptr.null;
-      Runtime.store_ptr rt ~site:s_node z ~off:o_right Ptr.null;
+  | Some node, _ -> set_value t node value
+  | None, path ->
+      let z = alloc_node t ~size:node_size ~key ~value in
       set_color t z red;
-      (match p with
-      | None ->
-          Runtime.store_ptr rt ~site:s_node z ~off:o_parent Ptr.null;
-          set_root t z
-      | Some p ->
-          Runtime.store_ptr rt ~site:s_node z ~off:o_parent p;
-          let pk = Runtime.load_word rt ~site:s_search p ~off:o_key in
-          Runtime.instr rt 1;
-          if Runtime.branch rt ~site:s_search (key < pk) then set_left t p z
-          else set_right t p z);
+      let p = match path with p :: _ -> p | [] -> Ptr.null in
+      Runtime.store_ptr rt ~site:s_node z ~off:o_parent p;
+      link t path z ~key;
       insert_fixup t z;
       set_size t (size t + 1)
 
@@ -330,19 +268,6 @@ let remove t key =
       set_size t (size t - 1);
       true
 
-let iter t f =
-  let rt = t.rt in
-  let rec go node =
-    if not (Runtime.ptr_is_null rt ~site:s_search node) then begin
-      go (left t node);
-      let key = Runtime.load_word rt ~site:s_node node ~off:o_key in
-      let value = Runtime.load_word rt ~site:s_node node ~off:o_value in
-      f ~key ~value;
-      go (right t node)
-    end
-  in
-  go (root t)
-
 (* Full red-black invariants: BST order, no red node with a red child,
    equal black height on every path, black root, parent links, size. *)
 let check_invariants t =
@@ -359,8 +284,8 @@ let check_invariants t =
       (match hi with
       | Some h when k >= h -> failwith "RB: BST order violated (high)"
       | _ -> ());
-      if not (Runtime.ptr_eq rt ~site:s_child (parent t node) expected_parent)
-      then failwith "RB: parent link broken";
+      if not (eq t (parent t node) expected_parent) then
+        failwith "RB: parent link broken";
       let c = Runtime.load_word rt ~site:s_node node ~off:o_color in
       if Int64.equal c red then begin
         if is_red t (left t node) || is_red t (right t node) then

@@ -1,25 +1,5 @@
-(** The RB benchmark: red-black tree with parent pointers, laid out in simulated
-    memory and driven through the runtime pointer API so every access
-    flows through the timing model.  Conforms to
-    {!Intf.ORDERED_MAP}. *)
+(** The RB benchmark: red-black tree with parent pointers, laid out in
+    simulated memory and driven through the runtime pointer API so every
+    access flows through the timing model.  Built on {!Bst}. *)
 
-module Runtime = Nvml_runtime.Runtime
-module Ptr = Nvml_core.Ptr
-
-type t
-
-val name : string
-val description : string
-
-val node_size : int
-(** Bytes per node (Table III). *)
-
-val create : Runtime.t -> Runtime.region -> t
-val header : t -> Ptr.t
-val attach : Runtime.t -> Ptr.t -> t
-val insert : t -> key:int64 -> value:int64 -> unit
-val find : t -> int64 -> int64 option
-val remove : t -> int64 -> bool
-val size : t -> int
-val iter : t -> (key:int64 -> value:int64 -> unit) -> unit
-val check_invariants : t -> unit
+include Intf.ORDERED_MAP

@@ -4,29 +4,20 @@
    perfectly balanced; deletions rebuild the whole tree when the size
    drops below alpha times its historical maximum. *)
 
-module Runtime = Nvml_runtime.Runtime
-module Site = Nvml_runtime.Site
-module Ptr = Nvml_core.Ptr
+open Bst
 
 let name = "SG"
 let description = "scapegoat tree, alpha = 0.7, subtree rebuilding"
 
 let alpha = 0.7
 
-(* Node layout. *)
-let o_key = 0
-let o_value = 8
-let o_left = 16
-let o_right = 24
+(* Node layout: the 32-byte {!Bst} prefix alone. *)
 let node_size = 32
 
-(* Header layout. *)
-let h_root = 0
-let h_size = 8
+(* Header layout after the {!Bst} prefix. *)
 let h_max_size = 16
-let header_size = 24
 
-type t = { rt : Runtime.t; region : Runtime.region; header : Ptr.t }
+type t = Bst.t
 
 let s_hdr = Site.make "sg.header"
 let s_search = Site.make "sg.search"
@@ -34,36 +25,24 @@ let s_child = Site.make "sg.child"
 let s_node = Site.make "sg.node"
 let s_rebuild = Site.make "sg.rebuild"
 
+let sites = { hdr = s_hdr; search = s_search; child = s_child; node = s_node }
+
 let create rt region =
-  let header = Runtime.alloc_in rt region header_size in
-  Runtime.store_ptr rt ~site:s_hdr header ~off:h_root Ptr.null;
-  Runtime.store_word rt ~site:s_hdr header ~off:h_size 0L;
-  Runtime.store_word rt ~site:s_hdr header ~off:h_max_size 0L;
-  { rt; region; header }
+  let t = Bst.create ~header_size:(h_max_size + 8) sites rt region in
+  Runtime.store_word rt ~site:s_hdr t.header ~off:h_max_size 0L;
+  t
 
-let header t = t.header
-let attach rt header =
-  { rt; region = Runtime.region_of_ptr rt header; header }
-
-let size t =
-  Int64.to_int (Runtime.load_word t.rt ~site:s_hdr t.header ~off:h_size)
+let attach = Bst.attach sites
+let header = Bst.header
+let size = Bst.size
+let find = Bst.find
+let iter = Bst.iter
 
 let max_size t =
   Int64.to_int (Runtime.load_word t.rt ~site:s_hdr t.header ~off:h_max_size)
 
-let set_size t n =
-  Runtime.store_word t.rt ~site:s_hdr t.header ~off:h_size (Int64.of_int n)
-
 let set_max_size t n =
   Runtime.store_word t.rt ~site:s_hdr t.header ~off:h_max_size (Int64.of_int n)
-
-let is_null t node = Runtime.ptr_is_null t.rt ~site:s_search node
-let left t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_left
-let right t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_right
-let set_left t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_left v
-let set_right t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_right v
-let root t = Runtime.load_ptr t.rt ~site:s_hdr t.header ~off:h_root
-let set_root t v = Runtime.store_ptr t.rt ~site:s_hdr t.header ~off:h_root v
 
 (* Depth limit: floor(log_{1/alpha} size). *)
 let depth_limit t n =
@@ -111,54 +90,17 @@ let replace_child t ~parent ~old_child ~new_child =
   match parent with
   | None -> set_root t new_child
   | Some p ->
-      if
-        Runtime.branch t.rt ~site:s_child
-          (Runtime.ptr_eq t.rt ~site:s_child (left t p) old_child)
-      then set_left t p new_child
+      if Runtime.branch t.rt ~site:s_child (eq t (left t p) old_child) then
+        set_left t p new_child
       else set_right t p new_child
-
-let find t key =
-  let rt = t.rt in
-  let rec go node =
-    if Runtime.branch rt ~site:s_search (is_null t node) then None
-    else
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then
-        Some (Runtime.load_word rt ~site:s_node node ~off:o_value)
-      else if Runtime.branch rt ~site:s_search (key < k) then go (left t node)
-      else go (right t node)
-  in
-  go (root t)
 
 let insert t ~key ~value =
   let rt = t.rt in
-  (* Descend, recording the path root-first is not needed: leaf-first. *)
-  let rec descend node path =
-    if Runtime.branch rt ~site:s_search (is_null t node) then `Insert_at path
-    else
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then `Found node
-      else if Runtime.branch rt ~site:s_search (key < k) then
-        descend (left t node) (node :: path)
-      else descend (right t node) (node :: path)
-  in
-  match descend (root t) [] with
-  | `Found node -> Runtime.store_word rt ~site:s_node node ~off:o_value value
-  | `Insert_at path ->
-      let node = Runtime.alloc_in rt t.region node_size in
-      Runtime.store_word rt ~site:s_node node ~off:o_key key;
-      Runtime.store_word rt ~site:s_node node ~off:o_value value;
-      Runtime.store_ptr rt ~site:s_node node ~off:o_left Ptr.null;
-      Runtime.store_ptr rt ~site:s_node node ~off:o_right Ptr.null;
-      (match path with
-      | [] -> set_root t node
-      | p :: _ ->
-          let pk = Runtime.load_word rt ~site:s_search p ~off:o_key in
-          Runtime.instr rt 1;
-          if Runtime.branch rt ~site:s_search (key < pk) then set_left t p node
-          else set_right t p node);
+  match descend t key with
+  | Some node, _ -> set_value t node value
+  | None, path ->
+      let node = alloc_node t ~size:node_size ~key ~value in
+      link t path node ~key;
       let n = size t + 1 in
       set_size t n;
       if n > max_size t then set_max_size t n;
@@ -171,9 +113,7 @@ let insert t ~key ~value =
           | [] -> ()
           | anc :: rest ->
               let sibling =
-                if Runtime.ptr_eq rt ~site:s_child (left t anc) child then
-                  right t anc
-                else left t anc
+                if eq t (left t anc) child then right t anc else left t anc
               in
               let anc_size = child_size + 1 + subtree_size t sibling in
               Runtime.instr rt 4;
@@ -192,50 +132,8 @@ let insert t ~key ~value =
 
 let remove t key =
   let rt = t.rt in
-  let removed = ref false in
-  (* Plain BST deletion (successor replacement), no rebalancing. *)
-  let rec detach_min node =
-    let l = left t node in
-    if Runtime.branch rt ~site:s_search (is_null t l) then (right t node, node)
-    else begin
-      let l', m = detach_min l in
-      set_left t node l';
-      (node, m)
-    end
-  in
-  let rec del node =
-    if Runtime.branch rt ~site:s_search (is_null t node) then node
-    else begin
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then begin
-        removed := true;
-        let l = left t node and r = right t node in
-        let replacement =
-          if Runtime.branch rt ~site:s_search (is_null t l) then r
-          else if Runtime.branch rt ~site:s_search (is_null t r) then l
-          else begin
-            let r', succ = detach_min r in
-            set_left t succ l;
-            set_right t succ r';
-            succ
-          end
-        in
-        Runtime.dealloc rt node;
-        replacement
-      end
-      else if Runtime.branch rt ~site:s_search (key < k) then begin
-        set_left t node (del (left t node));
-        node
-      end
-      else begin
-        set_right t node (del (right t node));
-        node
-      end
-    end
-  in
-  set_root t (del (root t));
-  if !removed then begin
+  let removed = delete t key ~fix:Fun.id in
+  if removed then begin
     let n = size t - 1 in
     set_size t n;
     Runtime.instr rt 3;
@@ -247,43 +145,10 @@ let remove t key =
       set_max_size t n
     end
   end;
-  !removed
+  removed
 
-let iter t f =
-  let rt = t.rt in
-  let rec go node =
-    if not (Runtime.ptr_is_null rt ~site:s_search node) then begin
-      go (left t node);
-      let key = Runtime.load_word rt ~site:s_node node ~off:o_key in
-      let value = Runtime.load_word rt ~site:s_node node ~off:o_value in
-      f ~key ~value;
-      go (right t node)
-    end
-  in
-  go (root t)
-
-(* BST order, size accounting and the alpha-weight bound after a
-   rebuild trigger point. *)
+(* BST order, size accounting and max_size covering the size. *)
 let check_invariants t =
-  let rt = t.rt in
-  let count = ref 0 in
-  let rec check node lo hi =
-    if Runtime.ptr_is_null rt ~site:s_search node then 0
-    else begin
-      incr count;
-      let k = Runtime.load_word rt ~site:s_node node ~off:o_key in
-      (match lo with
-      | Some l when k <= l -> failwith "SG: BST order violated (low)"
-      | _ -> ());
-      (match hi with
-      | Some h when k >= h -> failwith "SG: BST order violated (high)"
-      | _ -> ());
-      let sl = check (left t node) lo (Some k) in
-      let sr = check (right t node) (Some k) hi in
-      1 + sl + sr
-    end
-  in
-  let total = check (root t) None None in
+  let total = fold_ordered t ~name ~empty:0 (fun _ sl sr -> 1 + sl + sr) in
   if total <> size t then failwith "SG: size mismatch";
-  if !count <> total then failwith "SG: inconsistent walk";
   if size t > max_size t then failwith "SG: size exceeds max_size"

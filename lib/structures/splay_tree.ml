@@ -4,27 +4,16 @@
    the root — and writes to the root region on every operation, which is
    why the paper observes its largest HW overhead (~12 %) here. *)
 
-module Runtime = Nvml_runtime.Runtime
-module Site = Nvml_runtime.Site
-module Ptr = Nvml_core.Ptr
+open Bst
 
 let name = "Splay"
 let description = "splay tree, bottom-up splaying with parent pointers"
 
-(* Node layout. *)
-let o_key = 0
-let o_value = 8
-let o_left = 16
-let o_right = 24
+(* Node layout after the 32-byte {!Bst} prefix. *)
 let o_parent = 32
 let node_size = 40
 
-(* Header layout. *)
-let h_root = 0
-let h_size = 8
-let header_size = 16
-
-type t = { rt : Runtime.t; region : Runtime.region; header : Ptr.t }
+type t = Bst.t
 
 let s_hdr = Site.make "splay.header"
 let s_search = Site.make "splay.search"
@@ -33,38 +22,21 @@ let s_node = Site.make "splay.node"
 let s_rot = Site.make "splay.rotate"
 let s_splay = Site.make "splay.splay"
 
-let create rt region =
-  let header = Runtime.alloc_in rt region header_size in
-  Runtime.store_ptr rt ~site:s_hdr header ~off:h_root Ptr.null;
-  Runtime.store_word rt ~site:s_hdr header ~off:h_size 0L;
-  { rt; region; header }
+let sites = { hdr = s_hdr; search = s_search; child = s_child; node = s_node }
+let create rt region = Bst.create sites rt region
+let attach = Bst.attach sites
+let header = Bst.header
+let size = Bst.size
+let iter = Bst.iter
 
-let header t = t.header
-let attach rt header =
-  { rt; region = Runtime.region_of_ptr rt header; header }
-
-let size t =
-  Int64.to_int (Runtime.load_word t.rt ~site:s_hdr t.header ~off:h_size)
-
-let set_size t n =
-  Runtime.store_word t.rt ~site:s_hdr t.header ~off:h_size (Int64.of_int n)
-
-let is_null t node = Runtime.ptr_is_null t.rt ~site:s_search node
-let eq t a b = Runtime.ptr_eq t.rt ~site:s_child a b
-
-let left t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_left
-let right t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_right
 let parent t n = Runtime.load_ptr t.rt ~site:s_child n ~off:o_parent
-let set_left t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_left v
-let set_right t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_right v
 let set_parent t n v = Runtime.store_ptr t.rt ~site:s_child n ~off:o_parent v
 
-let set_root t node =
-  Runtime.store_ptr t.rt ~site:s_hdr t.header ~off:h_root node;
+(* Make [node] the root: the header link plus a cleared parent link. *)
+let make_root t node =
+  set_root t node;
   if not (Runtime.branch t.rt ~site:s_hdr (is_null t node)) then
     set_parent t node Ptr.null
-
-let root t = Runtime.load_ptr t.rt ~site:s_hdr t.header ~off:h_root
 
 (* Rotate [x] up over its parent, preserving BST order and fixing the
    grandparent link. *)
@@ -87,8 +59,7 @@ let rotate t x =
   end;
   set_parent t p x;
   set_parent t x g;
-  if Runtime.branch rt ~site:s_rot (is_null t g) then
-    Runtime.store_ptr rt ~site:s_hdr t.header ~off:h_root x
+  if Runtime.branch rt ~site:s_rot (is_null t g) then set_root t x
   else if Runtime.branch rt ~site:s_rot (eq t p (left t g)) then set_left t g x
   else set_right t g x
 
@@ -120,55 +91,33 @@ let splay t x =
     end
   done
 
-(* Walk down to [key]; returns the node if present and the last visited
-   node otherwise (to be splayed either way). *)
-let descend t key =
-  let rt = t.rt in
-  let rec go node last =
-    if Runtime.branch rt ~site:s_search (is_null t node) then (None, last)
-    else
-      let k = Runtime.load_word rt ~site:s_search node ~off:o_key in
-      Runtime.instr rt 1;
-      if Runtime.branch rt ~site:s_search (Int64.equal key k) then
-        (Some node, Some node)
-      else if Runtime.branch rt ~site:s_search (key < k) then
-        go (left t node) (Some node)
-      else go (right t node) (Some node)
-  in
-  go (root t) None
-
+(* A search splays the node holding the key, or on a miss the last
+   node visited. *)
 let find t key =
   match descend t key with
   | Some node, _ ->
       splay t node;
-      Some (Runtime.load_word t.rt ~site:s_node node ~off:o_value)
-  | None, Some last ->
+      Some (value t node)
+  | None, last :: _ ->
       splay t last;
       None
-  | None, None -> None
+  | None, [] -> None
 
 let insert t ~key ~value =
   let rt = t.rt in
   match descend t key with
   | Some node, _ ->
-      Runtime.store_word rt ~site:s_node node ~off:o_value value;
+      set_value t node value;
       splay t node
-  | None, last ->
-      let node = Runtime.alloc_in rt t.region node_size in
-      Runtime.store_word rt ~site:s_node node ~off:o_key key;
-      Runtime.store_word rt ~site:s_node node ~off:o_value value;
-      Runtime.store_ptr rt ~site:s_node node ~off:o_left Ptr.null;
-      Runtime.store_ptr rt ~site:s_node node ~off:o_right Ptr.null;
-      (match last with
-      | None ->
+  | None, path ->
+      let node = alloc_node t ~size:node_size ~key ~value in
+      (match path with
+      | [] ->
           Runtime.store_ptr rt ~site:s_node node ~off:o_parent Ptr.null;
-          set_root t node
-      | Some p ->
+          make_root t node
+      | p :: _ ->
           Runtime.store_ptr rt ~site:s_node node ~off:o_parent p;
-          let pk = Runtime.load_word rt ~site:s_search p ~off:o_key in
-          Runtime.instr rt 1;
-          if Runtime.branch rt ~site:s_search (key < pk) then set_left t p node
-          else set_right t p node;
+          link t path node ~key;
           splay t node);
       set_size t (size t + 1)
 
@@ -186,15 +135,15 @@ let splay_max t node =
 let remove t key =
   let rt = t.rt in
   match descend t key with
-  | None, Some last ->
+  | None, last :: _ ->
       splay t last;
       false
-  | None, None -> false
+  | None, [] -> false
   | Some node, _ ->
       splay t node;
       let l = left t node in
       let r = right t node in
-      (if Runtime.branch rt ~site:s_search (is_null t l) then set_root t r
+      (if Runtime.branch rt ~site:s_search (is_null t l) then make_root t r
        else begin
          set_parent t l Ptr.null;
          let m = splay_max t l in
@@ -202,24 +151,11 @@ let remove t key =
          set_right t m r;
          if not (Runtime.branch rt ~site:s_search (is_null t r)) then
            set_parent t r m;
-         set_root t m
+         make_root t m
        end);
       Runtime.dealloc rt node;
       set_size t (size t - 1);
       true
-
-let iter t f =
-  let rt = t.rt in
-  let rec go node =
-    if not (Runtime.ptr_is_null rt ~site:s_search node) then begin
-      go (left t node);
-      let key = Runtime.load_word rt ~site:s_node node ~off:o_key in
-      let value = Runtime.load_word rt ~site:s_node node ~off:o_value in
-      f ~key ~value;
-      go (right t node)
-    end
-  in
-  go (root t)
 
 (* BST order, parent-link symmetry and size. *)
 let check_invariants t =
@@ -235,8 +171,8 @@ let check_invariants t =
       (match hi with
       | Some h when k >= h -> failwith "Splay: BST order violated (high)"
       | _ -> ());
-      if not (Runtime.ptr_eq rt ~site:s_child (parent t node) expected_parent)
-      then failwith "Splay: parent link broken";
+      if not (eq t (parent t node) expected_parent) then
+        failwith "Splay: parent link broken";
       check (left t node) node lo (Some k);
       check (right t node) node (Some k) hi
     end

@@ -154,6 +154,14 @@ let test_scan_flushes_dirty () =
   check_bool "writebacks happened" true
     (t.Serving.cache.Serving.writebacks > 0)
 
+(* Each shard gets front_cache / shards entries, rounded down, so a
+   cache smaller than the shard count is rejected, not enlarged. *)
+let test_cache_below_shards () =
+  let spec = mix "read-latest" ~records:100 ~ops:100 in
+  Alcotest.check_raises "front cache 3 over 8 shards"
+    (Invalid_argument "Serving.run: front_cache must be 0 or at least shards")
+    (fun () -> ignore (run ~shards:8 ~front_cache:3 spec))
+
 let () =
   Alcotest.run "serving"
     [
@@ -170,6 +178,8 @@ let () =
             test_hot_storm_hit_rate;
           Alcotest.test_case "scan flushes dirty" `Quick
             test_scan_flushes_dirty;
+          Alcotest.test_case "below shard count rejected" `Quick
+            test_cache_below_shards;
         ] );
       ( "batching",
         [
