@@ -1391,9 +1391,6 @@ let serving ctx =
   let shards = 8 and batch = 32 in
   let front_cache = records / 8 in
   let mixes = Workload.serving_mixes ~records ~ops in
-  Printf.printf
-    "%d records, %d ops per mix; Hash x %d shards, batch %d, front cache %d\n"
-    records ops shards batch front_cache;
   let cfg = { Config.default with timing = false } in
   let results =
     List.map
@@ -1406,6 +1403,10 @@ let serving ctx =
         (name, Serving.run ~par:(Nvml_exec.Pool.run ctx.pool) config))
       mixes
   in
+  (* The cache size that ran: each shard gets front_cache / shards. *)
+  Printf.printf
+    "%d records, %d ops per mix; Hash x %d shards, batch %d, front cache %d\n"
+    records ops shards batch (snd (List.hd results)).Serving.front_cache;
   table
     ~header:
       [ "mix"; "requests"; "Mops/s"; "p50"; "p99"; "p999"; "cache hit";

@@ -481,15 +481,10 @@ let kv_cmd =
       let (module M : Intf.ORDERED_MAP) = Registry.find_map structure in
       let rt = Runtime.create ~cfg ~mode ~persist () in
       let cluster = Cluster.create ~cores rt in
-      let region i =
-        if mode = Runtime.Volatile then Runtime.Dram_region
-        else
-          Runtime.Pool_region
-            (Runtime.create_pool rt
-               ~name:(Printf.sprintf "kv%d" i)
-               ~size:Harness.pool_size)
+      let regions =
+        Array.init cores (fun i ->
+            Harness.region_for ~name:(Printf.sprintf "kv%d" i) rt mode)
       in
-      let regions = Array.init cores region in
       let body core =
         let crt = Cluster.rt cluster core in
         let m = M.create crt regions.(core) in

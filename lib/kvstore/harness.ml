@@ -83,19 +83,25 @@ let persist_tally rt =
 
 let pool_size = 1 lsl 26 (* frames are lazily backed, so a roomy pool is free *)
 
-let region_for rt mode =
+let region_for ~name rt mode =
   match mode with
   | Runtime.Volatile -> Runtime.Dram_region
-  | _ -> Runtime.Pool_region (Runtime.create_pool rt ~name:"kv" ~size:pool_size)
+  | _ -> Runtime.Pool_region (Runtime.create_pool rt ~name ~size:pool_size)
 
-(* The measurement protocol of both harnesses.  [load] populates the
-   structure; [op ol i] runs run-phase op [i] and returns its name.
-   Under a relaxed persistency model every run-phase op is an epoch
-   boundary candidate ([Runtime.persist_op_boundary]) and the run ends
-   with a full drain, so the measured cycles include the model's
-   flush+fence µ-events — durability is weakened, never dropped.  The
-   result's [hits] and [misses] are left at 0 for the caller. *)
-let measure rt ~benchmark ~records ~ops ~load ~op =
+(* The request buffer: [key j] for each op [j], read back once per op. *)
+let stage_keys rt n key =
+  let buf = Mem.map_fresh (Runtime.mem rt) Layout.Dram (max 8 (n * 8)) in
+  for j = 0 to n - 1 do
+    Mem.write_word (Runtime.mem rt) (Int64.add buf (Int64.of_int (j * 8))) (key j)
+  done;
+  buf
+
+(* The measurement protocol of every kv run.  Under a relaxed
+   persistency model every op is an epoch boundary candidate
+   ([Runtime.persist_op_boundary]) and the run ends with a full drain,
+   so the measured cycles include the model's flush+fence µ-events —
+   durability is weakened, never dropped. *)
+let measure ?cell rt ~benchmark ~records ~ops ~load ~run =
   let mode = Runtime.mode rt in
   Telemetry.span "harness.load" ~args:[ ("records", records) ] load;
   (* Close the load phase's epoch before the phase boundary, so the
@@ -108,19 +114,19 @@ let measure rt ~benchmark ~records ~ops ~load ~op =
   (* Run phase: every op is bracketed with cycle stamps so its latency
      and attribution land in the per-cell recorder. *)
   let cpu = Runtime.cpu rt in
-  let ol = Oplat.create ~cell:(benchmark ^ "/" ^ Runtime.mode_name mode) () in
-  Telemetry.span "harness.run" ~args:[ ("ops", ops) ] (fun () ->
-      for i = 0 to ops - 1 do
-        Oplat.op_begin ol cpu;
-        let name = op ol i in
-        Runtime.persist_op_boundary rt;
-        Oplat.op_end ol cpu name
-      done);
+  let cell = Option.value cell ~default:(benchmark ^ "/" ^ Runtime.mode_name mode) in
+  let ol = Oplat.create ~cell () in
+  let step op =
+    Oplat.op_begin ol cpu;
+    let name = op ol in
+    Runtime.persist_op_boundary rt;
+    Oplat.op_end ol cpu name
+  in
+  Telemetry.span "harness.run" ~args:[ ("ops", ops) ] (fun () -> run step);
   (* Close the final epoch: the run is not over until its data is
      durable, so the drain bills into the measured run phase. *)
   Runtime.persist_sync rt;
   let after = Runtime.snapshot rt in
-  Runtime.publish_stats rt;
   {
     benchmark;
     mode;
@@ -153,22 +159,12 @@ let op_name = function
 let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) (spec : Workload.spec) : result =
   let rt = Runtime.create ~cfg ~mode ~persist () in
-  let region = region_for rt mode in
-  let m = M.create rt region in
-  (* Pre-generate the op stream and stage the keys in a DRAM buffer the
-     driver reads back during the run. *)
+  let m = M.create rt (region_for ~name:"kv" rt mode) in
+  (* Pre-generate the op stream and stage its keys before the load. *)
   let ops = ref [] in
   Workload.iter_ops spec (fun op -> ops := op :: !ops);
   let ops = Array.of_list (List.rev !ops) in
-  let key_buf =
-    Mem.map_fresh (Runtime.mem rt) Layout.Dram (Array.length ops * 8)
-  in
-  Array.iteri
-    (fun i op ->
-      Mem.write_word (Runtime.mem rt)
-        (Int64.add key_buf (Int64.of_int (i * 8)))
-        (staged_key op))
-    ops;
+  let key_buf = stage_keys rt (Array.length ops) (fun i -> staged_key ops.(i)) in
   let hits = ref 0 and misses = ref 0 in
   let find k =
     let v = M.find m k in
@@ -183,15 +179,20 @@ let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default
         for i = 0 to spec.Workload.record_count - 1 do
           M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
         done)
-      ~op:(fun ol i ->
-        (* Driver work: fetch the key from the request buffer (the op
-           carries the same key), dispatch. *)
-        ignore (Runtime.load_word rt ~site:s_driver key_buf ~off:(i * 8) : int64);
-        Runtime.instr rt 10;
-        Oplat.mark ol (Runtime.cpu rt) "driver";
-        Workload.apply ~find ~insert ops.(i);
-        op_name ops.(i))
+      ~run:(fun step ->
+        Array.iteri
+          (fun i op ->
+            step (fun ol ->
+                (* Fetch the key from the request buffer (the op
+                   carries the same key), dispatch. *)
+                ignore (Runtime.load_word rt ~site:s_driver key_buf ~off:(i * 8) : int64);
+                Runtime.instr rt 10;
+                Oplat.mark ol (Runtime.cpu rt) "driver";
+                Workload.apply ~find ~insert op;
+                op_name op))
+          ops)
   in
+  Runtime.publish_stats rt;
   { r with hits = !hits; misses = !misses }
 
 (* The separate LL harness: build [nodes] nodes of two pointers and a
@@ -200,8 +201,7 @@ let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default
 let run_ll ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) ?(nodes = 10_000) () : result =
   let rt = Runtime.create ~cfg ~mode ~persist () in
-  let region = region_for rt mode in
-  let l = Linked_list.create rt region in
+  let l = Linked_list.create rt (region_for ~name:"kv" rt mode) in
   let rng = Random.State.make [| 7 |] in
   let r =
     measure rt ~benchmark:"LL" ~records:nodes ~ops:10
@@ -211,10 +211,14 @@ let run_ll ~mode ?(cfg = Nvml_arch.Config.default)
             ~v0:(Random.State.int64 rng Int64.max_int)
             ~v1:(Random.State.int64 rng Int64.max_int)
         done)
-      ~op:(fun _ _ ->
-        ignore (Linked_list.iterate_sum l : int64);
-        "scan")
+      ~run:(fun step ->
+        for _ = 1 to 10 do
+          step (fun _ ->
+              ignore (Linked_list.iterate_sum l : int64);
+              "scan")
+        done)
   in
+  Runtime.publish_stats rt;
   { r with hits = nodes }
 
 (* Run a named benchmark (Table III) in a mode. *)

@@ -44,10 +44,34 @@ type result = {
           under [Eager]) *)
 }
 
-val pool_size : int
-(** Bytes of each KV pool (the harness's, a serving shard's, a core's
-    under [nvml kv --cores]); frames are lazily backed, so a roomy pool
-    is free. *)
+val region_for : name:string -> Runtime.t -> Runtime.mode -> Runtime.region
+(** Where a kv run keeps its structure: DRAM in [Volatile] mode,
+    otherwise a fresh lazily backed pool [name] (the harness's, a
+    serving shard's, a core's under [nvml kv --cores]). *)
+
+val stage_keys : Runtime.t -> int -> (int -> int64) -> int64
+(** [stage_keys rt n key]: a fresh DRAM request buffer holding [key j]
+    for each of [n] ops, read back once per op. *)
+
+val measure :
+  ?cell:string ->
+  Runtime.t ->
+  benchmark:string ->
+  records:int ->
+  ops:int ->
+  load:(unit -> unit) ->
+  run:(((Nvml_runtime.Oplat.t -> string) -> unit) -> unit) ->
+  result
+(** The measurement protocol of every kv run: [load] and [run step]
+    run in [harness.load] and [harness.run] spans, each closed by a
+    drain and a snapshot.  [step op] brackets one op ([op] returns its
+    name) in the recorder of [cell] (default [benchmark/mode]) and marks
+    an epoch-boundary candidate; work between steps bills to the run
+    phase but to no op.  The caller publishes the runtime's stats and
+    fills in [hits] and [misses]. *)
+
+val op_name : Workload.op -> string
+(** get, put, insert, scan or rmw: the op's name in a latency recorder. *)
 
 val run_map :
   Nvml_structures.Intf.ordered_map ->

@@ -156,14 +156,6 @@ let tag_insert = 2
 let tag_scan = 3
 let tag_rmw = 4
 
-let tag_name = function
-  | 0 -> "get"
-  | 1 -> "put"
-  | 2 -> "insert"
-  | 3 -> "scan"
-  | 4 -> "rmw"
-  | _ -> assert false
-
 (* Partition the load population and the operation stream across
    shards.  Scans become per-shard sub-gets; the first sub-get a scan
    sends to a shard carries a flush flag (aux bit 0) so the shard's
@@ -228,6 +220,7 @@ module Fcache = struct
   type t = {
     cap : int;
     rt : Runtime.t;
+    write_back : key:int64 -> value:int64 -> unit; (* to the structure *)
     slab : int64; (* simulated DRAM backing the value slots *)
     tbl : int Keys.t; (* key -> slot *)
     keys : int64 array;
@@ -245,11 +238,12 @@ module Fcache = struct
     mutable scan_flushes : int;
   }
 
-  let create rt cap =
+  let create rt cap ~write_back =
     if cap < 1 then invalid_arg "Fcache.create: capacity must be >= 1";
     {
       cap;
       rt;
+      write_back;
       slab = Mem.map_fresh (Runtime.mem rt) Layout.Dram (cap * 8);
       tbl = Keys.create (2 * cap);
       keys = Array.make cap 0L;
@@ -301,15 +295,15 @@ module Fcache = struct
     Runtime.store_word t.rt ~site:s_cache t.slab ~off:(slot * 8) v
 
   (* Write one dirty slot back to the persistent structure. *)
-  let write_back_slot t slot ~write_back =
+  let write_back_slot t slot =
     slot_load t slot;
-    write_back t.keys.(slot) t.vals.(slot);
+    t.write_back ~key:t.keys.(slot) ~value:t.vals.(slot);
     t.dirty.(slot) <- false;
     t.writebacks <- t.writebacks + 1
 
   (* Install [key -> v] in the cache, evicting (and writing back) the
      LRU victim when full. *)
-  let install t key v ~dirty ~write_back =
+  let install t key v ~dirty =
     Runtime.instr t.rt 2;
     match Keys.find t.tbl key with
     | slot ->
@@ -326,7 +320,7 @@ module Fcache = struct
           end
           else begin
             let victim = t.tail in
-            if t.dirty.(victim) then write_back_slot t victim ~write_back;
+            if t.dirty.(victim) then write_back_slot t victim;
             Keys.remove t.tbl t.keys.(victim);
             unlink t victim;
             t.evictions <- t.evictions + 1;
@@ -342,7 +336,7 @@ module Fcache = struct
 
   (* Serve a read: probe the cache, fall back to [find] and install the
      result clean. *)
-  let get t key ~find ~write_back =
+  let get t ~find key =
     Runtime.instr t.rt 2;
     match Keys.find t.tbl key with
     | slot ->
@@ -354,23 +348,21 @@ module Fcache = struct
         t.misses <- t.misses + 1;
         let r = find key in
         (match r with
-        | Some v -> install t key v ~dirty:false ~write_back
+        | Some v -> install t key v ~dirty:false
         | None -> ());
         r
 
-  let put t key v ~write_back = install t key v ~dirty:true ~write_back
+  let put t ~key ~value = install t key value ~dirty:true
 
   (* Flush every dirty entry (slot order — deterministic). *)
-  let flush_dirty t ~write_back =
+  let drain t =
     for slot = 0 to t.size - 1 do
-      if t.dirty.(slot) then write_back_slot t slot ~write_back
+      if t.dirty.(slot) then write_back_slot t slot
     done
 
-  let scan_flush t ~write_back =
+  let scan_flush t =
     t.scan_flushes <- t.scan_flushes + 1;
-    flush_dirty t ~write_back
-
-  let drain = flush_dirty
+    drain t
 end
 
 (* --- one shard ----------------------------------------------------------- *)
@@ -387,108 +379,81 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
     ~(loads : int array) ~(ops : int array) () : shard =
   let rt = Runtime.create ~cfg:c.cfg ~mode:c.mode () in
   let region =
-    match c.mode with
-    | Runtime.Volatile -> Runtime.Dram_region
-    | _ ->
-        Runtime.Pool_region
-          (Runtime.create_pool rt
-             ~name:(Printf.sprintf "kv.shard%02d" shard)
-             ~size:Harness.pool_size)
+    Harness.region_for ~name:(Printf.sprintf "kv.shard%02d" shard) rt c.mode
   in
   let m = M.create rt region in
-  Array.iter
-    (fun i -> M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i))
-    loads;
-  let load = Runtime.snapshot rt in
   let n_ops = Array.length ops / 2 in
-  (* Stage each request's primary key in a DRAM buffer the driver reads
-     back per op, as in the single-pool harness. *)
-  let key_buf =
-    Mem.map_fresh (Runtime.mem rt) Layout.Dram (max 8 (n_ops * 8))
+  let found = ref 0 and missing = ref 0 and cache = ref zero_cache_stats in
+  let count r =
+    incr (if Option.is_some r then found else missing);
+    r
   in
-  for j = 0 to n_ops - 1 do
-    let idx = ops.(2 * j) lsr 3 in
-    Mem.write_word (Runtime.mem rt)
-      (Int64.add key_buf (Int64.of_int (j * 8)))
-      (Workload.key_of_index idx)
-  done;
-  let cache =
-    if c.front_cache > 0 then
-      Some (Fcache.create rt (c.front_cache / c.shards))
-    else None
+  let r =
+    Harness.measure rt ~benchmark:M.name
+      ~cell:(Printf.sprintf "serving/%s/shard%02d" M.name shard)
+      ~records:(Array.length loads) ~ops:n_ops
+      ~load:(fun () ->
+        Array.iter
+          (fun i -> M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i))
+          loads)
+      ~run:(fun step ->
+        (* Stage the request keys, then map the cache, after the load:
+           moving either mapping would move frames and cycle counts. *)
+        let key_buf =
+          Harness.stage_keys rt n_ops (fun j ->
+              Workload.key_of_index (ops.(2 * j) lsr 3))
+        in
+        let fc =
+          if c.front_cache = 0 then None
+          else Some (Fcache.create rt (c.front_cache / c.shards) ~write_back:(M.insert m))
+        in
+        let get, insert =
+          match fc with
+          | Some fc -> (Fcache.get fc ~find:(M.find m), Fcache.put fc)
+          | None -> (M.find m, M.insert m)
+        in
+        let find k = count (get k) in
+        for j = 0 to n_ops - 1 do
+          (* Runtime entry and checkpoint bookkeeping, paid once per
+             batch, outside the op brackets. *)
+          if j mod c.batch = 0 then Runtime.instr rt batch_entry_instrs;
+          step (fun ol ->
+              let key = Runtime.load_word rt ~site:s_driver key_buf ~off:(j * 8) in
+              Runtime.instr rt op_dispatch_instrs;
+              Oplat.mark ol (Runtime.cpu rt) "driver";
+              let aux = ops.((2 * j) + 1) in
+              match ops.(2 * j) land 7 with
+              | 3 (* scan sub-get: flush once per scan, then read around the cache *) ->
+                  (match fc with
+                  | Some fc when aux land 1 = 1 -> Fcache.scan_flush fc
+                  | _ -> ());
+                  ignore (count (M.find m key) : int64 option);
+                  "scan"
+              | tag ->
+                  let v = Int64.of_int aux in
+                  let op =
+                    match tag with
+                    | 0 -> Workload.Read key
+                    | 1 -> Workload.Update (key, v)
+                    | 2 -> Workload.Insert (key, v)
+                    | _ -> Workload.Rmw (key, v)
+                  in
+                  Workload.apply ~find ~insert op;
+                  Harness.op_name op)
+        done;
+        (* Write every dirty entry back, as a cache-disabled run would have. *)
+        Option.iter
+          (fun fc ->
+            Telemetry.span "serving.drain" (fun () -> Fcache.drain fc);
+            cache := Fcache.stats fc)
+          fc)
   in
-  let write_back key value = M.insert m ~key ~value in
-  let cpu = Runtime.cpu rt in
-  let ol =
-    Oplat.create ~cell:(Printf.sprintf "serving/%s/shard%02d" M.name shard) ()
+  let size, digest =
+    Telemetry.span "serving.digest" (fun () ->
+        let size = M.size m and digest = ref 0L in
+        M.iter m (fun ~key ~value -> digest := Int64.add !digest (entry_hash ~key ~value));
+        (size, !digest))
   in
-  let found = ref 0 and missing = ref 0 in
-  let j = ref 0 in
-  while !j < n_ops do
-    let batch_end = min n_ops (!j + c.batch) in
-    (* Runtime entry and checkpoint bookkeeping, paid once per batch. *)
-    Runtime.instr rt batch_entry_instrs;
-    while !j < batch_end do
-      let w0 = ops.(2 * !j) and aux = ops.(2 * !j + 1) in
-      let tag = w0 land 7 in
-      Oplat.op_begin ol cpu;
-      let key = Runtime.load_word rt ~site:s_driver key_buf ~off:(!j * 8) in
-      Runtime.instr rt op_dispatch_instrs;
-      Oplat.mark ol cpu "driver";
-      (match tag with
-      | 0 (* get *) ->
-          let r =
-            match cache with
-            | Some fc -> Fcache.get fc key ~find:(fun k -> M.find m k) ~write_back
-            | None -> M.find m key
-          in
-          (match r with Some _ -> incr found | None -> incr missing)
-      | 1 | 2 (* put / insert *) ->
-          let v = Int64.of_int aux in
-          (match cache with
-          | Some fc -> Fcache.put fc key v ~write_back
-          | None -> M.insert m ~key ~value:v)
-      | 3 (* scan sub-get: flush once per scan, then bypass the cache *) ->
-          (match cache with
-          | Some fc when aux land 1 = 1 -> Fcache.scan_flush fc ~write_back
-          | _ -> ());
-          (match M.find m key with
-          | Some _ -> incr found
-          | None -> incr missing)
-      | 4 (* rmw *) ->
-          let delta = Int64.of_int aux in
-          let v0 =
-            match
-              match cache with
-              | Some fc ->
-                  Fcache.get fc key ~find:(fun k -> M.find m k) ~write_back
-              | None -> M.find m key
-            with
-            | Some v ->
-                incr found;
-                v
-            | None ->
-                incr missing;
-                0L
-          in
-          let v1 = Int64.add v0 delta in
-          (match cache with
-          | Some fc -> Fcache.put fc key v1 ~write_back
-          | None -> M.insert m ~key ~value:v1)
-      | _ -> assert false);
-      Oplat.op_end ol cpu (tag_name tag);
-      incr j
-    done
-  done;
-  (* Drain dirty entries so the persistent contents match a
-     cache-disabled run, then detach. *)
-  (match cache with
-  | Some fc -> Fcache.drain fc ~write_back
-  | None -> ());
-  let after = Runtime.snapshot rt in
-  let size = M.size m in
-  let digest = ref 0L in
-  M.iter m (fun ~key ~value -> digest := Int64.add !digest (entry_hash ~key ~value));
   (match region with
   | Runtime.Pool_region id -> Runtime.detach_pool rt id
   | Runtime.Dram_region -> ());
@@ -500,11 +465,11 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
     size;
     found = !found;
     missing = !missing;
-    load;
-    run = Cpu.diff_snapshot after load;
-    cache = (match cache with Some fc -> Fcache.stats fc | None -> zero_cache_stats);
-    digest = !digest;
-    oplat = ol;
+    load = r.Harness.load;
+    run = r.Harness.run;
+    cache = !cache;
+    digest;
+    oplat = r.Harness.oplat;
   }
 
 (* --- the engine ---------------------------------------------------------- *)
@@ -530,11 +495,11 @@ let run ?(par = inline_runner) (c : config) : t =
     invalid_arg "Serving.run: front_cache must be 0 or at least shards";
   let (module M : Intf.ORDERED_MAP) = Registry.find_map c.structure in
   let loads, ops = partition c in
-  let thunks =
-    List.init c.shards (fun s ->
-        fun () -> run_shard c (module M) ~shard:s ~loads:loads.(s) ~ops:ops.(s) ())
+  let per_shard =
+    par
+      (List.init c.shards (fun s () ->
+           run_shard c (module M) ~shard:s ~loads:loads.(s) ~ops:ops.(s) ()))
   in
-  let per_shard = par thunks in
   let merged_ol = Oplat.create ~cell:(Printf.sprintf "serving/%s" M.name) () in
   List.iter (fun (s : shard) -> Oplat.merge_into ~dst:merged_ol s.oplat) per_shard;
   let sum f = List.fold_left (fun acc (s : shard) -> acc + f s) 0 per_shard in
@@ -558,7 +523,7 @@ let run ?(par = inline_runner) (c : config) : t =
       spec = c.spec;
       shards = c.shards;
       batch = c.batch;
-      front_cache = c.front_cache;
+      front_cache = c.shards * (c.front_cache / c.shards);
       per_shard;
       records = sum (fun s -> s.records);
       ops = sum (fun s -> s.ops);

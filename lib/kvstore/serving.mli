@@ -66,7 +66,7 @@ type t = {
   spec : Nvml_ycsb.Workload.spec;
   shards : int;
   batch : int;
-  front_cache : int;
+  front_cache : int;  (** entries that ran: [shards * (front_cache / shards)] *)
   per_shard : shard list;  (** in shard-index order *)
   records : int;
   ops : int;  (** total requests; scan sub-gets count individually *)

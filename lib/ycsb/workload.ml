@@ -133,7 +133,8 @@ let iter_ops spec f =
 
 (* What an op does to a map: the one statement of the stream's
    semantics that every driver (the Sec. VII-A harness, the crash-sweep
-   KV workload, the multi-core kv run) replays. *)
+   KV workload, the multi-core kv run, the serving engine's shards)
+   replays. *)
 let apply ~find ~insert = function
   | Read k -> ignore (find k : int64 option)
   | Update (k, v) | Insert (k, v) -> insert ~key:k ~value:v

@@ -1,13 +1,14 @@
 (* Tests for the serving engine: shard determinism under a parallel
    runner, front-cache write-back correctness against a no-cache
-   reference, closed-form cache behaviour on the hot-key-storm mix, and
-   the batching cost model. *)
+   reference, closed-form cache behaviour on the hot-key-storm mix, the
+   batching cost model, and the spans each shard records. *)
 
 module Serving = Nvml_kvstore.Serving
 module Workload = Nvml_ycsb.Workload
 module Runtime = Nvml_runtime.Runtime
 module Oplat = Nvml_runtime.Oplat
 module Latency = Nvml_telemetry.Latency
+module Telemetry = Nvml_telemetry.Telemetry
 module Cpu = Nvml_arch.Cpu
 module Pool = Nvml_exec.Pool
 
@@ -162,6 +163,46 @@ let test_cache_below_shards () =
     (Invalid_argument "Serving.run: front_cache must be 0 or at least shards")
     (fun () -> ignore (run ~shards:8 ~front_cache:3 spec))
 
+(* Each shard runs the harness's measurement protocol, so a traced run
+   records, shard by shard: the load, then the run with the front-cache
+   drain nested inside it (only when the shard has a cache), then the
+   digest walk.  The load and run spans carry the shard's records and
+   requests, which pins the shard order. *)
+let test_shard_spans () =
+  let spec = mix "read-latest" ~records:200 ~ops:300 in
+  let line (e : Telemetry.event) =
+    let ph = match e.phase with Begin -> "B" | End -> "E" | Instant -> "I" in
+    String.concat " "
+      (ph :: e.ename :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) e.args)
+  in
+  let traced ~front_cache =
+    let was = Telemetry.enabled () in
+    Telemetry.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was)
+      (fun () ->
+        Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
+            let t = run ~shards:2 ~batch:4 ~front_cache spec in
+            (t, List.map line (Telemetry.events_snapshot ()))))
+  in
+  let expected (t : Serving.t) ~drain =
+    List.concat_map
+      (fun (s : Serving.shard) ->
+        [ Printf.sprintf "B harness.load records=%d" s.Serving.records;
+          "E harness.load";
+          Printf.sprintf "B harness.run ops=%d" s.Serving.ops ]
+        @ (if drain then [ "B serving.drain"; "E serving.drain" ] else [])
+        @ [ "E harness.run"; "B serving.digest"; "E serving.digest" ])
+      t.Serving.per_shard
+  in
+  let cached, events = traced ~front_cache:8 in
+  Alcotest.(check (list string))
+    "cached: load, run > drain, digest per shard"
+    (expected cached ~drain:true) events;
+  let plain, events = traced ~front_cache:0 in
+  Alcotest.(check (list string))
+    "uncached: no drain span" (expected plain ~drain:false) events
+
 let () =
   Alcotest.run "serving"
     [
@@ -186,4 +227,6 @@ let () =
           Alcotest.test_case "amortizes entry cost" `Quick
             test_batching_amortizes;
         ] );
+      ( "telemetry",
+        [ Alcotest.test_case "shard spans in order" `Quick test_shard_spans ] );
     ]
