@@ -90,28 +90,37 @@ let choice alts =
 
 let names l = choice (List.map (fun n -> (n, n)) l)
 
-let mode_arg =
+(* [Arg.info] for a flag of a subcommand with a flag table: [rows] (from
+   [Flag_table.doc]) ends its doc with the rows that read it. *)
+let tinfo ?(rows = fun _ -> "") ?docv names ~doc =
+  Arg.info names ?docv ~doc:(doc ^ rows ("--" ^ List.hd names))
+
+(* [~durable]: the modes with a pool (the crash sweeps, the shell). *)
+let mode_arg ?rows ?(durable = false) () =
   let modes =
     [
       ("volatile", Runtime.Volatile); ("native", Runtime.Volatile);
       ("sw", Runtime.Sw); ("hw", Runtime.Hw); ("explicit", Runtime.Explicit);
     ]
   in
+  let keep (_, m) = not durable || m <> Runtime.Volatile in
   Arg.(
     value
-    & opt (choice modes) Runtime.Hw
-    & info [ "mode"; "m" ] ~docv:"MODE"
-        ~doc:"Execution mode: volatile, sw, hw or explicit.")
+    & opt (choice (List.filter keep modes)) Runtime.Hw
+    & tinfo ?rows [ "mode"; "m" ] ~docv:"MODE"
+        ~doc:
+          (if durable then "Execution mode: sw, hw or explicit."
+           else "Execution mode: volatile, sw, hw or explicit."))
 
 let persist_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Persist.model_of_string s) in
   Arg.conv (parse, fun ppf m -> Fmt.string ppf (Persist.model_name m))
 
-let persist_arg =
+let persist_arg rows =
   Arg.(
     value
     & opt persist_conv Persist.Eager
-    & info [ "persist" ] ~docv:"MODEL"
+    & tinfo ~rows [ "persist" ] ~docv:"MODEL"
         ~doc:
           "Persistency model: $(b,eager) (every store durable in place, the \
            default — byte-identical to previous releases), $(b,epoch:N) \
@@ -146,10 +155,10 @@ let with_pool jobs f =
   in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-let cores_arg =
+let cores_arg rows =
   Arg.(
     value & opt positive 1
-    & info [ "cores" ] ~docv:"N"
+    & tinfo ~rows [ "cores" ] ~docv:"N"
         ~doc:
           "Simulated cores: interleave $(docv) per-core instruction streams \
            over shared L2/L3/POLB/VALB state with a seeded deterministic \
@@ -158,26 +167,25 @@ let cores_arg =
 
 (* [LL] is a list benchmark, not a key-value map; commands that need a
    map take [maps] only. *)
-let maps =
-  List.map (fun (module M : Intf.ORDERED_MAP) -> M.name) Registry.all_maps
+let maps = Flag_table.maps
 
 let benchmarks = "LL" :: maps
 
-let structure_arg valid =
+let structure_arg ?rows valid =
   Arg.(
     value
-    & opt (names valid) "RB"
-    & info [ "structure"; "s" ] ~docv:"NAME"
+    & opt (names valid) Flag_table.default_structure
+    & tinfo ?rows [ "structure"; "s" ] ~docv:"NAME"
         ~doc:(Fmt.str "Index structure: %s." (String.concat ", " valid)))
 
-let records_arg ?(doc = "Initial records.") default =
-  Arg.(value & opt positive default & info [ "records" ] ~docv:"N" ~doc)
+let records_arg ?rows ?(doc = "Initial records.") default =
+  Arg.(value & opt positive default & tinfo ?rows [ "records" ] ~docv:"N" ~doc)
 
-let ops_arg ?(doc = "Run-phase operations.") default =
-  Arg.(value & opt positive default & info [ "ops" ] ~docv:"N" ~doc)
+let ops_arg ?rows ?(doc = "Run-phase operations.") default =
+  Arg.(value & opt positive default & tinfo ?rows [ "ops" ] ~docv:"N" ~doc)
 
-let seed_arg ?(default = 1) doc =
-  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
+let seed_arg ?rows ?(default = 1) doc =
+  Arg.(value & opt int default & tinfo ?rows [ "seed" ] ~docv:"SEED" ~doc)
 
 let seeds_arg =
   Arg.(
@@ -186,11 +194,11 @@ let seeds_arg =
         ~doc:"Sweep $(docv) consecutive seeds starting at --seed.")
 
 (* The simulated machine: Table IV, on the core --fast selects. *)
-let cfg_arg =
+let cfg_arg rows =
   let fast =
     Arg.(
       value & flag
-      & info [ "fast" ]
+      & tinfo ~rows [ "fast" ]
           ~doc:
             "Fast functional mode: skip cache/TLB/branch/storeP timing \
              models (cycles = instructions; latencies then have all \
@@ -199,14 +207,21 @@ let cfg_arg =
   in
   Term.(const (fun fast -> { Config.default with timing = not fast }) $ fast)
 
-let stats_arg =
+let stats_arg ?rows () =
   Arg.(
     value
     & opt (some string) None
-    & info [ "stats" ] ~docv:"FILE"
+    & tinfo ?rows [ "stats" ] ~docv:"FILE"
         ~doc:
           "Record telemetry during the run and write the stats JSON document \
            to $(docv).")
+
+(* The row of [table] that a command line runs, from its facts (see
+   [Flag_table]); a flag set outside the row is bad input. *)
+let row_of table ?structure facts =
+  match Flag_table.check table ?structure facts with
+  | Ok r -> r
+  | Error m -> bad_input "%s" m
 
 (* Write the output file of [--flag] and say so on stderr; an unwritable
    path exits 1. *)
@@ -337,28 +352,25 @@ let print_serving (t : Serving.t) =
       t.Serving.per_shard
   end
 
-(* Optional, so that kv can reject it next to --mix; absent means
-   latest. *)
-let dist_arg =
+let dist_arg rows =
   Arg.(
     value
-    & opt (some ~none:"latest" dist_conv) None
-    & info [ "distribution"; "d" ] ~doc:"Key distribution.")
+    & opt dist_conv Workload.Latest
+    & tinfo ~rows [ "distribution"; "d" ] ~doc:"Key distribution.")
+
+let paper = Workload.paper_default
 
 let spec_of ~records ~ops ~dist =
-  {
-    Workload.paper_default with
-    Workload.record_count = records;
-    operation_count = ops;
-    distribution = Option.value dist ~default:Workload.Latest;
-  }
+  { paper with Workload.record_count = records; operation_count = ops;
+    distribution = dist }
 
 let kv_cmd =
+  let rows = Flag_table.doc Flag_table.kv in
   let trace_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
+      & tinfo ~rows [ "trace" ] ~docv:"FILE"
           ~doc:"Record telemetry during the run and write a Chrome \
                 trace_event file to $(docv) (load in chrome://tracing or \
                 Perfetto).")
@@ -366,7 +378,7 @@ let kv_cmd =
   let compare_arg =
     Arg.(
       value & flag
-      & info [ "compare" ]
+      & tinfo ~rows [ "compare" ]
           ~doc:
             "Run all four execution modes (in parallel when --jobs > 1) and \
              print a comparative table instead of a single-mode report.")
@@ -374,7 +386,7 @@ let kv_cmd =
   let latency_arg =
     Arg.(
       value & flag
-      & info [ "latency" ]
+      & tinfo ~rows [ "latency" ]
           ~doc:
             "Print the per-operation latency report: cycle-domain \
              percentiles (p50/p90/p99/p999/max), whole-run component \
@@ -384,7 +396,7 @@ let kv_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "slow-trace" ] ~docv:"FILE"
+      & tinfo ~rows [ "slow-trace" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace_event file of the slowest retained \
              operations (one thread per op, simulated cycles as \
@@ -393,46 +405,61 @@ let kv_cmd =
   let shards_arg =
     Arg.(
       value & opt positive 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Serving engine: shard records across $(docv) independent \
-             pools by key hash. Any of --shards/--batch/--front-cache/--mix \
-             selects the serving engine instead of the single-pool harness.")
+      & tinfo ~rows [ "shards" ] ~docv:"N"
+          ~doc:"Shard records across $(docv) independent pools by key hash.")
   in
   let batch_arg =
     Arg.(
       value & opt positive 1
-      & info [ "batch" ] ~docv:"N"
+      & tinfo ~rows [ "batch" ] ~docv:"N"
           ~doc:
-            "Serving engine: requests per runtime entry; the entry cost is \
-             amortized across the batch.")
+            "Requests per runtime entry; the entry cost is amortized across \
+             the batch.")
   in
   let front_cache_arg =
     Arg.(
       value & opt non_negative 0
-      & info [ "front-cache" ] ~docv:"ENTRIES"
+      & tinfo ~rows [ "front-cache" ] ~docv:"ENTRIES"
           ~doc:
-            "Serving engine: total DRAM front-cache entries across all \
-             shards (bounded LRU, write-back to NVM); each shard gets \
-             $(docv) / --shards entries, rounded down, so $(docv) must be \
-             0 (no cache) or at least --shards. May exceed the record \
-             count, in which case the cache simply never evicts.")
+            "Total DRAM front-cache entries across all shards (bounded LRU, \
+             write-back to NVM); each shard gets $(docv) / --shards \
+             entries, rounded down, so $(docv) must be 0 (no cache) or at \
+             least --shards. May exceed the record count, in which case the \
+             cache simply never evicts.")
   in
   let mix_arg =
     let mixes = List.map fst (Workload.serving_mixes ~records:1 ~ops:1) in
     Arg.(
       value
       & opt (some (names mixes)) None
-      & info [ "mix" ] ~docv:"NAME"
+      & tinfo ~rows [ "mix" ] ~docv:"NAME"
           ~doc:
             (Fmt.str
-               "Serving engine: run a named serving mix (%s) at \
-                --records/--ops scale.  A mix sets its own key \
-                distribution, so it cannot be combined with --distribution."
+               "Run a named serving mix (%s) at --records/--ops scale.  A \
+                mix sets its own key distribution."
                (String.concat ", " mixes)))
   in
   let run structure mode persist records ops dist compare jobs stats_file
       trace_file latency cfg slow_trace shards batch front_cache mix cores =
+    let row =
+      row_of Flag_table.kv ~structure
+        [
+          ("--mode", mode <> Runtime.Hw); ("--compare", compare);
+          ("--mode volatile", mode = Runtime.Volatile); ("--cores", cores > 1);
+          ("--persist", not (Persist.is_eager persist)); ("--mix", mix <> None);
+          ("--records", records <> paper.record_count); ("--latency", latency);
+          ("--ops", ops <> paper.operation_count); ("--batch", batch > 1);
+          ("--distribution", dist <> paper.distribution); ("--jobs", jobs <> 0);
+          ("--stats", stats_file <> None); ("--trace", trace_file <> None);
+          ("--fast", not cfg.Config.timing); ("--front-cache", front_cache > 0);
+          ("--slow-trace", slow_trace <> None); ("--shards", shards > 1);
+        ]
+    in
+    if front_cache > 0 && front_cache < shards then
+      bad_input
+        "--front-cache %d is below --shards %d: each shard gets front-cache \
+         / shards entries, rounded down; use 0 or at least %d"
+        front_cache shards shards;
     let spec = spec_of ~records ~ops ~dist in
     let write_slow_trace oplats =
       Option.iter
@@ -443,37 +470,9 @@ let kv_cmd =
               Oplat.write_slow_trace oc agg))
         slow_trace
     in
-    let serving = shards > 1 || batch > 1 || front_cache > 0 || mix <> None in
-    let engine_flags =
-      "the serving-engine flags (--shards/--batch/--front-cache/--mix)"
-    in
-    if serving && compare then
-      bad_input "--compare is not supported with %s" engine_flags;
-    if front_cache > 0 && front_cache < shards then
-      bad_input
-        "--front-cache %d is below --shards %d: each shard gets front-cache \
-         / shards entries, rounded down; use 0 or at least %d"
-        front_cache shards shards;
-    if mix <> None && dist <> None then
-      bad_input "--mix sets its own key distribution; drop --distribution";
-    if cores > 1 && serving then
-      bad_input "--cores > 1 is not supported with %s" engine_flags;
-    if cores > 1 && compare then
-      bad_input "--cores > 1 is not supported with --compare";
-    if cores > 1 && latency then
-      bad_input "--cores > 1 is not supported with --latency";
-    if cores > 1 && slow_trace <> None then
-      bad_input "--cores > 1 is not supported with --slow-trace";
-    if serving && not (Persist.is_eager persist) then
-      bad_input "--persist %s is not supported with %s; the serving engine is \
-                 eager-only"
-        (Persist.model_name persist) engine_flags;
-    if (serving || cores > 1) && not (List.mem structure maps) then
-      bad_input "--structure %s is not a key-value map; %s and --cores > 1 \
-                 take %s"
-        structure engine_flags (String.concat "|" maps);
     with_telemetry ?trace:trace_file stats_file @@ fun () ->
-    if cores > 1 then begin
+    match row.Flag_table.engine with
+    | `Cores ->
       (* Replicated multi-core run: each core drives its own index
          instance (in its own pool, so persistent-allocator metadata
          stays disjoint) through the seeded µ-event scheduler; the cores
@@ -511,8 +510,7 @@ let kv_cmd =
             (float_of_int s.Cpu.instrs /. float_of_int (max 1 s.Cpu.cycles)))
         (Cluster.rts cluster);
       print_cluster_stats cluster
-    end
-    else if serving then begin
+    | `Serving ->
       let spec =
         Option.fold ~none:spec
           ~some:(fun name ->
@@ -529,14 +527,12 @@ let kv_cmd =
       print_serving report;
       if latency then print_latency report.Serving.oplat;
       write_slow_trace [ report.Serving.oplat ]
-    end
-    else if not compare then begin
+    | `Harness ->
       let r = Harness.run_benchmark structure ~mode ~cfg ~persist spec in
       print_result r;
       if latency then print_latency r.Harness.oplat;
       write_slow_trace [ r.Harness.oplat ]
-    end
-    else begin
+    | `Compare ->
       let modes =
         [ Runtime.Volatile; Runtime.Explicit; Runtime.Sw; Runtime.Hw ]
       in
@@ -578,28 +574,38 @@ let kv_cmd =
       end;
       write_slow_trace
         (List.map (fun (r : Harness.result) -> r.Harness.oplat) results)
-    end
   in
   Cmd.v
-    (Cmd.info "kv" ~doc:"Run a YCSB workload against an index structure.")
+    (Cmd.info "kv" ~doc:"Run a YCSB workload against an index structure."
+       ~man:(Flag_table.man Flag_table.kv))
     Term.(
-      const run $ structure_arg benchmarks $ mode_arg $ persist_arg
-      $ records_arg 10_000 $ ops_arg 100_000 $ dist_arg $ compare_arg
-      $ jobs_arg $ stats_arg $ trace_arg $ latency_arg $ cfg_arg
+      const run $ structure_arg ~rows benchmarks $ mode_arg ~rows ()
+      $ persist_arg rows $ records_arg ~rows paper.record_count
+      $ ops_arg ~rows paper.operation_count $ dist_arg rows $ compare_arg
+      $ jobs_arg $ stats_arg ~rows () $ trace_arg $ latency_arg $ cfg_arg rows
       $ slow_trace_arg $ shards_arg $ batch_arg $ front_cache_arg $ mix_arg
-      $ cores_arg)
+      $ cores_arg rows)
 
 (* --- stats --------------------------------------------------------------- *)
 
 let stats_cmd =
+  let rows = Flag_table.doc Flag_table.stats in
   let output =
     Arg.(
       value
       & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE"
+      & tinfo ~rows [ "output"; "o" ] ~docv:"FILE"
           ~doc:"Write the stats JSON document to $(docv).")
   in
   let run structure records ops dist output jobs =
+    ignore
+      (row_of Flag_table.stats ~structure
+         [
+           ("--records", records <> paper.record_count);
+           ("--ops", ops <> paper.operation_count); ("--jobs", jobs <> 0);
+           ("--distribution", dist <> paper.distribution);
+           ("--output", output <> None);
+         ]);
     let spec = spec_of ~records ~ops ~dist in
     let p =
       with_pool jobs (fun pool ->
@@ -628,10 +634,12 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Profile a YCSB run: per-site dynamic checks, POLB/VALB hit rates, \
-          cycle attribution.")
+          cycle attribution."
+       ~man:(Flag_table.man Flag_table.stats))
     Term.(
-      const run $ structure_arg benchmarks $ records_arg 10_000
-      $ ops_arg 100_000 $ dist_arg $ output $ jobs_arg)
+      const run $ structure_arg ~rows benchmarks
+      $ records_arg ~rows paper.record_count
+      $ ops_arg ~rows paper.operation_count $ dist_arg rows $ output $ jobs_arg)
 
 (* --- knn ------------------------------------------------------------------- *)
 
@@ -650,7 +658,7 @@ let knn_cmd =
   in
   Cmd.v
     (Cmd.info "knn" ~doc:"Run the KNN case study on the iris dataset.")
-    Term.(const run $ mode_arg $ k)
+    Term.(const run $ mode_arg () $ k)
 
 (* --- soundness ---------------------------------------------------------------- *)
 
@@ -721,10 +729,10 @@ let file_arg =
 (* Shared by the verification engines that drive a simulated core (fuzz,
    faultinject): they default to fast functional simulation and offer
    the cycle-accurate core as an opt-out. *)
-let timing_arg =
+let timing_arg ?rows () =
   Arg.(
     value & flag
-    & info [ "timing" ]
+    & tinfo ?rows [ "timing" ]
         ~doc:
           "Run the cycle-accurate core instead of the default fast \
            functional mode.  Functional results (checks, crash points, \
@@ -732,13 +740,22 @@ let timing_arg =
            and timing statistics differ.")
 
 let run_cmd =
+  let rows = Flag_table.doc Flag_table.run in
   let persistent =
     Arg.(
       value & flag
-      & info [ "persistent"; "p" ]
+      & tinfo ~rows [ "persistent"; "p" ]
           ~doc:"Place the heap in a persistent pool (libvmmalloc-style).")
   in
   let run path mode persist persistent cfg cores =
+    ignore
+      (row_of Flag_table.run
+         [
+           ("--mode", mode <> Runtime.Hw); ("--persistent", persistent);
+           ("--mode volatile", mode = Runtime.Volatile); ("--cores", cores > 1);
+           ("--persist", not (Persist.is_eager persist));
+           ("--fast", not cfg.Config.timing);
+         ]);
     let program = parse_file path in
     let report_errors f =
       try f () with
@@ -773,12 +790,7 @@ let run_cmd =
       let cluster = Cluster.create ~cores rt in
       let heaps =
         Array.init cores (fun i ->
-            if persistent && mode <> Runtime.Volatile then
-              Runtime.Pool_region
-                (Runtime.create_pool rt
-                   ~name:(Printf.sprintf "heap%d" i)
-                   ~size:(1 lsl 22))
-            else Runtime.Dram_region)
+            Interp.heap_for ~name:(Printf.sprintf "heap%d" i) rt ~persistent)
       in
       let outputs = Array.make cores [] in
       let body core =
@@ -810,10 +822,11 @@ let run_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Interpret a mini-C source file on the simulator.")
+    (Cmd.info "run" ~doc:"Interpret a mini-C source file on the simulator."
+       ~man:(Flag_table.man Flag_table.run))
     Term.(
-      const run $ file_arg $ mode_arg $ persist_arg $ persistent $ cfg_arg
-      $ cores_arg)
+      const run $ file_arg $ mode_arg ~rows () $ persist_arg rows $ persistent
+      $ cfg_arg rows $ cores_arg rows)
 
 let compile_cmd =
   let run path =
@@ -830,31 +843,30 @@ let compile_cmd =
 (* --- faultinject ------------------------------------------------------------------------ *)
 
 let faultinject_cmd =
+  let rows = Flag_table.doc Flag_table.faultinject in
   let workload_arg =
     Arg.(
       value
       & opt (choice [ ("kv", `Kv); ("counter", `Counter); ("conc", `Conc) ]) `Kv
-      & info [ "workload"; "w" ] ~docv:"NAME"
+      & tinfo ~rows [ "workload"; "w" ] ~docv:"NAME"
           ~doc:
             "Workload to sweep: $(b,kv) (YCSB stream against --structure), \
              $(b,counter) (3-store transactions over a flat array) or \
              $(b,conc) (the durably-linearizable concurrent structures on \
              the --cores multi-core machine; --seed drives the schedule, \
-             --ops is per core; --torn and --break-recovery do not apply). \
-             Only $(b,conc) takes --cores > 1.")
+             --ops is per core).")
   in
   let every_n_arg =
     Arg.(
       value & opt positive 1
-      & info [ "every-n"; "n" ] ~docv:"N"
+      & tinfo ~rows [ "every-n"; "n" ] ~docv:"N"
           ~doc:
-            "Crash at every $(docv)th persistence event (1 = exhaustive). \
-             Ignored when --at is given.")
+            "Crash at every $(docv)th persistence event (1 = exhaustive).")
   in
   let at_arg =
     Arg.(
       value & opt_all int []
-      & info [ "at" ] ~docv:"EVENT"
+      & tinfo ~rows [ "at" ] ~docv:"EVENT"
           ~doc:
             "Crash at this exact event index (repeatable).  An out-of-range \
              index exits with an error naming the workload's valid event \
@@ -863,40 +875,43 @@ let faultinject_cmd =
   let torn_arg =
     Arg.(
       value & flag
-      & info [ "torn" ]
+      & tinfo ~rows [ "torn" ]
           ~doc:
             "Additionally tear the interrupted store: the word is replaced \
              by a seeded byte-mix of its old and new value, modelling a \
              power failure mid-write.  Undo-log words are exempt (the log \
-             protocol assumes 8-byte atomicity).  kv and counter only.")
+             protocol assumes 8-byte atomicity).")
   in
   let max_points_arg =
     Arg.(
       value & opt (some positive) None
-      & info [ "max-points" ] ~docv:"N"
+      & tinfo ~rows [ "max-points" ] ~docv:"N"
           ~doc:"Stop after the first $(docv) crash points (smoke runs).")
   in
   let break_arg =
     Arg.(
       value & flag
-      & info [ "break-recovery" ]
+      & tinfo ~rows [ "break-recovery" ]
           ~doc:
             "Checker self-test: skip log recovery after each crash and \
-             report the violations the checker finds.  kv and counter \
-             only.")
+             report the violations the checker finds.")
   in
+  let default_records = 30 and default_ops = 100 in
   let run mode persist workload structure records ops every_n at torn seed
       max_points break_recovery jobs timing cores =
-    (match workload with
-    | `Conc when torn ->
-        bad_input "--torn is not supported with --workload conc (no undo log \
-                   to tear)"
-    | `Conc when break_recovery ->
-        bad_input "--break-recovery is not supported with --workload conc \
-                   (no undo-log recovery to skip)"
-    | (`Kv | `Counter) when cores > 1 ->
-        bad_input "--cores > 1 is supported only with --workload conc"
-    | _ -> ());
+    ignore
+      (row_of Flag_table.faultinject ~structure
+         [
+           ("--mode", mode <> Runtime.Hw); ("--workload", workload <> `Kv);
+           ("--persist", not (Persist.is_eager persist)); ("--torn", torn);
+           ("--workload counter", workload = `Counter); ("--at", at <> []);
+           ("--workload conc", workload = `Conc); ("--seed", seed <> 1);
+           ("--structure", structure <> Flag_table.default_structure);
+           ("--records", records <> default_records); ("--timing", timing);
+           ("--ops", ops <> default_ops); ("--every-n", every_n > 1);
+           ("--max-points", max_points <> None); ("--cores", cores > 1);
+           ("--break-recovery", break_recovery); ("--jobs", jobs <> 0);
+         ]);
     let w =
       match workload with
       | `Kv -> Faultinject.kv_workload ~structure ~records ~ops ()
@@ -924,7 +939,7 @@ let faultinject_cmd =
           every chosen persistence event, and check that recovery restores \
           a consistent state."
        ~man:
-         [
+         ([
            `S Manpage.s_description;
            `P
              "A reference pass counts every persistence-relevant event of \
@@ -947,15 +962,18 @@ let faultinject_cmd =
               boundary — losing more or less than the contract allows is a \
               violation either way.";
            `P "Exits 1 if any crash point produced a violation.";
-         ])
+         ]
+         @ Flag_table.man Flag_table.faultinject))
     Term.(
-      const run $ mode_arg $ persist_arg $ workload_arg $ structure_arg maps
-      $ records_arg ~doc:"Initial records (kv workload)." 30
-      $ ops_arg 100 $ every_n_arg $ at_arg $ torn_arg
-      $ seed_arg
-          "Seed for the torn byte masks (kv, counter) or the schedule \
-           (conc); sweeps with the same seed replay bit-identically."
-      $ max_points_arg $ break_arg $ jobs_arg $ timing_arg $ cores_arg)
+      const run $ mode_arg ~rows ~durable:true () $ persist_arg rows
+      $ workload_arg $ structure_arg ~rows maps
+      $ records_arg ~rows default_records $ ops_arg ~rows default_ops
+      $ every_n_arg $ at_arg $ torn_arg
+      $ seed_arg ~rows
+          "Seed for the torn byte masks or the multi-core schedule; sweeps \
+           with the same seed replay bit-identically."
+      $ max_points_arg $ break_arg $ jobs_arg $ timing_arg ~rows ()
+      $ cores_arg rows)
 
 (* --- fuzz ----------------------------------------------------------------------------- *)
 
@@ -1043,7 +1061,7 @@ let fuzz_cmd =
       $ seed_arg
           "Stream seed. A run is deterministic in (component, seed, ops), \
            so a reported violation replays bit-identically."
-      $ seeds_arg $ break_arg $ jobs_arg $ stats_arg $ timing_arg)
+      $ seeds_arg $ break_arg $ jobs_arg $ stats_arg () $ timing_arg ())
 
 (* --- scrub ---------------------------------------------------------------------------- *)
 
@@ -1192,7 +1210,7 @@ let scrub_cmd =
           "Cell seed (population and fault placement); a cell replays \
            bit-identically from (seed, rate, kinds)."
       $ seeds_arg $ repair_arg $ report_arg $ allow_loss_arg $ jobs_arg
-      $ stats_arg)
+      $ stats_arg ())
 
 (* --- shell ---------------------------------------------------------------------------- *)
 
@@ -1216,7 +1234,7 @@ let shell_cmd =
     (Cmd.info "shell"
        ~doc:"Interactive persistent key-value store with a crash command.")
     Term.(
-      const run $ mode_arg $ structure_arg maps
+      const run $ mode_arg ~durable:true () $ structure_arg maps
       $ seed_arg ~default:0
           "Seed for the 'crash torn' byte masks, so scripted sessions replay \
            bit-identically.")

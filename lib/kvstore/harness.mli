@@ -102,4 +102,6 @@ val run_benchmark :
   ?persist:Nvml_runtime.Persist.model ->
   Workload.spec ->
   result
-(** Run a Table III benchmark by name ("LL" routes to {!run_ll}). *)
+(** Run a Table III benchmark by name.  "LL" routes to {!run_ll}: it
+    reads only [spec]'s record count and no op stream, so the operation
+    count and key distribution change nothing there. *)

@@ -46,6 +46,8 @@ type t = {
 let pool_size = 1 lsl 22
 
 let create ?(mode = Runtime.Hw) ?(structure = "RB") ?(seed = 0) () =
+  if mode = Runtime.Volatile then
+    invalid_arg "Shell.create: the Volatile mode has no pool for the map";
   let rt = Runtime.create ~mode () in
   let pool = Runtime.create_pool rt ~name:"shell" ~size:pool_size in
   let structure = Nvml_structures.Registry.find_map structure in
@@ -63,16 +65,13 @@ let create ?(mode = Runtime.Hw) ?(structure = "RB") ?(seed = 0) () =
       last_store = None;
     }
   in
-  (match mode with
-  | Runtime.Volatile -> () (* no NVM, nothing to tear *)
-  | _ ->
-      Physmem.set_fi_hook
-        (Mem.phys (Runtime.mem rt))
-        (Some
-           (function
-             | Fi.Pm_store { frame; word_index; old_value; new_value } ->
-                 t.last_store <- Some (frame, word_index, old_value, new_value)
-             | _ -> ())));
+  Physmem.set_fi_hook
+    (Mem.phys (Runtime.mem rt))
+    (Some
+       (function
+         | Fi.Pm_store { frame; word_index; old_value; new_value } ->
+             t.last_store <- Some (frame, word_index, old_value, new_value)
+         | _ -> ()));
   t
 
 (* Monomorphic operation record over the existentially typed map. *)

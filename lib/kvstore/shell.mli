@@ -13,7 +13,9 @@ type t
 val create : ?mode:Runtime.mode -> ?structure:string -> ?seed:int -> unit -> t
 (** [structure] names any registry structure (default "RB").  [seed]
     (default 0) drives the torn-write byte masks, and nothing else, so
-    scripted sessions replay bit-identically under fault injection. *)
+    scripted sessions replay bit-identically under fault injection.
+    @raise Invalid_argument in the [Volatile] mode, which has no pool to
+    keep the map in. *)
 
 val exec : t -> string -> string list
 (** Execute one command line; returns the reply lines. *)

@@ -442,14 +442,16 @@ let run rt ?plan ~heap (program : program) ~(args : int64 list) : outcome =
   ignore main;
   { result; output = List.rev t.output }
 
+(* Where a program's heap lives: a 4 MiB pool [name] when
+   [persistent], and DRAM otherwise or in the volatile version. *)
+let heap_for ~name rt ~persistent =
+  if persistent && Runtime.mode rt <> Runtime.Volatile then
+    Runtime.Pool_region (Runtime.create_pool rt ~name ~size:(1 lsl 22))
+  else Runtime.Dram_region
+
 (* A program on a fresh machine, as the soundness runs (Sec. VII-B) and
-   [nvml run] execute it: the heap is a 4 MiB pool when [persistent],
-   and DRAM otherwise or in the volatile version. *)
+   [nvml run] execute it. *)
 let run_fresh ?cfg ?persist ?plan ~mode ~persistent program =
   let rt = Runtime.create ?cfg ?persist ~mode () in
-  let heap =
-    if persistent && mode <> Runtime.Volatile then
-      Runtime.Pool_region (Runtime.create_pool rt ~name:"heap" ~size:(1 lsl 22))
-    else Runtime.Dram_region
-  in
+  let heap = heap_for ~name:"heap" rt ~persistent in
   (rt, run rt ?plan ~heap program ~args:[])

@@ -27,6 +27,12 @@ val run :
     @raise Runtime_error on dynamic errors (unbound names, division by
     zero, stack overflow, calls to unknown functions). *)
 
+val heap_for : name:string -> Runtime.t -> persistent:bool -> Runtime.region
+(** Where a program's heap lives: a fresh 4 MiB pool [name] when
+    [persistent], and DRAM otherwise or in the [Volatile] version (the
+    one rule of {!run_fresh} and of each core under [nvml run
+    --cores]). *)
+
 val run_fresh :
   ?cfg:Runtime.Config.t ->
   ?persist:Nvml_runtime.Persist.model ->
@@ -36,6 +42,5 @@ val run_fresh :
   Ast.program ->
   Runtime.t * outcome
 (** {!run} [main] with no arguments on a fresh machine
-    ([Runtime.create ?cfg ?persist ~mode]).  The heap is a 4 MiB pool
-    named ["heap"] when [persistent], and DRAM otherwise or in the
-    [Volatile] version.  Returns the machine, for its counters. *)
+    ([Runtime.create ?cfg ?persist ~mode]), its heap
+    [heap_for ~name:"heap"].  Returns the machine, for its counters. *)

@@ -79,7 +79,10 @@ let test_modes () =
       check_lines
         (Fmt.str "get in %a" Runtime.pp_mode mode)
         [ "33" ] (exec s "get 3"))
-    [ Runtime.Sw; Runtime.Hw; Runtime.Explicit ]
+    [ Runtime.Sw; Runtime.Hw; Runtime.Explicit ];
+  Alcotest.check_raises "no shell in the volatile mode"
+    (Invalid_argument "Shell.create: the Volatile mode has no pool for the map")
+    (fun () -> ignore (Shell.create ~mode:Runtime.Volatile ()))
 
 let test_stats_shape () =
   let s = Shell.create () in
