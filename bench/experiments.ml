@@ -1,8 +1,9 @@
 (* The experiment implementations: one entry per table and figure of
    the paper's evaluation section (see DESIGN.md's per-experiment
-   index).  Heavy simulator runs are shared: the 6-benchmark x 4-mode
-   result matrix is computed once and reused by Table V and Figures 11,
-   13 and 15. *)
+   index).  Every harness cell runs through [results] and its memo, so
+   each runs once per process: the 6-benchmark x 4-mode matrix is
+   computed once for Table V and Figures 11, 13 and 15, and a sweep
+   point equal to a matrix cell reuses it. *)
 
 module Config = Nvml_arch.Config
 module Cpu = Nvml_arch.Cpu
@@ -11,10 +12,14 @@ module Ptr = Nvml_core.Ptr
 module Xlate = Nvml_core.Xlate
 module Checks = Nvml_core.Checks
 module Runtime = Nvml_runtime.Runtime
+module Persist = Nvml_runtime.Persist
+module Oplat = Nvml_runtime.Oplat
 module Site = Nvml_runtime.Site
 module Registry = Nvml_structures.Registry
 module Workload = Nvml_ycsb.Workload
 module Harness = Nvml_kvstore.Harness
+module Profile = Nvml_kvstore.Profile
+module Latency = Nvml_telemetry.Latency
 module Iris = Nvml_mlkit.Iris
 module Knn = Nvml_mlkit.Knn
 module Corpus = Nvml_minic.Corpus
@@ -22,108 +27,161 @@ module Inference = Nvml_comp.Inference
 module Soundness = Nvml_comp.Soundness
 open Report
 
+(* A harness cell: one structure in one mode, on one machine
+   configuration and persistency model, replaying one workload. *)
+type cell = {
+  structure : string;
+  mode : Runtime.mode;
+  cfg : Config.t;
+  persist : Persist.model;
+  spec : Workload.spec;
+}
+
+(* What one experiment records for the driver's documents: its metrics
+   (newest first), the ops it executed outside harness cells, the
+   distinct harness cells it read, the merged per-op recorders of the
+   cells whose latency it reports, and the profile it ran (the --stats
+   document).  Every field is filled on the main domain after the
+   pool joins, so the documents do not depend on --jobs. *)
+type out = {
+  mutable metrics : (string * float) list;
+  mutable own_ops : int;
+  read : (cell, unit) Hashtbl.t;
+  latency : Oplat.t;
+  mutable profile : Profile.t option;
+}
+
 (* [quick] is main.exe's --quick: [spec] is then 10x smaller, and the
-   experiments that size their own runs shrink them too. *)
+   experiments that size their own runs shrink them too.  [memo] holds
+   every harness cell run so far, for all experiments; [out] is the
+   running experiment's. *)
 type ctx = {
   spec : Workload.spec;
   quick : bool;
   verbose : bool;
   pool : Nvml_exec.Pool.t;
+  memo : (cell, Harness.result) Hashtbl.t;
+  out : out;
 }
+
+let fresh_out () =
+  {
+    metrics = [];
+    own_ops = 0;
+    read = Hashtbl.create 32;
+    latency = Oplat.create ~cell:"experiment" ();
+    profile = None;
+  }
+
+let context ~spec ~quick ~verbose pool =
+  { spec; quick; verbose; pool; memo = Hashtbl.create 128; out = fresh_out () }
+
+(* Run one experiment with a fresh output record. *)
+let run ctx f =
+  let ctx = { ctx with out = fresh_out () } in
+  f ctx;
+  ctx.out
+
+(* An experiment's ops: what it executed itself, plus the op stream of
+   each distinct harness cell it read, whichever experiment ran it. *)
+let ops out =
+  Hashtbl.fold
+    (fun (c : cell) () n -> n + c.spec.Workload.operation_count)
+    out.read out.own_ops
+
+let metric ctx name value = ctx.out.metrics <- (name, value) :: ctx.out.metrics
+let ops_add ctx n = ctx.out.own_ops <- ctx.out.own_ops + n
 
 let benchmarks = Registry.benchmark_names (* LL Hash RB Splay AVL SG *)
 
-(* --- shared benchmark matrix -------------------------------------------- *)
+(* --- harness cells ------------------------------------------------------- *)
 
-let matrix_cache : (string * Runtime.mode, Harness.result) Hashtbl.t =
-  Hashtbl.create 32
+(* [structure] in [mode] on the default machine, eager, replaying the
+   suite's spec unless told otherwise. *)
+let cell ctx ?(cfg = Config.default) ?(persist = Persist.Eager) ?spec structure
+    mode =
+  { structure; mode; cfg; persist; spec = Option.value spec ~default:ctx.spec }
 
-let run_one ctx ?cfg name mode =
-  if ctx.verbose then
-    Printf.eprintf "  [run] %s / %s...\n%!" name (Runtime.mode_name mode);
-  Harness.run_benchmark name ~mode ?cfg ctx.spec
-
-(* A cell of the matrix; an experiment [prefetch]es every cell it
-   reads, so a cell missing here raises [Not_found]. *)
-let matrix name mode = Hashtbl.find matrix_cache (name, mode)
-
-(* --- parallel cell execution -------------------------------------------- *)
-
-(* Run independent simulation cells through the worker pool, results in
-   submission order.  With one job this executes inline in submission
-   order, which is exactly the order the sequential code used — so
-   [--jobs 1] reproduces the pre-parallel output byte for byte. *)
-let par_map ctx f xs = Nvml_exec.Pool.map ctx.pool f xs
-
-(* Populate [matrix_cache] for the given cells through the pool.  Cells
-   are share-nothing (each builds its own [Runtime.t] and seeds its RNG
-   from the spec), so the cached results are independent of worker
-   count and scheduling. *)
-let prefetch ctx cells =
-  let seen = Hashtbl.create 16 in
+(* The results of [cells], in order.  Those not in the memo yet run
+   through the pool in request order, each logged from this domain
+   first; every cell of [cells] counts as read by the running
+   experiment.  A cell shares nothing (it builds its own machine and
+   seeds its RNG from its spec), so its result depends neither on the
+   worker count nor on which experiment ran it first. *)
+let results ctx cells =
   let todo =
-    List.filter
-      (fun cell ->
-        if Hashtbl.mem matrix_cache cell || Hashtbl.mem seen cell then false
-        else begin
-          Hashtbl.add seen cell ();
-          true
-        end)
-      cells
+    List.fold_left
+      (fun todo c ->
+        if Hashtbl.mem ctx.memo c || List.mem c todo then todo else c :: todo)
+      [] cells
+    |> List.rev
   in
-  let results = par_map ctx (fun (name, mode) -> run_one ctx name mode) todo in
-  List.iter2 (fun cell r -> Hashtbl.replace matrix_cache cell r) todo results
+  if ctx.verbose then
+    List.iter
+      (fun c ->
+        Printf.eprintf "  [run] %s / %s%s...\n%!" c.structure
+          (Runtime.mode_name c.mode)
+          (if Persist.is_eager c.persist then ""
+           else " / " ^ Persist.model_name c.persist))
+      todo;
+  let rs =
+    Nvml_exec.Pool.map ctx.pool
+      (fun c ->
+        Harness.run_benchmark c.structure ~mode:c.mode ~cfg:c.cfg
+          ~persist:c.persist c.spec)
+      todo
+  in
+  List.iter2 (Hashtbl.replace ctx.memo) todo rs;
+  List.map
+    (fun c ->
+      Hashtbl.replace ctx.out.read c ();
+      Hashtbl.find ctx.memo c)
+    cells
 
-(* Every (benchmark x mode) cell an experiment over [names] consumes,
-   volatile included (the normalization denominator). *)
-let matrix_cells names modes =
-  List.concat_map
-    (fun name -> List.map (fun mode -> (name, mode)) modes)
-    names
+let result ctx c = List.hd (results ctx [ c ])
 
-let norm_cycles name mode =
-  let r = matrix name mode in
-  let v = matrix name Runtime.Volatile in
-  float_of_int r.Harness.run.Cpu.cycles /. float_of_int v.Harness.run.Cpu.cycles
+(* Run the cells [mk x y] of [xs] x [ys] (x-major) in one batch, and
+   read them back with the returned lookup. *)
+let grid ctx mk xs ys =
+  ignore (results ctx (List.concat_map (fun x -> List.map (mk x) ys) xs));
+  fun x y -> result ctx (mk x y)
 
-(* --- ops and latency accounting ------------------------------------------ *)
+(* The default cells of [names] x [modes]. *)
+let matrix ctx = grid ctx (cell ctx)
 
-(* Consumption crediting for the --bench ops tally: each experiment
-   credits the op stream of every simulation cell it consumes — cached
-   matrix cells included, so a cell shared by several experiments
-   counts toward each of them (every BENCH row stands on its own).
-   Producer-side crediting in [run_one] left every cache-consuming and
-   self-simulating experiment at ops 0. *)
-let credit_cells ctx n = Report.ops_add (n * ctx.spec.Workload.operation_count)
+let norm_cycles m name mode =
+  float_of_int (m name mode).Harness.run.Cpu.cycles
+  /. float_of_int (m name Runtime.Volatile).Harness.run.Cpu.cycles
 
-module Latency = Nvml_telemetry.Latency
-module Oplat = Nvml_runtime.Oplat
+(* Run independent simulation cells that are not harness cells through
+   the worker pool, results in submission order. *)
+let par_map ctx f xs = Nvml_exec.Pool.map ctx.pool f xs
 
 (* Merge the per-op recorders in [oplats], emit the aggregate as
    <prefix>.latency.{p50,p90,p99,p999,max} plus the per-component
    attribution of the retained tail (fractions of the tail's cycles),
-   and feed the aggregate into the per-experiment latency tally of the
-   --bench document.  Everything derives from result values after the
-   parallel joins, so the metrics are byte-identical across --jobs. *)
-let latency_metrics prefix oplats =
+   and feed the aggregate into the experiment's latency tally of the
+   --bench document. *)
+let latency_metrics ctx prefix oplats =
   let agg = Oplat.create ~cell:prefix () in
   List.iter (fun o -> Oplat.merge_into ~dst:agg o) oplats;
   if Oplat.count agg > 0 then begin
     let s = Latency.summary (Oplat.latency agg) in
-    metric (prefix ^ ".latency.p50") (float_of_int s.Latency.p50);
-    metric (prefix ^ ".latency.p90") (float_of_int s.Latency.p90);
-    metric (prefix ^ ".latency.p99") (float_of_int s.Latency.p99);
-    metric (prefix ^ ".latency.p999") (float_of_int s.Latency.p999);
-    metric (prefix ^ ".latency.max") (float_of_int s.Latency.max);
+    let metric name v = metric ctx (prefix ^ name) v in
+    metric ".latency.p50" (float_of_int s.Latency.p50);
+    metric ".latency.p90" (float_of_int s.Latency.p90);
+    metric ".latency.p99" (float_of_int s.Latency.p99);
+    metric ".latency.p999" (float_of_int s.Latency.p999);
+    metric ".latency.max" (float_of_int s.Latency.max);
     let tail = Oplat.tail_components agg in
     let tot = float_of_int (max 1 (Oplat.components_total tail)) in
     let frac n = float_of_int n /. tot in
-    metric (prefix ^ ".latency.tail.base") (frac tail.Oplat.base);
-    metric (prefix ^ ".latency.tail.check") (frac tail.Oplat.check);
-    metric (prefix ^ ".latency.tail.translation") (frac tail.Oplat.translation);
-    metric (prefix ^ ".latency.tail.stall") (frac tail.Oplat.stall);
-    metric (prefix ^ ".latency.tail.media") (frac tail.Oplat.media);
-    Report.lat_add agg
+    metric ".latency.tail.base" (frac tail.Oplat.base);
+    metric ".latency.tail.check" (frac tail.Oplat.check);
+    metric ".latency.tail.translation" (frac tail.Oplat.translation);
+    metric ".latency.tail.stall" (frac tail.Oplat.stall);
+    metric ".latency.tail.media" (frac tail.Oplat.media);
+    Oplat.merge_into ~dst:ctx.out.latency agg
   end
 
 let result_oplats rs = List.map (fun (r : Harness.result) -> r.Harness.oplat) rs
@@ -196,31 +254,26 @@ let table4 _ctx =
 
 let table5 ctx =
   heading "Table V: dynamic checks and conversions (SW version)";
-  prefetch ctx (matrix_cells benchmarks [ Runtime.Sw ]);
-  List.iter
-    (fun name ->
-      let r = matrix name Runtime.Sw in
-      metric
+  let rs = results ctx (List.map (fun n -> cell ctx n Runtime.Sw) benchmarks) in
+  List.iter2
+    (fun name (r : Harness.result) ->
+      metric ctx
         (Printf.sprintf "table5.dynamic_checks.%s" name)
         (float_of_int r.Harness.checks.Harness.dynamic_checks))
-    benchmarks;
+    benchmarks rs;
   table
     ~header:[ "Benchmark"; "dynamic checks"; "abs. to rel."; "rel. to abs." ]
-    (List.map
-       (fun name ->
-         let r = matrix name Runtime.Sw in
+    (List.map2
+       (fun name (r : Harness.result) ->
          [
            name;
            with_commas r.Harness.checks.Harness.dynamic_checks;
            with_commas r.Harness.checks.Harness.abs_to_rel;
            with_commas r.Harness.checks.Harness.rel_to_abs;
          ])
-       benchmarks);
-  credit_cells ctx (List.length benchmarks);
-  latency_table
-    (List.map (fun n -> (n, (matrix n Runtime.Sw).Harness.oplat)) benchmarks);
-  latency_metrics "table5.sw"
-    (result_oplats (List.map (fun n -> matrix n Runtime.Sw) benchmarks));
+       benchmarks rs);
+  latency_table (List.combine benchmarks (result_oplats rs));
+  latency_metrics ctx "table5.sw" (result_oplats rs);
   Printf.printf
     "Paper magnitudes (100k ops): LL 8.2M, Hash 2.6M, RB 14.5M, Splay 25.6M,\n\
      AVL 14.4M, SG 18.1M dynamic checks.\n"
@@ -231,28 +284,28 @@ let fig11 ctx =
   heading
     "Figure 11: execution time normalized to the volatile version (lower is \
      better)";
-  prefetch ctx
-    (matrix_cells benchmarks
-       [ Runtime.Explicit; Runtime.Volatile; Runtime.Sw; Runtime.Hw ]);
+  let m =
+    matrix ctx benchmarks
+      [ Runtime.Explicit; Runtime.Volatile; Runtime.Sw; Runtime.Hw ]
+  in
   let rows =
     List.map
       (fun name ->
         [
           name;
-          f3 (norm_cycles name Runtime.Explicit);
-          f3 (norm_cycles name Runtime.Sw);
-          f3 (norm_cycles name Runtime.Hw);
+          f3 (norm_cycles m name Runtime.Explicit);
+          f3 (norm_cycles m name Runtime.Sw);
+          f3 (norm_cycles m name Runtime.Hw);
         ])
       benchmarks
   in
   table ~header:[ "Benchmark"; "Explicit"; "SW"; "HW" ] rows;
-  let gm mode = geomean (List.map (fun n -> norm_cycles n mode) benchmarks) in
-  metric "fig11.geomean.explicit" (gm Runtime.Explicit);
-  metric "fig11.geomean.sw" (gm Runtime.Sw);
-  metric "fig11.geomean.hw" (gm Runtime.Hw);
-  credit_cells ctx (4 * List.length benchmarks);
-  latency_metrics "fig11.hw"
-    (result_oplats (List.map (fun n -> matrix n Runtime.Hw) benchmarks));
+  let gm mode = geomean (List.map (fun n -> norm_cycles m n mode) benchmarks) in
+  metric ctx "fig11.geomean.explicit" (gm Runtime.Explicit);
+  metric ctx "fig11.geomean.sw" (gm Runtime.Sw);
+  metric ctx "fig11.geomean.hw" (gm Runtime.Hw);
+  latency_metrics ctx "fig11.hw"
+    (result_oplats (List.map (fun n -> m n Runtime.Hw) benchmarks));
   Printf.printf
     "Geomean: Explicit %.3f, SW %.3f, HW %.3f; HW speedup over Explicit %.2fx\n"
     (gm Runtime.Explicit) (gm Runtime.Sw) (gm Runtime.Hw)
@@ -262,21 +315,22 @@ let fig11 ctx =
 
 (* --- Figure 12 ---------------------------------------------------------------- *)
 
-let fig12 _ctx =
+let s_fig12 = Site.make "fig12.harness"
+
+let fig12 ctx =
   heading
     "Figure 12: translation reuse — one loaded pointer, many field accesses";
-  let site = Site.make "fig12.harness" in
   let run mode =
     let rt = Runtime.create ~mode () in
     let pool = Runtime.create_pool rt ~name:"p" ~size:(1 lsl 20) in
     let a = Runtime.alloc_in rt (Runtime.Pool_region pool) 64 in
     let b = Runtime.alloc_in rt (Runtime.Pool_region pool) 64 in
-    Runtime.store_ptr rt ~site a ~off:0 b;
+    Runtime.store_ptr rt ~site:s_fig12 a ~off:0 b;
     let s0 = Runtime.snapshot rt in
     (* codelet: q = a->ptr; then 6 field reads through q *)
-    let q = Runtime.load_ptr rt ~site a ~off:0 in
+    let q = Runtime.load_ptr rt ~site:s_fig12 a ~off:0 in
     for i = 0 to 5 do
-      ignore (Runtime.load_word rt ~site q ~off:(8 * i))
+      ignore (Runtime.load_word rt ~site:s_fig12 q ~off:(8 * i))
     done;
     let s1 = Runtime.snapshot rt in
     (Cpu.diff_snapshot s1 s0).Cpu.polb_accesses
@@ -287,7 +341,7 @@ let fig12 _ctx =
       [ "HW (user-transparent)"; int_ (run Runtime.Hw) ];
       [ "Explicit"; int_ (run Runtime.Explicit) ];
     ];
-  Report.ops_add 14 (* 2 versions x (1 pointer load + 6 field reads) *);
+  ops_add ctx 14 (* 2 versions x (1 pointer load + 6 field reads) *);
   Printf.printf
     "The HW version converts once when the pointer is materialized and reuses\n\
      the virtual address; the explicit version translates at every access.\n"
@@ -297,12 +351,13 @@ let fig12 _ctx =
 let fig13 ctx =
   heading
     "Figure 13: branch mispredictions normalized to the volatile version";
-  prefetch ctx
-    (matrix_cells benchmarks
-       [ Runtime.Sw; Runtime.Volatile; Runtime.Hw; Runtime.Explicit ]);
+  let m =
+    matrix ctx benchmarks
+      [ Runtime.Sw; Runtime.Volatile; Runtime.Hw; Runtime.Explicit ]
+  in
   let mp name mode =
-    let r = matrix name mode in
-    let v = matrix name Runtime.Volatile in
+    let r = m name mode in
+    let v = m name Runtime.Volatile in
     float_of_int r.Harness.run.Cpu.branch_mispredicts
     /. float_of_int (max 1 v.Harness.run.Cpu.branch_mispredicts)
   in
@@ -317,7 +372,6 @@ let fig13 ctx =
            f2 (mp name Runtime.Explicit);
          ])
        benchmarks);
-  credit_cells ctx (4 * List.length benchmarks);
   Printf.printf
     "Paper shape: SW mispredicts 6.7x - 2944x more than HW; HW ~= volatile.\n"
 
@@ -326,42 +380,36 @@ let fig13 ctx =
 let fig14 ctx =
   heading
     "Figure 14: HW execution time vs VALB/VAW latency, normalized to Explicit";
-  prefetch ctx (matrix_cells benchmarks [ Runtime.Explicit ]);
+  let m = matrix ctx benchmarks [ Runtime.Explicit ] in
   let latencies = [ 3; 10; 25; 50 ] in
   let header = "Benchmark" :: List.map (fun l -> Printf.sprintf "%dcyc" l) latencies in
-  let grid =
-    List.concat_map
-      (fun name -> List.map (fun lat -> (name, lat)) latencies)
-      benchmarks
+  let hw =
+    grid ctx
+      (fun name lat ->
+        cell ctx
+          ~cfg:
+            { Config.default with Config.valb_latency = lat;
+              vatb_node_latency = lat }
+          name Runtime.Hw)
+      benchmarks latencies
   in
-  let results =
-    par_map ctx
-      (fun (name, lat) ->
-        let cfg =
-          { Config.default with Config.valb_latency = lat;
-            vatb_node_latency = lat }
-        in
-        run_one ctx ~cfg name Runtime.Hw)
-      grid
-  in
-  let by_cell = List.combine grid results in
   let rows =
     List.map
       (fun name ->
         let explicit =
-          float_of_int (matrix name Runtime.Explicit).Harness.run.Cpu.cycles
+          float_of_int (m name Runtime.Explicit).Harness.run.Cpu.cycles
         in
         name
         :: List.map
              (fun lat ->
-               let r = List.assoc (name, lat) by_cell in
-               f3 (float_of_int r.Harness.run.Cpu.cycles /. explicit))
+               f3 (float_of_int (hw name lat).Harness.run.Cpu.cycles /. explicit))
              latencies)
       benchmarks
   in
   table ~header rows;
-  credit_cells ctx (List.length grid + List.length benchmarks);
-  latency_metrics "fig14.hw" (result_oplats results);
+  latency_metrics ctx "fig14.hw"
+    (result_oplats
+       (List.concat_map (fun n -> List.map (hw n) latencies) benchmarks));
   Printf.printf
     "Paper shape: even 50-cycle VALB/VAW latency costs < 10%% — storeP is rare\n\
      and its translations are hidden in the storeP unit.\n"
@@ -371,12 +419,12 @@ let fig14 ctx =
 let fig15 ctx =
   heading
     "Figure 15: fraction of memory accesses using the translation hardware (HW)";
-  prefetch ctx (matrix_cells benchmarks [ Runtime.Hw ]);
+  let hw = matrix ctx benchmarks [ Runtime.Hw ] in
   table
     ~header:[ "Benchmark"; "storeP"; "VALB/VAW"; "POLB/POW" ]
     (List.map
        (fun name ->
-         let s = (matrix name Runtime.Hw).Harness.run in
+         let s = (hw name Runtime.Hw).Harness.run in
          let m = float_of_int (max 1 s.Cpu.mem_accesses) in
          [
            name;
@@ -385,14 +433,13 @@ let fig15 ctx =
            pct (float_of_int s.Cpu.polb_accesses /. m);
          ])
        benchmarks);
-  credit_cells ctx (List.length benchmarks);
   Printf.printf
     "Paper: 0.38%% of accesses are storeP, 0.22%% touch the VALB/VAW, 12.6%%\n\
      touch the POLB/POW.\n"
 
 (* --- KNN case study ------------------------------------------------------------- *)
 
-let knn _ctx =
+let knn ctx =
   heading "Case study (Sec. VII-E): KNN over iris, all matrices persisted but input";
   let _, vol = Knn.case_study ~mode:Runtime.Volatile ~k:3 in
   let rows =
@@ -410,7 +457,7 @@ let knn _ctx =
   in
   (* 5 KNN kernel runs (volatile reference + 4 modes), one classified
      sample per op *)
-  Report.ops_add (5 * Iris.total_samples);
+  ops_add ctx (5 * Iris.total_samples);
   table ~header:[ "Version"; "Norm. time"; "translating accesses"; "accuracy" ] rows;
   Printf.printf "Paper: HW marginal overhead (0.22%% of loads translate);\n";
   Printf.printf "       SW sees 7.56x slowdown on this kernel.\n";
@@ -468,7 +515,7 @@ let fig9 _ctx =
 
 (* --- soundness (Sec. VII-B) ------------------------------------------------------ *)
 
-let soundness _ctx =
+let soundness ctx =
   heading "Soundness (Sec. VII-B): corpus under native vs pmalloc-everything heaps";
   let results = List.map (fun (name, p) -> (name, Soundness.check p)) Corpus.all in
   let runs = List.concat_map snd results in
@@ -481,7 +528,7 @@ let soundness _ctx =
        results);
   (* one op per corpus execution: the checks plus one reference run
      per program *)
-  Report.ops_add (total + List.length Corpus.all);
+  ops_add ctx (total + List.length Corpus.all);
   Printf.printf "%d/%d runs match the native output.\n" passed total;
   Printf.printf
     "(Paper: all 267 application + 1518 regression tests of the LLVM\n\
@@ -548,23 +595,19 @@ let productivity _ctx =
 let ablation ctx =
   heading "Ablation 1: the keep-relative/translation-reuse optimization (HW)";
   let bench_set = [ "RB"; "Splay"; "Hash" ] in
-  prefetch ctx
-    (matrix_cells bench_set [ Runtime.Volatile; Runtime.Hw ]
-    @ [ ("Splay", Runtime.Explicit); ("RB", Runtime.Volatile) ]);
-  let cfg_off = { Config.default with Config.keep_relative_opt = false } in
+  let m = matrix ctx bench_set [ Runtime.Volatile; Runtime.Hw ] in
+  let no_reuse = { Config.default with Config.keep_relative_opt = false } in
   let offs =
-    List.combine bench_set
-      (par_map ctx (fun name -> run_one ctx ~cfg:cfg_off name Runtime.Hw)
-         bench_set)
+    results ctx
+      (List.map (fun name -> cell ctx ~cfg:no_reuse name Runtime.Hw) bench_set)
   in
   let rows =
-    List.map
-      (fun name ->
+    List.map2
+      (fun name (off : Harness.result) ->
         let volatile =
-          float_of_int (matrix name Runtime.Volatile).Harness.run.Cpu.cycles
+          float_of_int (m name Runtime.Volatile).Harness.run.Cpu.cycles
         in
-        let on = matrix name Runtime.Hw in
-        let off = List.assoc name offs in
+        let on = m name Runtime.Hw in
         let valb_frac (r : Harness.result) =
           float_of_int r.Harness.run.Cpu.valb_accesses
           /. float_of_int (max 1 r.Harness.run.Cpu.mem_accesses)
@@ -577,7 +620,7 @@ let ablation ctx =
           pct (valb_frac off);
           int_ off.Harness.run.Cpu.storep_stall_cycles;
         ])
-      bench_set
+      bench_set offs
   in
   table
     ~header:
@@ -590,44 +633,50 @@ let ablation ctx =
      translations cost bandwidth, not time (hence Fig. 14's flatness).\n";
   subheading "VALB/VAW latency sensitivity with reuse disabled (Splay)";
   let explicit =
-    float_of_int (matrix "Splay" Runtime.Explicit).Harness.run.Cpu.cycles
+    float_of_int
+      (result ctx (cell ctx "Splay" Runtime.Explicit)).Harness.run.Cpu.cycles
   in
   let row =
     "Splay(no reuse)"
-    :: par_map ctx
-         (fun lat ->
-           let cfg =
-             { Config.default with Config.keep_relative_opt = false;
-               valb_latency = lat; vatb_node_latency = lat }
-           in
-           let r = run_one ctx ~cfg "Splay" Runtime.Hw in
+    :: List.map
+         (fun (r : Harness.result) ->
            f3 (float_of_int r.Harness.run.Cpu.cycles /. explicit))
-         [ 3; 10; 25; 50 ]
+         (results ctx
+            (List.map
+               (fun lat ->
+                 cell ctx
+                   ~cfg:
+                     { no_reuse with Config.valb_latency = lat;
+                       vatb_node_latency = lat }
+                   "Splay" Runtime.Hw)
+               [ 3; 10; 25; 50 ]))
   in
   table ~header:[ "Benchmark"; "3cyc"; "10cyc"; "25cyc"; "50cyc" ] [ row ];
   heading "Ablation 2: branch-predictor capacity vs the SW slowdown (RB)";
   let volatile =
-    float_of_int (matrix "RB" Runtime.Volatile).Harness.run.Cpu.cycles
+    float_of_int (m "RB" Runtime.Volatile).Harness.run.Cpu.cycles
   in
+  let predictors = [ 6; 8; 10; 12; 14 ] in
   let rows =
-    par_map ctx
-      (fun bits ->
-        let cfg =
-          { Config.default with Config.bp_table_bits = bits;
-            bp_history_bits = min bits 12 }
-        in
-        let r = run_one ctx ~cfg "RB" Runtime.Sw in
+    List.map2
+      (fun bits (r : Harness.result) ->
         [
           Printf.sprintf "%d entries" (1 lsl bits);
           f3 (float_of_int r.Harness.run.Cpu.cycles /. volatile);
           with_commas r.Harness.run.Cpu.branch_mispredicts;
         ])
-      [ 6; 8; 10; 12; 14 ]
+      predictors
+      (results ctx
+         (List.map
+            (fun bits ->
+              cell ctx
+                ~cfg:
+                  { Config.default with Config.bp_table_bits = bits;
+                    bp_history_bits = min bits 12 }
+                "RB" Runtime.Sw)
+            predictors))
   in
-  table ~header:[ "Predictor"; "SW norm. time"; "mispredicts" ] rows;
-  (* 7 distinct matrix cells + 3 reuse-off + 4 latency-sweep + 5
-     predictor-sweep fresh cells *)
-  credit_cells ctx 19
+  table ~header:[ "Predictor"; "SW norm. time"; "mispredicts" ] rows
 
 (* --- Table VI: relocation overhead ----------------------------------------------------- *)
 
@@ -638,9 +687,10 @@ let ablation ctx =
    structure: re-open a 10k-node RB tree at a new base under our scheme
    (zero pointer updates), then execute the pointer-tracing rewrite the
    managed designs would need, in the same timing model. *)
-let table6 _ctx =
+let s_rel = Site.make "bench.relocation"
+
+let table6 ctx =
   heading "Table VI (relocation): position-independent pointers vs tracing";
-  let s_rel = Site.make "bench.relocation" in
   let keys = 10_000 in
   let rt = Runtime.create ~mode:Runtime.Hw () in
   let pool = Runtime.create_pool rt ~name:"r" ~size:(1 lsl 22) in
@@ -677,7 +727,7 @@ let table6 _ctx =
   retrace (Runtime.load_ptr rt ~site:s_rel (Rb.header tree) ~off:0);
   let trace = Cpu.diff_snapshot (Runtime.snapshot rt) s1 in
   (* tree population, the re-open, and one tracing rewrite per pointer *)
-  Report.ops_add (keys + 1 + !updates);
+  ops_add ctx (keys + 1 + !updates);
   table
     ~header:[ "scheme"; "pointer updates"; "cycles" ]
     [
@@ -709,26 +759,25 @@ let extended ctx =
       (fun (module M : Nvml_structures.Intf.ORDERED_MAP) -> M.name)
       Nvml_structures.Registry.extended_maps
   in
-  prefetch ctx
-    (matrix_cells names
-       [ Runtime.Explicit; Runtime.Volatile; Runtime.Sw; Runtime.Hw ]);
+  let m =
+    matrix ctx names
+      [ Runtime.Explicit; Runtime.Volatile; Runtime.Sw; Runtime.Hw ]
+  in
   let rows =
     List.map
       (fun name ->
         [
           name;
-          f3 (norm_cycles name Runtime.Explicit);
-          f3 (norm_cycles name Runtime.Sw);
-          f3 (norm_cycles name Runtime.Hw);
+          f3 (norm_cycles m name Runtime.Explicit);
+          f3 (norm_cycles m name Runtime.Sw);
+          f3 (norm_cycles m name Runtime.Hw);
         ])
       names
   in
   table ~header:[ "Structure"; "Explicit"; "SW"; "HW" ] rows;
-  credit_cells ctx (4 * List.length names);
-  latency_table
-    (List.map (fun n -> (n, (matrix n Runtime.Hw).Harness.oplat)) names);
-  latency_metrics "extended.hw"
-    (result_oplats (List.map (fun n -> matrix n Runtime.Hw) names));
+  let hw = result_oplats (List.map (fun n -> m n Runtime.Hw) names) in
+  latency_table (List.combine names hw);
+  latency_metrics ctx "extended.hw" hw;
   Printf.printf
     "The same ranking as Table III's set: SW-only slow, HW near-native,\n\
      user-transparent HW ahead of explicit handles.\n"
@@ -740,11 +789,12 @@ let extended ctx =
    by hash, so the memory layout and locality are identical across
    configurations) and sweeps only the POLB capacity, isolating the
    translation-capacity effect. *)
+let s_mp = Site.make "bench.multipool"
+
 let multipool ctx =
   heading
     "Extension: POLB capacity under a 64-pool working set (HW, 4096-node \
      chain)";
-  let s_mp = Site.make "bench.multipool" in
   let nodes = 4096 and npools = 64 in
   let pool_of_node i =
     (* splitmix-style hash so pool references interleave irregularly *)
@@ -796,7 +846,7 @@ let multipool ctx =
          ])
        (List.rev rows));
   (* 6 POLB configurations x 10 traversals x one op per node *)
-  Report.ops_add (6 * 10 * nodes);
+  ops_add ctx (6 * 10 * nodes);
   Printf.printf
     "Below the pool working set, POLB misses turn into POW walks — the\n\
      capacity cliff the paper's single-pool workloads never approach (its\n\
@@ -804,11 +854,12 @@ let multipool ctx =
 
 (* --- transaction overhead (extension) ------------------------------------------------- *)
 
-let txn_overhead _ctx =
+let s_tx = Site.make ~static:true "bench.txn"
+
+let txn_overhead ctx =
   heading
     "Extension: undo-log transaction overhead (Sec. VI crash consistency)";
   let module Txn = Nvml_runtime.Txn in
-  let s_tx = Site.make ~static:true "bench.txn" in
   let cells = 64 and rounds = 2000 in
   let run ~transactional =
     let rt = Runtime.create ~mode:Runtime.Hw () in
@@ -845,9 +896,9 @@ let txn_overhead _ctx =
   in
   let plain, ol_plain = run ~transactional:false in
   let tx, ol_tx = run ~transactional:true in
-  Report.ops_add (2 * rounds);
-  latency_metrics "txn.plain" [ ol_plain ];
-  latency_metrics "txn.txn" [ ol_tx ];
+  ops_add ctx (2 * rounds);
+  latency_metrics ctx "txn.plain" [ ol_plain ];
+  latency_metrics ctx "txn.txn" [ ol_tx ];
   table
     ~header:[ "version"; "cycles"; "vs plain" ]
     [
@@ -868,28 +919,21 @@ let txn_overhead _ctx =
    the cache hierarchy. *)
 let sweep ctx =
   heading "Extension: HW overhead vs NVM latency (RB, paper workload)";
-  let spec = ctx.spec in
   (* Each (latency x mode) run is an independent cell; the row pairs up
      the volatile and HW results afterwards. *)
   let latencies = [ 120; 240; 480; 960 ] in
-  let cells =
-    List.concat_map
-      (fun l -> [ (l, Runtime.Volatile); (l, Runtime.Hw) ])
+  let rb =
+    grid ctx
+      (fun nvm_latency ->
+        cell ctx ~cfg:{ Config.default with Config.nvm_latency } "RB")
       latencies
-  in
-  let results =
-    List.combine cells
-      (par_map ctx
-         (fun (nvm_latency, mode) ->
-           let cfg = { Config.default with Config.nvm_latency } in
-           run_one ctx ~cfg "RB" mode)
-         cells)
+      [ Runtime.Volatile; Runtime.Hw ]
   in
   let rows =
     List.map
       (fun nvm_latency ->
-        let vol = List.assoc (nvm_latency, Runtime.Volatile) results in
-        let hw = List.assoc (nvm_latency, Runtime.Hw) results in
+        let vol = rb nvm_latency Runtime.Volatile in
+        let hw = rb nvm_latency Runtime.Hw in
         [
           Printf.sprintf "%d cycles (%.1fx DRAM)" nvm_latency
             (float_of_int nvm_latency /. float_of_int Config.default.Config.dram_latency);
@@ -900,18 +944,15 @@ let sweep ctx =
       latencies
   in
   table ~header:[ "NVM latency"; "HW / volatile" ] rows;
-  credit_cells ctx (List.length cells);
-  List.iter
-    (fun nvm_latency ->
-      let hw = List.assoc (nvm_latency, Runtime.Hw) results in
+  let hws = List.map (fun l -> rb l Runtime.Hw) latencies in
+  List.iter2
+    (fun nvm_latency (hw : Harness.result) ->
       let s = Latency.summary (Oplat.latency hw.Harness.oplat) in
-      metric
+      metric ctx
         (Printf.sprintf "sweep.hw.nvm%d.latency.p99" nvm_latency)
         (float_of_int s.Latency.p99))
-    latencies;
-  latency_metrics "sweep.hw"
-    (result_oplats
-       (List.map (fun l -> List.assoc (l, Runtime.Hw) results) latencies));
+    latencies hws;
+  latency_metrics ctx "sweep.hw" (result_oplats hws);
   Printf.printf
     "At 120 cycles (DRAM-equal) the residue is pure translation cost; the\n\
      rest is the NVM medium itself, which every persistent design pays.\n";
@@ -919,27 +960,22 @@ let sweep ctx =
   let sizes = [ 1_000; 10_000; 50_000 ] in
   (* The sizes are absolute, so --quick shrinks the ops per record. *)
   let ops_per_record = if ctx.quick then 1 else 10 in
-  let cells =
-    List.concat_map
-      (fun r -> [ (r, Runtime.Volatile); (r, Runtime.Hw) ])
+  let rb =
+    grid ctx
+      (fun records ->
+        cell ctx
+          ~spec:
+            { ctx.spec with Workload.record_count = records;
+              operation_count = records * ops_per_record }
+          "RB")
       sizes
-  in
-  let results =
-    List.combine cells
-      (par_map ctx
-         (fun (records, mode) ->
-           let s =
-             { spec with Nvml_ycsb.Workload.record_count = records;
-               operation_count = records * ops_per_record }
-           in
-           Harness.run_benchmark "RB" ~mode s)
-         cells)
+      [ Runtime.Volatile; Runtime.Hw ]
   in
   let rows =
     List.map
       (fun records ->
-        let vol = List.assoc (records, Runtime.Volatile) results in
-        let hw = List.assoc (records, Runtime.Hw) results in
+        let vol = rb records Runtime.Volatile in
+        let hw = rb records Runtime.Hw in
         [
           with_commas records;
           f3
@@ -950,16 +986,15 @@ let sweep ctx =
       sizes
   in
   table ~header:[ "records"; "HW / volatile"; "L3 hit rate" ] rows;
-  (* working-set cells run records x ops_per_record ops, volatile + HW *)
-  Report.ops_add
-    (2 * List.fold_left (fun acc r -> acc + (r * ops_per_record)) 0 sizes);
   Printf.printf
     "Past the 2 MiB L3, more accesses reach the NVM medium and the 2x miss\n\
      latency shows — the overhead is the memory, not the pointer scheme.\n"
 
 (* --- bechamel micro-benchmarks ------------------------------------------------------ *)
 
-let micro _ctx =
+let s_micro = Site.make ~static:true "micro.load_ptr"
+
+let micro ctx =
   heading "Micro-benchmarks (Bechamel): core primitives";
   let open Bechamel in
   let mem = Nvml_simmem.Mem.create () in
@@ -1018,9 +1053,8 @@ let micro _ctx =
   let hw = Runtime.create ~cfg:fast ~mode:Runtime.Hw () in
   let hw_pool = Runtime.create_pool hw ~name:"micro" ~size:(1 lsl 20) in
   let hw_cells = Runtime.alloc_in hw (Runtime.Pool_region hw_pool) (64 * 8) in
-  let hw_site = Site.make ~static:true "micro.load_ptr" in
   for i = 0 to 63 do
-    Runtime.store_ptr hw ~site:hw_site hw_cells ~off:(8 * i)
+    Runtime.store_ptr hw ~site:s_micro hw_cells ~off:(8 * i)
       (Runtime.alloc_in hw (Runtime.Pool_region hw_pool) 16)
   done;
   let tests =
@@ -1096,7 +1130,7 @@ let micro _ctx =
         Test.make ~name:"HW load_ptr (relative, window miss)"
           (Staged.stage (fun () ->
                incr counter;
-               Runtime.load_ptr hw ~site:hw_site hw_cells
+               Runtime.load_ptr hw ~site:s_micro hw_cells
                  ~off:(8 * (!counter land 63))));
       ]
   in
@@ -1128,15 +1162,11 @@ let micro _ctx =
   done;
   let words = Gc.minor_words () -. w0 in
   let per_op = if words < 64.0 then 0.0 else words /. float_of_int n in
-  metric "micro.latency_record.minor_words_per_op" per_op;
+  metric ctx "micro.latency_record.minor_words_per_op" per_op;
   Printf.printf "Latency.record allocation: %g minor words/op (must be 0).\n"
     per_op
 
 (* --- telemetry profile ---------------------------------------------------- *)
-
-(* The most recent profile result, kept for the driver's [--stats FILE]
-   sink (written after the experiment list finishes). *)
-let last_profile : Nvml_kvstore.Profile.t option ref = ref None
 
 (* The cross-layer telemetry profile (Section VII observability): run
    one benchmark through [Profile.run] — SW and HW cells in parallel
@@ -1149,12 +1179,11 @@ let profile ctx =
     (Printf.sprintf
        "Telemetry profile: check sites, lookasides, cycle attribution (%s)"
        benchmark);
-  let module Profile = Nvml_kvstore.Profile in
   let p =
     Profile.run ~par:(Nvml_exec.Pool.run ctx.pool) ~benchmark ctx.spec
   in
-  Report.ops_add (2 * ctx.spec.Workload.operation_count) (* SW + HW cells *);
-  last_profile := Some p;
+  ops_add ctx (2 * ctx.spec.Workload.operation_count) (* SW + HW cells *);
+  ctx.out.profile <- Some p;
   let dval name = try List.assoc name p.Profile.derived with Not_found -> nan in
   check_site_profile
     (List.map
@@ -1190,7 +1219,7 @@ let profile ctx =
   Printf.printf "SW runs %.2fx slower than HW on this benchmark.\n"
     (dval "sw.slowdown");
   List.iter
-    (fun (k, v) -> metric (Printf.sprintf "profile.%s.%s" benchmark k) v)
+    (fun (k, v) -> metric ctx (Printf.sprintf "profile.%s.%s" benchmark k) v)
     p.Profile.derived
 
 (* --- crash-point fault injection ------------------------------------------ *)
@@ -1228,7 +1257,7 @@ let faultinject ctx =
   List.iter
     (fun (r : F.report) ->
       (* reference pass + one full workload replay per crash point *)
-      Report.ops_add ((List.length r.F.outcomes + 1) * r.F.ops))
+      ops_add ctx ((List.length r.F.outcomes + 1) * r.F.ops))
     reports;
   table
     ~header:
@@ -1245,10 +1274,10 @@ let faultinject ctx =
        reports);
   List.iter
     (fun (r : F.report) ->
-      metric
+      metric ctx
         (Printf.sprintf "faultinject.%s.points" r.F.workload)
         (float_of_int (List.length r.F.outcomes));
-      metric
+      metric ctx
         (Printf.sprintf "faultinject.%s.violations" r.F.workload)
         (float_of_int (List.length r.F.violations)))
     reports;
@@ -1332,12 +1361,12 @@ let scrub ctx =
        rows cells);
   let all = List.concat cells in
   (* one populate-seal-scrub pass over pools x records per cell *)
-  Report.ops_add (List.length all * 3 * 48);
-  metric "scrub.sites" (float_of_int (sites all));
-  metric "scrub.detected" (float_of_int (detected all));
-  metric "scrub.repaired" (float_of_int (repaired all));
-  metric "scrub.unrepairable" (float_of_int (unrepairable all));
-  metric "scrub.mispredictions" (float_of_int (mispred all));
+  ops_add ctx (List.length all * 3 * 48);
+  metric ctx "scrub.sites" (float_of_int (sites all));
+  metric ctx "scrub.detected" (float_of_int (detected all));
+  metric ctx "scrub.repaired" (float_of_int (repaired all));
+  metric ctx "scrub.unrepairable" (float_of_int (unrepairable all));
+  metric ctx "scrub.mispredictions" (float_of_int (mispred all));
   if mispred all = 0 then
     Printf.printf
       "every cell's scrub report matches the injector's ground truth exactly\n\
@@ -1368,7 +1397,7 @@ let scrub ctx =
       [ "first write of a session"; "8"; "1"; "once per pool per session" ];
       [ "seal (detach/scrub)"; "7"; "8"; "once per pool close" ];
     ];
-  metric "scrub.overhead.hot_path_words" 0.0;
+  metric ctx "scrub.overhead.hot_path_words" 0.0;
   Printf.printf
     "hot-path overhead: 0 extra words per allocation; integrity traffic is\n\
      confined to pool open/close (15-16 word ops per pool per session).\n"
@@ -1424,17 +1453,17 @@ let serving ctx =
   List.iter
     (fun (name, (r : Serving.t)) ->
       let prefix = "serving." ^ name in
-      metric (prefix ^ ".ops") (float_of_int r.Serving.ops);
-      metric (prefix ^ ".ops_per_s") (Serving.ops_per_sec r);
-      metric (prefix ^ ".shards") (float_of_int r.Serving.shards);
-      metric (prefix ^ ".run_cycles_max") (float_of_int r.Serving.run_cycles_max);
-      metric (prefix ^ ".cache.hit_rate") (Serving.hit_rate r.Serving.cache);
-      metric
+      metric ctx (prefix ^ ".ops") (float_of_int r.Serving.ops);
+      metric ctx (prefix ^ ".ops_per_s") (Serving.ops_per_sec r);
+      metric ctx (prefix ^ ".shards") (float_of_int r.Serving.shards);
+      metric ctx (prefix ^ ".run_cycles_max") (float_of_int r.Serving.run_cycles_max);
+      metric ctx (prefix ^ ".cache.hit_rate") (Serving.hit_rate r.Serving.cache);
+      metric ctx
         (prefix ^ ".cache.writebacks")
         (float_of_int r.Serving.cache.Serving.writebacks);
-      metric (prefix ^ ".digest") (Int64.to_float r.Serving.digest);
-      latency_metrics prefix [ r.Serving.oplat ];
-      Report.ops_add r.Serving.ops)
+      metric ctx (prefix ^ ".digest") (Int64.to_float r.Serving.digest);
+      latency_metrics ctx prefix [ r.Serving.oplat ];
+      ops_add ctx r.Serving.ops)
     results;
   Printf.printf
     "service time is the slowest shard; front-cache hits never touch the\n\
@@ -1465,7 +1494,7 @@ let concurrent ctx =
     let pool = Runtime.create_pool rt ~name:"conc" ~size:(1 lsl 24) in
     let s = Conc_workload.setup ~sched_seed:7 ~cores ~ops_per_core rt ~pool in
     Conc_workload.run s;
-    Report.ops_add (cores * ops_per_core);
+    ops_add ctx (cores * ops_per_core);
     s
   in
   let core_counts = if ctx.quick then [ 2 ] else [ 2; 4 ] in
@@ -1500,26 +1529,26 @@ let concurrent ctx =
       let st = Cluster.stats s.Conc_workload.cluster in
       let fc = Conc_counter.flit s.Conc_workload.counter in
       let fl = Conc_list.flit s.Conc_workload.list in
-      metric (prefix ^ ".steps") (float_of_int st.Multicore.steps);
-      metric
+      metric ctx (prefix ^ ".steps") (float_of_int st.Multicore.steps);
+      metric ctx
         (prefix ^ ".contended_steps")
         (float_of_int st.Multicore.contended_steps);
-      metric (prefix ^ ".switches") (float_of_int st.Multicore.switches);
-      metric
+      metric ctx (prefix ^ ".switches") (float_of_int st.Multicore.switches);
+      metric ctx
         (prefix ^ ".coherence_invalidations")
         (float_of_int st.Multicore.invalidations);
-      metric
+      metric ctx
         (prefix ^ ".flit.flushes_issued")
         (float_of_int (Flit.issued fc + Flit.issued fl));
-      metric
+      metric ctx
         (prefix ^ ".flit.flushes_elided")
         (float_of_int (Flit.elided fc + Flit.elided fl));
-      metric
+      metric ctx
         (prefix ^ ".flit.writer_flushes")
         (float_of_int (Flit.writer_flushes fc + Flit.writer_flushes fl));
       Array.iteri
         (fun i cpu ->
-          metric
+          metric ctx
             (Printf.sprintf "%s.cycles.core%d" prefix i)
             (float_of_int (Cpu.cycles cpu)))
         (Multicore.cores (Cluster.machine s.Conc_workload.cluster)))
@@ -1532,10 +1561,10 @@ let concurrent ctx =
          ~ops_per_core:(if ctx.quick then 4 else 8) ())
   in
   (* reference pass + one full workload replay per crash point *)
-  Report.ops_add ((List.length r.F.outcomes + 1) * r.F.ops);
-  metric "conc.fi.events" (float_of_int r.F.events);
-  metric "conc.fi.points" (float_of_int (List.length r.F.outcomes));
-  metric "conc.fi.violations" (float_of_int (List.length r.F.violations));
+  ops_add ctx ((List.length r.F.outcomes + 1) * r.F.ops);
+  metric ctx "conc.fi.events" (float_of_int r.F.events);
+  metric ctx "conc.fi.points" (float_of_int (List.length r.F.outcomes));
+  metric ctx "conc.fi.violations" (float_of_int (List.length r.F.violations));
   if r.F.violations = [] then
     Printf.printf
       "%d crash points over the 2-core interleaving: every recovered state \
@@ -1563,7 +1592,6 @@ let concurrent ctx =
    Every cell is a share-nothing machine, so the metrics are
    byte-identical across --jobs. *)
 let persist ctx =
-  let module Persist = Nvml_runtime.Persist in
   let module F = Nvml_faultinject.Faultinject in
   heading "Persistency models: drain traffic saved vs suffix-loss exposure";
   let records = if ctx.quick then 1_000 else 5_000 in
@@ -1595,25 +1623,17 @@ let persist ctx =
     String.map (fun c -> if c = ':' then '_' else c) (Persist.model_name m)
   in
   let structures = [ "RB"; "Hash" ] in
-  let cells =
-    List.concat_map (fun s -> List.map (fun m -> (s, m)) models) structures
+  let hw =
+    grid ctx
+      (fun s m -> cell ctx ~persist:m ~spec:kspec s Runtime.Hw)
+      structures models
   in
-  let results =
-    par_map ctx
-      (fun (s, m) ->
-        if ctx.verbose then
-          Printf.eprintf "  [run] persist / %s / %s...\n%!" s
-            (Persist.model_name m);
-        ((s, m), Harness.run_benchmark s ~mode:Runtime.Hw ~persist:m kspec))
-      cells
+  let runs =
+    List.concat_map
+      (fun s -> List.map (fun m -> ((s, m), hw s m)) models)
+      structures
   in
-  Report.ops_add (List.length cells * ops);
-  let cycles_of s m =
-    let (_, r) =
-      List.find (fun ((s', m'), _) -> s' = s && m' = m) results
-    in
-    r.Harness.run.Cpu.cycles
-  in
+  let cycles_of s m = (hw s m).Harness.run.Cpu.cycles in
   Printf.printf "%d records + %d ops per cell, HW mode, cycle-accurate\n"
     records ops;
   table
@@ -1635,26 +1655,26 @@ let persist ctx =
            int_ p.Harness.drains; int_ p.Harness.flushes;
            int_ p.Harness.fences; int_ p.Harness.buffered;
          ])
-       results);
+       runs);
   List.iter
     (fun ((s, m), (r : Harness.result)) ->
       let prefix = Printf.sprintf "persist.%s.%s" s (mkey m) in
       let p = r.Harness.persist in
-      metric (prefix ^ ".run_cycles") (float_of_int r.Harness.run.Cpu.cycles);
-      metric (prefix ^ ".load_cycles")
+      metric ctx (prefix ^ ".run_cycles") (float_of_int r.Harness.run.Cpu.cycles);
+      metric ctx (prefix ^ ".load_cycles")
         (float_of_int r.Harness.load.Cpu.cycles);
-      metric (prefix ^ ".drains") (float_of_int p.Harness.drains);
-      metric (prefix ^ ".flushes") (float_of_int p.Harness.flushes);
-      metric (prefix ^ ".fences") (float_of_int p.Harness.fences);
-      metric (prefix ^ ".buffered") (float_of_int p.Harness.buffered);
+      metric ctx (prefix ^ ".drains") (float_of_int p.Harness.drains);
+      metric ctx (prefix ^ ".flushes") (float_of_int p.Harness.flushes);
+      metric ctx (prefix ^ ".fences") (float_of_int p.Harness.fences);
+      metric ctx (prefix ^ ".buffered") (float_of_int p.Harness.buffered);
       if (not (Persist.is_eager m)) && m <> Persist.Epoch { interval = 1 }
       then begin
         let e1 = float_of_int (cycles_of s (Persist.Epoch { interval = 1 })) in
-        metric
+        metric ctx
           (prefix ^ ".savings_vs_epoch1")
           ((e1 -. float_of_int r.Harness.run.Cpu.cycles) /. e1)
       end)
-    results;
+    runs;
   (* Loss-exposure axis: one contract-verified crash sweep per model
      (fast functional core; the verdicts are timing-independent). *)
   subheading "verified loss exposure (faultinject contract oracle)";
@@ -1671,7 +1691,7 @@ let persist ctx =
             ~spec:{ F.default_spec with F.torn = true }
             w
         in
-        Report.ops_add ((List.length r.F.outcomes + 1) * fi_ops);
+        ops_add ctx ((List.length r.F.outcomes + 1) * fi_ops);
         (m, r))
       models
   in
@@ -1700,13 +1720,13 @@ let persist ctx =
       let max_lost =
         List.fold_left (fun acc o -> max acc o.F.lost_ops) 0 r.F.outcomes
       in
-      metric (prefix ^ ".points") (float_of_int (List.length r.F.outcomes));
-      metric (prefix ^ ".suffix_lost") (float_of_int r.F.suffix_lost);
-      metric (prefix ^ ".max_ops_lost") (float_of_int max_lost);
-      metric (prefix ^ ".violations")
+      metric ctx (prefix ^ ".points") (float_of_int (List.length r.F.outcomes));
+      metric ctx (prefix ^ ".suffix_lost") (float_of_int r.F.suffix_lost);
+      metric ctx (prefix ^ ".max_ops_lost") (float_of_int max_lost);
+      metric ctx (prefix ^ ".violations")
         (float_of_int (List.length r.F.violations)))
     sweeps;
-  metric "persist.mispredictions" (float_of_int total_violations);
+  metric ctx "persist.mispredictions" (float_of_int total_violations);
   if total_violations = 0 then
     Printf.printf
       "every model kept its contract: at each crash point recovery landed on\n\

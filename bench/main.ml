@@ -21,6 +21,7 @@ module Pool = Nvml_exec.Pool
 module Telemetry = Nvml_telemetry.Telemetry
 module Json = Nvml_telemetry.Json
 module Profile = Nvml_kvstore.Profile
+module Oplat = Nvml_runtime.Oplat
 
 (* Every experiment: name, the core it drives (the --bench document's
    mode breakdown), description, entry point.  "fast" experiments run
@@ -72,9 +73,13 @@ let seconds s = Json.Float (Float.round (s *. 1000.) /. 1000.)
 (* The deterministic metrics ride along in every document, so trajectory
    baselines can floor more than wall-clocks (e.g. the persist
    experiment's epoch-mode cycle-savings fractions). *)
-let metrics () =
-  let snapshot = Report.metrics_snapshot () in
-  ("metrics", Json.Obj (List.map (fun (name, v) -> (name, number v)) snapshot))
+let metrics timings =
+  ( "metrics",
+    Json.Obj
+      (List.concat_map
+         (fun (_, _, _, (out : Experiments.out)) ->
+           List.rev_map (fun (name, v) -> (name, number v)) out.metrics)
+         timings) )
 
 (* The perf-trajectory document (BENCH_<n>.json): suite wall-clock, a
    wall-clock breakdown by execution mode, and per-experiment wall,
@@ -83,10 +88,11 @@ let metrics () =
 let bench_json ~spec ~quick ~jobs ~timings ~total =
   let wall_of m =
     List.fold_left
-      (fun acc (_, mode, wall, _, _) -> if mode = m then acc +. wall else acc)
+      (fun acc (_, mode, wall, _) -> if mode = m then acc +. wall else acc)
       0.0 timings
   in
-  let experiment (name, mode, wall, ops, lat) =
+  let experiment (name, mode, wall, (out : Experiments.out)) =
+    let ops = Experiments.ops out in
     Json.Obj
       ([
          ("name", Json.String name);
@@ -96,9 +102,9 @@ let bench_json ~spec ~quick ~jobs ~timings ~total =
          ( "ops_per_s",
            number (if wall > 0.0 then float_of_int ops /. wall else 0.0) );
        ]
-      @ Option.fold ~none:[]
-          ~some:(fun o -> [ ("latency", Nvml_runtime.Oplat.summary_json o) ])
-          lat)
+      @
+      if Oplat.count out.latency = 0 then []
+      else [ ("latency", Oplat.summary_json out.latency) ])
   in
   Json.Obj
     [
@@ -114,12 +120,12 @@ let bench_json ~spec ~quick ~jobs ~timings ~total =
              (fun m -> (m ^ "_wall_s", seconds (wall_of m)))
              [ "fast"; "cycle"; "other" ]) );
       ("experiments", Json.List (List.map experiment timings));
-      metrics ();
+      metrics timings;
     ]
 
 (* The metrics alone, without wall timings — byte-identical across
    [--jobs N] by construction, which the determinism test relies on. *)
-let metrics_json () = Json.Obj [ ("schema", Json.Int 1); metrics () ]
+let metrics_json timings = Json.Obj [ ("schema", Json.Int 1); metrics timings ]
 
 let switches = [ "--quick"; "--quiet"; "--list" ]
 let value_flags = [ "--jobs"; "--bench"; "--stats"; "--trace"; "--metrics-json" ]
@@ -156,6 +162,21 @@ let () =
       all_experiments;
     exit 0
   end;
+  let chosen =
+    match selected with
+    | [] -> all_experiments
+    | names ->
+        List.mapi
+          (fun i n ->
+            if List.mem n (List.filteri (fun j _ -> j < i) names) then
+              fail "experiment %S named twice" n;
+            match
+              List.find_opt (fun (name, _, _, _) -> name = n) all_experiments
+            with
+            | Some e -> e
+            | None -> fail "unknown experiment %S (try --list)" n)
+          names
+  in
   let jobs =
     match value "--jobs" with
     | Some s -> (
@@ -184,20 +205,7 @@ let () =
     else Workload.paper_default
   in
   let pool = Pool.create ~jobs () in
-  let ctx = { Experiments.spec; quick; verbose; pool } in
-  let chosen =
-    match selected with
-    | [] -> all_experiments
-    | names ->
-        List.map
-          (fun n ->
-            match
-              List.find_opt (fun (name, _, _, _) -> name = n) all_experiments
-            with
-            | Some e -> e
-            | None -> fail "unknown experiment %S (try --list)" n)
-          names
-  in
+  let ctx = Experiments.context ~spec ~quick ~verbose pool in
   Printf.printf
     "nvml benchmark harness — workload: %s%s\n"
     (Fmt.str "%a" Workload.pp_spec spec)
@@ -207,11 +215,8 @@ let () =
     List.map
       (fun (name, mode, _, f) ->
         let te = Unix.gettimeofday () in
-        ignore (Report.ops_take () : int);
-        ignore (Report.lat_take ());
-        f ctx;
-        let wall = Unix.gettimeofday () -. te in
-        (name, mode, wall, Report.ops_take (), Report.lat_take ()))
+        let out = Experiments.run ctx f in
+        (name, mode, Unix.gettimeofday () -. te, out))
       chosen
   in
   let total = Unix.gettimeofday () -. t0 in
@@ -224,13 +229,17 @@ let () =
     close_out oc
   in
   Option.iter (write (bench_json ~spec ~quick ~jobs ~timings ~total)) bench_out;
-  Option.iter (write (metrics_json ())) metrics_out;
+  Option.iter (write (metrics_json timings)) metrics_out;
   (* The stats document from the profile run — produced on demand when
      the [profile] experiment was not part of the selection. *)
   Option.iter
     (fun oc ->
       let p =
-        match !Experiments.last_profile with
+        match
+          List.find_map
+            (fun (_, _, _, (out : Experiments.out)) -> out.profile)
+            timings
+        with
         | Some p -> p
         | None -> Profile.run ~par:(Pool.run pool) ~benchmark:"RB" spec
       in

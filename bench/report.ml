@@ -51,74 +51,6 @@ let with_commas n =
     s;
   Buffer.contents buf
 
-(* Headline metrics, accumulated as experiments print and emitted as
-   machine-readable JSON in the driver's [--metrics-json] and [--bench]
-   documents.  Experiments may record metrics from worker-domain tasks,
-   so the list is mutex-guarded; ordering is whatever order [metric] is
-   called in, which the driver keeps deterministic by recording from
-   result values after the parallel joins. *)
-let metrics : (string * float) list ref = ref []
-let metrics_lock = Mutex.create ()
-
-let metric name value =
-  Mutex.lock metrics_lock;
-  metrics := (name, value) :: !metrics;
-  Mutex.unlock metrics_lock
-
-let metrics_snapshot () =
-  Mutex.lock metrics_lock;
-  let l = List.rev !metrics in
-  Mutex.unlock metrics_lock;
-  l
-
-(* Per-experiment operation tally for the --bench trajectory document
-   (BENCH_<n>.json): experiments add the number of simulated operations
-   they executed (structure ops, crash points, scrub records, ...); the
-   driver takes — reads and resets — the tally around each experiment
-   to derive ops/sec.  Guarded by the same lock because worker-domain
-   result handlers may record it. *)
-let ops_tally = ref 0
-
-let ops_add n =
-  Mutex.lock metrics_lock;
-  ops_tally := !ops_tally + n;
-  Mutex.unlock metrics_lock
-
-let ops_take () =
-  Mutex.lock metrics_lock;
-  let n = !ops_tally in
-  ops_tally := 0;
-  Mutex.unlock metrics_lock;
-  n
-
-(* Per-experiment latency tally, the distribution-level companion of
-   [ops_tally]: experiments feed the merged per-op recorders of the
-   cells whose latency they report; the driver takes the merged
-   recorder around each experiment and embeds its summary in the
-   BENCH_<n>.json entry.  Merging is deterministic (recorder cells add;
-   the slow-op reservoir has a total order), so the embedded summaries
-   are identical across --jobs counts. *)
-module Oplat = Nvml_runtime.Oplat
-
-let lat_tally : Oplat.t option ref = ref None
-
-let lat_add (o : Oplat.t) =
-  Mutex.lock metrics_lock;
-  (match !lat_tally with
-  | Some t -> Oplat.merge_into ~dst:t o
-  | None ->
-      let t = Oplat.create ~cell:"experiment" () in
-      Oplat.merge_into ~dst:t o;
-      lat_tally := Some t);
-  Mutex.unlock metrics_lock
-
-let lat_take () =
-  Mutex.lock metrics_lock;
-  let t = !lat_tally in
-  lat_tally := None;
-  Mutex.unlock metrics_lock;
-  t
-
 (* --- telemetry profile sections ----------------------------------------- *)
 
 (* The "check-site profile" section: per-site dynamic-check counts from

@@ -488,7 +488,7 @@ let kv_cmd =
         let crt = Cluster.rt cluster core in
         let m = M.create crt regions.(core) in
         for i = 0 to records - 1 do
-          M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
+          Workload.load_record ~insert:(M.insert m) i
         done;
         let apply = Workload.apply ~find:(M.find m) ~insert:(M.insert m) in
         Workload.iter_ops spec (fun op ->

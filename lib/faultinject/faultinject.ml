@@ -136,6 +136,9 @@ type outcome = {
 
 type report = {
   workload : string;
+  mode : string;  (* Runtime.mode_name of the swept machines *)
+  torn_seed : int option;  (* spec.seed, when the sweep tore words *)
+  sched_seed : int option;  (* the conc workload's schedule seed *)
   persist : string;  (* Persist.model_name of the swept model *)
   ops : int;
   events : int;
@@ -162,10 +165,11 @@ type ('m, 'o) def = {
   reference : 'm -> (Fi.event -> unit) * (unit -> 'o);
       (* the per-event oracle step (it sees each event before it lands)
          and the replay of the reference pass, which returns the oracle *)
-  tear : 'm -> Random.State.t -> Fi.event -> (unit -> unit) option;
+  tear : ('m -> Random.State.t -> Fi.event -> (unit -> unit) option) option;
       (* at-crash action under [spec.torn]: damage the interrupted word
          and return what must run after the reboot, or [None] when there
-         was nothing to tear *)
+         was nothing to tear; [None] for a workload that never tears *)
+  sched_seed : int option;  (* the seed of its multi-core schedule *)
   verify : 'o -> 'm -> spec -> outcome -> outcome;
       (* post-reboot check: the engine's outcome (point, kind, torn)
          completed with the op, recovery, lost ops and violations *)
@@ -464,7 +468,8 @@ let transactional ~name ~ops ~setup ~reattach =
             run_op m i
           done);
       reference = txn_reference ~ops;
-      tear = txn_tear;
+      tear = Some txn_tear;
+      sched_seed = None;
       verify = txn_verify ~reattach;
     }
 
@@ -543,7 +548,7 @@ let kv_workload ?(structure = "RB") ?(records = 30) ?(ops = 100) ?(seed = 42)
     ~setup:(fun rt ~pool ->
       let m = M.create rt (Runtime.Pool_region pool) in
       for i = 0 to records - 1 do
-        M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
+        Workload.load_record ~insert:(M.insert m) i
       done;
       instance m)
     ~reattach:(fun rt header -> instance (M.attach rt header))
@@ -731,7 +736,8 @@ let conc_workload ?(cores = 2) ?(ops_per_core = 8) ?(sched_seed = 1) () =
           });
       replay = conc_replay;
       reference = conc_reference ~cores;
-      tear = (fun _ _ _ -> None);
+      tear = None;
+      sched_seed = Some sched_seed;
       verify = conc_verify ~cores ~ops_per_core;
     }
 
@@ -862,9 +868,10 @@ let run ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
   let crash_pass point () =
     let rt, m = boot () in
     let at_crash =
-      if spec.torn then
-        d.tear m (Random.State.make [| 0x5eed; spec.seed; point |])
-      else fun _ -> None
+      match d.tear with
+      | Some tear when spec.torn ->
+          tear m (Random.State.make [| 0x5eed; spec.seed; point |])
+      | _ -> fun _ -> None
     in
     let after_reboot = ref None in
     let kind =
@@ -889,6 +896,10 @@ let run ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
   let report =
     {
       workload = d.name;
+      mode = Runtime.mode_name mode;
+      torn_seed =
+        (if spec.torn && Option.is_some d.tear then Some spec.seed else None);
+      sched_seed = d.sched_seed;
       persist = Persist.model_name persist;
       ops = d.ops;
       events;
@@ -929,6 +940,10 @@ let pp_report ppf r =
   Fmt.pf ppf "@[<v>";
   Fmt.pf ppf "workload %s: %d ops, %d events (%a)@," r.workload r.ops r.events
     pp_tally r.tally;
+  Fmt.pf ppf "  mode %s" r.mode;
+  Option.iter (Fmt.pf ppf ", torn-mask seed %d") r.torn_seed;
+  Option.iter (Fmt.pf ppf ", schedule seed %d") r.sched_seed;
+  Fmt.pf ppf "@,";
   if r.persist <> "eager" then
     Fmt.pf ppf "  persistency model %s: contract oracle armed@," r.persist;
   Fmt.pf ppf "  %d crash points: %d recovered clean, %d rolled back"

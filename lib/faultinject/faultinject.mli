@@ -114,6 +114,10 @@ type outcome = {
 
 type report = {
   workload : string;
+  mode : string;  (** {!Runtime.mode_name} of the swept machines *)
+  torn_seed : int option;
+      (** [spec.seed] when [spec.torn] applied (not for conc) *)
+  sched_seed : int option;  (** the conc workload's [sched_seed] *)
   persist : string;  (** {!Persist.model_name} of the swept model *)
   ops : int;
   events : int;
@@ -149,4 +153,5 @@ val run :
 
 val pp_report : report Fmt.t
 (** Multi-line summary inside a vertical box: counts per event kind,
-    recovery totals, and every violation with its crash point. *)
+    the mode and the seeds that ran, recovery totals, and every
+    violation with its crash point. *)

@@ -177,7 +177,7 @@ let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default
       ~ops:(Array.length ops)
       ~load:(fun () ->
         for i = 0 to spec.Workload.record_count - 1 do
-          M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
+          Workload.load_record ~insert i
         done)
       ~run:(fun step ->
         Array.iteri

@@ -393,9 +393,7 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
       ~cell:(Printf.sprintf "serving/%s/shard%02d" M.name shard)
       ~records:(Array.length loads) ~ops:n_ops
       ~load:(fun () ->
-        Array.iter
-          (fun i -> M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i))
-          loads)
+        Array.iter (Workload.load_record ~insert:(M.insert m)) loads)
       ~run:(fun step ->
         (* Stage the request keys, then map the cache, after the load:
            moving either mapping would move frames and cycle counts. *)

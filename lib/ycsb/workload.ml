@@ -131,6 +131,10 @@ let iter_ops spec f =
       | IScan (start, len) -> f (Scan (start, len))
       | IRmw (i, opno) -> f (Rmw (key_of_index i, Int64.of_int opno)))
 
+(* What the load phase puts in a map, record by record, for the same
+   drivers as [apply] below. *)
+let load_record ~insert i = insert ~key:(key_of_index i) ~value:(Int64.of_int i)
+
 (* What an op does to a map: the one statement of the stream's
    semantics that every driver (the Sec. VII-A harness, the crash-sweep
    KV workload, the multi-core kv run, the serving engine's shards)

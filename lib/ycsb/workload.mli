@@ -60,6 +60,10 @@ val iter_ops : spec -> (op -> unit) -> unit
 val iter_idx_ops : spec -> (idx_op -> unit) -> unit
 (** Same stream as {!iter_ops} at the record-index level. *)
 
+val load_record : insert:(key:int64 -> value:int64 -> unit) -> int -> unit
+(** The load phase of every kv run: record [i] is {!key_of_index} [i]
+    with value [i]. *)
+
 val apply :
   find:(int64 -> int64 option) ->
   insert:(key:int64 -> value:int64 -> unit) ->

@@ -185,7 +185,7 @@ let run_kv ~cluster =
       { Workload.paper_default with record_count = 64; operation_count = 400 }
     in
     for i = 0 to 63 do
-      M.insert m ~key:(Workload.key_of_index i) ~value:(Int64.of_int i)
+      Workload.load_record ~insert:(M.insert m) i
     done;
     Workload.iter_ops spec
       (Workload.apply ~find:(M.find m) ~insert:(M.insert m))
