@@ -118,11 +118,18 @@ let results ctx cells =
   in
   if ctx.verbose then
     List.iter
-      (fun c ->
-        Printf.eprintf "  [run] %s / %s%s...\n%!" c.structure
+      (fun (c : cell) ->
+        let counts =
+          if c.spec = ctx.spec then []
+          else
+            [ ("records", string_of_int c.spec.Workload.record_count);
+              ("ops", string_of_int c.spec.Workload.operation_count) ]
+        in
+        Printf.eprintf "  [run] %s / %s%s%s...\n%!" c.structure
           (Runtime.mode_name c.mode)
           (if Persist.is_eager c.persist then ""
-           else " / " ^ Persist.model_name c.persist))
+           else " / " ^ Persist.model_name c.persist)
+          (Config.changes ~extra:counts c.cfg))
       todo;
   let rs =
     Nvml_exec.Pool.map ctx.pool
@@ -866,30 +873,23 @@ let txn_overhead ctx =
     let pool = Runtime.create_pool rt ~name:"t" ~size:(1 lsl 21) in
     let arr = Runtime.alloc rt ~pool ~persistent:true (cells * 8) in
     let txn = Txn.create rt ~pool () in
+    (* The compiler-inserted logging: inside a transaction, every pool
+       store is logged before it lands. *)
+    if transactional then Txn.instrument txn;
     let cpu = Runtime.cpu rt in
     let ol =
-      Oplat.create
-        ~cell:(if transactional then "txn/Hw" else "plain/Hw")
-        ()
+      Oplat.create ~cell:(if transactional then "txn/Hw" else "plain/Hw") ()
     in
     let s0 = Runtime.snapshot rt in
     for r = 1 to rounds do
       Oplat.op_begin ol cpu;
-      if transactional then begin
-        Txn.begin_ txn;
-        for i = 0 to 3 do
-          Txn.store_word txn ~site:s_tx arr
-            ~off:(8 * ((r + i) mod cells))
-            (Int64.of_int r)
-        done;
-        Txn.commit txn
-      end
-      else
-        for i = 0 to 3 do
-          Runtime.store_word rt ~site:s_tx arr
-            ~off:(8 * ((r + i) mod cells))
-            (Int64.of_int r)
-        done;
+      if transactional then Txn.begin_ txn;
+      for i = 0 to 3 do
+        Runtime.store_word rt ~site:s_tx arr
+          ~off:(8 * ((r + i) mod cells))
+          (Int64.of_int r)
+      done;
+      if transactional then Txn.commit txn;
       Oplat.op_end ol cpu (if transactional then "txn" else "stores")
     done;
     ((Cpu.diff_snapshot (Runtime.snapshot rt) s0).Cpu.cycles, ol)

@@ -1,8 +1,10 @@
 (* Crash consistency with persistent transactions (paper, Sec. VI):
    a tiny "bank" whose account balances live in a pool.  A transfer
    must move money atomically — a crash between the debit and the
-   credit would otherwise lose it.  The undo log (itself in the pool)
-   heals the interrupted transfer on recovery.
+   credit would otherwise lose it.  The transfers are plain stores:
+   [Txn.instrument] logs every pool store made inside a transaction,
+   as the paper's compiler-inserted logging would, and the undo log
+   (itself in the pool) heals the interrupted transfer on recovery.
 
      dune exec examples/txn_transfer.exe *)
 
@@ -26,6 +28,7 @@ let () =
   let pool = Runtime.create_pool rt ~name:"bank" ~size:(1 lsl 20) in
   let accounts = Runtime.alloc rt ~pool ~persistent:true 32 in
   let txn = Txn.create rt ~pool () in
+  Txn.instrument txn;
   Runtime.set_root rt ~site ~pool (Txn.header txn);
   for i = 0 to 3 do
     Runtime.store_word rt ~site accounts ~off:(i * 8) 1000L
@@ -34,9 +37,9 @@ let () =
 
   (* A committed transfer. *)
   Txn.run txn (fun () ->
-      Txn.store_word txn ~site accounts ~off:0
+      Runtime.store_word rt ~site accounts ~off:0
         (Int64.sub (balance rt accounts 0) 250L);
-      Txn.store_word txn ~site accounts ~off:8
+      Runtime.store_word rt ~site accounts ~off:8
         (Int64.add (balance rt accounts 1) 250L));
   Fmt.pr "after committed transfer of 250: [%Ld %Ld %Ld %Ld], total %Ld@."
     (balance rt accounts 0) (balance rt accounts 1) (balance rt accounts 2)
@@ -44,7 +47,7 @@ let () =
 
   (* A transfer interrupted by a crash between debit and credit. *)
   Txn.begin_ txn;
-  Txn.store_word txn ~site accounts ~off:16
+  Runtime.store_word rt ~site accounts ~off:16
     (Int64.sub (balance rt accounts 2) 400L);
   Fmt.pr "debited 400 from account 2... and the machine dies.@.";
   Runtime.crash_and_restart rt;

@@ -104,6 +104,41 @@ let default =
     timing = true;
   }
 
+(* Every field as (name, value), in declaration order. *)
+let fields t =
+  let i name v = (name, string_of_int v) and b name v = (name, string_of_bool v) in
+  [
+    i "bp_table_bits" t.bp_table_bits; i "bp_history_bits" t.bp_history_bits;
+    i "branch_miss_penalty" t.branch_miss_penalty;
+    i "l1_tlb_ways" t.l1_tlb_ways; i "l1_tlb_entries" t.l1_tlb_entries;
+    i "l2_tlb_ways" t.l2_tlb_ways; i "l2_tlb_entries" t.l2_tlb_entries;
+    i "l2_tlb_hit_latency" t.l2_tlb_hit_latency;
+    i "page_walk_latency" t.page_walk_latency; i "line_shift" t.line_shift;
+    i "l1_ways" t.l1_ways; i "l1_sets" t.l1_sets; i "l2_ways" t.l2_ways;
+    i "l2_kib" t.l2_kib; i "l2_latency" t.l2_latency; i "l3_ways" t.l3_ways;
+    i "l3_kib" t.l3_kib; i "l3_latency" t.l3_latency;
+    i "dram_latency" t.dram_latency; i "nvm_latency" t.nvm_latency;
+    i "polb_entries" t.polb_entries; i "polb_latency" t.polb_latency;
+    i "pow_latency" t.pow_latency; i "valb_entries" t.valb_entries;
+    i "valb_latency" t.valb_latency; i "vatb_node_latency" t.vatb_node_latency;
+    i "storep_fsm_entries" t.storep_fsm_entries;
+    b "keep_relative_opt" t.keep_relative_opt;
+    i "sw_check_instrs" t.sw_check_instrs;
+    i "sw_check_branches" t.sw_check_branches;
+    i "sw_ra2va_instrs" t.sw_ra2va_instrs; i "sw_ra2va_loads" t.sw_ra2va_loads;
+    i "sw_va2ra_instrs" t.sw_va2ra_instrs; i "sw_va2ra_loads" t.sw_va2ra_loads;
+    i "flush_latency" t.flush_latency; i "fence_latency" t.fence_latency;
+    b "timing" t.timing;
+  ]
+
+(* Field names are unique, so a field is unchanged exactly when its
+   (name, value) pair is one of [default]'s. *)
+let changes ?(extra = []) t =
+  let defaults = fields default in
+  List.filter (fun f -> not (List.mem f defaults)) (fields t) @ extra
+  |> List.map (fun (name, v) -> " " ^ name ^ "=" ^ v)
+  |> String.concat ""
+
 let rows t =
   [
     ("ISA", "64-bit (simulated), Gainestown-class in-order interval model");

@@ -58,5 +58,11 @@ type t = {
 val default : t
 (** The Table IV configuration. *)
 
+val changes : ?extra:(string * string) list -> t -> string
+(** [" name=value"] for each field that differs from {!default}, in
+    declaration order, then for each pair of [extra] (say, a workload's
+    record and op counts): what tells two simulation cells apart in a
+    log or ledger line.  [""] for the default machine. *)
+
 val rows : t -> (string * string) list
 (** Human-readable parameter dump (the Table IV reproduction). *)

@@ -37,9 +37,10 @@
    Torn writes: with [torn] set, the transactional workloads' at-crash
    action additionally replaces the word interrupted at the crash point
    by a seeded byte-granular mix of its old and new value
-   ([Fi.torn_word]) — unless the word belongs to the undo log itself,
-   which relies on the 8-byte-atomicity guarantee real NVM provides for
-   aligned word stores (the same assumption PMDK's undo log makes).
+   ([Fi.torn_word]) — unless the undo log is making the store itself
+   ([Txn.logging]): the log relies on the 8-byte-atomicity guarantee
+   real NVM provides for aligned word stores (the same assumption
+   PMDK's undo log makes).
    Every torn data word was undo-logged before being stored, so recovery
    must heal it; the checker verifies that.  Under a relaxed persistency
    model the interesting tear moves to the [Flush_line] µ-events: a
@@ -302,56 +303,27 @@ let txn_reference ~ops m =
   in
   (step, record)
 
-(* The physical (frame, first word, last word) spans occupied by the
-   undo log.  Pool frames are stable across crashes, so spans computed
-   at boot remain valid at the crash point even though the virtual base
-   changes on re-open. *)
-let log_spans m =
-  let va = Xlate.ra2va (Runtime.xlate m.rt) (Txn.header m.txn) in
-  let bytes = Txn.log_bytes m.txn in
-  let spans = ref [] in
-  let off = ref 0 in
-  while !off < bytes do
-    let pa =
-      Mem.translate_pa_exn (Runtime.mem m.rt) (Int64.add va (Int64.of_int !off))
-    in
-    let frame = pa lsr Layout.page_shift in
-    let w0 = (pa land (Layout.page_size - 1)) lsr 3 in
-    let len =
-      min (Layout.page_size - (pa land (Layout.page_size - 1))) (bytes - !off)
-    in
-    spans := (frame, w0, w0 + ((len - 1) lsr 3)) :: !spans;
-    off := !off + len
-  done;
-  !spans
-
-let in_spans spans ~frame ~word_index =
-  List.exists
-    (fun (f, w0, w1) -> f = frame && word_index >= w0 && word_index <= w1)
-    spans
-
-(* The at-crash action: tear the interrupted data word.  A tear at a
-   [Flush_line] targets a still-buffered word: the flush was interrupted
-   mid-line, so the media keeps a byte mix of the word's durable and
-   buffered values.  That poke must wait until after [Persist.crash] has
-   reverted the buffer (an immediate poke would be overwritten by the
-   revert), so it is returned to run after the reboot. *)
+(* The at-crash action: tear the interrupted data word.  A [Pm_store]
+   the undo log makes itself ([Txn.logging]) stays whole: the log relies
+   on the 8-byte atomicity of aligned NVM word stores.  A tear at a
+   [Flush_line] targets a still-buffered word — never a log word, since
+   the log writes through ([Persist.with_eager]) — because the flush was
+   interrupted mid-line, so the media keeps a byte mix of the word's
+   durable and buffered values.  That poke must wait until after
+   [Persist.crash] has reverted the buffer (an immediate poke would be
+   overwritten by the revert), so it is returned to run after the
+   reboot. *)
 let txn_tear m rng =
-  let spans = log_spans m in
   let phys = Mem.phys (Runtime.mem m.rt) in
   function
   | Fi.Pm_store { frame; word_index; old_value; new_value }
-    when not (in_spans spans ~frame ~word_index) ->
+    when not (Txn.logging m.txn) ->
       let keep_old_bytes = 1 + Random.State.int rng 254 in
       Physmem.poke phys ~frame ~word_index
         (Fi.torn_word ~keep_old_bytes ~old_value ~new_value);
       Some ignore
   | Fi.Flush_line { frame; line } -> (
-      match
-        List.filter
-          (fun (w, _) -> not (in_spans spans ~frame ~word_index:w))
-          (Persist.buffered_in_line (Runtime.persist m.rt) ~frame ~line)
-      with
+      match Persist.buffered_in_line (Runtime.persist m.rt) ~frame ~line with
       | [] -> None
       | words ->
           let w, durable =

@@ -4,11 +4,11 @@
    plus a bounded deterministic reservoir of the slowest ops with their
    marker spans for Chrome-trace dumps.
 
-   The probe state is a handful of mutable ints reused across ops, and
-   the latency recorder's cells are preallocated, so the steady-state
-   bracketing cost per op is two [Cpu.attribution] reads (each one
-   small record) and integer arithmetic — nothing the timing model can
-   observe. *)
+   The probe state is the op's start cycle and its start attribution
+   record, and the latency recorder's cells are preallocated, so the
+   steady-state bracketing cost per op is two [Cpu.attribution] reads
+   (each one small record) and integer arithmetic — nothing the timing
+   model can observe. *)
 
 module Cpu = Nvml_arch.Cpu
 module Telemetry = Nvml_telemetry.Telemetry
@@ -62,16 +62,10 @@ type t = {
   lat : Latency.t;
   mutable totals : components;
   mutable next_seq : int;
-  (* probe state, reused across ops *)
+  (* probe state: the open op's start *)
   mutable in_op : bool;
   mutable p_cycles : int;
-  mutable p_base : int;
-  mutable p_branch : int;
-  mutable p_tlb : int;
-  mutable p_cache : int;
-  mutable p_mem : int;
-  mutable p_xlate : int;
-  mutable p_storep : int;
+  mutable p_attr : Cpu.attribution;
   mark_names : string array;
   mark_cycles : int array;
   mutable mark_len : int;
@@ -92,13 +86,9 @@ let create ~cell () =
     next_seq = 0;
     in_op = false;
     p_cycles = 0;
-    p_base = 0;
-    p_branch = 0;
-    p_tlb = 0;
-    p_cache = 0;
-    p_mem = 0;
-    p_xlate = 0;
-    p_storep = 0;
+    p_attr =
+      { Cpu.base = 0; branch = 0; tlb = 0; cache = 0; mem = 0; xlate = 0;
+        storep = 0 };
     mark_names = Array.make max_marks "";
     mark_cycles = Array.make max_marks 0;
     mark_len = 0;
@@ -106,16 +96,9 @@ let create ~cell () =
   }
 
 let op_begin t cpu =
-  let a = Cpu.attribution cpu in
   t.in_op <- true;
   t.p_cycles <- Cpu.cycles cpu;
-  t.p_base <- a.Cpu.base;
-  t.p_branch <- a.Cpu.branch;
-  t.p_tlb <- a.Cpu.tlb;
-  t.p_cache <- a.Cpu.cache;
-  t.p_mem <- a.Cpu.mem;
-  t.p_xlate <- a.Cpu.xlate;
-  t.p_storep <- a.Cpu.storep;
+  t.p_attr <- Cpu.attribution cpu;
   t.mark_len <- 0
 
 let mark t cpu name =
@@ -155,16 +138,16 @@ let spans_of_marks t op cycles =
 
 let op_end t cpu op =
   if t.in_op then begin
-    let a = Cpu.attribution cpu in
+    let a = Cpu.attribution cpu and p = t.p_attr in
     let cycles = Cpu.cycles cpu - t.p_cycles in
     let comps =
       {
-        base = a.Cpu.base - t.p_base + (a.Cpu.tlb - t.p_tlb)
-               + (a.Cpu.cache - t.p_cache);
-        check = a.Cpu.branch - t.p_branch;
-        translation = a.Cpu.xlate - t.p_xlate;
-        stall = a.Cpu.storep - t.p_storep;
-        media = a.Cpu.mem - t.p_mem;
+        base = a.Cpu.base - p.Cpu.base + (a.Cpu.tlb - p.Cpu.tlb)
+               + (a.Cpu.cache - p.Cpu.cache);
+        check = a.Cpu.branch - p.Cpu.branch;
+        translation = a.Cpu.xlate - p.Cpu.xlate;
+        stall = a.Cpu.storep - p.Cpu.storep;
+        media = a.Cpu.mem - p.Cpu.mem;
       }
     in
     let seq = t.next_seq in

@@ -2,8 +2,9 @@
    the paper's Section VI leaves to the application ("if the call is
    enclosed in a persistent transaction... the compiler inserts the
    necessary runtime logging").  This module is that runtime: an undo
-   log living *inside* the pool, so it survives crashes, plus logged
-   store operations and post-crash recovery.
+   log living *inside* the pool, so it survives crashes, the store
+   interceptor that logs every pool store of an open transaction
+   ([instrument]), and post-crash recovery.
 
    Log layout (word offsets from the log object):
      0  state      (0 = idle, 1 = active)
@@ -42,9 +43,9 @@ type t = {
   pool : int;
   log : Ptr.t;
   capacity : int;
-  (* Reentrancy guard for instrumented runtimes: the log's own stores
-     (appends, rollback restores, state/count updates) must not be
-     re-logged by the store interceptor. *)
+  (* Reentrancy guard: the log's own stores (appends, rollback
+     restores, state/count updates) must not be re-logged by the store
+     interceptor.  Exported as [logging]. *)
   mutable busy : bool;
   (* Volatile "an operation is open" flag.  Under the eager model it
      mirrors the persistent state word; under a relaxed model the log
@@ -111,7 +112,7 @@ let create rt ~pool ?(capacity = default_capacity) () =
   t
 
 let header t = t.log
-let log_bytes t = o_entries + (t.capacity * 16)
+let logging t = t.busy
 
 (* Re-find a log after restart from its (relative) handle. *)
 let attach rt log =
@@ -167,18 +168,6 @@ let log_cell t (cell : Ptr.t) =
       Runtime.store_word t.rt ~site t.log ~off:entry_off rel_cell;
       Runtime.store_word t.rt ~site t.log ~off:(entry_off + 8) old;
       Runtime.store_word t.rt ~site t.log ~off:o_count (Int64.of_int (n + 1)))
-
-(* Transactional stores: log, then write through the normal runtime
-   paths (so pointer-format semantics and timing apply unchanged). *)
-let store_word t ~site:s (p : Ptr.t) ~off v =
-  if not (is_active t) then raise Not_active;
-  log_cell t (Ptr.add p (Int64.of_int off));
-  Runtime.store_word t.rt ~site:s p ~off v
-
-let store_ptr t ~site:s (p : Ptr.t) ~off v =
-  if not (is_active t) then raise Not_active;
-  log_cell t (Ptr.add p (Int64.of_int off));
-  Runtime.store_ptr t.rt ~site:s p ~off v
 
 (* Replay the undo log backwards, restoring the exact raw words.
    Under a relaxed model the log spans the whole open epoch, so this
@@ -245,7 +234,7 @@ let recover t =
 (* --- user-transparent instrumentation ------------------------------------
 
    The paper's Section VI: legacy library code is not rewritten against
-   [store_word]/[store_ptr] above — instead "the compiler inserts the
+   a transactional store API — instead "the compiler inserts the
    necessary runtime logging" around ordinary stores inside a persistent
    transaction.  [instrument] models exactly that: it points the
    runtime's store interceptor and the pool manager's metadata hook at

@@ -1,10 +1,13 @@
 (** Persistent undo-log transactions — the crash-consistency layer the
     paper's Section VI assumes the application provides.
 
-    The undo log lives inside the pool, so it survives crashes; every
-    tracked store first appends (cell, previous value) to the log, and
-    a crash that interrupts an active transaction is healed by
-    {!recover}, which replays the log backwards.
+    The undo log lives inside the pool, so it survives crashes.  There
+    is no transactional store call: after {!instrument}, every ordinary
+    [Runtime.store_word]/[store_ptr] to pool memory inside a
+    transaction first appends (cell, previous value) to the log, as the
+    paper's compiler-inserted logging would.  A crash that interrupts
+    an active transaction is healed by {!recover}, which replays the
+    log backwards.
 
     Under a relaxed persistency model ([Runtime.persist_relaxed]) the
     log's own stores are written through to media immediately
@@ -35,24 +38,20 @@ val header : t -> Ptr.t
 
 val attach : Runtime.t -> Ptr.t -> t
 
-val log_bytes : t -> int
-(** Total size of the log object (header plus entry slots) — the
-    pool-offset extent a fault injector must treat as covered by the
-    log protocol's 8-byte-atomicity assumption. *)
-
 val is_active : t -> bool
 val count : t -> int
 (** Entries currently in the log. *)
 
+val logging : t -> bool
+(** True while the log makes its own stores: its header and entries
+    ({!begin_}, each logged store's append, {!commit}, an epoch
+    drain's truncation) and a rollback's restores ({!abort},
+    {!recover}).  Every other pool store is a data store.  The log's
+    stores rely on the 8-byte atomicity of aligned NVM word stores, so
+    a torn-write injector must leave them whole. *)
+
 val begin_ : t -> unit
 (** @raise Already_active on nested transactions. *)
-
-val store_word : t -> site:Site.t -> Ptr.t -> off:int -> int64 -> unit
-(** Logged store; the target must be pool memory.
-    @raise Not_active outside a transaction.
-    @raise Log_full past the log capacity. *)
-
-val store_ptr : t -> site:Site.t -> Ptr.t -> off:int -> Ptr.t -> unit
 
 val commit : t -> unit
 val abort : t -> unit
@@ -72,14 +71,18 @@ val recover : t -> recovery
 
 val instrument : t -> unit
 (** Register this transaction as the runtime's store logger — the
-    paper's "compiler inserts the necessary runtime logging": while a
-    transaction is active, every store targeting pool memory through
-    [Runtime.store_word]/[store_ptr] {e and} every allocator-metadata
-    write (pmalloc/pfree freelist updates) is undo-logged before it
-    executes, so unmodified legacy structure code becomes
-    failure-atomic between {!begin_} and {!commit}.  The hooks are
-    volatile: a [Runtime.crash_and_restart] clears them, and recovery
-    code re-registers on a freshly {!attach}ed log if desired. *)
+    paper's "compiler inserts the necessary runtime logging", and the
+    only way a store is logged: while a transaction is active, every
+    store targeting pool memory through [Runtime.store_word]/[store_ptr]
+    {e and} every allocator-metadata write (pmalloc/pfree freelist
+    updates) is undo-logged before it executes, so unmodified legacy
+    structure code becomes failure-atomic between {!begin_} and
+    {!commit}.  A store outside a transaction, or to DRAM, is not
+    logged.  A logged store narrates, in order, the [is_active] load,
+    the log append and the store itself.  The hooks are volatile: a
+    [Runtime.crash_and_restart] clears them, and recovery code
+    re-registers on a freshly {!attach}ed log if desired.
+    @raise Log_full from the store that overflows the log. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** Run the function transactionally: commit on return, roll back and

@@ -1,7 +1,8 @@
 (* The combined simulated memory: physical frames plus one process
-   address space, with word- and byte-granular accessors keyed by virtual
-   address.  This is the functional backing store; timing is modeled
-   separately in [nvml_arch] from the event stream the runtime emits. *)
+   address space, with word accessors keyed by virtual or packed
+   physical address.  This is the functional backing store; timing is
+   modeled separately in [nvml_arch] from the event stream the runtime
+   emits. *)
 
 type t = { phys : Physmem.t; vspace : Vspace.t }
 
@@ -70,59 +71,6 @@ let read_word t va =
 let write_word t va value =
   check_word_aligned va;
   Physmem.write_pa t.phys (translate_pa_exn t va) value
-
-let read_byte t va =
-  let word = read_word t (Int64.logand va (Int64.lognot 7L)) in
-  let shift = 8 * Int64.to_int (Int64.logand va 7L) in
-  Int64.to_int (Int64.logand (Int64.shift_right_logical word shift) 0xFFL)
-
-let write_byte t va byte =
-  let aligned = Int64.logand va (Int64.lognot 7L) in
-  let shift = 8 * Int64.to_int (Int64.logand va 7L) in
-  let mask = Int64.shift_left 0xFFL shift in
-  let old = read_word t aligned in
-  let cleared = Int64.logand old (Int64.lognot mask) in
-  let inserted = Int64.shift_left (Int64.of_int (byte land 0xFF)) shift in
-  write_word t aligned (Int64.logor cleared inserted)
-
-let read_f64 t va = Int64.float_of_bits (read_word t va)
-let write_f64 t va x = write_word t va (Int64.bits_of_float x)
-
-(* Fixed-width string helpers: store up to [len] bytes starting at [va].
-   Used by the key-value harness for 8-byte keys/values.  Aligned 8-byte
-   runs move whole words (the simulated word layout is little-endian, so
-   byte i of an aligned word sits at bits 8*i); the ragged edges keep
-   byte-granular read-modify-write semantics. *)
-let write_string t va s =
-  let n = String.length s in
-  let lead = min n ((8 - Int64.to_int (Int64.logand va 7L)) land 7) in
-  for i = 0 to lead - 1 do
-    write_byte t (Int64.add va (Int64.of_int i)) (Char.code s.[i])
-  done;
-  let i = ref lead in
-  while n - !i >= 8 do
-    write_word t (Int64.add va (Int64.of_int !i)) (String.get_int64_le s !i);
-    i := !i + 8
-  done;
-  for i = !i to n - 1 do
-    write_byte t (Int64.add va (Int64.of_int i)) (Char.code s.[i])
-  done
-
-let read_string t va len =
-  let lead = min len ((8 - Int64.to_int (Int64.logand va 7L)) land 7) in
-  let b = Bytes.create len in
-  for i = 0 to lead - 1 do
-    Bytes.set b i (Char.chr (read_byte t (Int64.add va (Int64.of_int i))))
-  done;
-  let i = ref lead in
-  while len - !i >= 8 do
-    Bytes.set_int64_le b !i (read_word t (Int64.add va (Int64.of_int !i)));
-    i := !i + 8
-  done;
-  for i = !i to len - 1 do
-    Bytes.set b i (Char.chr (read_byte t (Int64.add va (Int64.of_int i))))
-  done;
-  Bytes.unsafe_to_string b
 
 let crash t =
   Physmem.crash t.phys;

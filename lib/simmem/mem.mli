@@ -1,7 +1,7 @@
 (** The combined simulated memory: physical frames plus one process
-    address space, with word-, byte-, float- and string-granular
-    accessors keyed by virtual address.  This is the functional backing
-    store; timing is modeled separately in [nvml_arch]. *)
+    address space, with word accessors keyed by virtual or packed
+    physical address.  This is the functional backing store; timing is
+    modeled separately in [nvml_arch]. *)
 
 type t
 
@@ -39,12 +39,6 @@ val read_word : t -> int64 -> int64
 (** @raise Unaligned on a non-8-byte-aligned address. *)
 
 val write_word : t -> int64 -> int64 -> unit
-val read_byte : t -> int64 -> int
-val write_byte : t -> int64 -> int -> unit
-val read_f64 : t -> int64 -> float
-val write_f64 : t -> int64 -> float -> unit
-val write_string : t -> int64 -> string -> unit
-val read_string : t -> int64 -> int -> string
 
 val crash : t -> unit
 (** Simulated power failure: erases every DRAM frame's contents

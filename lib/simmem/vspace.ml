@@ -128,23 +128,12 @@ let frame_of_va t va =
   end
 
 (* Packed translation: the physical address as an unboxed int
-   ([frame * page_size + offset]), or -1 on fault.  The hot path —
-   avoids the option/tuple allocations of [translate]. *)
+   ([frame * page_size + offset]), or -1 on fault.  Allocation-free:
+   it is on every simulated access. *)
 let translate_pa t va =
   let frame = frame_of_va t va in
   if frame < 0 then -1
   else (frame lsl Layout.page_shift) lor Layout.page_offset_of_va va
-
-let translate t va =
-  let frame = frame_of_va t va in
-  if frame < 0 then None else Some (frame, Layout.page_offset_of_va va)
-
-let translate_exn t va =
-  let frame = frame_of_va t va in
-  if frame < 0 then raise (Fault va)
-  else (frame, Layout.page_offset_of_va va)
-
-let is_mapped t va = translate t va <> None
 
 let tc_stats t = t.tc_stats
 

@@ -24,19 +24,11 @@ val map_seg : t -> vpage:int -> pages:int -> first_frame:int -> unit
 
 val unmap_range : t -> base:int64 -> pages:int -> unit
 
-val translate : t -> int64 -> (int * int) option
-(** [translate t va] is [(frame, page offset)] or [None]. *)
-
 val translate_pa : t -> int64 -> int
 (** Packed allocation-free translation: the physical address
     [frame * page_size + offset] as an unboxed int, or -1 on fault.
     Served from a direct-mapped software translation cache in front of
     the segment list. *)
-
-val translate_exn : t -> int64 -> int * int
-(** @raise Fault when unmapped. *)
-
-val is_mapped : t -> int64 -> bool
 
 val tc_stats : t -> Nvml_telemetry.Stats.Hit_miss.t
 (** Hit/miss record of the software translation cache in front of the

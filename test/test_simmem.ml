@@ -1,12 +1,11 @@
 (* Tests for the simulated memory substrate: layout constants, physical
-   frames, the page table, word/byte accessors, and crash semantics. *)
+   frames, the page table, word accessors, and crash semantics. *)
 
 module Layout = Nvml_simmem.Layout
 module Physmem = Nvml_simmem.Physmem
 module Vspace = Nvml_simmem.Vspace
 module Mem = Nvml_simmem.Mem
 
-let check = Alcotest.check
 let check_i64 = Alcotest.(check int64)
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -131,12 +130,10 @@ let test_vspace_reserve_halves () =
 let test_vspace_map_translate () =
   let vs = Vspace.create () in
   Vspace.map_seg vs ~vpage:5 ~pages:1 ~first_frame:99;
-  (match Vspace.translate vs 0x5123L with
-  | Some (frame, off) ->
-      check_int "frame" 99 frame;
-      check_int "offset" 0x123 off
-  | None -> Alcotest.fail "expected mapping");
-  check_bool "unmapped faults" true (Vspace.translate vs 0x9000L = None)
+  let pa = Vspace.translate_pa vs 0x5123L in
+  check_int "frame" 99 (pa lsr Layout.page_shift);
+  check_int "offset" 0x123 (pa land (Layout.page_size - 1));
+  check_int "unmapped faults" (-1) (Vspace.translate_pa vs 0x9000L)
 
 let test_vspace_translate_pa () =
   let vs = Vspace.create () in
@@ -150,16 +147,18 @@ let test_vspace_translate_pa () =
   check_int "stale cache entry invalidated" (-1) (Vspace.translate_pa vs 0x5123L)
 
 let test_vspace_fault () =
-  let vs = Vspace.create () in
+  let m = Mem.create () in
+  check_int "unmapped packs to -1" (-1)
+    (Vspace.translate_pa (Mem.vspace m) 0x4000L);
   Alcotest.check_raises "fault on unmapped" (Vspace.Fault 0x4000L) (fun () ->
-      ignore (Vspace.translate_exn vs 0x4000L))
+      ignore (Mem.translate_pa_exn m 0x4000L))
 
 let test_vspace_unmap () =
   let vs = Vspace.create () in
   Vspace.map_seg vs ~vpage:0x10 ~pages:3 ~first_frame:1;
-  check_bool "mapped" true (Vspace.is_mapped vs 0x12000L);
+  check_bool "mapped" true (Vspace.translate_pa vs 0x12000L >= 0);
   Vspace.unmap_range vs ~base:0x10000L ~pages:3;
-  check_bool "unmapped" false (Vspace.is_mapped vs 0x12000L)
+  check_int "unmapped" (-1) (Vspace.translate_pa vs 0x12000L)
 
 (* --- combined memory --------------------------------------------------- *)
 
@@ -178,86 +177,16 @@ let test_mem_unaligned () =
     (Mem.Unaligned (Int64.add base 3L)) (fun () ->
       ignore (Mem.read_word m (Int64.add base 3L)))
 
-let test_mem_bytes () =
-  let m = Mem.create () in
-  let base = Mem.map_fresh m Layout.Dram 4096 in
-  Mem.write_byte m (Int64.add base 3L) 0xAB;
-  check_int "byte back" 0xAB (Mem.read_byte m (Int64.add base 3L));
-  check_int "neighbour untouched" 0 (Mem.read_byte m (Int64.add base 2L));
-  (* byte 3 of the word = bits 24..31 *)
-  check_i64 "word view" (Int64.shift_left 0xABL 24) (Mem.read_word m base)
-
-let test_mem_strings () =
-  let m = Mem.create () in
-  let base = Mem.map_fresh m Layout.Dram 4096 in
-  Mem.write_string m (Int64.add base 16L) "hello!!!";
-  check Alcotest.string "string back" "hello!!!"
-    (Mem.read_string m (Int64.add base 16L) 8)
-
-let test_mem_strings_ragged () =
-  (* The whole-word fast path must keep byte semantics at every
-     alignment and length, including spans that cross the word-aligned
-     head/tail boundary. *)
-  let m = Mem.create () in
-  let base = Mem.map_fresh m Layout.Dram 8192 in
-  let payload = "abcdefghijklmnopqrstuvwxyz0123456789" in
-  for off = 0 to 7 do
-    for len = 0 to 19 do
-      let s = String.sub payload 0 len in
-      let va = Int64.add base (Int64.of_int ((off * 256) + off)) in
-      Mem.write_string m va s;
-      check Alcotest.string
-        (Printf.sprintf "roundtrip off=%d len=%d" off len)
-        s (Mem.read_string m va len);
-      (* The same bytes must be visible through the byte accessors. *)
-      String.iteri
-        (fun i c ->
-          check_int
-            (Printf.sprintf "byte view off=%d i=%d" off i)
-            (Char.code c)
-            (Mem.read_byte m (Int64.add va (Int64.of_int i))))
-        s
-    done
-  done
-
-let test_mem_string_neighbours_untouched () =
-  let m = Mem.create () in
-  let base = Mem.map_fresh m Layout.Dram 4096 in
-  (* Fill a region with a sentinel pattern byte-wise, overwrite the
-     middle with the fast path, and check the fringes survived. *)
-  for i = 0 to 63 do
-    Mem.write_byte m (Int64.add base (Int64.of_int i)) 0xEE
-  done;
-  let va = Int64.add base 13L in
-  Mem.write_string m va "0123456789ABCDEF!";
-  for i = 0 to 12 do
-    check_int (Printf.sprintf "prefix byte %d" i) 0xEE
-      (Mem.read_byte m (Int64.add base (Int64.of_int i)))
-  done;
-  for i = 30 to 63 do
-    check_int (Printf.sprintf "suffix byte %d" i) 0xEE
-      (Mem.read_byte m (Int64.add base (Int64.of_int i)))
-  done;
-  check Alcotest.string "middle" "0123456789ABCDEF!" (Mem.read_string m va 17)
-
-let test_mem_floats () =
-  let m = Mem.create () in
-  let base = Mem.map_fresh m Layout.Nvm 4096 in
-  Mem.write_f64 m base 3.25;
-  check (Alcotest.float 0.0) "float back" 3.25 (Mem.read_f64 m base)
-
 let test_mem_crash_drops_dram_keeps_nvm () =
   let m = Mem.create () in
   let d = Mem.map_fresh m Layout.Dram 4096 in
   let n = Mem.map_fresh m Layout.Nvm 4096 in
   Mem.write_word m d 7L;
   Mem.write_word m n 9L;
-  let n_frames =
-    List.init 1 (fun i -> fst (Vspace.translate_exn (Mem.vspace m) (Int64.add n (Int64.of_int (i * 4096)))))
-  in
+  let n_frames = [ Mem.translate_pa_exn m n lsr Layout.page_shift ] in
   Mem.crash m;
-  check_bool "dram mapping gone" false (Vspace.is_mapped (Mem.vspace m) d);
-  check_bool "nvm mapping gone too" false (Vspace.is_mapped (Mem.vspace m) n);
+  check_int "dram mapping gone" (-1) (Vspace.translate_pa (Mem.vspace m) d);
+  check_int "nvm mapping gone too" (-1) (Vspace.translate_pa (Mem.vspace m) n);
   (* Remap the surviving NVM frames at a fresh base: data intact. *)
   let n' = Mem.map_existing m Layout.Nvm n_frames in
   check_i64 "nvm data survives remap" 9L (Mem.read_word m n')
@@ -273,32 +202,6 @@ let prop_word_roundtrip =
       let va = Int64.add base (Int64.of_int (word_idx * 8)) in
       Mem.write_word m va value;
       Int64.equal (Mem.read_word m va) value)
-
-let prop_byte_roundtrip =
-  QCheck.Test.make ~name:"mem byte write/read roundtrip" ~count:200
-    QCheck.(pair (int_bound 4095) (int_bound 255))
-    (fun (off, byte) ->
-      let m = Mem.create () in
-      let base = Mem.map_fresh m Layout.Dram 4096 in
-      let va = Int64.add base (Int64.of_int off) in
-      Mem.write_byte m va byte;
-      Mem.read_byte m va = byte)
-
-let prop_bytes_independent =
-  QCheck.Test.make ~name:"byte writes do not disturb neighbours" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 50) (pair (int_bound 255) (int_bound 255)))
-    (fun writes ->
-      let m = Mem.create () in
-      let base = Mem.map_fresh m Layout.Dram 4096 in
-      let shadow = Array.make 256 0 in
-      List.iter
-        (fun (off, v) ->
-          shadow.(off) <- v;
-          Mem.write_byte m (Int64.add base (Int64.of_int off)) v)
-        writes;
-      Array.for_all Fun.id
-        (Array.init 256 (fun i ->
-             Mem.read_byte m (Int64.add base (Int64.of_int i)) = shadow.(i))))
 
 let prop_region_split =
   QCheck.Test.make ~name:"bit 47 splits the space exactly in half" ~count:500
@@ -418,9 +321,46 @@ let prop_frame_table_matches_model =
               true)
         ops)
 
+(* [translate_pa] against a page -> frame map, over random maps and
+   unmaps of 1-3 pages.  The pages alias in groups of eight on the
+   translation cache's index bits, so the direct-mapped cache in front
+   of the segment list is refilled and invalidated all the time; it must
+   never serve a stale or a missing page. *)
+let prop_translate_matches_page_map =
+  QCheck.Test.make ~name:"translate_pa matches a page map" ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 80)
+        (triple (int_bound 2) (int_bound 63) (int_range 1 3)))
+    (fun ops ->
+      let vs = Vspace.create () in
+      let model = Hashtbl.create 64 and next_frame = ref 1 in
+      let agrees p =
+        Vspace.translate_pa vs (Layout.va_of_page p)
+        = (match Hashtbl.find_opt model p with
+          | Some f -> f lsl Layout.page_shift
+          | None -> -1)
+      in
+      List.for_all
+        (fun (kind, slot, pages) ->
+          let first = 16 + (slot land 7) + (4096 * (slot lsr 3)) in
+          let range = List.init pages (( + ) first) in
+          (match kind with
+          | 0 when not (List.exists (Hashtbl.mem model) range) ->
+              Vspace.map_seg vs ~vpage:first ~pages ~first_frame:!next_frame;
+              List.iteri (fun i p -> Hashtbl.replace model p (!next_frame + i)) range;
+              next_frame := !next_frame + pages
+          | 1 ->
+              Vspace.unmap_range vs ~base:(Layout.va_of_page first) ~pages;
+              List.iter (Hashtbl.remove model) range
+          | _ -> ());
+          List.for_all agrees range)
+        ops
+      && Hashtbl.fold (fun p _ ok -> ok && agrees p) model true)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
-    [ prop_word_roundtrip; prop_byte_roundtrip; prop_bytes_independent;
-      prop_region_split; prop_frame_table_matches_model ]
+    [ prop_word_roundtrip; prop_frame_table_matches_model;
+      prop_translate_matches_page_map; prop_region_split ]
 
 let () =
   Alcotest.run "simmem"
@@ -453,12 +393,6 @@ let () =
         [
           Alcotest.test_case "words" `Quick test_mem_words;
           Alcotest.test_case "unaligned" `Quick test_mem_unaligned;
-          Alcotest.test_case "bytes" `Quick test_mem_bytes;
-          Alcotest.test_case "strings" `Quick test_mem_strings;
-          Alcotest.test_case "ragged strings" `Quick test_mem_strings_ragged;
-          Alcotest.test_case "string neighbours" `Quick
-            test_mem_string_neighbours_untouched;
-          Alcotest.test_case "floats" `Quick test_mem_floats;
           Alcotest.test_case "crash" `Quick test_mem_crash_drops_dram_keeps_nvm;
         ] );
       ("properties", qsuite);
