@@ -892,24 +892,27 @@ let txn_overhead ctx =
       if transactional then Txn.commit txn;
       Oplat.op_end ol cpu (if transactional then "txn" else "stores")
     done;
-    ((Cpu.diff_snapshot (Runtime.snapshot rt) s0).Cpu.cycles, ol)
+    (Cpu.diff_snapshot (Runtime.snapshot rt) s0, ol)
   in
   let plain, ol_plain = run ~transactional:false in
   let tx, ol_tx = run ~transactional:true in
   ops_add ctx (2 * rounds);
   latency_metrics ctx "txn.plain" [ ol_plain ];
   latency_metrics ctx "txn.txn" [ ol_tx ];
+  let row name (s : Cpu.snapshot) =
+    [ name; with_commas s.Cpu.cycles; with_commas s.Cpu.loads;
+      with_commas s.Cpu.stores;
+      f3 (float_of_int s.Cpu.cycles /. float_of_int plain.Cpu.cycles) ]
+  in
   table
-    ~header:[ "version"; "cycles"; "vs plain" ]
-    [
-      [ "plain stores"; with_commas plain; "1.000" ];
-      [ "transactional stores"; with_commas tx;
-        f3 (float_of_int tx /. float_of_int plain) ];
-    ];
+    ~header:[ "version"; "cycles"; "loads"; "stores"; "vs plain" ]
+    [ row "plain stores" plain; row "transactional stores" tx ];
   Printf.printf
-    "Each transactional store adds one log append (read old value + two\n\
-     stores into the in-pool undo log) — the cost a compiler would insert\n\
-     around library calls enclosed in persistent transactions.\n"
+    "Each logged store adds 3 loads (the log's state word, its count, the\n\
+     old value) and 3 stores (the entry's cell, the old value, the new\n\
+     count); begin and commit add 2 loads and 4 stores per transaction —\n\
+     the cost a compiler would insert around library calls enclosed in\n\
+     persistent transactions.\n"
 
 (* --- NVM latency and working-set sweeps (extension) ----------------------------------- *)
 
@@ -1057,6 +1060,19 @@ let micro ctx =
     Runtime.store_ptr hw ~site:s_micro hw_cells ~off:(8 * i)
       (Runtime.alloc_in hw (Runtime.Pool_region hw_pool) 16)
   done;
+  (* Front caches on the same runtime, full of clean entries: 64 slots
+     and the 15,625 of a shard at BENCH scale. *)
+  let module Fcache = Nvml_kvstore.Serving.Fcache in
+  let front_cache slots =
+    let fc = Fcache.create hw slots ~write_back:(fun ~key:_ ~value:_ -> ()) in
+    for k = 0 to slots - 1 do
+      ignore (Fcache.get fc ~find:Option.some (Int64.of_int k))
+    done;
+    fun () ->
+      incr counter;
+      Fcache.put fc ~key:(Int64.of_int (!counter mod slots)) ~value:1L;
+      Fcache.scan_flush fc
+  in
   let tests =
     Test.make_grouped ~name:"core"
       [
@@ -1132,6 +1148,13 @@ let micro ctx =
                incr counter;
                Runtime.load_ptr hw ~site:s_micro hw_cells
                  ~off:(8 * (!counter land 63))));
+        (* Front-cache guards: a scan flush costs its dirty entries, so
+           both rows must read alike; a flush that walks every slot
+           shows up as a gap of more than 10x between them. *)
+        Test.make ~name:"front cache put + scan flush (1 dirty of 64 slots)"
+          (Staged.stage (front_cache 64));
+        Test.make ~name:"front cache put + scan flush (1 dirty of 15,625 slots)"
+          (Staged.stage (front_cache 15_625));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

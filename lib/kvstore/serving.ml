@@ -225,7 +225,12 @@ module Fcache = struct
     tbl : int Keys.t; (* key -> slot *)
     keys : int64 array;
     vals : int64 array;
-    dirty : bool array;
+    (* The dirty-slot index: the dirty slots, unordered, in
+       [dirty_slots.(0 .. n_dirty - 1)], and each slot's position there
+       in [dirty_pos] (-1 when clean), so a flush visits only them. *)
+    dirty_slots : int array;
+    dirty_pos : int array;
+    mutable n_dirty : int;
     prev : int array;
     next : int array;
     mutable head : int; (* MRU; -1 when empty *)
@@ -248,7 +253,9 @@ module Fcache = struct
       tbl = Keys.create (2 * cap);
       keys = Array.make cap 0L;
       vals = Array.make cap 0L;
-      dirty = Array.make cap false;
+      dirty_slots = Array.make cap 0;
+      dirty_pos = Array.make cap (-1);
+      n_dirty = 0;
       prev = Array.make cap (-1);
       next = Array.make cap (-1);
       head = -1;
@@ -294,11 +301,26 @@ module Fcache = struct
   let slot_store t slot v =
     Runtime.store_word t.rt ~site:s_cache t.slab ~off:(slot * 8) v
 
+  let mark_dirty t slot =
+    if t.dirty_pos.(slot) < 0 then begin
+      t.dirty_pos.(slot) <- t.n_dirty;
+      t.dirty_slots.(t.n_dirty) <- slot;
+      t.n_dirty <- t.n_dirty + 1
+    end
+
+  (* Drop a dirty slot from the index; the last entry takes its place. *)
+  let mark_clean t slot =
+    let p = t.dirty_pos.(slot) and last = t.n_dirty - 1 in
+    let moved = t.dirty_slots.(last) in
+    t.dirty_slots.(p) <- moved;
+    t.dirty_pos.(moved) <- p;
+    t.dirty_pos.(slot) <- -1;
+    t.n_dirty <- last
+
   (* Write one dirty slot back to the persistent structure. *)
   let write_back_slot t slot =
     slot_load t slot;
     t.write_back ~key:t.keys.(slot) ~value:t.vals.(slot);
-    t.dirty.(slot) <- false;
     t.writebacks <- t.writebacks + 1
 
   (* Install [key -> v] in the cache, evicting (and writing back) the
@@ -308,7 +330,7 @@ module Fcache = struct
     match Keys.find t.tbl key with
     | slot ->
         t.vals.(slot) <- v;
-        t.dirty.(slot) <- t.dirty.(slot) || dirty;
+        if dirty then mark_dirty t slot;
         slot_store t slot v;
         touch t slot
     | exception Not_found ->
@@ -320,7 +342,10 @@ module Fcache = struct
           end
           else begin
             let victim = t.tail in
-            if t.dirty.(victim) then write_back_slot t victim;
+            if t.dirty_pos.(victim) >= 0 then begin
+              mark_clean t victim;
+              write_back_slot t victim
+            end;
             Keys.remove t.tbl t.keys.(victim);
             unlink t victim;
             t.evictions <- t.evictions + 1;
@@ -329,7 +354,7 @@ module Fcache = struct
         in
         t.keys.(slot) <- key;
         t.vals.(slot) <- v;
-        t.dirty.(slot) <- dirty;
+        if dirty then mark_dirty t slot;
         Keys.replace t.tbl key slot;
         push_front t slot;
         slot_store t slot v
@@ -354,11 +379,44 @@ module Fcache = struct
 
   let put t ~key ~value = install t key value ~dirty:true
 
-  (* Flush every dirty entry (slot order — deterministic). *)
-  let drain t =
-    for slot = 0 to t.size - 1 do
-      if t.dirty.(slot) then write_back_slot t slot
+  (* In-place heapsort of [a.(0 .. n-1)]: [Array.sort] cannot sort a
+     prefix.  Module-level, so a flush allocates no closure. *)
+  let rec sift (a : int array) i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+      let x = a.(i) in
+      if a.(c) > x then begin
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift a c n
+      end
+    end
+
+  let sort_prefix (a : int array) n =
+    for i = (n / 2) - 1 downto 0 do
+      sift a i n
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- x;
+      sift a 0 last
     done
+
+  (* Flush every dirty entry and empty the index.  Entries go back in
+     ascending slot order, whatever order they were dirtied in: a
+     write-back of a new key allocates in the pool, so the order fixes
+     the persistent layout. *)
+  let drain t =
+    let n = t.n_dirty in
+    sort_prefix t.dirty_slots n;
+    for i = 0 to n - 1 do
+      let slot = t.dirty_slots.(i) in
+      t.dirty_pos.(slot) <- -1;
+      write_back_slot t slot
+    done;
+    t.n_dirty <- 0
 
   let scan_flush t =
     t.scan_flushes <- t.scan_flushes + 1;

@@ -40,11 +40,47 @@ type cache_stats = {
   misses : int;
   writebacks : int;  (** dirty entries written back (evict/scan/drain) *)
   evictions : int;
-  scan_flushes : int;  (** scans that triggered a dirty flush *)
+  scan_flushes : int;
+      (** flush calls made by scans: one per (scan, shard it touches),
+          whether or not any entry was dirty *)
 }
 
 val hit_rate : cache_stats -> float
 (** hits / (hits + misses); 0 when the cache saw no reads. *)
+
+(** A shard's DRAM front cache: a bounded LRU over [capacity] slots
+    whose values are mirrored in a simulated-DRAM slab, so probes and
+    fills are charged to the runtime's core.  Writes stay in the cache
+    (dirty) until their slot is evicted or a flush writes them back
+    through [write_back]. *)
+module Fcache : sig
+  type t
+
+  val create :
+    Nvml_runtime.Runtime.t ->
+    int ->
+    write_back:(key:int64 -> value:int64 -> unit) ->
+    t
+  (** [create rt capacity ~write_back] maps the slab in [rt]'s DRAM.
+      @raise Invalid_argument when [capacity] is below 1. *)
+
+  val get : t -> find:(int64 -> int64 option) -> int64 -> int64 option
+  (** A hit returns the cached value.  A miss returns [find key] and
+      caches a found value clean, evicting the LRU entry when full (a
+      dirty victim is written back first). *)
+
+  val put : t -> key:int64 -> value:int64 -> unit
+  (** Cache [value] dirty, evicting as {!get} does. *)
+
+  val scan_flush : t -> unit
+  (** Count one scan flush, then {!drain}. *)
+
+  val drain : t -> unit
+  (** Write every dirty entry back, in ascending slot order, and mark
+      it clean.  Costs the dirty entries, not the capacity. *)
+
+  val stats : t -> cache_stats
+end
 
 type shard = {
   index : int;
