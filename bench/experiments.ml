@@ -1013,6 +1013,14 @@ let micro ctx =
     Nvml_arch.Range_btree.insert btree
       ~base:(Int64.of_int (i * 65536)) ~size:32768L ~pool:i
   done;
+  (* Nine lines that map to one set of an 8-way cache, visited in
+     turn: under LRU every access misses a full set. *)
+  let thrash = Nvml_arch.Cache.create ~sets:64 ~ways:8 ~index_shift:6 in
+  let thrash_addr i = (i mod 9) lsl 12 in
+  (* A 32-entry storeP unit issued to every cycle plus its stall, with
+     64-cycle translations: it runs full. *)
+  let storep = Nvml_arch.Storep_unit.create ~entries:32 in
+  let storep_now = ref 0 in
   let counter = ref 0 in
   let lrec = Nvml_telemetry.Latency.create () in
   (* A relaxed engine whose first epoch buffered 100k words (196 frames
@@ -1088,6 +1096,20 @@ let micro ctx =
           (Staged.stage (fun () ->
                incr counter;
                Nvml_arch.Cache.access cache (!counter land 0xFFFF)));
+        (* Timing-model guards: a miss in a full set is one pass over
+           its ways, and an issue into a full unit a heap update — a
+           per-way rescan or an entry scan shows up as a jump here. *)
+        Test.make ~name:"cache access (miss, full 8-way set)"
+          (Staged.stage (fun () ->
+               incr counter;
+               Nvml_arch.Cache.access thrash (thrash_addr !counter)));
+        Test.make ~name:"storeP issue (full 32-entry unit)"
+          (Staged.stage (fun () ->
+               let stall =
+                 Nvml_arch.Storep_unit.issue storep ~now:!storep_now
+                   ~latency:64
+               in
+               storep_now := !storep_now + 1 + stall));
         Test.make ~name:"branch predict+update"
           (Staged.stage (fun () ->
                incr counter;

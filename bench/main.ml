@@ -204,21 +204,28 @@ let () =
     if quick then Workload.scale Workload.paper_default 10
     else Workload.paper_default
   in
-  let pool = Pool.create ~jobs () in
-  let ctx = Experiments.context ~spec ~quick ~verbose pool in
+  let ctx = Experiments.context ~spec ~quick ~verbose (Pool.create ~jobs ()) in
   Printf.printf
     "nvml benchmark harness — workload: %s%s\n"
     (Fmt.str "%a" Workload.pp_spec spec)
     (if quick then " [quick]" else "");
-  let t0 = Unix.gettimeofday () in
-  let timings =
-    List.map
-      (fun (name, mode, _, f) ->
-        let te = Unix.gettimeofday () in
-        let out = Experiments.run ctx f in
-        (name, mode, Unix.gettimeofday () -. te, out))
-      chosen
+  (* [micro] times host code, and live worker domains, even idle ones,
+     slow every row several-fold: it runs with the pool shut down, and
+     what follows it gets a fresh pool. *)
+  let run_one (ctx : Experiments.ctx) (name, mode, _, f) =
+    let te = Unix.gettimeofday () in
+    let ctx, out =
+      if name = "micro" then begin
+        Pool.shutdown ctx.pool;
+        let out = Experiments.run { ctx with pool = Pool.create ~jobs:1 () } f in
+        ({ ctx with pool = Pool.create ~jobs () }, out)
+      end
+      else (ctx, Experiments.run ctx f)
+    in
+    (ctx, (name, mode, Unix.gettimeofday () -. te, out))
   in
+  let t0 = Unix.gettimeofday () in
+  let ctx, timings = List.fold_left_map run_one ctx chosen in
   let total = Unix.gettimeofday () -. t0 in
   (* On stderr, so stdout is a function of the inputs alone. *)
   flush stdout;
@@ -241,7 +248,7 @@ let () =
             timings
         with
         | Some p -> p
-        | None -> Profile.run ~par:(Pool.run pool) ~benchmark:"RB" spec
+        | None -> Profile.run ~par:(Pool.run ctx.pool) ~benchmark:"RB" spec
       in
       write (Profile.stats_json p) oc)
     stats_out;
@@ -250,4 +257,4 @@ let () =
       Telemetry.write_chrome_trace oc;
       close_out oc
   | None -> ());
-  Pool.shutdown pool
+  Pool.shutdown ctx.pool

@@ -2,12 +2,19 @@
     replacement, keyed by integer block addresses.  Tracks presence
     only — the functional memory lives elsewhere; this answers "would
     this access hit?" and keeps hit/miss statistics.  Used for the data
-    caches, the TLBs and the POLB. *)
+    caches, the TLBs and the POLB.
+
+    Each set holds its tags in recency order, most recently used first,
+    with the valid ways a prefix and the invalid ways the tail.  An
+    access moves its block to the front; a miss fills the first invalid
+    way when the set has one and otherwise evicts the last, least
+    recently used line.  A hit at the front costs one array read. *)
 
 type t
 
 val create : sets:int -> ways:int -> index_shift:int -> t
-(** Non-power-of-two set counts index by modulo. *)
+(** Non-power-of-two set counts index by modulo.
+    @raise Invalid_argument unless [sets] and [ways] are positive. *)
 
 val of_size : kib:int -> ways:int -> line_shift:int -> t
 
@@ -19,8 +26,9 @@ val probe : t -> int -> bool
 (** Presence test without insertion. *)
 
 val invalidate : t -> int -> unit
-(** Drop the block if present (e.g. POLB shootdown on pool detach), LRU
-    stamp included, so the freed way is the next eviction victim. *)
+(** Drop the block if present (e.g. POLB shootdown on pool detach); the
+    less recent ways move up one, so the freed way joins the invalid
+    tail and is the next one a miss in the set fills. *)
 
 val flush : t -> unit
 
@@ -28,16 +36,18 @@ val flush : t -> unit
 
 type quirk =
   | Stale_invalidate_stamp
-      (** Pre-fix behaviour: [invalidate] leaves the way's LRU stamp and
-          eviction never prefers invalid ways, so a later miss evicts a
-          valid line while the invalidated slot sits unused.  Only for
-          the model-based fuzzer's [--break] self-test. *)
+      (** Pre-fix behaviour: [invalidate] clears the tag in place (to a
+          marker, not the invalid tail's -1), so the invalid way keeps
+          its recency position, and a miss evicts the last way even when
+          an invalid way sits above it — a later miss evicts a valid
+          line while the invalidated slot sits unused.
+          Only for the model-based fuzzer's [--break] self-test. *)
 
 val enable_quirk : t -> quirk -> unit
 
-val ways_of_set : t -> int -> (int * int) list
-(** The (tag, stamp) pairs of one set in way order (tag -1 = invalid) —
-    the observation the fuzzer checks LRU order against its model. *)
+val ways_of_set : t -> int -> int list
+(** The valid tags of one set, most recently used first — the
+    observation the fuzzer checks LRU order against its model. *)
 
 val sets : t -> int
 

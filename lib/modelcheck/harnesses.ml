@@ -33,12 +33,12 @@ let site = Site.make ~static:true "fuzz"
 
 (* --- POLB / set-associative cache ---------------------------------------- *)
 
-(* Model: per set, the resident blocks most-recently-used first. *)
+(* Model: per set, the resident blocks most-recently-used first.  The
+   fuzzer runs a 4 x 3 cache; a non-power-of-two set count exercises
+   the modulo indexing of the L2 TLB's 384 sets. *)
 module Cache_h = struct
   type op = Access of int | Probe of int | Invalidate of int | Flush
 
-  let sets = 4
-  let ways = 3
   let shift = 4
 
   let pp = function
@@ -47,8 +47,9 @@ module Cache_h = struct
     | Invalidate a -> Fmt.str "invalidate 0x%x" a
     | Flush -> "flush"
 
-  let gen rng =
-    let addr () = Random.State.int rng (24 lsl shift) in
+  (* Addresses span twice the cache's lines, so full sets evict. *)
+  let gen ~lines rng =
+    let addr () = Random.State.int rng ((2 * lines) lsl shift) in
     match Random.State.int rng 100 with
     | n when n < 70 -> Access (addr ())
     | n when n < 85 -> Probe (addr ())
@@ -56,24 +57,20 @@ module Cache_h = struct
     | _ -> Flush
 
   let check_state c model =
-    for s = 0 to sets - 1 do
-      let valid =
-        List.filter (fun (tag, _) -> tag >= 0) (Cache.ways_of_set c s)
-      in
-      let by_recency =
-        List.sort (fun (_, a) (_, b) -> compare b a) valid |> List.map fst
-      in
-      if by_recency <> model.(s) then
-        fail "cache set %d: LRU order %a, model %a" s
-          Fmt.(Dump.list int) by_recency
-          Fmt.(Dump.list int) model.(s)
-    done
+    Array.iteri
+      (fun s blocks ->
+        let by_recency = Cache.ways_of_set c s in
+        if by_recency <> blocks then
+          fail "cache set %d: LRU order %a, model %a" s
+            Fmt.(Dump.list int) by_recency
+            Fmt.(Dump.list int) blocks)
+      model
 
-  let harness ~break () =
+  let harness ~sets ~ways ~break () =
     Engine.Packed
       {
         Engine.component = "cache";
-        gen;
+        gen = gen ~lines:(sets * ways);
         pp;
         init =
           (fun ~seed:_ ->
@@ -84,7 +81,7 @@ module Cache_h = struct
               (match op with
               | Access a ->
                   let block = a lsr shift in
-                  let s = block land (sets - 1) in
+                  let s = block mod sets in
                   let hit = List.mem block model.(s) in
                   let rest = List.filter (( <> ) block) model.(s) in
                   model.(s) <-
@@ -97,13 +94,13 @@ module Cache_h = struct
                     fail "access 0x%x: cache says %b, model says %b" a sut hit
               | Probe a ->
                   let block = a lsr shift in
-                  let hit = List.mem block model.(block land (sets - 1)) in
+                  let hit = List.mem block model.(block mod sets) in
                   let sut = Cache.probe c a in
                   if sut <> hit then
                     fail "probe 0x%x: cache says %b, model says %b" a sut hit
               | Invalidate a ->
                   let block = a lsr shift in
-                  let s = block land (sets - 1) in
+                  let s = block mod sets in
                   model.(s) <- List.filter (( <> ) block) model.(s);
                   Cache.invalidate c a
               | Flush ->
@@ -226,22 +223,23 @@ end
 (* --- storeP unit ---------------------------------------------------------- *)
 
 (* Model: the multiset of per-entry completion cycles; an issue takes
-   the earliest-free entry, stalling until it drains if all are busy. *)
+   the earliest-free entry, stalling until it drains if all are busy.
+   Issues come 0-3 cycles apart, 1.5 on average, with latencies of 1 to
+   4 x [entries] + 3 cycles, so about 1.3 x [entries] + 1.3 are in
+   flight: the unit fills. *)
 module Storep_h = struct
   type op = Issue of int * int (* time advance, unit latency *)
 
-  let entries = 3
-
   let pp (Issue (dt, lat)) = Fmt.str "issue dt=%d latency=%d" dt lat
 
-  let gen rng =
-    Issue (Random.State.int rng 4, 1 + Random.State.int rng 15)
+  let gen ~entries rng =
+    Issue (Random.State.int rng 4, 1 + Random.State.int rng ((4 * entries) + 3))
 
-  let harness () =
+  let harness ~entries () =
     Engine.Packed
       {
         Engine.component = "storep";
-        gen;
+        gen = gen ~entries;
         pp;
         init =
           (fun ~seed:_ ->

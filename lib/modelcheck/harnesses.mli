@@ -6,9 +6,10 @@
     self-test can assert the fuzzer still finds them. *)
 
 module Cache_h : sig
-  val harness : break:bool -> unit -> Engine.packed
-  (** POLB set-associative cache vs per-set MRU lists: hit/miss results,
-      residency, and exact LRU order after every op. *)
+  val harness : sets:int -> ways:int -> break:bool -> unit -> Engine.packed
+  (** A [sets] x [ways] set-associative cache vs per-set MRU lists:
+      hit/miss results, residency, and exact recency order after every
+      op.  Addresses span twice the cache's lines. *)
 end
 
 module Valb_h : sig
@@ -18,9 +19,11 @@ module Valb_h : sig
 end
 
 module Storep_h : sig
-  val harness : unit -> Engine.packed
-  (** storeP unit vs a completion-time multiset: per-issue stalls and
-      the issued/stall/peak-occupancy statistics. *)
+  val harness : entries:int -> unit -> Engine.packed
+  (** storeP unit of [entries] FSM entries vs a completion-time
+      multiset: per-issue stalls and the issued/stall/peak-occupancy
+      statistics.  Issues come 0-3 cycles apart with latencies of 1 to
+      [4 * entries + 3] cycles, long enough to fill the unit. *)
 end
 
 module Persist_h : sig

@@ -26,7 +26,9 @@ let specs () =
       name = "cache";
       breakable = true;
       scale = 1;
-      make = (fun ~cfg:_ ~break -> Harnesses.Cache_h.harness ~break ());
+      make =
+        (fun ~cfg:_ ~break ->
+          Harnesses.Cache_h.harness ~sets:4 ~ways:3 ~break ());
     };
     {
       name = "valb";
@@ -38,7 +40,7 @@ let specs () =
       name = "storep";
       breakable = false;
       scale = 1;
-      make = (fun ~cfg:_ ~break:_ -> Harnesses.Storep_h.harness ());
+      make = (fun ~cfg:_ ~break:_ -> Harnesses.Storep_h.harness ~entries:3 ());
     };
     {
       name = "persist";

@@ -8,7 +8,10 @@ module Freelist = Nvml_pool.Freelist
 module D = Nvml_ycsb.Distribution
 module Pool = Nvml_exec.Pool
 module Engine = Nvml_modelcheck.Engine
+module Harnesses = Nvml_modelcheck.Harnesses
 module Modelcheck = Nvml_modelcheck.Modelcheck
+module Telemetry = Nvml_telemetry.Telemetry
+module Latency = Nvml_telemetry.Latency
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -236,6 +239,41 @@ let test_parallel_matches_sequential () =
   in
   check_bool "jobs 4 == jobs 1" true (sequential = parallel)
 
+(* --- Table IV geometry ------------------------------------------------------ *)
+
+(* [nvml fuzz] runs small geometries; these run the same models at the
+   machine's, 2,000 ops on each of three seeds. *)
+let clean what harness =
+  for seed = 1 to 3 do
+    match (Engine.run harness ~ops:2000 ~seed).Engine.violation with
+    | None -> ()
+    | Some v -> Alcotest.failf "%s, seed %d: %s" what seed v.Engine.message
+  done
+
+(* 6 sets index by modulo, as the L2 TLB's 384 do; 8 ways is the data
+   caches' associativity.  The planted quirk is found here too. *)
+let test_cache_table4 () =
+  clean "6 x 8 cache" (Harnesses.Cache_h.harness ~sets:6 ~ways:8 ~break:false ());
+  let broken = Harnesses.Cache_h.harness ~sets:6 ~ways:8 ~break:true () in
+  check_bool "quirk found" true
+    ((Engine.run broken ~ops:2000 ~seed:1).Engine.violation <> None)
+
+(* The 32-entry unit under latencies of up to 131 cycles, issued 0-3
+   cycles apart: the occupancy recorder shows that the unit filled. *)
+let test_storep_table4 () =
+  Telemetry.set_enabled true;
+  let peak =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled false)
+      (fun () ->
+        Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
+            clean "32-entry storeP unit"
+              (Harnesses.Storep_h.harness ~entries:32 ());
+            Latency.max_value
+              (List.assoc "storep.occupancy" (Telemetry.lats_snapshot ()))))
+  in
+  check_int "the unit fills" 32 peak
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -275,5 +313,10 @@ let () =
             test_fixed_components_survive_break_seeds;
           Alcotest.test_case "parallel matches sequential" `Quick
             test_parallel_matches_sequential;
+        ] );
+      ( "geometry",
+        [
+          Alcotest.test_case "cache at Table IV" `Quick test_cache_table4;
+          Alcotest.test_case "storep at Table IV" `Quick test_storep_table4;
         ] );
     ]
