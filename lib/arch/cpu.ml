@@ -480,11 +480,20 @@ type snapshot = {
   vaw_nodes : int;
   dram_accesses : int;
   nvm_accesses : int;
+  l1_hits : int;
+  l1_accesses : int;
+  l2_hits : int;
+  l2_accesses : int;
+  l3_hits : int;
+  l3_accesses : int;
   l1_hit_rate : float;
   l2_hit_rate : float;
   l3_hit_rate : float;
   storep_stall_cycles : int;
 }
+
+let rate hits accesses =
+  if accesses = 0 then 0.0 else float_of_int hits /. float_of_int accesses
 
 let snapshot (t : t) : snapshot =
   {
@@ -505,6 +514,12 @@ let snapshot (t : t) : snapshot =
     vaw_nodes = t.vaw_nodes;
     dram_accesses = t.dram_accesses;
     nvm_accesses = t.nvm_accesses;
+    l1_hits = Cache.accesses t.l1 - Cache.misses t.l1;
+    l1_accesses = Cache.accesses t.l1;
+    l2_hits = Cache.accesses t.l2 - Cache.misses t.l2;
+    l2_accesses = Cache.accesses t.l2;
+    l3_hits = Cache.accesses t.l3 - Cache.misses t.l3;
+    l3_accesses = Cache.accesses t.l3;
     l1_hit_rate = Cache.hit_rate t.l1;
     l2_hit_rate = Cache.hit_rate t.l2;
     l3_hit_rate = Cache.hit_rate t.l3;
@@ -584,9 +599,21 @@ let diff_snapshot (after : snapshot) (before : snapshot) =
     vaw_nodes = after.vaw_nodes - before.vaw_nodes;
     dram_accesses = after.dram_accesses - before.dram_accesses;
     nvm_accesses = after.nvm_accesses - before.nvm_accesses;
-    l1_hit_rate = after.l1_hit_rate;
-    l2_hit_rate = after.l2_hit_rate;
-    l3_hit_rate = after.l3_hit_rate;
+    l1_hits = after.l1_hits - before.l1_hits;
+    l1_accesses = after.l1_accesses - before.l1_accesses;
+    l2_hits = after.l2_hits - before.l2_hits;
+    l2_accesses = after.l2_accesses - before.l2_accesses;
+    l3_hits = after.l3_hits - before.l3_hits;
+    l3_accesses = after.l3_accesses - before.l3_accesses;
+    l1_hit_rate =
+      rate (after.l1_hits - before.l1_hits)
+        (after.l1_accesses - before.l1_accesses);
+    l2_hit_rate =
+      rate (after.l2_hits - before.l2_hits)
+        (after.l2_accesses - before.l2_accesses);
+    l3_hit_rate =
+      rate (after.l3_hits - before.l3_hits)
+        (after.l3_accesses - before.l3_accesses);
     storep_stall_cycles =
       after.storep_stall_cycles - before.storep_stall_cycles;
   }

@@ -130,7 +130,13 @@ type snapshot = {
   vaw_nodes : int;
   dram_accesses : int;
   nvm_accesses : int;
-  l1_hit_rate : float;
+  l1_hits : int;
+  l1_accesses : int;
+  l2_hits : int;
+  l2_accesses : int;
+  l3_hits : int;
+  l3_accesses : int;
+  l1_hit_rate : float;  (** [l1_hits / l1_accesses], 0 with no access *)
   l2_hit_rate : float;
   l3_hit_rate : float;
   storep_stall_cycles : int;
@@ -139,7 +145,8 @@ type snapshot = {
 val snapshot : t -> snapshot
 val cycles : t -> int
 val diff_snapshot : snapshot -> snapshot -> snapshot
-(** [diff_snapshot after before] — per-phase deltas. *)
+(** [diff_snapshot after before] — per-phase deltas; the hit rates are
+    those of the phase's own hits and accesses. *)
 
 (** {2 Cycle attribution}
 
