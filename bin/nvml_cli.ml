@@ -978,15 +978,18 @@ let faultinject_cmd =
 (* --- fuzz ----------------------------------------------------------------------------- *)
 
 let fuzz_cmd =
+  let components = Modelcheck.names () in
+  let others = List.filter (fun n -> not (String.contains n ':')) components in
   let component_arg =
     Arg.(
       value
-      & opt_all (names ("structures" :: Modelcheck.names ())) []
+      & opt_all (names ("structures" :: components)) []
       & info [ "component"; "c" ] ~docv:"NAME"
           ~doc:
-            "Component to fuzz (repeatable; default all). One of cache, \
-             valb, storep, vatb, freelist, pmop, semantics, zipf, \
-             structures (all containers) or structures:$(i,NAME).")
+            (Printf.sprintf
+               "Component to fuzz (repeatable; default all). One of %s, \
+                structures (all containers) or structures:$(i,NAME)."
+               (String.concat ", " others)))
   in
   let break_arg =
     Arg.(
@@ -1041,14 +1044,11 @@ let fuzz_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Each component (POLB cache, VALB, storeP unit, VATB B-tree, \
-              freelist allocator, pool manager, every persistent container, \
-              plus two cross-layer properties: SW-vs-HW pointer-semantics \
-              equivalence on the mini-C corpus and YCSB distribution \
-              statistics) runs in lockstep with an obviously-correct \
+             "Each component runs in lockstep with an obviously-correct \
               reference model on a seeded random op stream.  Any divergence \
               or broken invariant is shrunk to a minimal counterexample by \
               greedy delta-debugging and reported with a replayable seed.";
+           `P ("The components: " ^ String.concat ", " components ^ ".");
            `P "Exits 1 on any violation (or a failed --break self-test).";
          ])
     Term.(

@@ -4,7 +4,9 @@
    storeP unit.  Each entry holds (PMO starting address, PMO size,
    PMO ID); a lookup finds the covering range, TCAM-style.  Misses are
    served by the VAW walking the VATB B-tree kernel table; the walker
-   refills the buffer with the whole pool range. *)
+   refills the buffer with the whole pool range.  The ways are held most
+   recently used first, as a [Cache] set is: the valid entries a prefix,
+   the invalid (pool -1) ways the tail, no per-way timestamps. *)
 
 module Hit_miss = Nvml_telemetry.Stats.Hit_miss
 
@@ -13,29 +15,32 @@ module Hit_miss = Nvml_telemetry.Stats.Hit_miss
 type quirk =
   | Stale_invalidate_stamp
       (* pre-fix: [invalidate_pool]/[flush] cleared the pool id but left
-         the way's LRU stamp, so a later refill evicted a valid entry
-         while the invalidated way sat unused *)
+         the way at its recency position, so a later refill evicted a
+         valid entry while the invalidated way sat unused *)
   | Duplicate_insert
       (* pre-fix: [insert] never checked for an existing entry covering
          the same pool range, so repeated VAW refills let one pool
          occupy multiple CAM ways *)
 
-type entry = { mutable base : int64; mutable size : int64; mutable pool : int }
+type entry = { base : int64; size : int64; pool : int }
+
+let invalid = { base = 0L; size = 0L; pool = -1 }
+
+(* The entry a shootdown leaves under the quirk: neither a pool nor the
+   invalid (-1) tail, so a refill carries it down like an entry. *)
+let stale = { invalid with pool = -2 }
 
 type t = {
-  entries : entry array;
-  stamps : int array;
-  mutable clock : int;
+  ways : entry array; (* most recent first; valid a prefix, -1 the tail *)
   mutable stale_stamp : bool;
   mutable dup_insert : bool;
   stats : Hit_miss.t;
 }
 
 let create ~entries =
+  if entries <= 0 then invalid_arg "Valb.create: entries must be positive";
   {
-    entries = Array.init entries (fun _ -> { base = 0L; size = 0L; pool = -1 });
-    stamps = Array.make entries 0;
-    clock = 0;
+    ways = Array.make entries invalid;
     stale_stamp = false;
     dup_insert = false;
     stats = Hit_miss.create ();
@@ -45,88 +50,69 @@ let enable_quirk t = function
   | Stale_invalidate_stamp -> t.stale_stamp <- true
   | Duplicate_insert -> t.dup_insert <- true
 
-let find t va =
-  let n = Array.length t.entries in
+(* Move [e] to way 0 over way [k], shifting ways 0 .. k-1 down one. *)
+let to_front t k e =
+  Array.blit t.ways 0 t.ways 1 k;
+  t.ways.(0) <- e
+
+(* Look up [va]; returns the pool id on a hit. *)
+let lookup t va =
+  let n = Array.length t.ways in
   let rec scan i =
-    if i >= n then None
+    if i >= n || t.ways.(i).pool = -1 then begin
+      Hit_miss.miss t.stats;
+      None
+    end
     else
-      let e = t.entries.(i) in
-      if e.pool >= 0 && va >= e.base && va < Int64.add e.base e.size then
-        Some i
+      let e = t.ways.(i) in
+      if e.pool >= 0 && va >= e.base && va < Int64.add e.base e.size then begin
+        Hit_miss.hit t.stats;
+        to_front t i e;
+        Some e.pool
+      end
       else scan (i + 1)
   in
   scan 0
 
-(* Look up [va]; returns the pool id on a hit. *)
-let lookup t va =
-  t.clock <- t.clock + 1;
-  match find t va with
-  | Some i ->
-      Hit_miss.hit t.stats;
-      t.stamps.(i) <- t.clock;
-      Some t.entries.(i).pool
-  | None ->
-      Hit_miss.miss t.stats;
-      None
-
 (* Refill after a VAW walk.  A pool already resident refreshes its
-   existing way in place (its range may have moved after a remap);
-   otherwise fill an invalid way, and only evict LRU when the CAM is
-   full.  Without the dedup, repeated refills let one pool occupy
-   several ways — deflating effective capacity while inflating the
-   reported hit rate. *)
+   existing way (its range may have moved after a remap); otherwise
+   fill the first invalid way, and only evict the LRU entry (the last
+   way) when the CAM is full.  Without the dedup, repeated refills let
+   one pool occupy several ways — deflating effective capacity while
+   inflating the reported hit rate. *)
 let insert t ~base ~size ~pool =
-  t.clock <- t.clock + 1;
-  let n = Array.length t.entries in
-  let victim = ref (-1) in
-  (if not t.dup_insert then
-     let rec dedup i =
-       if i < n then
-         if t.entries.(i).pool = pool then victim := i else dedup (i + 1)
-     in
-     dedup 0);
-  (if !victim < 0 && not t.stale_stamp then
-     let rec invalid i =
-       if i < n then
-         if t.entries.(i).pool < 0 then victim := i else invalid (i + 1)
-     in
-     invalid 0);
-  if !victim < 0 then begin
-    victim := 0;
-    for i = 1 to n - 1 do
-      if t.stamps.(i) < t.stamps.(!victim) then victim := i
-    done
-  end;
-  let e = t.entries.(!victim) in
-  e.base <- base;
-  e.size <- size;
-  e.pool <- pool;
-  t.stamps.(!victim) <- t.clock
+  let last = Array.length t.ways - 1 in
+  let rec vacate i =
+    if i = last then i
+    else
+      let p = t.ways.(i).pool in
+      if p = -1 || (p = pool && not t.dup_insert) then i else vacate (i + 1)
+  in
+  to_front t (vacate 0) { base; size; pool }
 
-(* Shootdown when a pool mapping disappears.  Stamps are reset with the
-   entry so the freed way is the next refill victim. *)
+(* Shootdown when a pool mapping disappears.  The less recent ways move
+   up, so the freed way joins the invalid tail and is the next refill
+   victim; under the quirk it keeps its place as a stale entry. *)
 let invalidate_pool t pool =
-  Array.iteri
-    (fun i e ->
-      if e.pool = pool then begin
-        e.pool <- -1;
-        if not t.stale_stamp then t.stamps.(i) <- 0
-      end)
-    t.entries
+  if t.stale_stamp then
+    Array.iteri (fun i e -> if e.pool = pool then t.ways.(i) <- stale) t.ways
+  else begin
+    let kept = List.filter (fun e -> e.pool <> pool) (Array.to_list t.ways) in
+    Array.fill t.ways 0 (Array.length t.ways) invalid;
+    List.iteri (fun i e -> t.ways.(i) <- e) kept
+  end
 
 let flush t =
-  Array.iter (fun e -> e.pool <- -1) t.entries;
-  if not t.stale_stamp then Array.fill t.stamps 0 (Array.length t.stamps) 0
+  if t.stale_stamp then
+    Array.iteri (fun i e -> if e.pool >= 0 then t.ways.(i) <- stale) t.ways
+  else Array.fill t.ways 0 (Array.length t.ways) invalid
 
 (* Debug view for the model-based fuzzer: every valid entry as
-   (base, size, pool, stamp), way order. *)
+   (base, size, pool), most recently used first. *)
 let dump t =
-  let acc = ref [] in
-  for i = Array.length t.entries - 1 downto 0 do
-    let e = t.entries.(i) in
-    if e.pool >= 0 then acc := (e.base, e.size, e.pool, t.stamps.(i)) :: !acc
-  done;
-  !acc
+  Array.fold_right
+    (fun e acc -> if e.pool >= 0 then (e.base, e.size, e.pool) :: acc else acc)
+    t.ways []
 
 let stats t = t.stats
 let misses t = Hit_miss.misses t.stats

@@ -112,7 +112,7 @@ end
 
 (* --- VALB range CAM ------------------------------------------------------- *)
 
-(* Model: the resident (pool, base, size) entries most-recently-used
+(* Model: the resident (base, size, pool) entries most-recently-used
    first, at most one entry per pool.  Pools live at disjoint ranges,
    with a second "relocated" range per pool to exercise remap dedup. *)
 module Valb_h = struct
@@ -146,20 +146,15 @@ module Valb_h = struct
 
   let check_state v model =
     let dump = Valb.dump v in
-    let pools = List.map (fun (_, _, p, _) -> p) dump in
+    let pools = List.map (fun (_, _, p) -> p) dump in
     if List.length pools <> List.length (List.sort_uniq compare pools) then
       fail "valb holds duplicate ways for one pool: %a"
         Fmt.(Dump.list int) pools;
-    let by_recency =
-      List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a) dump
-      |> List.map (fun (b, s, p, _) -> (p, b, s))
-    in
-    if by_recency <> !model then
-      fail "valb state %a, model %a"
-        Fmt.(Dump.list (Dump.pair int (Dump.pair int64 int64)))
-        (List.map (fun (p, b, s) -> (p, (b, s))) by_recency)
-        Fmt.(Dump.list (Dump.pair int (Dump.pair int64 int64)))
-        (List.map (fun (p, b, s) -> (p, (b, s))) !model)
+    if dump <> !model then
+      let pp =
+        Fmt.(Dump.list (fun ppf (b, s, p) -> pf ppf "(0x%Lx, %Ld, %d)" b s p))
+      in
+      fail "valb state %a, model %a" pp dump pp !model
 
   let harness ~break () =
     Engine.Packed
@@ -181,11 +176,11 @@ module Valb_h = struct
                   let va = Int64.add (base p ver) (Int64.of_int delta) in
                   let expected =
                     List.find_opt
-                      (fun (_, b, s) -> va >= b && va < Int64.add b s)
+                      (fun (b, s, _) -> va >= b && va < Int64.add b s)
                       !model
                   in
                   (match expected with
-                  | Some ((p', _, _) as e) ->
+                  | Some ((_, _, p') as e) ->
                       model := e :: List.filter (( <> ) e) !model;
                       let sut = Valb.lookup v va in
                       if sut <> Some p' then
@@ -203,16 +198,16 @@ module Valb_h = struct
                   let b = base p ver in
                   Valb.insert v ~base:b ~size ~pool:p;
                   let rest =
-                    List.filter (fun (p', _, _) -> p' <> p) !model
+                    List.filter (fun (_, _, p') -> p' <> p) !model
                   in
                   model :=
-                    (p, b, size)
+                    (b, size, p)
                     :: (if List.length rest = entries then
                           List.filteri (fun i _ -> i < entries - 1) rest
                         else rest)
               | Invalidate_pool p ->
                   Valb.invalidate_pool v p;
-                  model := List.filter (fun (p', _, _) -> p' <> p) !model
+                  model := List.filter (fun (_, _, p') -> p' <> p) !model
               | Flush ->
                   Valb.flush v;
                   model := []);
@@ -498,6 +493,262 @@ module Persist_h = struct
       }
 end
 
+(* --- physical frames ------------------------------------------------------ *)
+
+(* Model: the next free frame number of each region, the frames
+   touched, and a (frame, word) -> value map.  Frames are drawn mostly
+   from the first dozen numbers of each region, now and then from the
+   first 400, so accesses hit reserved, untouched, unreserved and
+   crash-recycled frames and the frame arrays grow while holding data.
+   An access to a frame that is not reserved must raise
+   [Invalid_argument]. *)
+module Physmem_h = struct
+  module Physmem = Nvml_simmem.Physmem
+  module Layout = Nvml_simmem.Layout
+
+  type op =
+    | Alloc of Layout.region
+    | Alloc_run of Layout.region * int
+    | Write of bool * int * int * int64 (* via write_pa?, frame, word, value *)
+    | Read_pa of int * int
+    | Exists of int
+    | Crash
+
+  let pp = function
+    | Alloc r -> Fmt.str "alloc %a" Layout.pp_region r
+    | Alloc_run (r, n) -> Fmt.str "alloc-run %a %d" Layout.pp_region r n
+    | Write (pa, f, w, v) ->
+        Fmt.str "%s frame=%d word=%d %Ld"
+          (if pa then "write-pa" else "write-word")
+          f w v
+    | Read_pa (f, w) -> Fmt.str "read-pa frame=%d word=%d" f w
+    | Exists f -> Fmt.str "frame-exists %d" f
+    | Crash -> "crash"
+
+  let gen rng =
+    (* Below [n] three times in four, else below [large]. *)
+    let below n large =
+      Random.State.int rng (if Random.State.int rng 4 < 3 then n else large)
+    in
+    let region () = if Random.State.bool rng then Layout.Nvm else Layout.Dram in
+    let frame () =
+      match region () with
+      | Layout.Dram -> below 12 400
+      | Layout.Nvm -> Layout.nvm_phys_frame_base + below 12 400
+    in
+    let word () = Random.State.int rng Layout.words_per_page in
+    match Random.State.int rng 21 with
+    | n when n < 3 -> Alloc (region ())
+    | n when n < 5 ->
+        let r = region () in
+        Alloc_run (r, 1 + below 4 200)
+    | n when n < 13 -> Write (n >= 9, frame (), word (), Random.State.bits64 rng)
+    | n when n < 18 -> Read_pa (frame (), word ())
+    | n when n < 20 -> Exists (frame ())
+    | _ -> Crash
+
+  let harness () =
+    Engine.Packed
+      {
+        Engine.component = "physmem";
+        gen;
+        pp;
+        init =
+          (fun ~seed:_ ->
+            let pm = Physmem.create () in
+            let dram = ref 1 and nvm = ref Layout.nvm_phys_frame_base in
+            let touched = Hashtbl.create 16 and words = Hashtbl.create 64 in
+            let reserve r n got =
+              let next = match r with Layout.Dram -> dram | Layout.Nvm -> nvm in
+              if got <> !next then fail "frame %d allocated, model %d" got !next;
+              next := !next + n
+            in
+            let pa f w = (f lsl Layout.page_shift) lor (w lsl 3) in
+            (* Run [k] on frame [f] and pass its result to [expect]; on
+               a frame that is not reserved, [k] must raise. *)
+            let access f k expect =
+              if
+                (f >= 1 && f < !dram)
+                || (f >= Layout.nvm_phys_frame_base && f < !nvm)
+              then begin
+                Hashtbl.replace touched f ();
+                expect (k ())
+              end
+              else
+                match k () with
+                | _ -> fail "access to unreserved frame %d accepted" f
+                | exception Invalid_argument _ -> ()
+            in
+            fun op ->
+              match op with
+              | Alloc r -> reserve r 1 (Physmem.alloc_frame pm r)
+              | Alloc_run (r, n) -> reserve r n (Physmem.alloc_frame_run pm r n)
+              | Write (via_pa, f, w, v) ->
+                  access f
+                    (fun () ->
+                      if via_pa then Physmem.write_pa pm (pa f w) v
+                      else Physmem.write_word pm ~frame:f ~word_index:w v)
+                    (fun () -> Hashtbl.replace words (f, w) v)
+              | Read_pa (f, w) ->
+                  access f
+                    (fun () -> Physmem.read_pa pm (pa f w))
+                    (fun got ->
+                      let want =
+                        Option.value ~default:0L (Hashtbl.find_opt words (f, w))
+                      in
+                      if got <> want then
+                        fail "read-pa frame %d word %d: %Ld, model %Ld" f w got
+                          want)
+              | Exists f ->
+                  let got = Physmem.frame_exists pm f in
+                  if got <> Hashtbl.mem touched f then
+                    fail "frame-exists %d: %b, model %b" f got (not got)
+              | Crash ->
+                  (* DRAM frames lose their words and their numbers. *)
+                  Physmem.crash pm;
+                  dram := 1;
+                  let kept f = f >= Layout.nvm_phys_frame_base in
+                  Hashtbl.filter_map_inplace
+                    (fun f () -> if kept f then Some () else None)
+                    touched;
+                  Hashtbl.filter_map_inplace
+                    (fun (f, _) v -> if kept f then Some v else None)
+                    words);
+      }
+end
+
+(* --- page map ------------------------------------------------------------- *)
+
+(* Model: a page -> frame map.  Runs of 1-3 pages start on 64 slots
+   whose pages alias in groups of eight on the translation cache's
+   index bits, so the direct-mapped cache in front of the segment list
+   is refilled and invalidated all the time; after every op each page
+   of the run and every mapped page must translate as the map says. *)
+module Vspace_h = struct
+  module Vspace = Nvml_simmem.Vspace
+  module Layout = Nvml_simmem.Layout
+
+  type kind = Map | Unmap | Translate
+  type op = Run of kind * int * int (* slot, pages *) | Crash
+
+  let pp = function
+    | Run (k, s, n) ->
+        Fmt.str "%s slot=%d pages=%d"
+          (match k with Map -> "map" | Unmap -> "unmap" | _ -> "translate")
+          s n
+    | Crash -> "crash"
+
+  let gen rng =
+    if Random.State.int rng 50 = 0 then Crash
+    else
+      let kind = [| Map; Unmap; Translate |].(Random.State.int rng 3) in
+      let slot = Random.State.int rng 64 in
+      Run (kind, slot, 1 + Random.State.int rng 3)
+
+  let harness () =
+    Engine.Packed
+      {
+        Engine.component = "vspace";
+        gen;
+        pp;
+        init =
+          (fun ~seed:_ ->
+            let vs = Vspace.create () in
+            let model = Hashtbl.create 64 and next_frame = ref 1 in
+            let agrees p =
+              let got = Vspace.translate_pa vs (Layout.va_of_page p) in
+              let want =
+                match Hashtbl.find_opt model p with
+                | Some f -> f lsl Layout.page_shift
+                | None -> -1
+              in
+              if got <> want then
+                fail "page %d translates to %d, model %d" p got want
+            in
+            fun op ->
+              (match op with
+              | Crash ->
+                  Vspace.crash vs;
+                  Hashtbl.reset model
+              | Run (kind, s, n) ->
+                  let first = 16 + (s land 7) + (4096 * (s lsr 3)) in
+                  let pages = List.init n (( + ) first) in
+                  (match kind with
+                  | Map when not (List.exists (Hashtbl.mem model) pages) ->
+                      Vspace.map_seg vs ~vpage:first ~pages:n
+                        ~first_frame:!next_frame;
+                      List.iteri
+                        (fun i p -> Hashtbl.replace model p (!next_frame + i))
+                        pages;
+                      next_frame := !next_frame + n
+                  | Unmap ->
+                      Vspace.unmap_range vs ~base:(Layout.va_of_page first)
+                        ~pages:n;
+                      List.iter (Hashtbl.remove model) pages
+                  | _ -> ());
+                  List.iter agrees pages);
+              Hashtbl.iter (fun p _ -> agrees p) model);
+      }
+end
+
+(* --- keep-relative window ------------------------------------------------- *)
+
+(* Model: the structures the window replaced, a [Hashtbl] from VA to
+   relative form plus a [Queue] of the VAs in insertion order.  The 48
+   VAs lie on distinct NVM words, so the FIFO evicts as well as
+   deduplicates, and every one is looked up after each op. *)
+module Relwin_h = struct
+  module W = Nvml_runtime.Rel_window
+  module Layout = Nvml_simmem.Layout
+
+  type op = Remember of int * int64 | Clear
+
+  let vas = 48
+
+  let pp = function
+    | Remember (v, r) -> Fmt.str "remember va#%d rel=0x%Lx" v r
+    | Clear -> "clear"
+
+  let gen rng =
+    if Random.State.int rng 100 = 0 then Clear
+    else Remember (Random.State.int rng vas, Random.State.bits64 rng)
+
+  let harness () =
+    Engine.Packed
+      {
+        Engine.component = "relwin";
+        gen;
+        pp;
+        init =
+          (fun ~seed:_ ->
+            let w = W.create () in
+            let tbl = Hashtbl.create 64 and fifo = Queue.create () in
+            let va v = Int64.add Layout.nvm_va_base (Int64.of_int (v * 24)) in
+            fun op ->
+              (match op with
+              | Remember (v, rel) ->
+                  if not (Hashtbl.mem tbl v) then begin
+                    if Queue.length fifo = W.capacity then
+                      Hashtbl.remove tbl (Queue.pop fifo);
+                    Hashtbl.replace tbl v rel;
+                    Queue.push v fifo
+                  end;
+                  W.remember w ~va:(va v) ~rel
+              | Clear ->
+                  Hashtbl.reset tbl;
+                  Queue.clear fifo;
+                  W.clear w);
+              for v = 0 to vas - 1 do
+                let s = W.find w (va v) in
+                let got = if s < 0 then None else Some (W.rel w s) in
+                let want = Hashtbl.find_opt tbl v in
+                let pp = Fmt.(Dump.option int64) in
+                if got <> want then
+                  fail "va#%d: window holds %a, model %a" v pp got pp want
+              done);
+      }
+end
+
 (* --- VATB range B-tree ----------------------------------------------------- *)
 
 (* Model: a slot-indexed table of mapped sizes; slot [i] owns base
@@ -676,7 +927,60 @@ module Fl_model = struct
 
   let is_live t payload =
     List.exists (fun (p, _) -> Int64.equal p payload) (live t)
+
+  let alloc_opt t size =
+    match alloc t size with p -> Some p | exception No_fit -> None
+
+  (* The [i mod n]-th of the [n] live blocks as (payload, size), if any. *)
+  let pick t i =
+    match live t with [] -> None | l -> Some (List.nth l (i mod List.length l))
+
+  (* Payload word [i mod n] of a live block with [n] payload words. *)
+  let word (payload, size) i =
+    let n = Int64.to_int (Int64.div size 8L) - 2 in
+    Int64.add payload (Int64.of_int (8 * (i mod n)))
 end
+
+(* An allocator's answer against the model's: both out of memory, or
+   the same payload offset. *)
+let same_alloc what sut want =
+  match (sut, want) with
+  | Some o, Some w when not (Int64.equal o w) ->
+      fail "%s: offset %Ld, model %Ld" what o w
+  | Some _, None -> fail "%s: model is out of memory, allocator isn't" what
+  | None, Some _ -> fail "%s: out of memory, but the model fits" what
+  | _ -> ()
+
+(* [n] pools of [size] bytes in [pm], named [prefix]0, [prefix]1, ...,
+   with a block-list model each. *)
+let create_pools pm ~prefix ~n ~size =
+  let name i = Fmt.str "%s%d" prefix i in
+  ( name,
+    Array.init n (fun i -> Pmop.create_pool pm ~name:(name i) ~size),
+    Array.init n (fun _ -> Fl_model.create (Int64.of_int size)) )
+
+(* [pmalloc] of [n] bytes in pool [i] against its model; true when it
+   allocated. *)
+let pmalloc_agrees pm ~pool model i n =
+  let sut =
+    match Pmop.pmalloc pm ~pool n with
+    | ptr -> Some (Ptr.offset_of ptr)
+    | exception Freelist.Out_of_memory -> None
+  in
+  same_alloc (Fmt.str "pmalloc pool %d" i) sut
+    (Fl_model.alloc_opt model (Int64.of_int n));
+  sut <> None
+
+(* Pool [i]'s invariants, allocated bytes and root against its model. *)
+let pool_agrees pm ~pool model ~root i =
+  ignore (Pmop.check_pool_invariants pm ~pool);
+  let sut = Pmop.allocated_bytes pm ~pool in
+  let want = Fl_model.allocated_bytes model in
+  if not (Int64.equal sut want) then
+    fail "pool %d: allocated %Ld bytes, model %Ld" i sut want;
+  let got = Pmop.get_root pm ~pool in
+  if not (Int64.equal got root) then
+    fail "pool %d: root 0x%Lx, model 0x%Lx" i got root
 
 module Freelist_h = struct
   type op =
@@ -749,37 +1053,20 @@ module Freelist_h = struct
             let model = Fl_model.create cap in
             fun op ->
               match op with
-              | Alloc n -> (
+              | Alloc n ->
                   let sut =
                     match Freelist.alloc a (Int64.of_int n) with
                     | p -> Some p
                     | exception Freelist.Out_of_memory -> None
                   in
-                  let want =
-                    match Fl_model.alloc model (Int64.of_int n) with
-                    | p -> Some p
-                    | exception Fl_model.No_fit -> None
-                  in
-                  match (sut, want) with
-                  | None, None -> ()
-                  | Some p, Some q when Int64.equal p q -> ()
-                  | Some p, Some q ->
-                      fail "alloc %d: payload %Ld, model %Ld" n p q
-                  | Some _, None ->
-                      fail "alloc %d: model is out of memory, allocator isn't"
-                        n
-                  | None, Some _ ->
-                      fail "alloc %d: out of memory, but the model fits" n)
-              | Free i -> (
-                  match Fl_model.live model with
-                  | [] -> ()
-                  | live ->
-                      let payload, _ =
-                        List.nth live (i mod List.length live)
-                      in
-                      Freelist.free a payload;
-                      Fl_model.free model payload;
-                      check a model)
+                  same_alloc (Fmt.str "alloc %d" n) sut
+                    (Fl_model.alloc_opt model (Int64.of_int n))
+              | Free i ->
+                  Fl_model.pick model i
+                  |> Option.iter (fun (payload, _) ->
+                         Freelist.free a payload;
+                         Fl_model.free model payload;
+                         check a model)
               | Free_bogus sel ->
                   let payload =
                     Int64.logand
@@ -798,34 +1085,29 @@ module Freelist_h = struct
                     | exception Freelist.Corrupt_arena _ -> ());
                     check a model
                   end
-              | Scribble (i, w) -> (
+              | Scribble (i, w) ->
                   (* Application bytes inside a live payload: arbitrary,
                      and none of the allocator's business. *)
-                  match Fl_model.live model with
-                  | [] -> ()
-                  | live ->
-                      let payload, size =
-                        List.nth live (i mod List.length live)
-                      in
-                      let payload_words =
-                        Int64.to_int (Int64.div size 8L) - 2
-                      in
-                      if payload_words > 0 then
-                        Hashtbl.replace words
-                          (Int64.add payload
-                             (Int64.of_int
-                                (8 * (i mod payload_words))))
-                          w)
+                  Fl_model.pick model i
+                  |> Option.iter (fun block ->
+                         Hashtbl.replace words (Fl_model.word block i) w)
               | Check -> check a model);
       }
 end
 
 (* --- the pool manager (freelists + crash/reopen) -------------------------- *)
 
+(* The heaps are checked against [Fl_model] and the roots against the
+   last value set.  Application words written into live payloads are
+   remembered until their block is freed, and every one must read back
+   after a crash re-opens the pools at new bases. *)
 module Pmop_h = struct
+  module Xlate = Nvml_core.Xlate
+
   type op =
     | Pmalloc of int * int (* pool index, size *)
     | Pfree of int * int (* pool index, live-list selector *)
+    | Write of int * int * int64 (* pool index, live-list selector, word *)
     | Set_root of int * int64
     | Crash
     | Check
@@ -836,6 +1118,7 @@ module Pmop_h = struct
   let pp = function
     | Pmalloc (p, n) -> Fmt.str "pmalloc pool=%d %d" p n
     | Pfree (p, i) -> Fmt.str "pfree pool=%d #%d" p i
+    | Write (p, i, v) -> Fmt.str "write pool=%d #%d 0x%Lx" p i v
     | Set_root (p, v) -> Fmt.str "set-root pool=%d 0x%Lx" p v
     | Crash -> "crash+reopen"
     | Check -> "check-invariants"
@@ -843,11 +1126,14 @@ module Pmop_h = struct
   let gen rng =
     let pool () = Random.State.int rng npools in
     match Random.State.int rng 100 with
-    | n when n < 40 -> Pmalloc (pool (), 1 + Random.State.int rng 3000)
-    | n when n < 65 -> Pfree (pool (), Random.State.int rng 64)
-    | n when n < 78 ->
+    | n when n < 36 -> Pmalloc (pool (), 1 + Random.State.int rng 3000)
+    | n when n < 58 -> Pfree (pool (), Random.State.int rng 64)
+    | n when n < 72 ->
+        let i = Random.State.int rng 64 in
+        Write (pool (), i, Random.State.int64 rng Int64.max_int)
+    | n when n < 82 ->
         Set_root (pool (), Random.State.int64 rng Int64.max_int)
-    | n when n < 86 -> Crash
+    | n when n < 90 -> Crash
     | _ -> Check
 
   let harness () =
@@ -858,77 +1144,179 @@ module Pmop_h = struct
         pp;
         init =
           (fun ~seed:_ ->
-            let pm = Pmop.create (Mem.create ()) in
-            let name i = Fmt.str "fz%d" i in
-            let ids =
-              Array.init npools (fun i ->
-                  Pmop.create_pool pm ~name:(name i) ~size:pool_size)
-            in
-            let models =
-              Array.init npools (fun _ ->
-                  Fl_model.create (Int64.of_int pool_size))
+            let mem = Mem.create () in
+            let pm = Pmop.create mem in
+            let x = Xlate.make (Pmop.provider pm) in
+            let name, ids, models =
+              create_pools pm ~prefix:"fz" ~n:npools ~size:pool_size
             in
             let roots = Array.make npools 0L in
+            (* (pool index, payload offset) -> the word written there *)
+            let words = Hashtbl.create 64 in
+            let va p off =
+              Xlate.ra2va x (Ptr.make_relative ~pool:ids.(p) ~offset:off)
+            in
             let check_pool i =
-              ignore (Pmop.check_pool_invariants pm ~pool:ids.(i));
-              let sut = Pmop.allocated_bytes pm ~pool:ids.(i) in
-              let want = Fl_model.allocated_bytes models.(i) in
-              if not (Int64.equal sut want) then
-                fail "pool %d: allocated %Ld bytes, model %Ld" i sut want;
-              let root = Pmop.get_root pm ~pool:ids.(i) in
-              if not (Int64.equal root roots.(i)) then
-                fail "pool %d: root 0x%Lx, model 0x%Lx" i root roots.(i)
+              pool_agrees pm ~pool:ids.(i) models.(i) ~root:roots.(i) i
+            in
+            let check_all () =
+              for i = 0 to npools - 1 do
+                check_pool i
+              done;
+              Hashtbl.iter
+                (fun (p, off) want ->
+                  let got = Mem.read_word mem (va p off) in
+                  if not (Int64.equal got want) then
+                    fail "pool %d: word at %Ld holds 0x%Lx, model 0x%Lx" p off
+                      got want)
+                words
             in
             fun op ->
               match op with
-              | Pmalloc (p, n) -> (
-                  let sut =
-                    match Pmop.pmalloc pm ~pool:ids.(p) n with
-                    | ptr -> Some (Ptr.offset_of ptr)
-                    | exception Freelist.Out_of_memory -> None
-                  in
-                  let want =
-                    match Fl_model.alloc models.(p) (Int64.of_int n) with
-                    | off -> Some off
-                    | exception Fl_model.No_fit -> None
-                  in
-                  match (sut, want) with
-                  | None, None -> ()
-                  | Some o, Some w when Int64.equal o w -> ()
-                  | Some o, Some w ->
-                      fail "pmalloc pool %d: offset %Ld, model %Ld" p o w
-                  | Some _, None ->
-                      fail "pmalloc pool %d: model OOM, allocator isn't" p
-                  | None, Some _ ->
-                      fail "pmalloc pool %d: OOM, but the model fits" p)
-              | Pfree (p, i) -> (
-                  match Fl_model.live models.(p) with
-                  | [] -> ()
-                  | live ->
-                      let payload, _ =
-                        List.nth live (i mod List.length live)
-                      in
-                      Pmop.pfree pm
-                        (Ptr.make_relative ~pool:ids.(p) ~offset:payload);
-                      Fl_model.free models.(p) payload;
-                      check_pool p)
+              | Pmalloc (p, n) ->
+                  ignore (pmalloc_agrees pm ~pool:ids.(p) models.(p) p n)
+              | Pfree (p, i) ->
+                  Fl_model.pick models.(p) i
+                  |> Option.iter (fun (payload, size) ->
+                         Pmop.pfree pm
+                           (Ptr.make_relative ~pool:ids.(p) ~offset:payload);
+                         Fl_model.free models.(p) payload;
+                         let past = Int64.add payload size in
+                         Hashtbl.filter_map_inplace
+                           (fun (q, off) v ->
+                             if q = p && off >= payload && off < past then None
+                             else Some v)
+                           words;
+                         check_pool p)
+              | Write (p, i, v) ->
+                  Fl_model.pick models.(p) i
+                  |> Option.iter (fun block ->
+                         let off = Fl_model.word block i in
+                         Mem.write_word mem (va p off) v;
+                         Hashtbl.replace words (p, off) v)
               | Set_root (p, v) ->
                   Pmop.set_root pm ~pool:ids.(p) v;
                   roots.(p) <- v
               | Crash ->
                   (* Power failure: mappings vanish, NVM frames survive;
-                     every pool must re-open with its heap intact. *)
+                     every pool must re-open with its heap and payloads
+                     intact. *)
                   Pmop.crash pm;
                   for i = 0 to npools - 1 do
                     ignore (Pmop.open_pool pm (name i))
                   done;
-                  for i = 0 to npools - 1 do
-                    check_pool i
-                  done
-              | Check ->
-                  for i = 0 to npools - 1 do
-                    check_pool i
-                  done);
+                  check_all ()
+              | Check -> check_all ());
+      }
+end
+
+(* --- undo-log transactions ------------------------------------------------ *)
+
+(* Model: the committed image of 8 pool words and the image a reader
+   sees.  A transaction's stores change only the latter, a commit copies
+   it to the former, and an abort or a crash (then [recover] through the
+   log re-attached at its new base) restores the committed image.  The
+   stores go through [Txn.instrument] on an HW machine, so the model
+   also predicts the log's count, the store that overflows its 6
+   entries, the protocol errors and what [recover] reports. *)
+module Txn_h = struct
+  module Txn = Nvml_runtime.Txn
+
+  type op = Begin | Store of int * int64 | Commit | Abort | Crash
+
+  let cells = 8
+  let capacity = 6
+
+  let pp = function
+    | Begin -> "begin"
+    | Store (i, v) -> Fmt.str "store cell=%d %Ld" i v
+    | Commit -> "commit"
+    | Abort -> "abort"
+    | Crash -> "crash+recover"
+
+  let gen rng =
+    match Random.State.int rng 100 with
+    | n when n < 20 -> Begin
+    | n when n < 70 ->
+        Store (Random.State.int rng cells, Random.State.int64 rng 1000L)
+    | n when n < 82 -> Commit
+    | n when n < 94 -> Abort
+    | _ -> Crash
+
+  let rolled_back = function Txn.Clean -> None | Txn.Rolled_back n -> Some n
+
+  let harness ~cfg () =
+    Engine.Packed
+      {
+        Engine.component = "txn";
+        gen;
+        pp;
+        init =
+          (fun ~seed:_ ->
+            let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
+            let pool = Runtime.create_pool rt ~name:"txn" ~size:(1 lsl 16) in
+            let arr = Runtime.alloc rt ~pool ~persistent:true (8 * cells) in
+            let txn = ref (Txn.create rt ~pool ~capacity ()) in
+            let header = Txn.header !txn in
+            Txn.instrument !txn;
+            let committed = Array.make cells 0L in
+            let current = Array.make cells 0L in
+            let active = ref false and logged = ref 0 in
+            let refused what exn f =
+              match f () with
+              | () -> fail "%s not refused" what
+              | exception e when e = exn -> ()
+            in
+            fun op ->
+              (match op with
+              | Begin when !active ->
+                  refused "nested begin" Txn.Already_active (fun () ->
+                      Txn.begin_ !txn)
+              | (Commit | Abort) when not !active ->
+                  refused (pp op) Txn.Not_active (fun () ->
+                      if op = Commit then Txn.commit !txn else Txn.abort !txn)
+              | Store (i, v) when !active && !logged = capacity ->
+                  refused "store into a full log" Txn.Log_full (fun () ->
+                      Runtime.store_word rt ~site arr ~off:(8 * i) v)
+              | Begin ->
+                  Txn.begin_ !txn;
+                  active := true;
+                  logged := 0
+              | Store (i, v) ->
+                  Runtime.store_word rt ~site arr ~off:(8 * i) v;
+                  current.(i) <- v;
+                  if !active then incr logged else committed.(i) <- v
+              | Commit ->
+                  Txn.commit !txn;
+                  Array.blit current 0 committed 0 cells;
+                  active := false
+              | Abort ->
+                  Txn.abort !txn;
+                  Array.blit committed 0 current 0 cells;
+                  active := false
+              | Crash ->
+                  Runtime.crash_and_restart rt;
+                  ignore (Runtime.open_pool rt "txn");
+                  txn := Txn.attach rt header;
+                  Txn.instrument !txn;
+                  let got = rolled_back (Txn.recover !txn) in
+                  let want = if !active then Some !logged else None in
+                  if got <> want then
+                    fail "recovery rolled back %a, model %a"
+                      Fmt.(Dump.option int) got Fmt.(Dump.option int) want;
+                  Array.blit committed 0 current 0 cells;
+                  active := false);
+              if Txn.is_active !txn <> !active then
+                fail "log active %b, model %b" (not !active) !active;
+              let count = if !active then !logged else 0 in
+              if Txn.count !txn <> count then
+                fail "log holds %d entries, model %d" (Txn.count !txn) count;
+              Array.iteri
+                (fun i want ->
+                  let got = Runtime.load_word rt ~site arr ~off:(8 * i) in
+                  if got <> want then
+                    fail "cell %d holds %Ld, model %Ld" i got want)
+                current);
       }
 end
 
@@ -1016,14 +1404,8 @@ module Media_h = struct
         init =
           (fun ~seed:_ ->
             let pm = Pmop.create (Mem.create ()) in
-            let name i = Fmt.str "mz%d" i in
-            let ids =
-              Array.init npools (fun i ->
-                  Pmop.create_pool pm ~name:(name i) ~size:pool_size)
-            in
-            let models =
-              Array.init npools (fun _ ->
-                  Fl_model.create (Int64.of_int pool_size))
+            let name, ids, models =
+              create_pools pm ~prefix:"mz" ~n:npools ~size:pool_size
             in
             let roots = Array.make npools 0L in
             (* Corruption ledgers: flipped word offset -> original value. *)
@@ -1039,14 +1421,7 @@ module Media_h = struct
               && not degraded.(i)
             in
             let check_pool i =
-              ignore (Pmop.check_pool_invariants pm ~pool:ids.(i));
-              let sut = Pmop.allocated_bytes pm ~pool:ids.(i) in
-              let want = Fl_model.allocated_bytes models.(i) in
-              if not (Int64.equal sut want) then
-                fail "pool %d: allocated %Ld bytes, model %Ld" i sut want;
-              let root = Pmop.get_root pm ~pool:ids.(i) in
-              if not (Int64.equal root roots.(i)) then
-                fail "pool %d: root 0x%Lx, model 0x%Lx" i root roots.(i)
+              pool_agrees pm ~pool:ids.(i) models.(i) ~root:roots.(i) i
             in
             let check_flags () =
               Array.iteri
@@ -1093,29 +1468,9 @@ module Media_h = struct
                   else if sealed.(p) && Hashtbl.length sb_bad.(p) > 0 then
                     expect_detected "pmalloc" p (fun () ->
                         Pmop.pmalloc pm ~pool:ids.(p) n)
-                  else begin
-                    let sut =
-                      match Pmop.pmalloc pm ~pool:ids.(p) n with
-                      | ptr -> Some (Ptr.offset_of ptr)
-                      | exception Freelist.Out_of_memory -> None
-                    in
-                    let want =
-                      match Fl_model.alloc models.(p) (Int64.of_int n) with
-                      | off -> Some off
-                      | exception Fl_model.No_fit -> None
-                    in
-                    match (sut, want) with
-                    | None, None -> ()
-                    | Some o, Some w when Int64.equal o w ->
-                        sealed.(p) <- false
-                    | Some o, Some w ->
-                        fail "pmalloc pool %d: offset %Ld, model %Ld" p o w
-                    | Some _, None ->
-                        fail "pmalloc pool %d: model OOM, allocator isn't" p
-                    | None, Some _ ->
-                        fail "pmalloc pool %d: OOM, but the model fits" p
-                  end
-              | Pfree (p, i) -> (
+                  else if pmalloc_agrees pm ~pool:ids.(p) models.(p) p n then
+                    sealed.(p) <- false
+              | Pfree (p, i) ->
                   if degraded.(p) then
                     (* Refusal is eager: even a wild pointer must bounce
                        off the read-only gate before being validated. *)
@@ -1126,33 +1481,29 @@ module Media_h = struct
                                (Int64.add Freelist.heap_start
                                   Freelist.header_size)))
                   else
-                    match Fl_model.live models.(p) with
-                    | [] -> ()
-                    | live ->
-                        let payload, _ =
-                          List.nth live (i mod List.length live)
-                        in
-                        let ptr =
-                          Ptr.make_relative ~pool:ids.(p) ~offset:payload
-                        in
-                        let blk = Int64.sub payload Freelist.header_size in
-                        if sealed.(p) && Hashtbl.length sb_bad.(p) > 0 then
-                          expect_detected "pfree" p (fun () ->
-                              Pmop.pfree pm ptr)
-                        else if Hashtbl.mem hdr_bad.(p) blk then (
-                          match Pmop.pfree pm ptr with
-                          | () ->
-                              fail
-                                "pool %d: free over a corrupt header at %Ld \
-                                 accepted"
-                                p blk
-                          | exception Freelist.Corrupt_arena _ -> ())
-                        else begin
-                          Pmop.pfree pm ptr;
-                          Fl_model.free models.(p) payload;
-                          sealed.(p) <- false;
-                          if walkable p then check_pool p
-                        end)
+                    Fl_model.pick models.(p) i
+                    |> Option.iter (fun (payload, _) ->
+                           let ptr =
+                             Ptr.make_relative ~pool:ids.(p) ~offset:payload
+                           in
+                           let blk = Int64.sub payload Freelist.header_size in
+                           if sealed.(p) && Hashtbl.length sb_bad.(p) > 0 then
+                             expect_detected "pfree" p (fun () ->
+                                 Pmop.pfree pm ptr)
+                           else if Hashtbl.mem hdr_bad.(p) blk then (
+                             match Pmop.pfree pm ptr with
+                             | () ->
+                                 fail
+                                   "pool %d: free over a corrupt header at %Ld \
+                                    accepted"
+                                   p blk
+                             | exception Freelist.Corrupt_arena _ -> ())
+                           else begin
+                             Pmop.pfree pm ptr;
+                             Fl_model.free models.(p) payload;
+                             sealed.(p) <- false;
+                             if walkable p then check_pool p
+                           end)
               | Set_root (p, v) ->
                   if degraded.(p) then
                     expect_refused "set-root" p (fun () ->
@@ -1179,15 +1530,11 @@ module Media_h = struct
                     Int64.sub (Int64.of_int pool_size) Freelist.replica_size
                   in
                   flip p rep_bad.(p) (Int64.add rb sb_words.(w)) b
-              | Flip_header (p, i, b) -> (
-                  match Fl_model.live models.(p) with
-                  | [] -> ()
-                  | live ->
-                      let payload, _ =
-                        List.nth live (i mod List.length live)
-                      in
-                      let blk = Int64.sub payload Freelist.header_size in
-                      flip p hdr_bad.(p) blk b)
+              | Flip_header (p, i, b) ->
+                  Fl_model.pick models.(p) i
+                  |> Option.iter (fun (payload, _) ->
+                         let blk = Int64.sub payload Freelist.header_size in
+                         flip p hdr_bad.(p) blk b)
               | Scrub r ->
                   let sc = Scrub.create pm in
                   if break then Scrub.enable_quirk sc Scrub.Blind_primary;
@@ -1684,7 +2031,6 @@ module Conc_h = struct
         init =
           (fun ~seed:_ ->
             fun (Episode { sched_seed; cores; ops_per_core }) ->
-              let fail fmt = Fmt.kstr (fun m -> raise (Engine.Violation m)) fmt in
               let a = run_episode ~sched_seed ~cores ~ops_per_core in
               let b = run_episode ~sched_seed ~cores ~ops_per_core in
               if a <> b then
@@ -1704,10 +2050,203 @@ module Conc_h = struct
                 fail "list contents diverge from the sequential model";
               if a.pending <> 0 then
                 fail "%d FliT marks still pending at quiescence" a.pending;
+              (* Cores read every [read_every]-th op, so an episode
+                 shorter than that syncs nothing. *)
               let issued, elided = a.syncs in
-              if issued < 0 || elided <= 0 then
+              let reads = ops_per_core >= Conc_workload.read_every in
+              let synced = if reads then elided > 0 else issued + elided = 0 in
+              if issued < 0 || not synced then
                 fail "reader syncs: %d issued, %d elided" issued elided;
               if a.sched.Nvml_arch.Multicore.steps = 0 && cores > 1 then
                 fail "scheduler took no steps on a %d-core episode" cores);
+      }
+end
+
+(* --- serving front cache -------------------------------------------------- *)
+
+(* Model: the cached entries most recently used first, each in its
+   slot.  A new key takes the next unused slot, or the LRU entry's once
+   all are used (writing it back first if dirty); a flush writes the
+   dirty entries back in ascending slot order.  Of the keys 1 .. 4 x
+   capacity + 4, every other one starts in the persistent side.  Gets
+   and puts pick a key by a selector resolved against the model, so
+   every kind of hit, miss, put and victim occurs.  After every op the
+   get's result, the write-backs and the stats must equal the model's,
+   and after a scan flush the persistent side must hold the latest
+   value of every cached key.  Victims are counted in the
+   fuzz.fcache.{clean,dirty}_victims counters. *)
+module Fcache_h = struct
+  module Serving = Nvml_kvstore.Serving
+  module Fcache = Serving.Fcache
+
+  type op =
+    | Get_cached of int (* selector; an uncached key when none is cached *)
+    | Get_stored of int (* an uncached key the persistent side holds *)
+    | Get_absent (* a key never stored: the miss finds nothing *)
+    | Put_uncached of int * int64
+    | Put_clean of int * int64 (* a clean cached key, else an uncached one *)
+    | Put_dirty of int * int64
+    | Scan_flush (* counts a scan flush, then drains *)
+
+  let c_clean_victims = Telemetry.counter "fuzz.fcache.clean_victims"
+  let c_dirty_victims = Telemetry.counter "fuzz.fcache.dirty_victims"
+
+  let pp = function
+    | Get_cached i -> Fmt.str "get cached #%d" i
+    | Get_stored i -> Fmt.str "get stored #%d" i
+    | Get_absent -> "get absent"
+    | Put_uncached (i, v) -> Fmt.str "put uncached #%d %Ld" i v
+    | Put_clean (i, v) -> Fmt.str "put clean #%d %Ld" i v
+    | Put_dirty (i, v) -> Fmt.str "put dirty #%d %Ld" i v
+    | Scan_flush -> "scan-flush"
+
+  (* One flush per 6 x capacity ops, so that a dirty entry can age out
+     of a full cache between flushes.  Selectors exceed the 260 keys of
+     the largest cache tested. *)
+  let gen ~capacity rng =
+    let sel () = Random.State.int rng 1024 in
+    let n = Random.State.int rng ((6 * capacity) + 1) in
+    if n = 6 * capacity then Scan_flush
+    else
+      let v = Random.State.int64 rng 1_000_000L in
+      match n mod 6 with
+      | 0 -> Get_cached (sel ())
+      | 1 -> Get_stored (sel ())
+      | 2 -> Get_absent
+      | 3 -> Put_uncached (sel (), v)
+      | 4 -> Put_clean (sel (), v)
+      | _ -> Put_dirty (sel (), v)
+
+  type entry = { slot : int; key : int64; value : int64; dirty : bool }
+
+  let pp_stats ppf (c : Serving.cache_stats) =
+    Fmt.pf ppf "%d/%d/%d/%d/%d" c.hits c.misses c.writebacks c.evictions
+      c.scan_flushes
+
+  let harness ~cfg ~capacity () =
+    Engine.Packed
+      {
+        Engine.component = "fcache";
+        gen = gen ~capacity;
+        pp;
+        init =
+          (fun ~seed:_ ->
+            let keys =
+              Array.init ((4 * capacity) + 4) (fun i -> Int64.of_int (i + 1))
+            in
+            (* The persistent side, and the write-backs it received and
+               the model made during the current op, newest first.  The
+               model reads the persistent side too: a write-back the
+               model did not make fails the op that made it. *)
+            let store = Hashtbl.create 64 and log = ref [] and mlog = ref [] in
+            Array.iteri
+              (fun i k ->
+                if i mod 2 = 0 then Hashtbl.replace store k (Int64.of_int i))
+              keys;
+            let write_back ~key ~value =
+              Hashtbl.replace store key value;
+              log := (key, value) :: !log
+            in
+            let latest = Hashtbl.copy store and absent = ref 1_000_000L in
+            let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
+            let fc = Fcache.create rt capacity ~write_back in
+            let entries = ref [] in
+            let stats =
+              ref
+                Serving.
+                  { hits = 0; misses = 0; writebacks = 0; evictions = 0;
+                    scan_flushes = 0 }
+            in
+            let write_back_entry e =
+              mlog := (e.key, e.value) :: !mlog;
+              stats := { !stats with writebacks = !stats.writebacks + 1 }
+            in
+            let install key value ~dirty =
+              match List.partition (fun e -> e.key = key) !entries with
+              | e :: _, rest ->
+                  entries := { e with value; dirty = e.dirty || dirty } :: rest
+              | [], rest ->
+                  let slot =
+                    if List.length rest < capacity then List.length rest
+                    else begin
+                      let victim = List.nth rest (capacity - 1) in
+                      Telemetry.incr
+                        (if victim.dirty then c_dirty_victims
+                         else c_clean_victims);
+                      if victim.dirty then write_back_entry victim;
+                      stats := { !stats with evictions = !stats.evictions + 1 };
+                      victim.slot
+                    end
+                  in
+                  entries :=
+                    { slot; key; value; dirty }
+                    :: List.filter (fun e -> e.slot <> slot) rest
+            in
+            let cached p =
+              List.filter_map (fun e -> if p e then Some e.key else None) !entries
+            in
+            (* The first uncached key satisfying [p] at or after key [i],
+               cyclically: there are always more such keys than slots. *)
+            let rec uncached p i =
+              let k = keys.(i mod Array.length keys) in
+              if p k && not (List.exists (fun e -> e.key = k) !entries) then k
+              else uncached p (i + 1)
+            in
+            let any _ = true in
+            let pick l i =
+              if l = [] then uncached any i else List.nth l (i mod List.length l)
+            in
+            let get key =
+              let got = Fcache.get fc ~find:(Hashtbl.find_opt store) key in
+              let want =
+                match List.find_opt (fun e -> e.key = key) !entries with
+                | Some e ->
+                    stats := { !stats with hits = !stats.hits + 1 };
+                    install key e.value ~dirty:false;
+                    Some e.value
+                | None ->
+                    stats := { !stats with misses = !stats.misses + 1 };
+                    let r = Hashtbl.find_opt store key in
+                    Option.iter (fun v -> install key v ~dirty:false) r;
+                    r
+              in
+              let pp = Fmt.(Dump.option int64) in
+              if got <> want then fail "get %Ld: %a, model %a" key pp got pp want
+            in
+            let put key value =
+              Hashtbl.replace latest key value;
+              Fcache.put fc ~key ~value;
+              install key value ~dirty:true
+            in
+            fun op ->
+              (match op with
+              | Get_cached i -> get (pick (cached any) i)
+              | Get_stored i -> get (uncached (Hashtbl.mem store) i)
+              | Get_absent ->
+                  absent := Int64.succ !absent;
+                  get !absent
+              | Put_uncached (i, v) -> put (uncached any i) v
+              | Put_clean (i, v) -> put (pick (cached (fun e -> not e.dirty)) i) v
+              | Put_dirty (i, v) -> put (pick (cached (fun e -> e.dirty)) i) v
+              | Scan_flush ->
+                  Fcache.scan_flush fc;
+                  stats := { !stats with scan_flushes = !stats.scan_flushes + 1 };
+                  List.sort (fun a b -> compare a.slot b.slot) !entries
+                  |> List.iter (fun e -> if e.dirty then write_back_entry e);
+                  entries := List.map (fun e -> { e with dirty = false }) !entries;
+                  List.iter
+                    (fun k ->
+                      if Hashtbl.find_opt latest k <> Hashtbl.find_opt store k
+                      then fail "key %Ld is stale after a scan flush" k)
+                    (cached any));
+              let pp = Fmt.(Dump.list (Dump.pair int64 int64)) in
+              if !log <> !mlog then
+                fail "write-backs %a, model %a" pp (List.rev !log) pp
+                  (List.rev !mlog);
+              log := [];
+              mlog := [];
+              if Fcache.stats fc <> !stats then
+                fail "stats %a, model %a" pp_stats (Fcache.stats fc) pp_stats
+                  !stats);
       }
 end

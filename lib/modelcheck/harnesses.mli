@@ -50,8 +50,8 @@ end
 
 module Pmop_h : sig
   val harness : unit -> Engine.packed
-  (** Pool manager: per-pool heaps and roots vs block-list models,
-      across crash/reopen cycles. *)
+  (** Pool manager: per-pool heaps, roots and payload words vs
+      block-list models, across crash/reopen cycles. *)
 end
 
 module Media_h : sig
@@ -94,4 +94,31 @@ module Conc_h : sig
       Conc_counter/Conc_list contents with a serial execution, FliT
       quiescence and the per-core attribution-equals-cycles
       invariant. *)
+end
+
+module Physmem_h : sig
+  val harness : unit -> Engine.packed
+  (** Physical frames vs a frame -> words map, across crashes. *)
+end
+
+module Vspace_h : sig
+  val harness : unit -> Engine.packed
+  (** [Vspace.translate_pa] vs a page -> frame map. *)
+end
+
+module Relwin_h : sig
+  val harness : unit -> Engine.packed
+  (** The keep-relative window vs a [Hashtbl] and a FIFO [Queue]. *)
+end
+
+module Txn_h : sig
+  val harness : cfg:Nvml_arch.Config.t -> unit -> Engine.packed
+  (** Undo-log transactions vs a committed and a current image. *)
+end
+
+module Fcache_h : sig
+  val harness :
+    cfg:Nvml_arch.Config.t -> capacity:int -> unit -> Engine.packed
+  (** A front cache of [capacity] slots vs an LRU slot list; counts
+      evictions in [fuzz.fcache.{clean,dirty}_victims]. *)
 end

@@ -11,91 +11,53 @@ type spec = {
   make : cfg:Nvml_arch.Config.t -> break:bool -> Engine.packed;
 }
 
+(* A component without a quirk whose harness boots no machine. *)
+let plain ?(scale = 1) name harness =
+  let make ~cfg:_ ~break:_ = harness () in
+  { name; breakable = false; scale; make }
+
+(* A component without a quirk whose harness boots a machine from [cfg]. *)
+let booted ?(scale = 1) name harness =
+  let make ~cfg ~break:_ = harness ~cfg in
+  { name; breakable = false; scale; make }
+
+(* A component with a quirk that [--break] enables. *)
+let breakable ?(scale = 1) name harness =
+  let make ~cfg:_ ~break = harness ~break in
+  { name; breakable = true; scale; make }
+
 let structure_spec (module M : Nvml_structures.Intf.ORDERED_MAP) =
-  {
-    name = "structures:" ^ M.name;
-    breakable = false;
-    scale = 4;
-    make =
-      (fun ~cfg ~break:_ -> Harnesses.Structure_h.harness ~cfg (module M));
-  }
+  booted ~scale:4 ("structures:" ^ M.name) (fun ~cfg ->
+      Harnesses.Structure_h.harness ~cfg (module M))
 
 let specs () =
   [
-    {
-      name = "cache";
-      breakable = true;
-      scale = 1;
-      make =
-        (fun ~cfg:_ ~break ->
-          Harnesses.Cache_h.harness ~sets:4 ~ways:3 ~break ());
-    };
-    {
-      name = "valb";
-      breakable = true;
-      scale = 1;
-      make = (fun ~cfg:_ ~break -> Harnesses.Valb_h.harness ~break ());
-    };
-    {
-      name = "storep";
-      breakable = false;
-      scale = 1;
-      make = (fun ~cfg:_ ~break:_ -> Harnesses.Storep_h.harness ~entries:3 ());
-    };
-    {
-      name = "persist";
-      breakable = false;
-      scale = 1;
-      make = (fun ~cfg:_ ~break:_ -> Harnesses.Persist_h.harness ());
-    };
-    {
-      name = "vatb";
-      breakable = false;
-      scale = 1;
-      make = (fun ~cfg:_ ~break:_ -> Harnesses.Vatb_h.harness ());
-    };
-    {
-      name = "freelist";
-      breakable = false;
-      scale = 1;
-      make = (fun ~cfg:_ ~break:_ -> Harnesses.Freelist_h.harness ());
-    };
-    {
-      name = "pmop";
-      breakable = false;
-      scale = 2;
-      make = (fun ~cfg:_ ~break:_ -> Harnesses.Pmop_h.harness ());
-    };
-    {
-      name = "media";
-      breakable = true;
-      scale = 4;
-      make = (fun ~cfg:_ ~break -> Harnesses.Media_h.harness ~break ());
-    };
+    breakable "cache" (fun ~break ->
+        Harnesses.Cache_h.harness ~sets:4 ~ways:3 ~break ());
+    breakable "valb" (fun ~break -> Harnesses.Valb_h.harness ~break ());
+    plain "storep" (Harnesses.Storep_h.harness ~entries:3);
+    plain "persist" Harnesses.Persist_h.harness;
+    plain "physmem" Harnesses.Physmem_h.harness;
+    plain "vspace" Harnesses.Vspace_h.harness;
+    plain "relwin" Harnesses.Relwin_h.harness;
+    plain "vatb" Harnesses.Vatb_h.harness;
+    plain "freelist" Harnesses.Freelist_h.harness;
+    plain ~scale:2 "pmop" Harnesses.Pmop_h.harness;
+    booted "txn" (fun ~cfg -> Harnesses.Txn_h.harness ~cfg ());
+    breakable ~scale:4 "media" (fun ~break ->
+        Harnesses.Media_h.harness ~break ());
   ]
   @ List.map structure_spec Registry.all_maps
   @ [
-      {
-        name = "semantics";
-        breakable = false;
-        scale = 16;
-        make = (fun ~cfg ~break:_ -> Harnesses.Semantics_h.harness ~cfg ());
-      };
-      {
-        name = "zipf";
-        breakable = false;
-        scale = 1;
-        make = (fun ~cfg:_ ~break:_ -> Harnesses.Zipf_h.harness ());
-      };
-      {
-        (* Schedule enumeration over seeded interleavings of the
-           multi-core machine: every op is a complete contended
-           episode, so the harness runs few of them. *)
-        name = "conc";
-        breakable = false;
-        scale = 64;
-        make = (fun ~cfg ~break:_ -> Harnesses.Conc_h.harness ~cfg ());
-      };
+      booted ~scale:16 "semantics" (fun ~cfg ->
+          Harnesses.Semantics_h.harness ~cfg ());
+      plain "zipf" Harnesses.Zipf_h.harness;
+      (* Schedule enumeration over seeded interleavings of the
+         multi-core machine: every op is a complete contended episode,
+         so the harness runs few of them. *)
+      booted ~scale:64 "conc" (fun ~cfg -> Harnesses.Conc_h.harness ~cfg ());
+      booted "fcache" (fun ~cfg ->
+          Harnesses.Fcache_h.harness ~cfg ~capacity:7 ());
     ]
 
 let names () = List.map (fun s -> s.name) (specs ())

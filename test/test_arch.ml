@@ -172,38 +172,6 @@ let test_btree_lookup_reports_walk () =
         (visited >= 1 && visited <= Btree.height t)
   | None -> Alcotest.fail "expected hit"
 
-let prop_btree_matches_reference =
-  QCheck.Test.make ~name:"B-tree agrees with a reference map under churn"
-    ~count:60
-    QCheck.(
-      list_of_size
-        Gen.(int_range 1 120)
-        (pair bool (int_bound 300)))
-    (fun script ->
-      let t = Btree.create () in
-      let reference = Hashtbl.create 64 in
-      List.iter
-        (fun (insert, slot) ->
-          let base = Int64.of_int (slot * 0x10000) in
-          if insert then begin
-            Btree.insert t ~base ~size:0x8000L ~pool:slot;
-            Hashtbl.replace reference slot ()
-          end
-          else begin
-            let removed = Btree.remove t base in
-            let expected = Hashtbl.mem reference slot in
-            Hashtbl.remove reference slot;
-            if removed <> expected then failwith "remove mismatch"
-          end)
-        script;
-      Btree.check_invariants t;
-      Hashtbl.length reference = Btree.length t
-      && Hashtbl.fold
-           (fun slot () acc ->
-             acc
-             && Btree.lookup t (Int64.of_int ((slot * 0x10000) + 4)) <> None)
-           reference true)
-
 (* --- VALB -------------------------------------------------------------------- *)
 
 let test_valb_hit_miss () =
@@ -412,8 +380,6 @@ let test_hw_cost_per_structure () =
         (Hw_cost.total_bytes s))
     (Hw_cost.of_config Config.default)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_btree_matches_reference ]
-
 let () =
   Alcotest.run "arch"
     [
@@ -477,5 +443,4 @@ let () =
           Alcotest.test_case "Table II totals" `Quick test_hw_cost_table2;
           Alcotest.test_case "per structure" `Quick test_hw_cost_per_structure;
         ] );
-      ("properties", qsuite);
     ]

@@ -2,16 +2,15 @@
    §12) promises that fast functional simulation changes wall-clock
    only.  Every functional output — program results, translation
    counters, event counts, crash-point enumeration, recovery verdicts,
-   fuzz verdicts, scrub reports — must be identical in both modes, and
-   fast mode must keep the [--jobs N == --jobs 1] determinism
-   contract. *)
+   fuzz verdicts, scrub reports — must be identical in both modes.
+   The fuzzer's [--jobs N == --jobs 1] contract in fast mode is
+   test_modelcheck's "parallel matches sequential". *)
 
 module Runtime = Nvml_runtime.Runtime
 module Cpu = Nvml_arch.Cpu
 module Xlate = Nvml_core.Xlate
 module Interp = Nvml_minic.Interp
 module Corpus = Nvml_minic.Corpus
-module Pool = Nvml_exec.Pool
 module Modelcheck = Nvml_modelcheck.Modelcheck
 module Faultinject = Nvml_faultinject.Faultinject
 module Harness = Nvml_kvstore.Harness
@@ -20,7 +19,6 @@ module Crc = Nvml_media.Crc
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
 
 (* --- corpus equivalence ------------------------------------------------ *)
 
@@ -170,23 +168,6 @@ let test_scrub_stable () =
   check_bool "cell replays bit-identically" true (a = b);
   check_bool "no mispredictions" true (a.Mediacheck.mispredictions = [])
 
-(* --- determinism under --jobs in fast mode ----------------------------- *)
-
-let test_fast_jobs_deterministic () =
-  let components = [ "cache"; "valb"; "storep"; "pmop"; "structures:RB" ] in
-  (* timing defaults to false: this is the fast path. *)
-  let sequential = Modelcheck.run ~components ~ops:200 ~seed:3 () in
-  let pool = Pool.create ~jobs:4 () in
-  let parallel =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Modelcheck.run ~pool ~components ~ops:200 ~seed:3 ())
-  in
-  check_bool "jobs 4 == jobs 1 (reports)" true (sequential = parallel);
-  check_str "jobs 4 == jobs 1 (rendered bytes)"
-    (Fmt.str "%a" Modelcheck.pp_report sequential)
-    (Fmt.str "%a" Modelcheck.pp_report parallel)
-
 (* --- CRC table rework -------------------------------------------------- *)
 
 (* Bit-for-bit reference in Int32 arithmetic (the pre-rework
@@ -268,11 +249,6 @@ let () =
             test_faultinject_equivalence;
           Alcotest.test_case "fuzz verdicts" `Quick test_fuzz_equivalence;
           Alcotest.test_case "scrub reports stable" `Quick test_scrub_stable;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "fast mode jobs 4 == jobs 1" `Quick
-            test_fast_jobs_deterministic;
         ] );
       ( "override",
         [

@@ -226,72 +226,6 @@ let test_valloc_lost_on_crash () =
        false
      with Nvml_simmem.Vspace.Fault _ -> true)
 
-(* --- properties ------------------------------------------------------------ *)
-
-let prop_alloc_free_invariants =
-  QCheck.Test.make ~name:"allocator invariants hold under random churn"
-    ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 80) (pair bool (int_range 8 300)))
-    (fun script ->
-      let _, pm = make () in
-      let pool = Pmop.create_pool pm ~name:"p" ~size:1048576 in
-      let live = ref [] in
-      List.iter
-        (fun (do_alloc, size) ->
-          if do_alloc || !live = [] then
-            live := Pmop.pmalloc pm ~pool size :: !live
-          else
-            match !live with
-            | p :: rest ->
-                live := rest;
-                Pmop.pfree pm p
-            | [] -> ())
-        script;
-      ignore (Pmop.check_pool_invariants pm ~pool);
-      true)
-
-let prop_blocks_disjoint =
-  QCheck.Test.make ~name:"live allocations never overlap" ~count:40
-    QCheck.(list_of_size Gen.(int_range 2 40) (int_range 8 200))
-    (fun sizes ->
-      let _, pm = make () in
-      let pool = Pmop.create_pool pm ~name:"p" ~size:1048576 in
-      let blocks =
-        List.map (fun s -> (Ptr.offset_of (Pmop.pmalloc pm ~pool s), s)) sizes
-      in
-      let sorted = List.sort compare blocks in
-      let rec disjoint = function
-        | (o1, s1) :: ((o2, _) :: _ as rest) ->
-            Int64.add o1 (Int64.of_int s1) <= o2 && disjoint rest
-        | _ -> true
-      in
-      disjoint sorted)
-
-let prop_data_survives_crash =
-  QCheck.Test.make ~name:"pool contents survive crash byte-for-byte" ~count:30
-    QCheck.(list_of_size Gen.(int_range 1 30) (map Int64.of_int small_int))
-    (fun values ->
-      let mem, pm = make () in
-      let pool = Pmop.create_pool pm ~name:"p" ~size:262144 in
-      let x = Xlate.make (Pmop.provider pm) in
-      let cells =
-        List.map
-          (fun v ->
-            let p = Pmop.pmalloc pm ~pool 8 in
-            Mem.write_word mem (Xlate.ra2va x p) v;
-            (p, v))
-          values
-      in
-      Pmop.crash pm;
-      let _ = Pmop.open_pool pm "p" in
-      List.for_all
-        (fun (p, v) -> Int64.equal (Mem.read_word mem (Xlate.ra2va x p)) v)
-        cells)
-
-let qsuite =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_alloc_free_invariants; prop_blocks_disjoint; prop_data_survives_crash ]
-
 let () =
   Alcotest.run "pool"
     [
@@ -333,5 +267,4 @@ let () =
           Alcotest.test_case "basics" `Quick test_valloc_basics;
           Alcotest.test_case "lost on crash" `Quick test_valloc_lost_on_crash;
         ] );
-      ("properties", qsuite);
     ]

@@ -1,8 +1,9 @@
 (* Tests for the serving engine: shard determinism under a parallel
    runner, front-cache write-back correctness against a no-cache
-   reference, the front cache alone against a reference LRU model,
-   closed-form cache behaviour on the hot-key-storm mix, the batching
-   cost model, and the spans each shard records. *)
+   reference, closed-form cache behaviour on the hot-key-storm mix, the
+   batching cost model, and the spans each shard records.  The front
+   cache alone against a reference LRU model is the modelcheck
+   component [fcache]. *)
 
 module Serving = Nvml_kvstore.Serving
 module Workload = Nvml_ycsb.Workload
@@ -158,190 +159,6 @@ let test_scan_flushes_dirty () =
   check_bool "writebacks happened" true
     (t.Serving.cache.Serving.writebacks > 0)
 
-(* Reference model of the front cache: an LRU list of slots (MRU
-   first), a dirty flag per slot, slots filled in order and then reused
-   from the LRU end, and a flush that walks slots 0 .. size - 1. *)
-module Model = struct
-  type t = {
-    keys : int64 array;
-    vals : int64 array;
-    dirty : bool array;
-    mutable lru : int list;
-    mutable size : int;
-    mutable stats : Serving.cache_stats;
-    mutable victims : bool list; (* the dirty flag of each victim *)
-    write_back : key:int64 -> value:int64 -> unit;
-  }
-
-  let create cap ~write_back =
-    let stats : Serving.cache_stats =
-      { hits = 0; misses = 0; writebacks = 0; evictions = 0; scan_flushes = 0 }
-    in
-    { keys = Array.make cap 0L; vals = Array.make cap 0L;
-      dirty = Array.make cap false; lru = []; size = 0; stats; victims = [];
-      write_back }
-
-  let slot_of t key = List.find_opt (fun s -> t.keys.(s) = key) t.lru
-  let touch t slot = t.lru <- slot :: List.filter (( <> ) slot) t.lru
-
-  let write_back t slot =
-    t.write_back ~key:t.keys.(slot) ~value:t.vals.(slot);
-    t.dirty.(slot) <- false;
-    t.stats <- { t.stats with writebacks = t.stats.writebacks + 1 }
-
-  let install t key v ~dirty =
-    match slot_of t key with
-    | Some s ->
-        t.vals.(s) <- v;
-        t.dirty.(s) <- t.dirty.(s) || dirty;
-        touch t s
-    | None ->
-        let s =
-          if t.size < Array.length t.keys then (t.size <- t.size + 1; t.size - 1)
-          else begin
-            let victim = List.nth t.lru (t.size - 1) in
-            t.victims <- t.dirty.(victim) :: t.victims;
-            if t.dirty.(victim) then write_back t victim;
-            t.stats <- { t.stats with evictions = t.stats.evictions + 1 };
-            victim
-          end
-        in
-        t.keys.(s) <- key;
-        t.vals.(s) <- v;
-        t.dirty.(s) <- dirty;
-        touch t s
-
-  let get t ~find key =
-    match slot_of t key with
-    | Some s ->
-        t.stats <- { t.stats with hits = t.stats.hits + 1 };
-        touch t s;
-        Some t.vals.(s)
-    | None ->
-        t.stats <- { t.stats with misses = t.stats.misses + 1 };
-        let r = find key in
-        Option.iter (fun v -> install t key v ~dirty:false) r;
-        r
-
-  let drain t =
-    for s = 0 to t.size - 1 do
-      if t.dirty.(s) then write_back t s
-    done
-
-  let scan_flush t =
-    t.stats <- { t.stats with scan_flushes = t.stats.scan_flushes + 1 };
-    drain t
-end
-
-(* [Serving.Fcache] against the model on seeded random sequences: every
-   kind of get (hit; miss that finds a value; miss that finds none) and
-   put (new key; clean and dirty cached key), scan flushes and a closing
-   drain, over 4 x capacity + 4 keys so that clean and dirty victims are
-   both evicted.  The write-back sequences, get results and stats must
-   be equal, and after each scan flush the persistent side must hold the
-   latest value of every cached key. *)
-let test_fcache_model () =
-  let cfg = { Runtime.Config.default with timing = false } in
-  (* A persistent side: its contents and the write-backs it received. *)
-  let sink () =
-    let store = Hashtbl.create 64 and log = ref [] in
-    let write_back ~key ~value =
-      Hashtbl.replace store key value;
-      log := (key, value) :: !log
-    in
-    (store, log, write_back)
-  in
-  List.iter
-    (fun cap ->
-      let dirty_victims = ref 0 and clean_victims = ref 0 in
-      for seed = 1 to 20 do
-        let ctx = Printf.sprintf "capacity %d seed %d" cap seed in
-        let rng = Random.State.make [| cap; seed |] in
-        let keys = Array.init ((4 * cap) + 4) (fun i -> Int64.of_int (i + 1)) in
-        let store, log, write_back = sink () in
-        let mstore, mlog, mwrite_back = sink () in
-        (* Every other key starts persistent; the keys above 1_000_000
-           are never put, so a miss on one finds nothing. *)
-        Array.iteri
-          (fun i k ->
-            if i mod 2 = 0 then begin
-              Hashtbl.replace store k (Int64.of_int i);
-              Hashtbl.replace mstore k (Int64.of_int i)
-            end)
-          keys;
-        let absent = ref 1_000_000L and latest = Hashtbl.copy store in
-        let rt = Runtime.create ~cfg ~mode:Runtime.Hw () in
-        let fc = Serving.Fcache.create rt cap ~write_back in
-        let m = Model.create cap ~write_back:mwrite_back in
-        let cached p =
-          List.filter_map
-            (fun s -> if p s then Some m.Model.keys.(s) else None)
-            m.Model.lru
-        in
-        let rec uncached p =
-          let k = keys.(Random.State.int rng (Array.length keys)) in
-          if Model.slot_of m k = None && p k then k else uncached p
-        in
-        let any _ = true and clean s = not m.Model.dirty.(s) in
-        (* A random key of [l], or an uncached key when [l] is empty. *)
-        let pick l =
-          if l = [] then uncached any
-          else List.nth l (Random.State.int rng (List.length l))
-        in
-        let gets = ref [] and mgets = ref [] and stale = ref [] in
-        let get key =
-          gets := Serving.Fcache.get fc ~find:(Hashtbl.find_opt store) key :: !gets;
-          mgets := Model.get m ~find:(Hashtbl.find_opt mstore) key :: !mgets
-        in
-        let put key =
-          let value = Random.State.int64 rng 1_000_000L in
-          Hashtbl.replace latest key value;
-          Serving.Fcache.put fc ~key ~value;
-          Model.install m key value ~dirty:true
-        in
-        (* One scan flush per 6 x capacity ops, so that a dirty entry
-           can age out of a full cache between flushes. *)
-        for _ = 1 to max 300 (20 * cap) do
-          let n = Random.State.int rng ((6 * cap) + 1) in
-          if n = 6 * cap then begin
-            Serving.Fcache.scan_flush fc;
-            Model.scan_flush m;
-            List.iter
-              (fun k ->
-                if Hashtbl.find_opt latest k <> Hashtbl.find_opt store k then
-                  stale := k :: !stale)
-              (cached any)
-          end
-          else
-            match n mod 6 with
-            | 0 -> get (pick (cached any))
-            | 1 -> get (uncached (Hashtbl.mem mstore))
-            | 2 ->
-                absent := Int64.succ !absent;
-                get !absent
-            | 3 -> put (uncached any)
-            | 4 -> put (pick (cached clean))
-            | _ -> put (pick (cached (fun s -> not (clean s))))
-        done;
-        Serving.Fcache.drain fc;
-        Model.drain m;
-        Alcotest.(check (list (option int64))) (ctx ^ ": gets") !mgets !gets;
-        Alcotest.(check (list int64)) (ctx ^ ": stale after a scan flush") [] !stale;
-        Alcotest.(check (list (pair int64 int64)))
-          (ctx ^ ": write-back sequence") (List.rev !mlog) (List.rev !log);
-        check_string (ctx ^ ": stats")
-          (cache_bytes m.Model.stats)
-          (cache_bytes (Serving.Fcache.stats fc));
-        List.iter
-          (fun d -> incr (if d then dirty_victims else clean_victims))
-          m.Model.victims
-      done;
-      check_bool (Printf.sprintf "capacity %d: dirty victims" cap) true
-        (!dirty_victims > 0);
-      check_bool (Printf.sprintf "capacity %d: clean victims" cap) true
-        (!clean_victims > 0))
-    [ 1; 2; 7; 64 ]
-
 (* Each shard gets front_cache / shards entries, rounded down, so a
    cache smaller than the shard count is rejected, not enlarged. *)
 let test_cache_below_shards () =
@@ -406,8 +223,6 @@ let () =
             test_hot_storm_hit_rate;
           Alcotest.test_case "scan flushes dirty" `Quick
             test_scan_flushes_dirty;
-          Alcotest.test_case "matches reference model" `Quick
-            test_fcache_model;
           Alcotest.test_case "below shard count rejected" `Quick
             test_cache_below_shards;
         ] );
