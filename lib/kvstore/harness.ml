@@ -88,11 +88,14 @@ let region_for ~name rt mode =
   | Runtime.Volatile -> Runtime.Dram_region
   | _ -> Runtime.Pool_region (Runtime.create_pool rt ~name ~size:pool_size)
 
-(* The request buffer: [key j] for each op [j], read back once per op. *)
-let stage_keys rt n key =
+(* The request buffer: the key of [record j] for each op [j], read back
+   once per op. *)
+let stage_keys rt n record =
   let buf = Mem.map_fresh (Runtime.mem rt) Layout.Dram (max 8 (n * 8)) in
   for j = 0 to n - 1 do
-    Mem.write_word (Runtime.mem rt) (Int64.add buf (Int64.of_int (j * 8))) (key j)
+    Mem.write_word (Runtime.mem rt)
+      (Int64.add buf (Int64.of_int (j * 8)))
+      (Workload.key_of_index (record j))
   done;
   buf
 
@@ -140,31 +143,16 @@ let measure ?cell rt ~benchmark ~records ~ops ~load ~run =
     persist = persist_tally rt;
   }
 
-(* The key the driver reads back from the request buffer (a scan's
-   first record), and the op's name in the latency recorder. *)
-let staged_key = function
-  | Workload.Read k | Workload.Update (k, _) | Workload.Insert (k, _)
-  | Workload.Rmw (k, _) ->
-      k
-  | Workload.Scan (start, _) -> Workload.key_of_index start
-
-let op_name = function
-  | Workload.Read _ -> "get"
-  | Workload.Update _ -> "put"
-  | Workload.Insert _ -> "insert"
-  | Workload.Scan _ -> "scan"
-  | Workload.Rmw _ -> "rmw"
-
 (* Run one YCSB spec against one index structure in one mode. *)
 let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default)
     ?(persist = Nvml_runtime.Persist.Eager) (spec : Workload.spec) : result =
   let rt = Runtime.create ~cfg ~mode ~persist () in
   let m = M.create rt (region_for ~name:"kv" rt mode) in
   (* Pre-generate the op stream and stage its keys before the load. *)
-  let ops = ref [] in
-  Workload.iter_ops spec (fun op -> ops := op :: !ops);
-  let ops = Array.of_list (List.rev !ops) in
-  let key_buf = stage_keys rt (Array.length ops) (fun i -> staged_key ops.(i)) in
+  let ops = Workload.ops spec in
+  let key_buf =
+    stage_keys rt (Array.length ops) (fun i -> Workload.first_record ops.(i))
+  in
   let hits = ref 0 and misses = ref 0 in
   let find k =
     let v = M.find m k in
@@ -184,12 +172,12 @@ let run_map (module M : Intf.ORDERED_MAP) ~mode ?(cfg = Nvml_arch.Config.default
           (fun i op ->
             step (fun ol ->
                 (* Fetch the key from the request buffer (the op
-                   carries the same key), dispatch. *)
+                   derives the same key), dispatch. *)
                 ignore (Runtime.load_word rt ~site:s_driver key_buf ~off:(i * 8) : int64);
                 Runtime.instr rt 10;
-                Oplat.mark ol (Runtime.cpu rt) "driver";
+                Oplat.mark_driver ol (Runtime.cpu rt);
                 Workload.apply ~find ~insert op;
-                op_name op))
+                Workload.op_name op))
           ops)
   in
   Runtime.publish_stats rt;

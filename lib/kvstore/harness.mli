@@ -49,9 +49,10 @@ val region_for : name:string -> Runtime.t -> Runtime.mode -> Runtime.region
     otherwise a fresh lazily backed pool [name] (the harness's, a
     serving shard's, a core's under [nvml kv --cores]). *)
 
-val stage_keys : Runtime.t -> int -> (int -> int64) -> int64
-(** [stage_keys rt n key]: a fresh DRAM request buffer holding [key j]
-    for each of [n] ops, read back once per op. *)
+val stage_keys : Runtime.t -> int -> (int -> int) -> int64
+(** [stage_keys rt n record]: a fresh DRAM request buffer holding the
+    key of record [record j] for each of [n] ops, read back once per
+    op. *)
 
 val measure :
   ?cell:string ->
@@ -69,9 +70,6 @@ val measure :
     an epoch-boundary candidate; work between steps bills to the run
     phase but to no op.  The caller publishes the runtime's stats and
     fills in [hits] and [misses]. *)
-
-val op_name : Workload.op -> string
-(** get, put, insert, scan or rmw: the op's name in a latency recorder. *)
 
 val run_map :
   Nvml_structures.Intf.ordered_map ->

@@ -150,11 +150,20 @@ module Buf = struct
   let contents b = Array.sub b.a 0 b.len
 end
 
+(* Request tags, the low three bits of a request's first word.  A
+   point op's aux word is its value or delta. *)
 let tag_read = 0
 let tag_update = 1
 let tag_insert = 2
 let tag_scan = 3
 let tag_rmw = 4
+
+(* The point op of a request with tag [tag] (not [tag_scan]). *)
+let point_op tag i aux : Workload.idx_op =
+  if tag = tag_read then IRead i
+  else if tag = tag_update then IUpdate (i, aux)
+  else if tag = tag_insert then IInsert (i, aux)
+  else IRmw (i, aux)
 
 (* Partition the load population and the operation stream across
    shards.  Scans become per-shard sub-gets; the first sub-get a scan
@@ -455,10 +464,7 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
       ~run:(fun step ->
         (* Stage the request keys, then map the cache, after the load:
            moving either mapping would move frames and cycle counts. *)
-        let key_buf =
-          Harness.stage_keys rt n_ops (fun j ->
-              Workload.key_of_index (ops.(2 * j) lsr 3))
-        in
+        let key_buf = Harness.stage_keys rt n_ops (fun j -> ops.(2 * j) lsr 3) in
         let fc =
           if c.front_cache = 0 then None
           else Some (Fcache.create rt (c.front_cache / c.shards) ~write_back:(M.insert m))
@@ -476,26 +482,21 @@ let run_shard (c : config) (module M : Intf.ORDERED_MAP) ~shard
           step (fun ol ->
               let key = Runtime.load_word rt ~site:s_driver key_buf ~off:(j * 8) in
               Runtime.instr rt op_dispatch_instrs;
-              Oplat.mark ol (Runtime.cpu rt) "driver";
-              let aux = ops.((2 * j) + 1) in
-              match ops.(2 * j) land 7 with
-              | 3 (* scan sub-get: flush once per scan, then read around the cache *) ->
-                  (match fc with
-                  | Some fc when aux land 1 = 1 -> Fcache.scan_flush fc
-                  | _ -> ());
-                  ignore (count (M.find m key) : int64 option);
-                  "scan"
-              | tag ->
-                  let v = Int64.of_int aux in
-                  let op =
-                    match tag with
-                    | 0 -> Workload.Read key
-                    | 1 -> Workload.Update (key, v)
-                    | 2 -> Workload.Insert (key, v)
-                    | _ -> Workload.Rmw (key, v)
-                  in
-                  Workload.apply ~find ~insert op;
-                  Harness.op_name op)
+              Oplat.mark_driver ol (Runtime.cpu rt);
+              let word = ops.(2 * j) and aux = ops.((2 * j) + 1) in
+              if word land 7 = tag_scan then begin
+                (* A scan sub-get: flush once per scan, then read around
+                   the cache. *)
+                (match fc with
+                | Some fc when aux land 1 = 1 -> Fcache.scan_flush fc
+                | _ -> ());
+                ignore (count (M.find m key) : int64 option);
+                "scan"
+              end
+              else
+                let op = point_op (word land 7) (word lsr 3) aux in
+                Workload.apply ~find ~insert op;
+                Workload.op_name op)
         done;
         (* Write every dirty entry back, as a cache-disabled run would have. *)
         Option.iter

@@ -54,8 +54,6 @@ let compare_slowest a b =
   | 0 -> ( match compare a.cell b.cell with 0 -> compare a.seq b.seq | c -> c)
   | c -> c
 
-let max_marks = 8
-
 type t = {
   cell_label : string;
   k : int;
@@ -66,9 +64,7 @@ type t = {
   mutable in_op : bool;
   mutable p_cycles : int;
   mutable p_attr : Cpu.attribution;
-  mark_names : string array;
-  mark_cycles : int array;
-  mutable mark_len : int;
+  mutable mark : int; (* the open op's driver mark, in its cycles; -1 if none *)
   mutable slow : sample list; (* sorted slowest first, length <= k *)
 }
 
@@ -89,9 +85,7 @@ let create ~cell () =
     p_attr =
       { Cpu.base = 0; branch = 0; tlb = 0; cache = 0; mem = 0; xlate = 0;
         storep = 0 };
-    mark_names = Array.make max_marks "";
-    mark_cycles = Array.make max_marks 0;
-    mark_len = 0;
+    mark = -1;
     slow = [];
   }
 
@@ -99,14 +93,9 @@ let op_begin t cpu =
   t.in_op <- true;
   t.p_cycles <- Cpu.cycles cpu;
   t.p_attr <- Cpu.attribution cpu;
-  t.mark_len <- 0
+  t.mark <- -1
 
-let mark t cpu name =
-  if t.in_op && t.mark_len < max_marks then begin
-    t.mark_names.(t.mark_len) <- name;
-    t.mark_cycles.(t.mark_len) <- Cpu.cycles cpu - t.p_cycles;
-    t.mark_len <- t.mark_len + 1
-  end
+let mark_driver t cpu = if t.in_op then t.mark <- Cpu.cycles cpu - t.p_cycles
 
 (* Insert [s] into the sorted reservoir, dropping the least-slow sample
    when over capacity. *)
@@ -122,19 +111,13 @@ let admit t s =
       (if List.length l > t.k then List.filteri (fun i _ -> i < t.k) l else l)
   end
 
-let spans_of_marks t op cycles =
-  let rec build i prev acc =
-    if i >= t.mark_len then
-      let acc =
-        if prev < cycles && t.mark_len > 0 then (op, prev, cycles) :: acc
-        else acc
-      in
-      List.rev acc
-    else
-      build (i + 1) t.mark_cycles.(i)
-        ((t.mark_names.(i), prev, t.mark_cycles.(i)) :: acc)
-  in
-  (op, 0, cycles) :: build 0 0 []
+(* The op, then its driver prefix and the rest of the op after it; a
+   mark at the op's last cycle leaves no rest. *)
+let spans op ~mark cycles =
+  let root = (op, 0, cycles) in
+  if mark < 0 then [ root ]
+  else if mark < cycles then [ root; ("driver", 0, mark); (op, mark, cycles) ]
+  else [ root; ("driver", 0, mark) ]
 
 let op_end t cpu op =
   if t.in_op then begin
@@ -173,7 +156,7 @@ let op_end t cpu op =
           cell = t.cell_label;
           cycles;
           comps;
-          spans = spans_of_marks t op cycles;
+          spans = spans op ~mark:t.mark cycles;
         }
   end
 

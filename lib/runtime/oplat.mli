@@ -52,8 +52,9 @@ type sample = {
   cycles : int;
   comps : components;
   spans : (string * int * int) list;
-      (** [(name, start, stop)] marker spans, cycles relative to op
-          start; the op itself spans [(op, 0, cycles)]. *)
+      (** [(name, start, stop)] spans, cycles relative to op start: the
+          op itself spans [(op, 0, cycles)], then its driver mark's
+          spans (see {!mark_driver}). *)
 }
 
 type t
@@ -65,10 +66,11 @@ val op_begin : t -> Cpu.t -> unit
 (** Stamp the operation start.  Nested [op_begin] is not supported —
     one operation at a time per recorder. *)
 
-val mark : t -> Cpu.t -> string -> unit
-(** Close a marker span at the current cycle: the span runs from the
-    previous mark (or the op start) to now.  Up to 8 marks per op are
-    kept. *)
+val mark_driver : t -> Cpu.t -> unit
+(** End the open op's driver prefix at the current cycle: the op's
+    spans become [(op, 0, c)], [("driver", 0, m)] and, when the mark
+    [m] is before the op's last cycle [c], [(op, m, c)].  A later mark
+    in the same op replaces it. *)
 
 val op_end : t -> Cpu.t -> string -> unit
 (** Finish the operation named [op]: record its cycle latency and

@@ -63,16 +63,9 @@ let scale spec factor =
    produce adjacent keys (YCSB hashes "user<i>" similarly). *)
 let key_of_index i = Distribution.scramble (Int64.of_int (i + 1))
 
-type op =
-  | Read of int64
-  | Update of int64 * int64
-  | Insert of int64 * int64
-  | Scan of int * int
-  | Rmw of int64 * int64
-
-(* Index-level mirror of [op], used by the serving engine to encode
-   operation streams compactly (keys are recomputed from the record
-   index with [key_of_index] at replay time). *)
+(* One run-phase op at the record-index level: a record's key is
+   [key_of_index] of its index and a value or delta is [Int64.of_int]
+   of its int, both derived at replay. *)
 type idx_op =
   | IRead of int
   | IUpdate of int * int
@@ -122,14 +115,23 @@ let iter_idx_ops spec f =
     end
   done
 
-let iter_ops spec f =
-  iter_idx_ops spec (fun iop ->
-      match iop with
-      | IRead i -> f (Read (key_of_index i))
-      | IUpdate (i, opno) -> f (Update (key_of_index i, Int64.of_int opno))
-      | IInsert (i, opno) -> f (Insert (key_of_index i, Int64.of_int opno))
-      | IScan (start, len) -> f (Scan (start, len))
-      | IRmw (i, opno) -> f (Rmw (key_of_index i, Int64.of_int opno)))
+let ops spec =
+  let a = Array.make spec.operation_count (IRead 0) and n = ref 0 in
+  iter_idx_ops spec (fun op ->
+      a.(!n) <- op;
+      incr n);
+  a
+
+(* The record an op touches first: a scan's first record. *)
+let first_record = function
+  | IRead i | IUpdate (i, _) | IInsert (i, _) | IScan (i, _) | IRmw (i, _) -> i
+
+let op_name = function
+  | IRead _ -> "get"
+  | IUpdate _ -> "put"
+  | IInsert _ -> "insert"
+  | IScan _ -> "scan"
+  | IRmw _ -> "rmw"
 
 (* What the load phase puts in a map, record by record, for the same
    drivers as [apply] below. *)
@@ -140,15 +142,17 @@ let load_record ~insert i = insert ~key:(key_of_index i) ~value:(Int64.of_int i)
    KV workload, the multi-core kv run, the serving engine's shards)
    replays. *)
 let apply ~find ~insert = function
-  | Read k -> ignore (find k : int64 option)
-  | Update (k, v) | Insert (k, v) -> insert ~key:k ~value:v
-  | Scan (start, len) ->
+  | IRead i -> ignore (find (key_of_index i) : int64 option)
+  | IUpdate (i, v) | IInsert (i, v) ->
+      insert ~key:(key_of_index i) ~value:(Int64.of_int v)
+  | IScan (start, len) ->
       for j = start to start + len - 1 do
         ignore (find (key_of_index j) : int64 option)
       done
-  | Rmw (k, delta) ->
+  | IRmw (i, delta) ->
+      let k = key_of_index i in
       let v = match find k with Some v -> v | None -> 0L in
-      insert ~key:k ~value:(Int64.add v delta)
+      insert ~key:k ~value:(Int64.add v (Int64.of_int delta))
 
 (* Serving-scale mixes for the sharded engine: the paper preset scaled
    up, plus scan-heavy, read-modify-write, and hot-key-storm mixes.

@@ -187,7 +187,7 @@ let run_kv ~cluster =
     for i = 0 to 63 do
       Workload.load_record ~insert:(M.insert m) i
     done;
-    Workload.iter_ops spec
+    Workload.iter_idx_ops spec
       (Workload.apply ~find:(M.find m) ~insert:(M.insert m))
   in
   if cluster then Cluster.run (Cluster.create ~cores:1 rt) [| body |]

@@ -20,7 +20,7 @@ let small = W.scale W.paper_default 50 (* 200 records, 2000 ops *)
 
 (* A run of [spec] timed each of its ops, and each find of a read, an
    RMW or a scanned record hit a live key.  The finds are counted on the
-   index-level mirror of the stream, independently of the harness's op
+   index-level stream, independently of the harness's op
    semantics. *)
 let check_run tag (spec : W.spec) (r : Harness.result) =
   let finds = ref 0 in

@@ -133,11 +133,11 @@ let test_hotspot_boundaries () =
 
 let count_ops spec =
   let reads = ref 0 and updates = ref 0 and inserts = ref 0 in
-  W.iter_ops spec (function
-    | W.Read _ -> incr reads
-    | W.Update _ -> incr updates
-    | W.Insert _ -> incr inserts
-    | W.Scan _ | W.Rmw _ -> ());
+  W.iter_idx_ops spec (function
+    | W.IRead _ -> incr reads
+    | W.IUpdate _ -> incr updates
+    | W.IInsert _ -> incr inserts
+    | W.IScan _ | W.IRmw _ -> ());
   (!reads, !updates, !inserts)
 
 let test_paper_mix () =
@@ -160,10 +160,10 @@ let test_serving_mixes () =
   let spec name = List.assoc name mixes in
   (* scan-heavy: about half the ops are scans, all in range. *)
   let scans = ref 0 and total = ref 0 and ok = ref true in
-  W.iter_ops (spec "scan-heavy") (fun op ->
+  W.iter_idx_ops (spec "scan-heavy") (fun op ->
       incr total;
       match op with
-      | W.Scan (start, len) ->
+      | W.IScan (start, len) ->
           incr scans;
           if start < 0 || len < 1 || len > 16 then ok := false
       | _ -> ());
@@ -171,50 +171,24 @@ let test_serving_mixes () =
   check_bool "~50% scans" true (abs (!scans - !total / 2) < 800);
   (* rmw-heavy: about half RMW. *)
   let rmws = ref 0 in
-  W.iter_ops (spec "rmw-heavy") (function
-    | W.Rmw _ -> incr rmws
+  W.iter_idx_ops (spec "rmw-heavy") (function
+    | W.IRmw _ -> incr rmws
     | _ -> ());
   check_bool "~50% rmw" true (abs (!rmws - 10000) < 800);
-  (* hot-storm: 90% of single-key ops land on the 1-key-in-1000 hot set. *)
+  (* hot-storm: 90% of single-key ops land on the 1-key-in-1000 hot
+     set, records [0, hot_n). *)
   let hot_n = max 1 (int_of_float (0.001 *. 1000.)) in
-  let hot_keys = Hashtbl.create 8 in
-  for i = 0 to hot_n - 1 do
-    Hashtbl.replace hot_keys (W.key_of_index i) ()
-  done;
   let hot = ref 0 and singles = ref 0 in
-  W.iter_ops (spec "hot-storm") (function
-    | W.Read k | W.Update (k, _) ->
+  W.iter_idx_ops (spec "hot-storm") (function
+    | W.IRead i | W.IUpdate (i, _) ->
         incr singles;
-        if Hashtbl.mem hot_keys k then incr hot
+        if i < hot_n then incr hot
     | _ -> ());
   check_bool "~90% of ops hit the hot set" true
     (abs (!hot * 10 - !singles * 9) < !singles)
 
-let test_idx_ops_mirror () =
-  (* iter_idx_ops and iter_ops must describe the same stream. *)
-  let spec =
-    List.assoc "scan-heavy" (W.serving_mixes ~records:500 ~ops:2000)
-  in
-  let a = ref [] and b = ref [] in
-  W.iter_ops spec (fun op -> a := op :: !a);
-  W.iter_idx_ops spec (fun iop ->
-      b :=
-        (match iop with
-        | W.IRead i -> W.Read (W.key_of_index i)
-        | W.IUpdate (i, v) -> W.Update (W.key_of_index i, Int64.of_int v)
-        | W.IInsert (i, v) -> W.Insert (W.key_of_index i, Int64.of_int v)
-        | W.IScan (s, l) -> W.Scan (s, l)
-        | W.IRmw (i, v) -> W.Rmw (W.key_of_index i, Int64.of_int v))
-        :: !b);
-  check_bool "index stream mirrors key stream" true (!a = !b)
-
 let test_deterministic () =
-  let collect () =
-    let acc = ref [] in
-    W.iter_ops { W.paper_default with W.operation_count = 500 } (fun op ->
-        acc := op :: !acc);
-    !acc
-  in
+  let collect () = W.ops { W.paper_default with W.operation_count = 500 } in
   check_bool "same seed, same stream" true (collect () = collect ())
 
 let test_inserts_get_fresh_keys () =
@@ -224,32 +198,28 @@ let test_inserts_get_fresh_keys () =
   done;
   check_int "1000 distinct keys" 1000 (Hashtbl.length seen);
   let fresh = ref true in
-  W.iter_ops
+  W.iter_idx_ops
     { W.paper_default with W.record_count = 1000; W.operation_count = 2000 }
     (function
-      | W.Insert (k, _) ->
+      | W.IInsert (i, _) ->
+          let k = W.key_of_index i in
           if Hashtbl.mem seen k then fresh := false
           else Hashtbl.replace seen k ()
-      | W.Read _ | W.Update _ | W.Scan _ | W.Rmw _ -> ());
+      | W.IRead _ | W.IUpdate _ | W.IScan _ | W.IRmw _ -> ());
   check_bool "inserts always use unseen keys" true !fresh
 
 let test_reads_hit_existing () =
-  (* Every key read must have been loaded or inserted before. *)
-  let exists = Hashtbl.create 64 in
+  (* Every record read must have been loaded or inserted before: the
+     live records are [0, n), and an insert appends record n. *)
   let spec = { W.paper_default with W.record_count = 100; W.operation_count = 5000 } in
-  for i = 0 to spec.W.record_count - 1 do
-    Hashtbl.replace exists (W.key_of_index i) ()
-  done;
-  let ok = ref true in
-  W.iter_ops spec (function
-    | W.Read k -> if not (Hashtbl.mem exists k) then ok := false
-    | W.Insert (k, _) -> Hashtbl.replace exists k ()
-    | W.Update (k, _) | W.Rmw (k, _) ->
-        if not (Hashtbl.mem exists k) then ok := false
-    | W.Scan (start, len) ->
-        for j = start to start + len - 1 do
-          if not (Hashtbl.mem exists (W.key_of_index j)) then ok := false
-        done);
+  let n = ref spec.W.record_count and ok = ref true in
+  let live i = if i < 0 || i >= !n then ok := false in
+  W.iter_idx_ops spec (function
+    | W.IRead i | W.IUpdate (i, _) | W.IRmw (i, _) -> live i
+    | W.IInsert (i, _) -> if i = !n then incr n else ok := false
+    | W.IScan (start, len) ->
+        live start;
+        live (start + len - 1));
   check_bool "reads and updates always hit live keys" true !ok
 
 let prop_zipf_bounds =
@@ -289,7 +259,6 @@ let () =
           Alcotest.test_case "paper mix" `Quick test_paper_mix;
           Alcotest.test_case "workload A mix" `Quick test_workload_a_mix;
           Alcotest.test_case "serving mixes" `Quick test_serving_mixes;
-          Alcotest.test_case "idx ops mirror" `Quick test_idx_ops_mirror;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "fresh insert keys" `Quick
             test_inserts_get_fresh_keys;
