@@ -82,10 +82,6 @@ val polb_translate : t -> pool:int -> unit
 (** An ra2va on the address-generation path (exposed latency; a miss
     adds the POW walk). *)
 
-val valb_latency : t -> va:int64 -> int
-(** VALB lookup latency; a miss walks the VATB B-tree (one kernel
-    access per node) and refills the buffer. *)
-
 (** {2 storeP}
 
     A storeP instruction narrates its operand conversions into a

@@ -50,8 +50,6 @@ val decide : t -> frame:int -> word_index:int -> kind option
     word when it has not been healed.  This is the injection ground
     truth the bench coverage matrix is scored against. *)
 
-val healed : t -> frame:int -> word_index:int -> bool
-
 val words_per_line : int
 (** Words per poison granule (a 64-byte line = 8 words). *)
 

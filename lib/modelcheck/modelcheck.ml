@@ -87,6 +87,10 @@ let select requested =
 type entry = { spec_name : string; breakable : bool; result : Engine.result }
 type report = { entries : entry list; violations : int }
 
+(* The fewest ops a heavy component runs (all of [ops] when fewer), so
+   a short run still gives each one several inputs. *)
+let min_ops = 16
+
 let run ?pool ?(break = false) ?(timing = false) ~components ~ops ~seed () =
   (* Model checking only compares functional outputs, so the machines
      the harnesses boot default to fast functional simulation;
@@ -97,7 +101,7 @@ let run ?pool ?(break = false) ?(timing = false) ~components ~ops ~seed () =
   let tasks =
     List.map
       (fun s () ->
-        let ops = max 1 (ops / s.scale) in
+        let ops = max (min ops min_ops) (ops / s.scale) in
         let result = Engine.run (s.make ~cfg ~break) ~ops ~seed in
         { spec_name = s.name; breakable = s.breakable; result })
       selected

@@ -36,6 +36,12 @@ val header : t -> Ptr.t
 (** The log object's handle — anchor it (e.g. in the pool root) so
     {!attach} can find it after a restart. *)
 
+val o_state : int
+val o_count : int
+(** Byte offsets in the log object of its state word (1 while a
+    transaction, or under a relaxed model an epoch, is open; else 0)
+    and of its count of valid entries. *)
+
 val attach : Runtime.t -> Ptr.t -> t
 
 val is_active : t -> bool

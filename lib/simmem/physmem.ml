@@ -251,7 +251,6 @@ let fire t event =
   | _ -> ()
 
 let set_frozen t frozen = t.frozen <- frozen
-let frozen t = t.frozen
 
 let set_media_read t hook = t.media_read <- hook
 let set_media_write_note t hook = t.media_write <- hook

@@ -75,8 +75,6 @@ val set_frozen : t -> bool -> unit
     the instant of power loss, so code unwinding from a crash exception
     cannot accidentally keep writing to the media.  {!crash} unfreezes. *)
 
-val frozen : t -> bool
-
 (** {2 Media model}
 
     One read hook and one write note per machine let a media-error
