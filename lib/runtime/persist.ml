@@ -192,6 +192,7 @@ let with_eager t f =
   end
 
 let set_drain_hook t hook = t.drain_hook <- hook
+let buffering t = (not (is_eager t.model)) && t.passthrough = 0
 
 (* The durable value of a word: the buffered epoch-start value if the
    word is dirty, the media value otherwise.  This is what a crash at
@@ -305,8 +306,8 @@ let drain t ~cpu ~cfg =
 
 (* Power failure: every still-buffered word never reached media — poke
    its durable value back over the newest one.  [poke] bypasses the
-   freeze, which is exactly right: this is not a store, it is the
-   revelation of what the media actually held. *)
+   store path's hooks, which is exactly right: this is not a store, it
+   is the revelation of what the media actually held. *)
 let crash t =
   for s = 0 to t.slots - 1 do
     let m = mask t s in

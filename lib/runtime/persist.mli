@@ -51,6 +51,11 @@ val with_eager : t -> (unit -> 'a) -> 'a
     undo log — log records must be durable before their epoch's data
     drains — and by recovery replay. *)
 
+val buffering : t -> bool
+(** Whether an NVM word stored now would be buffered: a relaxed model
+    outside {!with_eager}.  A store made while this is [false] is
+    durable as it lands. *)
+
 val set_drain_hook : t -> (unit -> unit) option -> unit
 (** Hook run at the end of every non-empty {!drain}, after the fence:
     the undo log registers its truncation here, so a completed drain

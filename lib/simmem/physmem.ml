@@ -26,10 +26,8 @@ type t = {
   mutable reads : int;
   mutable writes : int;
   (* Fault injection: an armed hook sees every persistence-relevant
-     event before it takes effect; a frozen machine drops all stores
-     (power is off, nothing lands on the media any more). *)
+     event before it takes effect. *)
   mutable fi_hook : (Fi.event -> unit) option;
-  mutable frozen : bool;
   (* Media model: an armed read hook sees every word leaving an NVM
      frame and may transform it (bit rot) or raise (poisoned line); the
      write note lets the model heal a location that is re-written. *)
@@ -56,7 +54,6 @@ let create () =
     reads = 0;
     writes = 0;
     fi_hook = None;
-    frozen = false;
     media_read = None;
     media_write = None;
     persist_note = None;
@@ -203,29 +200,24 @@ let note_media_write t pa =
         ~word_index:((pa land (Layout.page_size - 1)) lsr 3)
 
 let write_pa t pa value =
+  t.writes <- t.writes + 1;
   match t.fi_hook with
   | None ->
-      if not t.frozen then begin
-        t.writes <- t.writes + 1;
-        (if t.persist_note <> None then
-           note_persist_store t (pa lsr Layout.page_shift)
-             ((pa land (Layout.page_size - 1)) lsr 3));
-        Bigarray.Array1.unsafe_set
-          (storage t (pa lsr Layout.page_shift))
-          ((pa land (Layout.page_size - 1)) lsr 3)
-          value;
-        note_media_write t pa
-      end
+      (if t.persist_note <> None then
+         note_persist_store t (pa lsr Layout.page_shift)
+           ((pa land (Layout.page_size - 1)) lsr 3));
+      Bigarray.Array1.unsafe_set
+        (storage t (pa lsr Layout.page_shift))
+        ((pa land (Layout.page_size - 1)) lsr 3)
+        value;
+      note_media_write t pa
   | Some f ->
-      if not t.frozen then begin
-        t.writes <- t.writes + 1;
-        let frame = pa lsr Layout.page_shift in
-        let word_index = (pa land (Layout.page_size - 1)) lsr 3 in
-        announce_nvm_store t f frame word_index value;
-        note_persist_store t frame word_index;
-        Bigarray.Array1.unsafe_set (storage t frame) word_index value;
-        note_media_write t pa
-      end
+      let frame = pa lsr Layout.page_shift in
+      let word_index = (pa land (Layout.page_size - 1)) lsr 3 in
+      announce_nvm_store t f frame word_index value;
+      note_persist_store t frame word_index;
+      Bigarray.Array1.unsafe_set (storage t frame) word_index value;
+      note_media_write t pa
 
 (* (frame, word index) accessors for harnesses and tests: the packed
    address of the word, through the one read and one write path.  The
@@ -245,12 +237,7 @@ let write_word t ~frame ~word_index value =
 
 let set_fi_hook t hook = t.fi_hook <- hook
 
-let fire t event =
-  match t.fi_hook with
-  | Some f when not t.frozen -> f event
-  | _ -> ()
-
-let set_frozen t frozen = t.frozen <- frozen
+let fire t event = match t.fi_hook with Some f -> f event | None -> ()
 
 let set_media_read t hook = t.media_read <- hook
 let set_media_write_note t hook = t.media_write <- hook
@@ -268,18 +255,16 @@ let poke t ~frame ~word_index value =
    NVM frames survive untouched.  The DRAM frame counter is recycled
    too — the old frame numbers are dead (every DRAM mapping is gone),
    and without the reset repeated crash/restart cycles leak DRAM frame
-   IDs (and physical address space) monotonically. *)
+   IDs (and physical address space) monotonically.  The fi hook stays
+   armed — an injector that wants to observe the recovery run (or a
+   shell tracking stores across power cycles) keeps its view.  The
+   media hooks survive too: NVM defects are a property of the device,
+   not of the power cycle, so a crash mid-scrub replays bit-identical
+   faults from the same (seed, point). *)
 let crash t =
   t.dram <- [||];
   t.next_dram_frame <- 1;
-  t.dram_frames_allocated <- 0;
-  (* Power is back: the media accepts stores again.  The fi hook stays
-     armed — an injector that wants to observe the recovery run (or a
-     shell tracking stores across power cycles) keeps its view.  The
-     media hooks survive too: NVM defects are a property of the device,
-     not of the power cycle, so a crash mid-scrub replays bit-identical
-     faults from the same (seed, point). *)
-  t.frozen <- false
+  t.dram_frames_allocated <- 0
 
 let dram_frames_allocated t = t.dram_frames_allocated
 let nvm_frames_allocated t = t.nvm_frames_allocated

@@ -1,7 +1,10 @@
 (** Simulated physical memory: DRAM and NVM frame spaces allocated on
     demand, with word-granular access.  A simulated {!crash} erases all
     DRAM frames and leaves NVM frames intact — the property the whole
-    persistence stack builds on. *)
+    persistence stack builds on.  Nothing runs past a simulated power
+    failure: the crash-point engine installs the image a crash leaves
+    in a fresh machine's frames instead of stopping a running one, so
+    the media has no frozen state. *)
 
 type frame = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -44,7 +47,7 @@ val crash : t -> unit
     released and the DRAM frame counter recycled, so old DRAM frame
     numbers are dead).  Survives: every NVM frame, bit for bit, along
     with the NVM frame counter and any armed fault-injection hook.
-    A {!set_frozen} freeze is lifted — power is back.  Higher layers
+    Higher layers
     add their own crash semantics on top: see {!Vspace.crash} (all
     mappings), {!Mem.crash}, and [Pmop.crash] (pool registry and pool
     frames survive; volatile tables vanish). *)
@@ -68,12 +71,7 @@ val set_fi_hook : t -> (Fi.event -> unit) option -> unit
 
 val fire : t -> Fi.event -> unit
 (** Announce an event from an upper layer ([Txn], [Pmop], [Runtime])
-    to the hook, if armed and not frozen.  No-op otherwise. *)
-
-val set_frozen : t -> bool -> unit
-(** A frozen machine drops every store (reads still work): it models
-    the instant of power loss, so code unwinding from a crash exception
-    cannot accidentally keep writing to the media.  {!crash} unfreezes. *)
+    to the hook, if armed.  No-op otherwise. *)
 
 (** {2 Media model}
 
@@ -104,8 +102,8 @@ val peek : t -> frame:int -> word_index:int -> int64
 (** Raw word read: no counters, no hook, no media model. *)
 
 val poke : t -> frame:int -> word_index:int -> int64 -> unit
-(** Raw word write: no counters, no hook, ignores freezing, and does
-    {e not} fire the media write note (so it never heals a media
-    fault).  This is the injectors' backdoor for planting torn words
-    ({!Fi.torn_word}) at the crash point and for corrupting checksummed
-    metadata by hand in tests. *)
+(** Raw word write: no counters, no hook, and does {e not} fire the
+    media write note (so it never heals a media fault).  This is the
+    injectors' backdoor for planting torn words ({!Fi.torn_word}) in a
+    crash image and for corrupting checksummed metadata by hand in
+    tests. *)
