@@ -54,9 +54,11 @@ let compare_slowest a b =
   | 0 -> ( match compare a.cell b.cell with 0 -> compare a.seq b.seq | c -> c)
   | c -> c
 
+(* The slow-op reservoir's capacity. *)
+let k = 8
+
 type t = {
   cell_label : string;
-  k : int;
   lat : Latency.t;
   mutable totals : components;
   mutable next_seq : int;
@@ -76,7 +78,6 @@ let tl_op_cycles = Telemetry.latency "op.cycles"
 let create ~cell () =
   {
     cell_label = cell;
-    k = 8 (* slow-op reservoir capacity *);
     lat = Latency.create ();
     totals = zero_components;
     next_seq = 0;
@@ -100,16 +101,13 @@ let mark_driver t cpu = if t.in_op then t.mark <- Cpu.cycles cpu - t.p_cycles
 (* Insert [s] into the sorted reservoir, dropping the least-slow sample
    when over capacity. *)
 let admit t s =
-  if t.k > 0 then begin
-    let rec insert = function
-      | [] -> [ s ]
-      | x :: rest as l ->
-          if compare_slowest s x < 0 then s :: l else x :: insert rest
-    in
-    let l = insert t.slow in
-    t.slow <-
-      (if List.length l > t.k then List.filteri (fun i _ -> i < t.k) l else l)
-  end
+  let rec insert = function
+    | [] -> [ s ]
+    | x :: rest as l ->
+        if compare_slowest s x < 0 then s :: l else x :: insert rest
+  in
+  let l = insert t.slow in
+  t.slow <- (if List.length l > k then List.filteri (fun i _ -> i < k) l else l)
 
 (* The op, then its driver prefix and the rest of the op after it; a
    mark at the op's last cycle leaves no rest. *)
@@ -142,11 +140,10 @@ let op_end t cpu op =
     (* Admission test without allocating: only build the sample when it
        beats the reservoir's floor. *)
     let admits =
-      t.k > 0
-      && (List.length t.slow < t.k
-         ||
-         let floor = List.nth t.slow (List.length t.slow - 1) in
-         cycles > floor.cycles)
+      List.length t.slow < k
+      ||
+      let floor = List.nth t.slow (List.length t.slow - 1) in
+      cycles > floor.cycles
     in
     if admits then
       admit t
