@@ -71,9 +71,3 @@ let sub (p : t) (bytes : int64) : t = Int64.sub p bytes
    behaviour, as is overflowing an object in C). *)
 let same_pool (p : t) (q : t) =
   is_relative p && is_relative q && pool_of p = pool_of q
-
-let pp ppf (p : t) =
-  if is_null p then Fmt.string ppf "NULL"
-  else if is_relative p then
-    Fmt.pf ppf "rel(pool=%d, off=0x%Lx)" (pool_of p) (offset_of p)
-  else Fmt.pf ppf "va(0x%Lx, %a)" p Layout.pp_region (Layout.region_of_va p)

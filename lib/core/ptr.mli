@@ -62,5 +62,3 @@ val sub : t -> int64 -> t
 val same_pool : t -> t -> bool
 (** Both relative and into the same pool — the case where comparisons
     and differences need no translation. *)
-
-val pp : t Fmt.t

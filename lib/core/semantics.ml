@@ -8,7 +8,8 @@
    Fig. 4 place them.  Conversions are counted in the [Xlate.counters];
    dynamic-check accounting is layered on top by the runtime and the
    compiler pass, because whether a check is *executed* depends on what
-   static inference resolved. *)
+   static inference resolved.  Assignment and [~p] reduce to other rows
+   (see the interface). *)
 
 type comparison = Lt | Gt | Le | Ge | Eq | Ne
 
@@ -45,10 +46,6 @@ let decr (p : Ptr.t) ~elem_size : Ptr.t = Ptr.sub p (Int64.of_int elem_size)
    (bit 63 is set), so raw zero-testing is correct in both formats. *)
 let logical_not (p : Ptr.t) : bool = Ptr.is_null p
 
-(* ~p is an integer operation on (I)p. *)
-let bitwise_not (x : Xlate.t) (p : Ptr.t) : int64 =
-  Int64.lognot (cast_ptr_to_int x p)
-
 (* *p — the virtual address issued to the memory system (row "*pxr":
    ra2va before access). *)
 let deref_address (x : Xlate.t) (p : Ptr.t) : int64 = Xlate.ra2va x p
@@ -57,19 +54,6 @@ let deref_address (x : Xlate.t) (p : Ptr.t) : int64 = Xlate.ra2va x p
    user-transparent persistent pointer is exactly one word. *)
 let sizeof_ptr = 8
 let alignof_ptr = 8
-
-(* --- assignment operators ------------------------------------------- *)
-
-(* p = q where p's cell lives at [dst] (either format): delegate to the
-   Fig. 3 pointerAssignment check. *)
-let assign = Checks.pointer_assignment
-
-(* p += i / p -= i: raw, format-preserving (Fig. 4). *)
-let add_assign (p : Ptr.t) (i : int64) ~elem_size : Ptr.t =
-  Ptr.add p (Int64.mul i (Int64.of_int elem_size))
-
-let sub_assign (p : Ptr.t) (i : int64) ~elem_size : Ptr.t =
-  Ptr.sub p (Int64.mul i (Int64.of_int elem_size))
 
 (* --- additive operators --------------------------------------------- *)
 

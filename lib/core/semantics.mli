@@ -5,7 +5,10 @@
     the result ISO C11 specifies for the corresponding operation on
     plain pointers, resolving format differences internally exactly
     where Fig. 4's filled boxes place the conversions.  Conversions are
-    counted in the {!Xlate.counters}. *)
+    counted in the {!Xlate.counters}.  The rows with no operation here
+    reduce to ones that have one: [p = q] is
+    {!Checks.pointer_assignment}, [p += i] and [p -= i] store back
+    {!add_int} and {!sub_int}, and [~p] negates {!cast_ptr_to_int}. *)
 
 type comparison = Lt | Gt | Le | Ge | Eq | Ne
 
@@ -31,20 +34,11 @@ val decr : Ptr.t -> elem_size:int -> Ptr.t
 val logical_not : Ptr.t -> bool
 (** [!p] — format-agnostic: a relative pointer is never null. *)
 
-val bitwise_not : Xlate.t -> Ptr.t -> int64
 val deref_address : Xlate.t -> Ptr.t -> int64
 (** [*p] — the virtual address issued to the memory system. *)
 
 val sizeof_ptr : int
 val alignof_ptr : int
-
-(** {1 Assignment operators} *)
-
-val assign : Xlate.t -> dst:Ptr.t -> value:Ptr.t -> Ptr.t
-(** [p = q] — delegates to {!Checks.pointer_assignment}. *)
-
-val add_assign : Ptr.t -> int64 -> elem_size:int -> Ptr.t
-val sub_assign : Ptr.t -> int64 -> elem_size:int -> Ptr.t
 
 (** {1 Additive operators} *)
 

@@ -152,10 +152,6 @@ let attach phys t =
   Physmem.set_media_write_note phys
     (Some (fun ~frame ~word_index -> on_write t ~frame ~word_index))
 
-let detach phys =
-  Physmem.set_media_read phys None;
-  Physmem.set_media_write_note phys None
-
 let flips_served t = t.flips_served
 let poisons_served t = t.poisons_served
 let transients_served t = t.transients_served

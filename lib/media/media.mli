@@ -43,8 +43,6 @@ val attach : Nvml_simmem.Physmem.t -> t -> unit
     hooks survive {!Nvml_simmem.Physmem.crash}: the media does not
     forget its defects just because power was lost. *)
 
-val detach : Nvml_simmem.Physmem.t -> unit
-
 val decide : t -> frame:int -> word_index:int -> kind option
 (** The pure placement function: which fault, if any, lives at this
     word when it has not been healed.  This is the injection ground

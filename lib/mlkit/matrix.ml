@@ -33,8 +33,6 @@ let create rt region ~rows ~cols =
   { rt; region; header }
 
 let header t = t.header
-let attach rt header =
-  { rt; region = Runtime.region_of_ptr rt header; header }
 
 let rows t =
   Int64.to_int (Runtime.load_word t.rt ~site:s_hdr t.header ~off:h_rows)

@@ -13,7 +13,6 @@ type t
 val header_size : int
 val create : Runtime.t -> Runtime.region -> rows:int -> cols:int -> t
 val header : t -> Ptr.t
-val attach : Runtime.t -> Ptr.t -> t
 val rows : t -> int
 val cols : t -> int
 

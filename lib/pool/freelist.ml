@@ -100,8 +100,6 @@ let set_block_next a b next = a.write (b +! 8L) next
 
 let capacity a = a.read off_capacity
 let allocated_bytes a = a.read off_allocated
-let alloc_count a = Int64.to_int (a.read off_alloc_count)
-let free_count a = Int64.to_int (a.read off_free_count)
 let get_root a = a.read off_root
 let set_root a v = a.write off_root v
 

@@ -52,8 +52,6 @@ val free : access -> int64 -> unit
 
 val capacity : access -> int64
 val allocated_bytes : access -> int64
-val alloc_count : access -> int
-val free_count : access -> int
 val get_root : access -> int64
 val set_root : access -> int64 -> unit
 

@@ -114,10 +114,3 @@ let sample t rng =
         Random.State.int rng h.hot_n
       else if h.n > h.hot_n then h.hot_n + Random.State.int rng (h.n - h.hot_n)
       else Random.State.int rng h.n
-
-let name = function
-  | Uniform _ -> "uniform"
-  | Zipfian _ -> "zipfian"
-  | Scrambled_zipfian _ -> "scrambled-zipfian"
-  | Latest _ -> "latest"
-  | Hotspot _ -> "hotspot"

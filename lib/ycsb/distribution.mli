@@ -35,5 +35,3 @@ val population : t -> int
 
 val sample : t -> Random.State.t -> int
 (** Draw a record index in [0, population). *)
-
-val name : t -> string
