@@ -1269,15 +1269,15 @@ let profile ctx =
 
 (* --- crash-point fault injection ------------------------------------------ *)
 
-(* Systematic crash-point sweep over the persistence stack: every chosen
-   persistence event (persistent store, storeP retirement, undo-log
-   append, allocator metadata write) of each workload is replayed on a
-   fresh machine that loses power exactly there; after reboot, pool
-   re-open and log recovery the checker validates structural invariants,
-   pointer reachability, transaction atomicity and the persistent
-   freelist.  Each crash point re-runs the whole workload, so the matrix
-   uses its own bounded sizes rather than [ctx.spec]; a quick-scale
-   spec shrinks them further. *)
+(* Systematic crash-point sweep over the persistence stack: for every
+   chosen persistence event (persistent store, storeP retirement,
+   undo-log append, allocator metadata write) of each workload, a fresh
+   machine boots with the durable image a power failure there leaves;
+   after reboot, pool re-open and log recovery the checker validates
+   structural invariants, pointer reachability, transaction atomicity
+   and the persistent freelist.  Each crash point boots a machine and
+   checks the whole structure, so the matrix uses its own bounded sizes
+   rather than [ctx.spec]; a quick-scale spec shrinks them further. *)
 let faultinject ctx =
   let module F = Nvml_faultinject.Faultinject in
   heading "Crash-point fault injection: recovery check matrix";
@@ -1299,11 +1299,9 @@ let faultinject ctx =
       (fun (w, spec) -> F.run ~par:(Nvml_exec.Pool.run ctx.pool) ~spec w)
       cases
   in
-  List.iter
-    (fun (r : F.report) ->
-      (* reference pass + one full workload replay per crash point *)
-      ops_add ctx ((List.length r.F.outcomes + 1) * r.F.ops))
-    reports;
+  (* Only the reference pass runs workload ops: a crash pass installs
+     its image and runs none. *)
+  List.iter (fun (r : F.report) -> ops_add ctx r.F.ops) reports;
   table
     ~header:
       [ "workload"; "ops"; "events"; "points"; "clean"; "rolled back";
@@ -1605,8 +1603,8 @@ let concurrent ctx =
       (F.conc_workload ~cores:2
          ~ops_per_core:(if ctx.quick then 4 else 8) ())
   in
-  (* reference pass + one full workload replay per crash point *)
-  ops_add ctx ((List.length r.F.outcomes + 1) * r.F.ops);
+  (* the reference pass; a crash pass runs no workload op *)
+  ops_add ctx r.F.ops;
   metric ctx "conc.fi.events" (float_of_int r.F.events);
   metric ctx "conc.fi.points" (float_of_int (List.length r.F.outcomes));
   metric ctx "conc.fi.violations" (float_of_int (List.length r.F.violations));
@@ -1736,7 +1734,7 @@ let persist ctx =
             ~spec:{ F.default_spec with F.torn = true }
             w
         in
-        ops_add ctx ((List.length r.F.outcomes + 1) * fi_ops);
+        ops_add ctx r.F.ops;
         (m, r))
       models
   in
