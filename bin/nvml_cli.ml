@@ -935,19 +935,21 @@ let faultinject_cmd =
   Cmd.v
     (Cmd.info "faultinject"
        ~doc:
-         "Crash-point fault injection: re-run a workload, losing power at \
-          every chosen persistence event, and check that recovery restores \
-          a consistent state."
+         "Crash-point fault injection: lose power at every chosen \
+          persistence event of a workload, and check that recovery \
+          restores a consistent state."
        ~man:
          ([
            `S Manpage.s_description;
            `P
-             "A reference pass counts every persistence-relevant event of \
-              the workload (persistent stores, storeP retirements, undo-log \
-              appends, allocator metadata writes).  Each selected event \
-              index is then replayed on a fresh machine that crashes \
-              exactly there; after reboot, pool re-open and log recovery, \
-              the checker validates structural invariants, pointer \
+             "A reference pass runs the workload once, counts every \
+              persistence-relevant event (persistent stores, storeP \
+              retirements, undo-log appends, allocator metadata writes) \
+              and records the durable NVM image a crash at each selected \
+              event leaves.  A fresh machine then boots with each image \
+              installed in its pool; no workload operation runs again.  \
+              After reboot, pool re-open and log recovery, the checker \
+              validates structural invariants, pointer \
               reachability, transaction atomicity against pre/post-op \
               snapshots, and the persistent freelist.  The conc workload \
               has no transactions: its recovered counter and list must \
