@@ -1152,9 +1152,10 @@ let micro ctx =
           (Staged.stage (fun () ->
                Physmem.write_word note_pm ~frame:note_frame ~word_index:0 2L));
         (* Data-path guards: a frame access is array indexing whatever
-           frame came before, a translation hit two array loads, and a
-           window miss a few int ops — a hash-table probe on any of them
-           shows up as a several-fold jump. *)
+           frame came before, a translation hit two loads (its cache
+           block, then the entry packing tag and frame), and a window
+           miss a few int ops — a hash-table probe on any of them shows
+           up as a several-fold jump. *)
         Test.make ~name:"physmem write_pa (64-frame stride)"
           (Staged.stage (fun () ->
                incr counter;

@@ -106,7 +106,8 @@ let create (cfg : Config.t) mem =
      one-entry stand-ins instead of the config-sized arrays.  The
      verification engines construct a fresh machine per crash point /
      fuzz case; skipping the L2/L3 tag arrays (tens of KWords each)
-     keeps that construction off the major heap. *)
+     keeps that construction off the major heap, as the translation
+     cache's shared empty blocks keep [Mem.create] off it (Vspace). *)
   {
     cfg;
     mem;

@@ -623,7 +623,10 @@ end
    whose pages alias in groups of eight on the translation cache's
    index bits, so the direct-mapped cache in front of the segment list
    is refilled and invalidated all the time; after every op each page
-   of the run and every mapped page must translate as the map says. *)
+   of the run and every mapped page must translate as the map says.
+   A second space, made at init and after each crash, maps nothing:
+   every cache block starts as one shared empty block, so a refill that
+   writes through it shows as a page translating on the second space. *)
 module Vspace_h = struct
   module Vspace = Nvml_simmem.Vspace
   module Layout = Nvml_simmem.Layout
@@ -653,7 +656,7 @@ module Vspace_h = struct
         pp;
         init =
           (fun ~seed:_ ->
-            let vs = Vspace.create () in
+            let vs = Vspace.create () and bystander = ref (Vspace.create ()) in
             let model = Hashtbl.create 64 and next_frame = ref 1 in
             let agrees p =
               let got = Vspace.translate_pa vs (Layout.va_of_page p) in
@@ -663,12 +666,19 @@ module Vspace_h = struct
                 | None -> -1
               in
               if got <> want then
-                fail "page %d translates to %d, model %d" p got want
+                fail "page %d translates to %d, model %d" p got want;
+              let stray =
+                Vspace.translate_pa !bystander (Layout.va_of_page p)
+              in
+              if stray <> -1 then
+                fail "page %d translates to %d in a space that maps nothing" p
+                  stray
             in
             fun op ->
               (match op with
               | Crash ->
                   Vspace.crash vs;
+                  bystander := Vspace.create ();
                   Hashtbl.reset model
               | Run (kind, s, n) ->
                   let first = 16 + (s land 7) + (4096 * (s lsr 3)) in

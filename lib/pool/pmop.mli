@@ -46,7 +46,7 @@ val crash : t -> unit
     becomes detached), and the volatile POT/VAT tables.  Survives: each
     pool's NVM frames bit for bit — including the in-pool allocator
     metadata and root slot — plus the pool registry (names, ids, frame
-    lists) which models a persistent superblock.  The restart counter
+    runs) which models a persistent superblock.  The restart counter
     increments, so the next {!open_pool} maps at a skewed base. *)
 
 val restarts : t -> int
@@ -100,7 +100,8 @@ val mark_pool_repaired : t -> pool:int -> unit
 val pool_name : t -> int -> string
 val pool_frames : t -> pool:int -> int list
 (** The pool's physical NVM frames, in layout order — the media-error
-    ground truth for the bench coverage matrix is computed over these. *)
+    ground truth for the bench coverage matrix is computed over these.
+    A pool holds them as one run; the list is built on each call. *)
 
 val scrub_access : t -> pool:int -> Freelist.access
 (** Maintenance accessor: reads still traverse the media model, writes

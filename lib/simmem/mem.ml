@@ -22,28 +22,6 @@ let map_fresh t region bytes =
   Vspace.map_seg t.vspace ~vpage:(Layout.page_of_va base) ~pages ~first_frame;
   base
 
-(* Map an existing list of physical frames (e.g. a persistent pool's
-   frames after restart) at a fresh virtual base in the NVM half.
-   Pool frames were handed out consecutively, so the list compresses
-   into (usually one) O(1) segments. *)
-let map_existing t region frames =
-  let bytes = List.length frames * Layout.page_size in
-  let base = Vspace.reserve t.vspace region bytes in
-  let vpage0 = Layout.page_of_va base in
-  let rec runs i = function
-    | [] -> ()
-    | f0 :: rest ->
-        let rec eat n = function
-          | f :: tl when f = f0 + n -> eat (n + 1) tl
-          | tl -> (n, tl)
-        in
-        let n, tl = eat 1 rest in
-        Vspace.map_seg t.vspace ~vpage:(vpage0 + i) ~pages:n ~first_frame:f0;
-        runs (i + n) tl
-  in
-  runs 0 frames;
-  base
-
 let unmap t ~base ~bytes =
   Vspace.unmap_range t.vspace ~base ~pages:(Layout.pages_of_bytes bytes)
 

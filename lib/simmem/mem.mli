@@ -14,10 +14,6 @@ val vspace : t -> Vspace.t
 val map_fresh : t -> Layout.region -> int -> int64
 (** Map fresh memory of a region at a fresh base; returns the base. *)
 
-val map_existing : t -> Layout.region -> int list -> int64
-(** Map existing physical frames (e.g. a pool's after restart) at a
-    fresh base. *)
-
 val unmap : t -> base:int64 -> bytes:int -> unit
 
 val translate_pa : t -> int64 -> int

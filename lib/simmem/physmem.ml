@@ -70,23 +70,9 @@ let fresh_frame_storage () =
 
 (* Frame numbers are handed out eagerly; the backing storage is
    created on first touch, so memory stays proportional to the pages a
-   simulation actually uses rather than to what it maps. *)
-let alloc_frame t region =
-  match region with
-  | Layout.Dram ->
-      let f = t.next_dram_frame in
-      t.next_dram_frame <- f + 1;
-      t.dram_frames_allocated <- t.dram_frames_allocated + 1;
-      f
-  | Layout.Nvm ->
-      let f = t.next_nvm_frame in
-      t.next_nvm_frame <- f + 1;
-      t.nvm_frames_allocated <- t.nvm_frames_allocated + 1;
-      f
-
-(* Reserve [n] consecutive frame numbers; returns the first.  Same
-   numbering as [n] successive [alloc_frame] calls, without building
-   the list — contiguous mappings pair this with [Vspace.map_seg]. *)
+   simulation actually uses rather than to what it maps.  A run of [n]
+   consecutive frame numbers is reserved at once and returned by its
+   first; contiguous mappings pair it with [Vspace.map_seg]. *)
 let alloc_frame_run t region n =
   match region with
   | Layout.Dram ->
@@ -100,7 +86,7 @@ let alloc_frame_run t region n =
       t.nvm_frames_allocated <- t.nvm_frames_allocated + n;
       f
 
-let alloc_frames t region n = List.init n (fun _ -> alloc_frame t region)
+let alloc_frame t region = alloc_frame_run t region 1
 
 let frame_reserved t frame =
   (frame >= 1 && frame < t.next_dram_frame)

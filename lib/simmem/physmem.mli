@@ -13,12 +13,10 @@ type t
 val create : unit -> t
 val region_of_frame : int -> Layout.region
 val alloc_frame : t -> Layout.region -> int
-val alloc_frames : t -> Layout.region -> int -> int list
 
 val alloc_frame_run : t -> Layout.region -> int -> int
 (** Reserve [n] consecutive frame numbers and return the first — the
-    numbering [n] successive {!alloc_frame} calls would produce,
-    without building the list. *)
+    numbering [n] successive {!alloc_frame} calls would produce. *)
 
 val frame_exists : t -> int -> bool
 (** Whether the frame's backing storage has been materialized (frames

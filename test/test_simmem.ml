@@ -117,6 +117,40 @@ let test_phys_write_pa_allocation_free () =
   if words >= 64.0 then
     Alcotest.failf "write_pa allocated %.0f minor words over %d calls" words n
 
+(* A fresh machine costs what it touches: [Mem.create] puts no word
+   straight on the major heap (the translation cache starts as shared
+   empty blocks), and a translation-cache hit allocates nothing.  Words
+   promoted by a minor collection are not counted. *)
+let test_mem_boot_allocation_free () =
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct_major () in
+  let m = Mem.create () in
+  let words = direct_major () -. before in
+  if words > 0.0 then
+    Alcotest.failf "Mem.create put %.0f words on the major heap" words;
+  let base = Mem.map_fresh m Layout.Dram (64 * Layout.page_size) in
+  let vas =
+    Array.init 64 (fun i ->
+        Int64.add base (Int64.of_int ((i * Layout.page_size) + (8 * i))))
+  in
+  Array.iter (fun va -> ignore (Mem.translate_pa m va)) vas;
+  let stats = Vspace.tc_stats (Mem.vspace m) in
+  let misses = Nvml_telemetry.Stats.Hit_miss.misses stats in
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Mem.translate_pa m vas.(i land 63)))
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every translation hit" misses
+    (Nvml_telemetry.Stats.Hit_miss.misses stats);
+  if words >= 64.0 then
+    Alcotest.failf "translate_pa allocated %.0f minor words over %d hits" words
+      n
+
 (* --- virtual space ---------------------------------------------------- *)
 
 let test_vspace_reserve_halves () =
@@ -184,12 +218,14 @@ let test_mem_crash_drops_dram_keeps_nvm () =
   let n = Mem.map_fresh m Layout.Nvm 4096 in
   Mem.write_word m d 7L;
   Mem.write_word m n 9L;
-  let n_frames = [ Mem.translate_pa_exn m n lsr Layout.page_shift ] in
+  let n_frame = Mem.translate_pa_exn m n lsr Layout.page_shift in
   Mem.crash m;
-  check_int "dram mapping gone" (-1) (Vspace.translate_pa (Mem.vspace m) d);
-  check_int "nvm mapping gone too" (-1) (Vspace.translate_pa (Mem.vspace m) n);
-  (* Remap the surviving NVM frames at a fresh base: data intact. *)
-  let n' = Mem.map_existing m Layout.Nvm n_frames in
+  let vs = Mem.vspace m in
+  check_int "dram mapping gone" (-1) (Vspace.translate_pa vs d);
+  check_int "nvm mapping gone too" (-1) (Vspace.translate_pa vs n);
+  (* Remap the surviving NVM frame at a fresh base: data intact. *)
+  let n' = Vspace.reserve vs Layout.Nvm 4096 in
+  Vspace.map_seg vs ~vpage:(Layout.page_of_va n') ~pages:1 ~first_frame:n_frame;
   check_i64 "nvm data survives remap" 9L (Mem.read_word m n')
 
 (* --- properties -------------------------------------------------------- *)
@@ -241,6 +277,8 @@ let () =
             test_phys_crash_recycles_dram_frames;
           Alcotest.test_case "write_pa allocation-free" `Quick
             test_phys_write_pa_allocation_free;
+          Alcotest.test_case "boot and TC hit allocation-free" `Quick
+            test_mem_boot_allocation_free;
         ] );
       ( "vspace",
         [
