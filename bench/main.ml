@@ -195,9 +195,6 @@ let () =
   let stats_out = open_sink "--stats" (value "--stats") in
   let trace_out = open_sink "--trace" (value "--trace") in
   let metrics_out = open_sink "--metrics-json" (value "--metrics-json") in
-  (* [--trace] records the whole run: enable telemetry up front so the
-     worker-pool sinks exist and merge into this domain's at each join. *)
-  if trace_out <> None then Telemetry.set_enabled true;
   let quick = List.mem "--quick" set in
   let verbose = not (List.mem "--quiet" set) in
   let spec =
@@ -224,9 +221,21 @@ let () =
     in
     (ctx, (name, mode, Unix.gettimeofday () -. te, out))
   in
-  let t0 = Unix.gettimeofday () in
-  let ctx, timings = List.fold_left_map run_one ctx chosen in
-  let total = Unix.gettimeofday () -. t0 in
+  (* [--trace] records every experiment into one sink (the worker-pool
+     sinks merge into it at each join) and writes it when they end. *)
+  let record f = if trace_out = None then f () else Telemetry.recording f in
+  let ctx, timings, total =
+    record (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let ctx, timings = List.fold_left_map run_one ctx chosen in
+        let total = Unix.gettimeofday () -. t0 in
+        Option.iter
+          (fun oc ->
+            Telemetry.write_chrome_trace oc;
+            close_out oc)
+          trace_out;
+        (ctx, timings, total))
+  in
   (* On stderr, so stdout is a function of the inputs alone. *)
   flush stdout;
   Printf.eprintf "\nTotal wall time: %.1fs\n%!" total;
@@ -252,9 +261,4 @@ let () =
       in
       write (Profile.stats_json p) oc)
     stats_out;
-  (match trace_out with
-  | Some oc ->
-      Telemetry.write_chrome_trace oc;
-      close_out oc
-  | None -> ());
   Pool.shutdown ctx.pool

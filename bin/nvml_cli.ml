@@ -237,21 +237,19 @@ let write_file ~flag ~what path emit =
 
 (* With a [--stats] or [--trace] file, record the run in a fresh telemetry
    sink and write the dumps before returning (they read the sink).
-   Telemetry is enabled for the whole run, so parallel workers all see
+   Recording stays on for the whole run, so parallel workers all see
    one stable enabled flag. *)
 let with_telemetry ?trace stats f =
   let dump flag emit =
     Option.iter (fun path -> write_file ~flag ~what:flag path emit)
   in
   if stats = None && trace = None then f ()
-  else begin
-    Telemetry.set_enabled true;
-    Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
+  else
+    Telemetry.recording (fun () ->
         let r = f () in
         dump "stats" Telemetry.write_stats_json stats;
         dump "trace" Telemetry.write_chrome_trace trace;
         r)
-  end
 
 let print_cluster_stats cluster =
   let s = Cluster.stats cluster in

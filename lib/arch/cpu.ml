@@ -376,7 +376,7 @@ let valb_latency t ~va =
             visited
         | None -> Range_btree.height t.vatb (* walked to a leaf, no range *)
       in
-      if Telemetry.enabled () then Telemetry.record vatb_depth walk;
+      Telemetry.record vatb_depth walk;
       t.vaw_nodes <- t.vaw_nodes + walk;
       t.cfg.valb_latency + (walk * t.cfg.vatb_node_latency)
 

@@ -83,7 +83,7 @@ let issue t ~now ~latency =
   done;
   let occupancy = t.size in
   if occupancy > t.peak_occupancy then t.peak_occupancy <- occupancy;
-  if Telemetry.enabled () then Telemetry.record occupancy_lat occupancy;
+  Telemetry.record occupancy_lat occupancy;
   if occupancy < Array.length heap then begin
     t.size <- occupancy + 1;
     sift_up heap occupancy (now + latency);

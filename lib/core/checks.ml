@@ -5,14 +5,6 @@
    storeP functional unit. *)
 
 module Layout = Nvml_simmem.Layout
-module Telemetry = Nvml_telemetry.Telemetry
-
-(* Outcome counters for the dynamic checks: which branch each
-   pointerAssignment took. *)
-let c_pa_keep_relative = Telemetry.counter "check.pointer_assignment.keep_relative"
-let c_pa_keep_virtual = Telemetry.counter "check.pointer_assignment.keep_virtual"
-let c_pa_va2ra = Telemetry.counter "check.pointer_assignment.va2ra"
-let c_pa_ra2va = Telemetry.counter "check.pointer_assignment.ra2va"
 
 (* determineY: format of a pointer value — one sign test. *)
 let determine_y (p : Ptr.t) : Ptr.format = Ptr.format p
@@ -35,23 +27,14 @@ let count_check (x : Xlate.t) =
    Returns the value to store.  [dst] itself may be in either format. *)
 let pointer_assignment (x : Xlate.t) ~(dst : Ptr.t) ~(value : Ptr.t) : Ptr.t =
   count_check x;
-  let tl = Telemetry.enabled () in
   match determine_x dst with
   | Nvm -> (
       count_check x;
       match determine_y value with
-      | Relative ->
-          if tl then Telemetry.incr c_pa_keep_relative;
-          value
-      | Virtual ->
-          if tl then Telemetry.incr c_pa_va2ra;
-          Xlate.va2ra x value)
+      | Relative -> value
+      | Virtual -> Xlate.va2ra x value)
   | Dram -> (
       count_check x;
       match determine_y value with
-      | Relative ->
-          if tl then Telemetry.incr c_pa_ra2va;
-          Xlate.ra2va x value
-      | Virtual ->
-          if tl then Telemetry.incr c_pa_keep_virtual;
-          value)
+      | Relative -> Xlate.ra2va x value
+      | Virtual -> value)

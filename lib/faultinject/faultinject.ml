@@ -944,14 +944,12 @@ let run ?(par = List.map (fun f -> f ())) ?(mode = Runtime.Hw)
           outcomes;
     }
   in
-  if Telemetry.enabled () then begin
-    Telemetry.add c_points (List.length report.outcomes);
-    Telemetry.add c_clean report.clean;
-    Telemetry.add c_rolled_back report.rolled_back;
-    Telemetry.add c_suffix_lost report.suffix_lost;
-    Telemetry.add c_torn report.torn_injected;
-    Telemetry.add c_violations (List.length report.violations)
-  end;
+  Telemetry.add c_points (List.length report.outcomes);
+  Telemetry.add c_clean report.clean;
+  Telemetry.add c_rolled_back report.rolled_back;
+  Telemetry.add c_suffix_lost report.suffix_lost;
+  Telemetry.add c_torn report.torn_injected;
+  Telemetry.add c_violations (List.length report.violations);
   report
 
 let crash_images ?(mode = Runtime.Hw) ?(persist = Persist.Eager)

@@ -55,12 +55,7 @@ let inline_runner fs = List.map (fun f -> f ()) fs
 (* Run the profile.  [par] runs the two independent mode cells —
    [Pool.run pool] in bench, sequential by default. *)
 let run ?(par = inline_runner) ~benchmark (spec : Workload.spec) : t =
-  let was_enabled = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was_enabled)
-  @@ fun () ->
-  Telemetry.run_with_sink (Telemetry.fresh_sink ())
-  @@ fun () ->
+  Telemetry.recording @@ fun () ->
   let sw, hw =
     match
       par

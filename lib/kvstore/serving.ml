@@ -595,12 +595,10 @@ let run ?(par = inline_runner) (c : config) : t =
       oplat = merged_ol;
     }
   in
-  if Telemetry.enabled () then begin
-    Telemetry.add c_hit cache.hits;
-    Telemetry.add c_miss cache.misses;
-    Telemetry.add c_writeback cache.writebacks;
-    Telemetry.add c_evict cache.evictions;
-    Telemetry.add c_scan_flush cache.scan_flushes;
-    Telemetry.add c_ops t.ops
-  end;
+  Telemetry.add c_hit cache.hits;
+  Telemetry.add c_miss cache.misses;
+  Telemetry.add c_writeback cache.writebacks;
+  Telemetry.add c_evict cache.evictions;
+  Telemetry.add c_scan_flush cache.scan_flushes;
+  Telemetry.add c_ops t.ops;
   t

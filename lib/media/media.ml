@@ -96,14 +96,14 @@ let on_read t ~frame ~word_index v =
   | Some _ when healed t ~frame ~word_index -> v
   | Some Poison_line ->
       t.poisons_served <- t.poisons_served + 1;
-      if Telemetry.enabled () then Telemetry.incr c_poisons;
+      Telemetry.incr c_poisons;
       raise
         (Media_error
            (Fmt.str "uncorrectable poisoned line at frame %d line %d" frame
               (word_index / words_per_line)))
   | Some Bit_flip ->
       t.flips_served <- t.flips_served + 1;
-      if Telemetry.enabled () then Telemetry.incr c_flips;
+      Telemetry.incr c_flips;
       let bit =
         Int64.to_int
           (Int64.logand
@@ -122,10 +122,8 @@ let on_read t ~frame ~word_index v =
                1L)
       in
       t.transients_served <- t.transients_served + 1;
-      if Telemetry.enabled () then begin
-        Telemetry.incr c_transients;
-        Telemetry.add c_retries fails
-      end;
+      Telemetry.incr c_transients;
+      Telemetry.add c_retries fails;
       if fails >= retry_budget then
         raise
           (Media_error
@@ -143,7 +141,7 @@ let on_write t ~frame ~word_index =
       let k = key ~frame ~word_index in
       if not (Hashtbl.mem t.healed k) then begin
         Hashtbl.replace t.healed k ();
-        if Telemetry.enabled () then Telemetry.incr c_heals
+        Telemetry.incr c_heals
       end
 
 let attach phys t =

@@ -51,7 +51,7 @@ let message_of = function
 
 (* Replay [ops] on a fresh instance; the violation message if any. *)
 let replay h ~seed ops =
-  if Telemetry.enabled () then Telemetry.incr c_shrink_replays;
+  Telemetry.incr c_shrink_replays;
   let apply = h.init ~seed in
   let rec go = function
     | [] -> None
@@ -99,7 +99,7 @@ let shrink h ~seed ops =
   if List.length ops > 1 then pass ops 1 else ops
 
 let run (Packed h) ~ops ~seed =
-  if Telemetry.enabled () then Telemetry.incr c_runs;
+  Telemetry.incr c_runs;
   let rng = rng_of ~component:h.component ~seed in
   let apply = h.init ~seed in
   let trace = ref [] in
@@ -113,12 +113,12 @@ let run (Packed h) ~ops ~seed =
     | exception e -> violation := Some (message_of e));
     incr step
   done;
-  if Telemetry.enabled () then Telemetry.add c_ops !step;
+  Telemetry.add c_ops !step;
   let violation =
     match !violation with
     | None -> None
     | Some message ->
-        if Telemetry.enabled () then Telemetry.incr c_violations;
+        Telemetry.incr c_violations;
         let prefix = List.rev !trace in
         let shrunk = shrink h ~seed prefix in
         Some

@@ -1766,7 +1766,7 @@ module Semantics_h = struct
   let site_prefix = "site.minic."
 
   let run_in ~cfg ~mode ~persistent ?plan prog =
-    Telemetry.run_with_sink (Telemetry.fresh_sink ()) @@ fun () ->
+    Telemetry.recording @@ fun () ->
     let _, outcome = Interp.run_fresh ~cfg ?plan ~mode ~persistent prog in
     let counters = Telemetry.counters_snapshot () in
     let fired_sites =
@@ -1795,47 +1795,42 @@ module Semantics_h = struct
              in
              let inference = Inference.infer prog in
              let plan = Inference.plan inference in
-             let was = Telemetry.enabled () in
-             Telemetry.set_enabled true;
-             Fun.protect
-               ~finally:(fun () -> Telemetry.set_enabled was)
-               (fun () ->
-                 let reference, _, _ =
-                   run_in ~mode:Runtime.Volatile ~persistent:false prog
-                 in
-                 let sw, sw_checks, sw_fired =
-                   run_in ~mode:Runtime.Sw ~persistent:true ~plan prog
-                 in
-                 let sw_noplan, sw_noplan_checks, _ =
-                   run_in ~mode:Runtime.Sw ~persistent:true prog
-                 in
-                 let hw, _, _ =
-                   run_in ~mode:Runtime.Hw ~persistent:true ~plan prog
-                 in
-                 if sw <> reference then
-                   fail "%s: SW output diverges from the volatile reference"
-                     name;
-                 if hw <> reference then
-                   fail "%s: HW output diverges from the volatile reference"
-                     name;
-                 if sw_noplan <> reference then
+             let reference, _, _ =
+               run_in ~mode:Runtime.Volatile ~persistent:false prog
+             in
+             let sw, sw_checks, sw_fired =
+               run_in ~mode:Runtime.Sw ~persistent:true ~plan prog
+             in
+             let sw_noplan, sw_noplan_checks, _ =
+               run_in ~mode:Runtime.Sw ~persistent:true prog
+             in
+             let hw, _, _ =
+               run_in ~mode:Runtime.Hw ~persistent:true ~plan prog
+             in
+             if sw <> reference then
+               fail "%s: SW output diverges from the volatile reference"
+                 name;
+             if hw <> reference then
+               fail "%s: HW output diverges from the volatile reference"
+                 name;
+             if sw_noplan <> reference then
+               fail
+                 "%s: SW output without check elision diverges — the \
+                  checks are not semantics-preserving"
+                 name;
+             List.iter
+               (fun id ->
+                 if plan id then
                    fail
-                     "%s: SW output without check elision diverges — the \
-                      checks are not semantics-preserving"
-                     name;
-                 List.iter
-                   (fun id ->
-                     if plan id then
-                       fail
-                         "%s: site minic.%d is statically resolved but \
-                          executed a dynamic check"
-                         name id)
-                   sw_fired;
-                 if sw_checks > sw_noplan_checks then
-                   fail
-                     "%s: the inference plan added dynamic checks (%d with \
-                      plan, %d without)"
-                     name sw_checks sw_noplan_checks));
+                     "%s: site minic.%d is statically resolved but \
+                      executed a dynamic check"
+                     name id)
+               sw_fired;
+             if sw_checks > sw_noplan_checks then
+               fail
+                 "%s: the inference plan added dynamic checks (%d with \
+                  plan, %d without)"
+                 name sw_checks sw_noplan_checks);
       }
 end
 

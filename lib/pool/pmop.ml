@@ -122,7 +122,7 @@ let set_degraded t (p : pool) v =
   end
 
 let refuse_write (p : pool) =
-  if Telemetry.enabled () then Telemetry.incr c_write_refused;
+  Telemetry.incr c_write_refused;
   raise
     (Media.Media_error
        (Fmt.str "%s: pool is attached read-only (degraded)" p.name))
@@ -188,7 +188,7 @@ let seal_pool t ~pool =
   if p.base <> None && (not p.degraded) && p.dirtied then begin
     Freelist.seal (arena_access t p);
     p.dirtied <- false;
-    if Telemetry.enabled () then Telemetry.incr c_seals
+    Telemetry.incr c_seals
   end
 
 (* Map a pool's frame run at a fresh base in the NVM half, as one
@@ -203,7 +203,7 @@ let map_pool t p =
 (* Create a pool: allocate its NVM frames, map it, initialize its
    embedded allocator, and return its system-wide unique id. *)
 let create_pool t ~name ~size =
-  if Telemetry.enabled () then Telemetry.incr c_pool_creates;
+  Telemetry.incr c_pool_creates;
   if Hashtbl.mem t.by_name name then
     Fmt.invalid_arg "Pmop.create_pool: pool %S already exists" name;
   let size = Layout.pages_of_bytes size * Layout.page_size in
@@ -232,7 +232,7 @@ let create_pool t ~name ~size =
    the mapping base by a restart-dependent number of pages so that a
    pool never lands at the address it had in the previous run. *)
 let open_pool t name =
-  if Telemetry.enabled () then Telemetry.incr c_pool_opens;
+  Telemetry.incr c_pool_opens;
   let p = find_pool_by_name t name in
   (match p.base with
   | Some _ -> raise (Already_open name)
@@ -256,11 +256,11 @@ let open_pool t name =
   | Freelist.Sealed ->
       set_degraded t p false;
       p.dirtied <- false;
-      if Telemetry.enabled () then Telemetry.incr c_attach_verified
+      Telemetry.incr c_attach_verified
   | Freelist.Dirty ->
       set_degraded t p false;
       p.dirtied <- true;
-      if Telemetry.enabled () then Telemetry.incr c_attach_dirty
+      Telemetry.incr c_attach_dirty
   | Freelist.Uninitialized ->
       (* No magic and no seal: creation never completed.  If the
          replica still vouches for the pool this is media damage and
@@ -272,7 +272,7 @@ let open_pool t name =
       then begin
         set_degraded t p true;
         p.dirtied <- true;
-        if Telemetry.enabled () then Telemetry.incr c_attach_degraded
+        Telemetry.incr c_attach_degraded
       end
       else begin
         p.base <- None;
@@ -283,7 +283,7 @@ let open_pool t name =
   | Freelist.Corrupt _ ->
       set_degraded t p true;
       p.dirtied <- true;
-      if Telemetry.enabled () then Telemetry.incr c_attach_degraded);
+      Telemetry.incr c_attach_degraded);
   base
 
 let detach_pool t id =
@@ -347,14 +347,14 @@ let provider t : Xlate.provider =
 (* pmalloc returns a *relative-format* pointer, per the paper's marking
    of allocator functions as returning relative addresses. *)
 let pmalloc t ~pool size : Ptr.t =
-  if Telemetry.enabled () then Telemetry.incr c_pmallocs;
+  Telemetry.incr c_pmallocs;
   let p = find_pool t pool in
   if p.degraded then refuse_write p;
   let payload = Freelist.alloc (arena_access t p) (Int64.of_int size) in
   Ptr.make_relative ~pool ~offset:payload
 
 let pfree t (ptr : Ptr.t) =
-  if Telemetry.enabled () then Telemetry.incr c_pfrees;
+  Telemetry.incr c_pfrees;
   if not (Ptr.is_relative ptr) then
     invalid_arg "Pmop.pfree: not a persistent pointer";
   let p = find_pool t (Ptr.pool_of ptr) in

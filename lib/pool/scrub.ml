@@ -324,14 +324,12 @@ let run t ~repair =
     count (fun r -> List.length (List.filter (fun (f : finding) -> not f.repaired) r.findings))
   in
   let lost_objects = count (fun r -> r.lost_objects) in
-  if Telemetry.enabled () then begin
-    Telemetry.incr c_runs;
-    Telemetry.add c_pools (List.length reports);
-    Telemetry.add c_detected detected;
-    Telemetry.add c_repaired repaired;
-    Telemetry.add c_unrepairable unrepairable;
-    Telemetry.add c_lost_objects lost_objects
-  end;
+  Telemetry.incr c_runs;
+  Telemetry.add c_pools (List.length reports);
+  Telemetry.add c_detected detected;
+  Telemetry.add c_repaired repaired;
+  Telemetry.add c_unrepairable unrepairable;
+  Telemetry.add c_lost_objects lost_objects;
   { pools = reports; detected; repaired; unrepairable; lost_objects }
 
 (* --- reporting -------------------------------------------------------- *)

@@ -337,13 +337,11 @@ let c_drains = Telemetry.counter "persist.drains"
 let c_dropped = Telemetry.counter "persist.crash_dropped"
 
 let publish t =
-  if Telemetry.enabled () then begin
-    Telemetry.add c_buffered t.stores_buffered;
-    Telemetry.add c_flushes t.flushes;
-    Telemetry.add c_fences t.fences;
-    Telemetry.add c_drains t.drains;
-    Telemetry.add c_dropped t.crash_dropped
-  end
+  Telemetry.add c_buffered t.stores_buffered;
+  Telemetry.add c_flushes t.flushes;
+  Telemetry.add c_fences t.fences;
+  Telemetry.add c_drains t.drains;
+  Telemetry.add c_dropped t.crash_dropped
 
 let flushes t = t.flushes
 let fences t = t.fences

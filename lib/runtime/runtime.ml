@@ -48,6 +48,13 @@ let c_alloc_volatile = Telemetry.counter "alloc.volatile"
 let c_dealloc = Telemetry.counter "alloc.free"
 let c_crashes = Telemetry.counter "runtime.crashes"
 
+(* Fig. 3's pointerAssignment outcome of each SW/HW pointer store, by
+   destination location and value format ([store_ptr]). *)
+let c_pa_keep_relative = Telemetry.counter "check.pointer_assignment.keep_relative"
+let c_pa_keep_virtual = Telemetry.counter "check.pointer_assignment.keep_virtual"
+let c_pa_va2ra = Telemetry.counter "check.pointer_assignment.va2ra"
+let c_pa_ra2va = Telemetry.counter "check.pointer_assignment.ra2va"
+
 type mode = Volatile | Sw | Hw | Explicit
 
 let mode_name = function
@@ -223,10 +230,8 @@ let detach_pool t pool =
 (* Crash the machine: volatile memory, mappings and microarchitectural
    state vanish; pools survive but must be re-opened by the caller. *)
 let crash_and_restart t =
-  if Telemetry.enabled () then begin
-    Telemetry.incr c_crashes;
-    Telemetry.event "crash_and_restart"
-  end;
+  Telemetry.incr c_crashes;
+  Telemetry.event "crash_and_restart";
   (* First reveal what the media actually held: buffered lines never
      reached it, so their words revert to the last-drained values. *)
   Persist.crash t.persist;
@@ -272,15 +277,11 @@ let pc_determine_y = 8
 let pc_determine_x = 16
 
 let sw_check t ~site (v : Ptr.t) =
-  if Site.is_static site then begin
-    if Telemetry.enabled () then Telemetry.incr c_checks_elided
-  end
+  if Site.is_static site then Telemetry.incr c_checks_elided
   else begin
     count_dynamic_check t;
-    if Telemetry.enabled () then begin
-      Telemetry.incr c_checks_dynamic;
-      Telemetry.incr (Site.check_counter site)
-    end;
+    Telemetry.incr c_checks_dynamic;
+    Telemetry.incr (Site.check_counter site);
     Cpu.instr t.cpu t.cfg.sw_check_instrs;
     Cpu.branch t.cpu ~pc:pc_determine_y ~taken:(Ptr.is_relative v);
     if t.cfg.sw_check_branches > 1 then
@@ -408,9 +409,19 @@ let store_ptr t ~site (p : Ptr.t) ~off (value : Ptr.t) : unit =
       sw_check t ~site cell;
       sw_check t ~site value;
       let stored =
-        match Checks.determine_x cell with
-        | Layout.Nvm -> sw_va2ra t value
-        | Layout.Dram -> if Ptr.is_relative value then sw_ra2va t value else value
+        match (Checks.determine_x cell, Ptr.format value) with
+        | Layout.Nvm, Ptr.Relative ->
+            Telemetry.incr c_pa_keep_relative;
+            value
+        | Layout.Nvm, Ptr.Virtual ->
+            Telemetry.incr c_pa_va2ra;
+            sw_va2ra t value
+        | Layout.Dram, Ptr.Relative ->
+            Telemetry.incr c_pa_ra2va;
+            sw_ra2va t value
+        | Layout.Dram, Ptr.Virtual ->
+            Telemetry.incr c_pa_keep_virtual;
+            value
       in
       mem_store t va stored
   | Hw ->
@@ -423,8 +434,11 @@ let store_ptr t ~site (p : Ptr.t) ~off (value : Ptr.t) : unit =
       if Ptr.is_relative cell then Cpu.xop_push_polb t.cpu ~pool:(Ptr.pool_of cell);
       let stored =
         match (cell_loc, Ptr.format value) with
-        | Layout.Nvm, Ptr.Relative -> value
+        | Layout.Nvm, Ptr.Relative ->
+            Telemetry.incr c_pa_keep_relative;
+            value
         | Layout.Nvm, Ptr.Virtual ->
+            Telemetry.incr c_pa_va2ra;
             if Ptr.is_null value then value
             else (
               (* If this virtual address was materialized from a
@@ -440,10 +454,13 @@ let store_ptr t ~site (p : Ptr.t) ~off (value : Ptr.t) : unit =
                 r
               end)
         | Layout.Dram, Ptr.Relative ->
+            Telemetry.incr c_pa_ra2va;
             let r = Xlate.ra2va t.x value in
             Cpu.xop_push_polb t.cpu ~pool:(Ptr.pool_of value);
             r
-        | Layout.Dram, Ptr.Virtual -> value
+        | Layout.Dram, Ptr.Virtual ->
+            Telemetry.incr c_pa_keep_virtual;
+            value
       in
       let dst_pa = Mem.translate_pa_exn t.mem dst_va in
       Cpu.store_p_buffered t.cpu ~dst_va ~dst_pa;
@@ -458,38 +475,40 @@ let store_ptr t ~site (p : Ptr.t) ~off (value : Ptr.t) : unit =
 
 (* --- pointer predicates ----------------------------------------------------- *)
 
-(* Charge the mode-appropriate cost for [conversions] ra2va
-   translations performed inside a pointer-valued operation. *)
-let charge_conversions t ~conversions ~pool =
+(* The SW checks on both operands of a two-pointer operator. *)
+let check_operands t ~site p q =
   match t.mode with
-  | Volatile | Explicit -> ()
   | Sw ->
-      if conversions > 0 then
-        Cpu.instr t.cpu (conversions * t.cfg.sw_ra2va_instrs)
-  | Hw ->
-      for _ = 1 to conversions do
-        Cpu.polb_translate t.cpu ~pool:(pool ())
-      done
+      sw_check t ~site p;
+      sw_check t ~site q
+  | Volatile | Hw | Explicit -> ()
 
-(* Lazy: only forced when a conversion actually happened, in which case
-   at least one operand is relative. *)
-let some_pool p q () = if Ptr.is_relative p then Ptr.pool_of p else Ptr.pool_of q
+let ra2va_count t = (Xlate.counters t.x).Xlate.ra2va
+
+(* Charge the mode-appropriate cost of the ra2va translations a
+   two-pointer operator performed since the count read [before].  A
+   translation means at least one operand is relative. *)
+let charge_conversions t ~before p q =
+  let conversions = ra2va_count t - before in
+  if conversions > 0 then
+    match t.mode with
+    | Volatile | Explicit -> ()
+    | Sw -> Cpu.instr t.cpu (conversions * t.cfg.sw_ra2va_instrs)
+    | Hw ->
+        let pool = if Ptr.is_relative p then Ptr.pool_of p else Ptr.pool_of q in
+        for _ = 1 to conversions do
+          Cpu.polb_translate t.cpu ~pool
+        done
 
 (* p op q for relational/equality operators.  Conversion costs follow
    Fig. 4: mixed-format operands are normalized, same-pool relative
    pairs and NULL tests are translation-free. *)
 let ptr_compare t ~site op (p : Ptr.t) (q : Ptr.t) : bool =
   Cpu.instr t.cpu 1;
-  (match t.mode with
-  | Volatile | Explicit -> ()
-  | Sw ->
-      sw_check t ~site p;
-      sw_check t ~site q
-  | Hw -> ());
-  let before = (Xlate.counters t.x).Xlate.ra2va in
+  check_operands t ~site p q;
+  let before = ra2va_count t in
   let result = Semantics.compare_ptr t.x op p q in
-  let conversions = (Xlate.counters t.x).Xlate.ra2va - before in
-  charge_conversions t ~conversions ~pool:(some_pool p q);
+  charge_conversions t ~before p q;
   result
 
 let ptr_eq t ~site (p : Ptr.t) (q : Ptr.t) : bool =
@@ -498,16 +517,10 @@ let ptr_eq t ~site (p : Ptr.t) (q : Ptr.t) : bool =
 (* p - q in elements (Fig. 4 additive operators). *)
 let ptr_diff t ~site (p : Ptr.t) (q : Ptr.t) ~elem_size : int64 =
   Cpu.instr t.cpu 2;
-  (match t.mode with
-  | Volatile | Explicit -> ()
-  | Sw ->
-      sw_check t ~site p;
-      sw_check t ~site q
-  | Hw -> ());
-  let before = (Xlate.counters t.x).Xlate.ra2va in
+  check_operands t ~site p q;
+  let before = ra2va_count t in
   let result = Semantics.diff t.x p q ~elem_size in
-  let conversions = (Xlate.counters t.x).Xlate.ra2va - before in
-  charge_conversions t ~conversions ~pool:(some_pool p q);
+  charge_conversions t ~before p q;
   result
 
 (* (I)p — pointer-to-integer cast: a relative pointer exposes its
@@ -515,17 +528,8 @@ let ptr_diff t ~site (p : Ptr.t) (q : Ptr.t) ~elem_size : int64 =
 let ptr_to_int t ~site (p : Ptr.t) : int64 =
   Cpu.instr t.cpu 1;
   match t.mode with
-  | Volatile -> p
   | Explicit -> Xlate.ra2va t.x p
-  | Sw ->
-      sw_check t ~site p;
-      if Ptr.is_relative p then sw_ra2va t p else p
-  | Hw ->
-      if Ptr.is_relative p then begin
-        Cpu.polb_translate t.cpu ~pool:(Ptr.pool_of p);
-        Xlate.ra2va t.x p
-      end
-      else p
+  | Volatile | Sw | Hw -> resolve t ~site p
 
 let ptr_is_null t ~site (p : Ptr.t) : bool =
   Cpu.instr t.cpu 1;
@@ -559,7 +563,7 @@ let pool_arena_va t pool =
 let alloc t ?pool ~persistent size : Ptr.t =
   match (t.mode, persistent) with
   | Volatile, _ | _, false ->
-      if Telemetry.enabled () then Telemetry.incr c_alloc_volatile;
+      Telemetry.incr c_alloc_volatile;
       charge_alloc t ~arena_va:(valloc_arena_va t);
       Valloc.malloc t.valloc size
   | (Sw | Hw | Explicit), true ->
@@ -568,7 +572,7 @@ let alloc t ?pool ~persistent size : Ptr.t =
         | Some p -> p
         | None -> invalid_arg "Runtime.alloc: persistent alloc needs a pool"
       in
-      if Telemetry.enabled () then Telemetry.incr c_alloc_persistent;
+      Telemetry.incr c_alloc_persistent;
       charge_alloc t ~arena_va:(pool_arena_va t pool);
       Pmop.pmalloc t.pm ~pool size
 
@@ -592,7 +596,7 @@ let region_of_ptr t (p : Ptr.t) : region =
   else Dram_region
 
 let dealloc t (p : Ptr.t) : unit =
-  if Telemetry.enabled () then Telemetry.incr c_dealloc;
+  Telemetry.incr c_dealloc;
   (* pfree is one of the functions marked as accepting relative
      addresses: a virtual address into the NVM half is converted before
      the call (the compiler inserts the va2ra). *)
@@ -670,37 +674,35 @@ module Vspace = Nvml_simmem.Vspace
 module Physmem = Nvml_simmem.Physmem
 
 let publish_stats t =
-  if Telemetry.enabled () then begin
-    List.iter
-      (fun (n, c) ->
-        let base =
-          match n with
-          | "l1_tlb" -> "tlb.l1"
-          | "l2_tlb" -> "tlb.l2"
-          | "polb" -> "polb"
-          | n -> "cache." ^ n
-        in
-        pub_hit_miss base (Cache.stats c))
-      (Cpu.caches t.cpu);
-    pub_hit_miss "valb" (Valb.stats (Cpu.valb t.cpu));
-    pub_hit_miss "vspace.tc" (Vspace.tc_stats (Mem.vspace t.mem));
-    let sp = Cpu.storep t.cpu in
-    Telemetry.add c_storep_issued (Storep_unit.issued sp);
-    Telemetry.add c_storep_stalls (Storep_unit.stall_cycles sp);
-    let s = Cpu.snapshot t.cpu in
-    Telemetry.add c_pow_walks s.Cpu.pow_walks;
-    Telemetry.add c_vaw_walks s.Cpu.vaw_walks;
-    Telemetry.add c_vaw_nodes s.Cpu.vaw_nodes;
-    Telemetry.add c_dram_accesses s.Cpu.dram_accesses;
-    Telemetry.add c_nvm_accesses s.Cpu.nvm_accesses;
-    let phys = Mem.phys t.mem in
-    Telemetry.add c_phys_reads (Physmem.reads phys);
-    Telemetry.add c_phys_writes (Physmem.writes phys);
-    Telemetry.add c_phys_dram_frames (Physmem.dram_frames_allocated phys);
-    Telemetry.add c_phys_nvm_frames (Physmem.nvm_frames_allocated phys);
-    let xc = Xlate.counters t.x in
-    Telemetry.add c_x_ra2va xc.Xlate.ra2va;
-    Telemetry.add c_x_va2ra xc.Xlate.va2ra;
-    Telemetry.add c_x_checks xc.Xlate.dynamic_checks;
-    Persist.publish t.persist
-  end
+  List.iter
+    (fun (n, c) ->
+      let base =
+        match n with
+        | "l1_tlb" -> "tlb.l1"
+        | "l2_tlb" -> "tlb.l2"
+        | "polb" -> "polb"
+        | n -> "cache." ^ n
+      in
+      pub_hit_miss base (Cache.stats c))
+    (Cpu.caches t.cpu);
+  pub_hit_miss "valb" (Valb.stats (Cpu.valb t.cpu));
+  pub_hit_miss "vspace.tc" (Vspace.tc_stats (Mem.vspace t.mem));
+  let sp = Cpu.storep t.cpu in
+  Telemetry.add c_storep_issued (Storep_unit.issued sp);
+  Telemetry.add c_storep_stalls (Storep_unit.stall_cycles sp);
+  let s = Cpu.snapshot t.cpu in
+  Telemetry.add c_pow_walks s.Cpu.pow_walks;
+  Telemetry.add c_vaw_walks s.Cpu.vaw_walks;
+  Telemetry.add c_vaw_nodes s.Cpu.vaw_nodes;
+  Telemetry.add c_dram_accesses s.Cpu.dram_accesses;
+  Telemetry.add c_nvm_accesses s.Cpu.nvm_accesses;
+  let phys = Mem.phys t.mem in
+  Telemetry.add c_phys_reads (Physmem.reads phys);
+  Telemetry.add c_phys_writes (Physmem.writes phys);
+  Telemetry.add c_phys_dram_frames (Physmem.dram_frames_allocated phys);
+  Telemetry.add c_phys_nvm_frames (Physmem.nvm_frames_allocated phys);
+  let xc = Xlate.counters t.x in
+  Telemetry.add c_x_ra2va xc.Xlate.ra2va;
+  Telemetry.add c_x_va2ra xc.Xlate.va2ra;
+  Telemetry.add c_x_checks xc.Xlate.dynamic_checks;
+  Persist.publish t.persist

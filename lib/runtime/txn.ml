@@ -135,7 +135,7 @@ let begin_ t =
        it — the accumulated entries still protect this epoch's earlier
        (not yet drained) operations. *)
     if t.in_op then raise Already_active;
-    if Telemetry.enabled () then Telemetry.incr c_begins;
+    Telemetry.incr c_begins;
     t.in_op <- true;
     if not (is_active t) then
       with_busy t (fun () ->
@@ -144,7 +144,7 @@ let begin_ t =
   end
   else begin
     if is_active t then raise Already_active;
-    if Telemetry.enabled () then Telemetry.incr c_begins;
+    Telemetry.incr c_begins;
     t.in_op <- true;
     with_busy t (fun () ->
         Runtime.store_word t.rt ~site t.log ~off:o_count 0L;
@@ -158,7 +158,7 @@ let log_cell t (cell : Ptr.t) =
   with_busy t (fun () ->
       let n = count t in
       if n >= t.capacity then raise Log_full;
-      if Telemetry.enabled () then Telemetry.incr c_logged;
+      Telemetry.incr c_logged;
       Physmem.fire (Mem.phys (Runtime.mem t.rt)) Fi.Txn_log_append;
       let rel_cell = Xlate.va2ra (Runtime.xlate t.rt) cell in
       if not (Ptr.is_relative rel_cell) then
@@ -190,12 +190,12 @@ let commit t =
        buffered, and a crash before the epoch drains must roll the
        whole epoch back.  Truncation happens in [on_drain]. *)
     if not t.in_op then raise Not_active;
-    if Telemetry.enabled () then Telemetry.incr c_commits;
+    Telemetry.incr c_commits;
     t.in_op <- false
   end
   else begin
     if not (is_active t) then raise Not_active;
-    if Telemetry.enabled () then Telemetry.incr c_commits;
+    Telemetry.incr c_commits;
     t.in_op <- false;
     with_busy t (fun () ->
         Runtime.store_word t.rt ~site t.log ~off:o_count 0L;
@@ -205,7 +205,7 @@ let commit t =
 let abort t =
   if not (if Runtime.persist_relaxed t.rt then t.in_op else is_active t) then
     raise Not_active;
-  if Telemetry.enabled () then Telemetry.incr c_aborts;
+  Telemetry.incr c_aborts;
   roll_back t
 
 type recovery = Clean | Rolled_back of int
@@ -216,12 +216,11 @@ type recovery = Clean | Rolled_back of int
    unreadable log word is re-raised with enough context to find the
    pool, rather than surfacing as a bare device error mid-rollback. *)
 let recover t =
-  if Telemetry.enabled () then Telemetry.incr c_recoveries;
+  Telemetry.incr c_recoveries;
   try
     if is_active t then begin
       let n = count t in
-      if Telemetry.enabled () then
-        Telemetry.event ~args:[ ("rolled_back", n) ] "txn.recover";
+      Telemetry.event ~args:[ ("rolled_back", n) ] "txn.recover";
       roll_back t;
       Rolled_back n
     end

@@ -136,8 +136,8 @@ let storage t frame =
   if s != no_storage then s else materialize t frame
 
 (* Fire a [Pm_store] for a word about to land in an NVM frame.  Only
-   called with a hook armed; reading the old value costs a frame lookup,
-   which is why the unarmed paths below skip this entirely. *)
+   called with a hook armed: reading the old value costs a frame lookup
+   that an unarmed store skips. *)
 let announce_nvm_store t f frame word_index value =
   if frame >= Layout.nvm_phys_frame_base then
     f
@@ -185,25 +185,18 @@ let note_media_write t pa =
       f ~frame:(pa lsr Layout.page_shift)
         ~word_index:((pa land (Layout.page_size - 1)) lsr 3)
 
+(* The one store path: the fi announcement (only with a hook armed),
+   the persistency note, the store, the media note. *)
 let write_pa t pa value =
   t.writes <- t.writes + 1;
-  match t.fi_hook with
-  | None ->
-      (if t.persist_note <> None then
-         note_persist_store t (pa lsr Layout.page_shift)
-           ((pa land (Layout.page_size - 1)) lsr 3));
-      Bigarray.Array1.unsafe_set
-        (storage t (pa lsr Layout.page_shift))
-        ((pa land (Layout.page_size - 1)) lsr 3)
-        value;
-      note_media_write t pa
-  | Some f ->
-      let frame = pa lsr Layout.page_shift in
-      let word_index = (pa land (Layout.page_size - 1)) lsr 3 in
-      announce_nvm_store t f frame word_index value;
-      note_persist_store t frame word_index;
-      Bigarray.Array1.unsafe_set (storage t frame) word_index value;
-      note_media_write t pa
+  let frame = pa lsr Layout.page_shift in
+  let word_index = (pa land (Layout.page_size - 1)) lsr 3 in
+  (match t.fi_hook with
+  | None -> ()
+  | Some f -> announce_nvm_store t f frame word_index value);
+  if t.persist_note <> None then note_persist_store t frame word_index;
+  Bigarray.Array1.unsafe_set (storage t frame) word_index value;
+  note_media_write t pa
 
 (* (frame, word index) accessors for harnesses and tests: the packed
    address of the word, through the one read and one write path.  The

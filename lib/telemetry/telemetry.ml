@@ -14,12 +14,13 @@
      (domain-local state); [Pool.run] gives every task a fresh sink and
      merges them into the submitter's sink in submission order, which
      makes parallel telemetry bit-identical to sequential telemetry.
-   - Everything is gated on the process-wide [enabled] flag.  Callers
-     on simulator hot paths write
-     [if Telemetry.enabled () then Telemetry.incr c] — one atomic load
-     when telemetry is off, which is the shipped default.  The timing
-     model never reads telemetry, so enabling it cannot change a single
-     simulated cycle.
+   - Everything is gated on the process-wide [enabled] flag, and only
+     this module tests it: [incr], [add], [record] and [event] inline
+     the test at their call sites and keep the recording body out of
+     line, so a call with recording off (the shipped default) costs
+     one atomic load and a branch.  [recording] scopes the flag on
+     over a fresh sink.  The timing model never reads telemetry, so
+     enabling it cannot change a single simulated cycle.
    - Trace events carry no wall-clock timestamps: ordering is logical
      (position in the merged stream), so traces are deterministic too.
      Cycle attribution comes from the simulated counters, which are
@@ -152,17 +153,22 @@ let ensure_lat s id =
 
 (* --- recording --------------------------------------------------------------- *)
 
-let add c n =
-  if enabled () then begin
-    let s = current_sink () in
-    ensure_counters s c;
-    s.counters.(c) <- s.counters.(c) + n
-  end
+(* Each recording call is the flag test, inlined at the call site,
+   around a body kept out of line: with recording off a call costs one
+   atomic load and a branch, and callers never test the flag. *)
 
-let incr c = add c 1
+let[@inline never] add_on c n =
+  let s = current_sink () in
+  ensure_counters s c;
+  s.counters.(c) <- s.counters.(c) + n
 
-let record l v =
-  if enabled () then Latency.record (ensure_lat (current_sink ()) l) v
+let[@inline] add c n = if enabled () then add_on c n
+let[@inline] incr c = if enabled () then add_on c 1
+
+let[@inline never] record_on l v =
+  Latency.record (ensure_lat (current_sink ()) l) v
+
+let[@inline] record l v = if enabled () then record_on l v
 
 let push_event s e =
   s.events_total <- s.events_total + 1;
@@ -178,9 +184,11 @@ let push_event s e =
       s.ring_start <- (s.ring_start + 1) mod cap
     end
 
-let event ?(args = []) ename =
-  if enabled () then
-    push_event (current_sink ()) { ename; phase = Instant; args }
+let[@inline never] event_on args ename =
+  let args = Option.value args ~default:[] in
+  push_event (current_sink ()) { ename; phase = Instant; args }
+
+let[@inline] event ?args ename = if enabled () then event_on args ename
 
 let span ?(args = []) ename f =
   if not (enabled ()) then f ()
@@ -191,6 +199,12 @@ let span ?(args = []) ename f =
         push_event (current_sink ()) { ename; phase = End; args = [] })
       f
   end
+
+let recording f =
+  let was = Atomic.exchange flag true in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set flag was)
+    (fun () -> run_with_sink (fresh_sink ()) f)
 
 (* --- merge -------------------------------------------------------------------- *)
 

@@ -2,16 +2,22 @@
     bounded ring-buffer event tracer with spans, and per-domain sinks
     that the execution pool merges deterministically at join.
 
-    All recording is gated on a process-wide flag (off by default; the
-    [--stats]/[--trace] flags and {!set_enabled} turn it on).  Hot-path
-    callers write [if Telemetry.enabled () then Telemetry.incr c]; when
-    the flag is off the cost is one atomic load.  The timing model never
-    reads telemetry, so enabling it cannot change simulated cycles. *)
+    All recording is gated on a process-wide flag, off by default and
+    turned on over a scope by {!recording} (the [--stats]/[--trace]
+    flags).  The recording calls test it themselves: a call with the
+    flag off costs one atomic load and a branch, so callers never
+    guard one.  The timing model never reads telemetry, so enabling it
+    cannot change simulated cycles. *)
 
 (** {1 Enable flag} *)
 
 val enabled : unit -> bool
+(** Whether recording is on; read by the execution pool to give each
+    task a sink. *)
+
 val set_enabled : bool -> unit
+(** Set the flag for the rest of the process; {!recording} is the
+    scoped form. *)
 
 (** {1 Registry}
 
@@ -34,7 +40,8 @@ val latency : string -> latency
 
 (** {1 Recording}
 
-    Values accumulate in the calling domain's current {!sink}. *)
+    Values accumulate in the calling domain's current {!sink}.  Each
+    call does nothing while the flag is off. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -70,6 +77,11 @@ val current_sink : unit -> sink
 val run_with_sink : sink -> (unit -> 'a) -> 'a
 (** [run_with_sink s f] makes [s] the calling domain's current sink for
     the duration of [f ()], restoring the previous sink afterwards. *)
+
+val recording : (unit -> 'a) -> 'a
+(** [recording f] turns the flag on and runs [f ()] in a fresh sink,
+    then restores the previous flag and sink, also when [f] raises.
+    Read the sink (snapshots, dumps) inside [f]. *)
 
 val merge_into : dst:sink -> sink -> unit
 (** Fold [src]'s values into [dst]: counters and latency cells add;

@@ -230,13 +230,6 @@ let test_parallel_matches_sequential () =
 let clean = Pinned.clean
 let cfg = { Config.default with timing = false }
 
-(* Run [f] with telemetry on, in a fresh sink. *)
-let with_telemetry f =
-  Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled false)
-    (fun () -> Telemetry.run_with_sink (Telemetry.fresh_sink ()) f)
-
 (* A one-slot cache evicts on every miss, a 64-slot one rarely between
    flushes; each must evict clean and dirty victims alike. *)
 let test_fcache_capacities () =
@@ -244,7 +237,7 @@ let test_fcache_capacities () =
     (fun capacity ->
       let what = Fmt.str "%d-slot front cache" capacity in
       let victims =
-        with_telemetry (fun () ->
+        Telemetry.recording (fun () ->
             clean what (Harnesses.Fcache_h.harness ~cfg ~capacity ());
             Telemetry.counters_snapshot ())
       in
@@ -268,7 +261,7 @@ let test_cache_table4 () =
    cycles apart: the occupancy recorder shows that the unit filled. *)
 let test_storep_table4 () =
   let peak =
-    with_telemetry (fun () ->
+    Telemetry.recording (fun () ->
         clean "32-entry storeP unit" (Harnesses.Storep_h.harness ~entries:32 ());
         Latency.max_value
           (List.assoc "storep.occupancy" (Telemetry.lats_snapshot ())))

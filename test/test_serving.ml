@@ -180,14 +180,9 @@ let test_shard_spans () =
       (ph :: e.ename :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) e.args)
   in
   let traced ~front_cache =
-    let was = Telemetry.enabled () in
-    Telemetry.set_enabled true;
-    Fun.protect
-      ~finally:(fun () -> Telemetry.set_enabled was)
-      (fun () ->
-        Telemetry.run_with_sink (Telemetry.fresh_sink ()) (fun () ->
-            let t = run ~shards:2 ~batch:4 ~front_cache spec in
-            (t, List.map line (Telemetry.events_snapshot ()))))
+    Telemetry.recording (fun () ->
+        let t = run ~shards:2 ~batch:4 ~front_cache spec in
+        (t, List.map line (Telemetry.events_snapshot ())))
   in
   let expected (t : Serving.t) ~drain =
     List.concat_map

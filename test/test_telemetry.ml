@@ -19,20 +19,17 @@ let check = Alcotest.check
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* Run [f] in a fresh sink with the enable flag forced, restoring it. *)
-let scoped ?(enabled = true) f =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled enabled;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled was)
-    (fun () -> Telemetry.run_with_sink (Telemetry.fresh_sink ()) f)
+(* Run [f] in a fresh sink with recording off (the default). *)
+let unrecorded f =
+  check_bool "recording is off" false (Telemetry.enabled ());
+  Telemetry.run_with_sink (Telemetry.fresh_sink ()) f
 
 (* --- registry ----------------------------------------------------------- *)
 
 let test_registry_interning () =
   let a = Telemetry.counter "test.registry.c" in
   let b = Telemetry.counter "test.registry.c" in
-  scoped (fun () ->
+  Telemetry.recording (fun () ->
       Telemetry.incr a;
       Telemetry.incr b;
       check_int "same name, same cell" 2 (Telemetry.value a))
@@ -43,25 +40,61 @@ let test_registry_kind_conflict () =
   | _ -> Alcotest.fail "expected Invalid_argument on kind conflict"
   | exception Invalid_argument _ -> ()
 
+(* The recording calls test the flag themselves, so callers never guard
+   them: with recording off, a million calls of each leave the sink
+   empty and allocate nothing.  The two readings go into a float array
+   so that keeping them allocates no box either. *)
 let test_disabled_records_nothing () =
   let c = Telemetry.counter "test.gate.c" in
   let l = Telemetry.latency "test.gate.l" in
-  scoped ~enabled:false (fun () ->
-      Telemetry.incr c;
-      Telemetry.add c 5;
-      Telemetry.record l 7;
-      Telemetry.event "test.gate.e";
+  let n = 1_000_000 in
+  let words = Array.make 2 0.0 in
+  unrecorded (fun () ->
+      words.(0) <- Gc.minor_words ();
+      for i = 1 to n do
+        Telemetry.incr c;
+        Telemetry.add c i;
+        Telemetry.record l i;
+        Telemetry.event "test.gate.e"
+      done;
+      words.(1) <- Gc.minor_words ();
       check_int "counter untouched" 0 (Telemetry.value c);
       check_bool "latency untouched" false
         (List.mem_assoc "test.gate.l" (Telemetry.lats_snapshot ()));
-      check_int "no events" 0 (Telemetry.events_total ()))
+      check_int "no events" 0 (Telemetry.events_total ()));
+  check (Alcotest.float 0.0) "no minor words" 0.0 (words.(1) -. words.(0))
+
+(* [recording] turns the flag on over a fresh sink and puts back the
+   flag and the sink it found, also when its body raises: off outside
+   any scope, on inside an enclosing one. *)
+let test_recording_restores () =
+  let c = Telemetry.counter "test.recording.c" in
+  let raising () =
+    match
+      Telemetry.recording (fun () ->
+          check_bool "on inside" true (Telemetry.enabled ());
+          Telemetry.incr c;
+          raise Exit)
+    with
+    | () -> Alcotest.fail "expected Exit"
+    | exception Exit -> ()
+  in
+  let outer = Telemetry.fresh_sink () in
+  Telemetry.run_with_sink outer (fun () ->
+      raising ();
+      check_bool "flag back off" false (Telemetry.enabled ());
+      check_bool "sink restored" true (Telemetry.current_sink () == outer);
+      check_int "the count stayed in the inner sink" 0 (Telemetry.value c));
+  Telemetry.recording (fun () ->
+      let enclosing = Telemetry.current_sink () in
+      raising ();
+      check_bool "flag still on" true (Telemetry.enabled ());
+      check_bool "enclosing sink restored" true
+        (Telemetry.current_sink () == enclosing);
+      check_int "the count stayed in the inner sink" 0 (Telemetry.value c));
+  check_bool "flag off after both" false (Telemetry.enabled ())
 
 (* --- merge -------------------------------------------------------------- *)
-
-let with_enabled f =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f
 
 (* Everything observable about a sink, read through its own scope. *)
 let view s =
@@ -72,7 +105,7 @@ let view s =
         Telemetry.events_total () ))
 
 let test_merge_associativity () =
-  with_enabled @@ fun () ->
+  Telemetry.recording @@ fun () ->
   let c1 = Telemetry.counter "test.merge.c1" in
   let c2 = Telemetry.counter "test.merge.c2" in
   let l = Telemetry.latency "test.merge.l" in
@@ -106,7 +139,7 @@ let test_merge_associativity () =
   check_bool "((a+b)+c) = (a+(b+c))" true (view left = view right)
 
 let test_merge_empty_sinks () =
-  with_enabled @@ fun () ->
+  Telemetry.recording @@ fun () ->
   let c = Telemetry.counter "test.merge.empty" in
   let s = Telemetry.fresh_sink () in
   Telemetry.run_with_sink s (fun () ->
@@ -132,7 +165,7 @@ let test_pool_merge_matches_sequential () =
         i)
   in
   let run jobs =
-    scoped (fun () ->
+    Telemetry.recording (fun () ->
         let pool = Pool.create ~jobs () in
         let out =
           Fun.protect
@@ -156,7 +189,7 @@ let event_is (e : Telemetry.event) = List.assoc "i" e.Telemetry.args
 
 let test_ring_wraparound () =
   with_capacity 4 @@ fun () ->
-  scoped (fun () ->
+  Telemetry.recording (fun () ->
       for i = 1 to 10 do
         Telemetry.event "e" ~args:[ ("i", i) ]
       done;
@@ -169,7 +202,7 @@ let test_ring_wraparound () =
 
 let test_ring_merge_keeps_suffix () =
   with_capacity 4 @@ fun () ->
-  with_enabled @@ fun () ->
+  Telemetry.recording @@ fun () ->
   let make lo =
     let s = Telemetry.fresh_sink () in
     Telemetry.run_with_sink s (fun () ->
@@ -189,7 +222,7 @@ let test_ring_merge_keeps_suffix () =
     (List.map event_is events)
 
 let test_span_nesting () =
-  scoped (fun () ->
+  Telemetry.recording (fun () ->
       let r =
         Telemetry.span "outer" (fun () ->
             1 + Telemetry.span "inner" (fun () -> 7))
@@ -228,8 +261,8 @@ let quick_spec =
    produce identical results with recording on and off. *)
 let test_telemetry_does_not_change_cycles () =
   let run () = Harness.run_benchmark "RB" ~mode:Runtime.Sw quick_spec in
-  let off = scoped ~enabled:false run in
-  let on = scoped ~enabled:true run in
+  let off = unrecorded run in
+  let on = Telemetry.recording run in
   check_int "cycles pinned" off.Harness.run.Cpu.cycles on.Harness.run.Cpu.cycles;
   check_int "instructions pinned" off.Harness.run.Cpu.instrs
     on.Harness.run.Cpu.instrs;
@@ -246,6 +279,56 @@ let test_attribution_sums_to_cycles () =
         r.Harness.run.Cpu.cycles
         (Cpu.attribution_total r.Harness.attr))
     [ Runtime.Volatile; Runtime.Sw; Runtime.Hw; Runtime.Explicit ]
+
+(* --- pointerAssignment outcomes ------------------------------------------ *)
+
+let pa_outcomes = [ "keep_relative"; "keep_virtual"; "va2ra"; "ra2va" ]
+
+let pa_counts counters =
+  List.map
+    (fun k -> List.assoc ("check.pointer_assignment." ^ k) counters)
+    pa_outcomes
+
+let site = Nvml_runtime.Site.make "test.telemetry.store"
+
+(* One pointer store of each Fig. 3 outcome counts once, on the SW and
+   on the HW machine: NVM and DRAM cells, each given a relative and a
+   virtual value. *)
+let test_pa_outcome_per_store () =
+  List.iter
+    (fun mode ->
+      let counts =
+        Telemetry.recording (fun () ->
+            let rt = Runtime.create ~mode () in
+            let pool = Runtime.create_pool rt ~name:"t" ~size:(1 lsl 20) in
+            let nvm = Runtime.alloc_in rt (Runtime.Pool_region pool) 64 in
+            let nvm_va = Nvml_core.Xlate.ra2va (Runtime.xlate rt) nvm in
+            let dram = Runtime.alloc_in rt Runtime.Dram_region 64 in
+            let store cell v = Runtime.store_ptr rt ~site cell ~off:0 v in
+            store nvm nvm;
+            store dram dram;
+            store nvm nvm_va;
+            store dram nvm;
+            pa_counts (Telemetry.counters_snapshot ()))
+      in
+      check
+        Alcotest.(list int)
+        (Runtime.mode_name mode ^ " counts one of each")
+        [ 1; 1; 1; 1 ] counts)
+    [ Runtime.Sw; Runtime.Hw ]
+
+(* On the HW machine every pointer store is one storeP, and each takes
+   exactly one of the four outcomes. *)
+let test_pa_outcomes_sum_to_storep () =
+  let counters =
+    Telemetry.recording (fun () ->
+        ignore (Harness.run_benchmark "RB" ~mode:Runtime.Hw quick_spec);
+        Telemetry.counters_snapshot ())
+  in
+  let storep = List.assoc "storep.issued" counters in
+  check_bool "the run issued storePs" true (storep > 0);
+  check_int "outcomes sum to storeP" storep
+    (List.fold_left ( + ) 0 (pa_counts counters))
 
 (* --- latency recorder --------------------------------------------------- *)
 
@@ -366,7 +449,7 @@ let test_latency_jobs_determinism () =
         i)
   in
   let run jobs =
-    scoped (fun () ->
+    Telemetry.recording (fun () ->
         let pool = Pool.create ~jobs () in
         let out =
           Fun.protect
@@ -496,7 +579,7 @@ let test_stats_json_shape () =
       "events_dropped";
     ]
   in
-  scoped (fun () ->
+  Telemetry.recording (fun () ->
       Telemetry.incr (Telemetry.counter "test.schema.c");
       Telemetry.record (Telemetry.latency "test.schema.l") 5;
       let doc = Telemetry.stats_json ~derived:[ ("x.rate", 0.5) ] () in
@@ -529,6 +612,8 @@ let () =
           Alcotest.test_case "kind conflict" `Quick test_registry_kind_conflict;
           Alcotest.test_case "disabled is off" `Quick
             test_disabled_records_nothing;
+          Alcotest.test_case "recording restores" `Quick
+            test_recording_restores;
         ] );
       ( "merge",
         [
@@ -550,6 +635,13 @@ let () =
             test_telemetry_does_not_change_cycles;
           Alcotest.test_case "attribution sums to cycles" `Quick
             test_attribution_sums_to_cycles;
+        ] );
+      ( "checks",
+        [
+          Alcotest.test_case "one outcome per pointer store" `Quick
+            test_pa_outcome_per_store;
+          Alcotest.test_case "HW outcomes sum to storeP" `Quick
+            test_pa_outcomes_sum_to_storep;
         ] );
       ( "latency",
         [
